@@ -852,9 +852,9 @@ Result<Cycles> LzModule::exec_gate_switch(LzContext& ctx, int gate) {
   // Measure on the calling core's own ledger: machine().cycles() sums every
   // core and would fold concurrent work into this switch.
   const Cycles start = machine().account().total();
-  for (int i = 0; i < 64 && core.pc() != entry && ctx.proc().alive(); ++i) {
-    core.step();
-  }
+  // The gate runs through the batched engine and stops at the legal entry;
+  // a failed check's BRK kills the process, whose handler stops the run.
+  if (ctx.proc().alive()) core.run(64, entry);
   const Cycles delta = machine().account().total() - start;
   lz_hists().gate_switch.record(delta);
   if (obs::metrics().enabled())

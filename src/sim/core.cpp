@@ -76,12 +76,15 @@ bool Core::has_handler(ExceptionLevel el) const {
   return static_cast<bool>(handlers_[static_cast<int>(el)]);
 }
 
-void Core::refresh_translation_context() {
+void Core::refresh_translation_context(bool globals_too) {
   cached_stage2_ = sysreg(SysReg::kHcrEl2) & arch::hcr::kVm;
   cached_vmid_ =
       cached_stage2_ ? mem::vttbr_vmid(sysreg(SysReg::kVttbrEl2)) : 0;
   cached_asid_ = mem::ttbr_asid(sysreg(SysReg::kTtbr0El1));
-  ++ctx_epoch_;  // every L0 entry from the old context is now unusable
+  // Every non-global L0 entry and trace from the old context is now
+  // unusable; global ones too unless only TTBR0 (ASID + lower root) moved.
+  ++ctx_epoch_[0];
+  if (globals_too) ++ctx_epoch_[1];
 }
 
 void Core::refresh_watchpoints() {
@@ -393,7 +396,8 @@ Core::Translation Core::translate(VirtAddr va, AccessType type,
   // translate() callers read exact TlbStats.
   L0Entry* l0 = unprivileged ? nullptr : l0_slot(type, vpage);
   if (l0 != nullptr && l0->valid && l0->vpage == vpage &&
-      l0->tlb_gen == tlb_.generation() && l0->ctx_epoch == ctx_epoch_ &&
+      l0->tlb_gen == tlb_.generation() &&
+      l0->ctx_epoch == ctx_epoch_[l0->global] &&
       l0->el == pstate_.el && l0->pan == pstate_.pan) {
     if (in_run_) {
       ++pending_l0_hits_;
@@ -452,7 +456,8 @@ Core::Translation Core::translate(VirtAddr va, AccessType type,
     l0->valid = true;
     l0->vpage = vpage;
     l0->tlb_gen = entry_gen;
-    l0->ctx_epoch = ctx_epoch_;
+    l0->global = entry->global ? 1 : 0;
+    l0->ctx_epoch = ctx_epoch_[l0->global];
     l0->el = pstate_.el;
     l0->pan = pstate_.pan;
     l0->pa_page = entry->ppage;
@@ -629,10 +634,12 @@ void Core::eret_from(ExceptionLevel from_el) {
 
 // --- Execution ---------------------------------------------------------------
 
-RunResult Core::run(u64 max_steps) {
+RunResult Core::run(u64 max_steps, std::optional<u64> stop_pc) {
   RunResult result;
   stop_requested_ = false;
   stop_unhandled_ = false;
+  const std::optional<u64> outer_stop_pc = stop_pc_;
+  stop_pc_ = stop_pc;
   // Nested runs (trap handlers re-entering simulated code) keep batching;
   // only the outermost exit — and every exit back into C++ — flushes.
   const bool outer = !in_run_;
@@ -643,6 +650,10 @@ RunResult Core::run(u64 max_steps) {
   }
   const u64 self_run_start = (outer && selfprof_on_) ? obs::host_ticks() : 0;
   for (u64 i = 0; i < max_steps;) {
+    if (stop_pc_ && pc_ == *stop_pc_) {
+      result.reason = StopReason::kStopPc;
+      break;
+    }
     // Trace tier first: executes a whole superblock when a valid trace is
     // cached at pc_ (and builds one when the block has proven hot).
     // Returns 0 — interpret one instruction — whenever anything needs the
@@ -671,9 +682,12 @@ RunResult Core::run(u64 max_steps) {
       break;
     }
   }
+  stop_pc_ = outer_stop_pc;
   in_run_ = !outer;
   flush_pending();
-  if (outer && trace_tier_on_) trace_publish_stats();
+  if (outer && trace_tier_on_ && tstats_ != tstats_pub_) {
+    trace_publish_stats();
+  }
   if (self_run_start != 0) selfprof_publish(obs::host_ticks() - self_run_start);
   return result;
 }
@@ -757,7 +771,7 @@ void Core::step() {
   }
   if (!in_run_) {
     flush_pending();  // top-level single step: exact snapshot
-    refresh_profiler();  // gate-driven stepping polls the profiler here
+    refresh_profiler();  // top-level stepping polls the profiler here
   }
 }
 

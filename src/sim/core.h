@@ -56,6 +56,7 @@ enum class StopReason : u8 {
   kHandlerStop,
   kMaxSteps,
   kUnhandled,  // exception with no handler and no valid vector code
+  kStopPc,     // reached the caller's stop PC
 };
 
 struct RunResult {
@@ -89,13 +90,16 @@ class Core {
   // Every sysreg write funnels through here (simulated MSR and privileged
   // C++ software alike), which is what lets the hot path cache derived
   // translation state: writes to TTBR0/TTBR1/VTTBR/HCR refresh the cached
-  // ASID/VMID/stage-2 flags and advance the L0 context epoch; watchpoint
-  // register writes re-arm the watchpoint fast-path flag.
+  // ASID/VMID/stage-2 flags and advance the L0 context epochs (a bare
+  // TTBR0 write only the non-global one); watchpoint register writes
+  // re-arm the watchpoint fast-path flag.
   void set_sysreg(SysReg r, u64 v) {
     sysregs_[static_cast<size_t>(r)] = v;
-    if (r == SysReg::kTtbr0El1 || r == SysReg::kTtbr1El1 ||
-        r == SysReg::kVttbrEl2 || r == SysReg::kHcrEl2) {
-      refresh_translation_context();
+    if (r == SysReg::kTtbr0El1) {
+      refresh_translation_context(/*globals_too=*/false);
+    } else if (r == SysReg::kTtbr1El1 || r == SysReg::kVttbrEl2 ||
+               r == SysReg::kHcrEl2) {
+      refresh_translation_context(/*globals_too=*/true);
     } else if (arch::is_watchpoint_reg(r)) {
       refresh_watchpoints();
     } else if (arch::is_pmu_reg(r)) {
@@ -119,8 +123,14 @@ class Core {
   bool has_handler(ExceptionLevel el) const;
 
   // --- Execution -------------------------------------------------------------
-  // Executes until a handler stops the core or `max_steps` instructions ran.
-  RunResult run(u64 max_steps = 1'000'000);
+  // Executes until a handler stops the core, `max_steps` instructions ran,
+  // or the PC reaches `stop_pc` (checked before every instruction, so the
+  // instruction at `stop_pc` does not run; a trace that would run through
+  // it is interpreted instead). C++ callers of short guest sequences (the
+  // call gate) use the stop PC to run through the batched engine. A nested
+  // run installs its own stop PC and restores the outer one on exit.
+  RunResult run(u64 max_steps = 1'000'000,
+                std::optional<u64> stop_pc = std::nullopt);
   // Executes exactly one instruction (or takes one exception).
   void step();
 
@@ -242,14 +252,15 @@ class Core {
   // tags stay valid — and returns how many instructions retired (0 = no
   // valid trace; the caller falls back to step()).
   u64 try_trace(u64 remaining);
-  bool build_trace(TraceCache::Slot& s);
+  Trace* build_trace(TraceCache::Slot& s);
+  u64 dispatch_trace(Trace& t, u64 remaining);
   u64 exec_trace(Trace& t, u64 remaining);
   bool trace_ldst(Trace& t, const TraceOp& op, unsigned i);
   void trace_publish_stats();
   void check_tlb_hit(VirtAddr va, const mem::TlbEntry& hit);
   void check_tlb_hit_inner(VirtAddr va, const mem::TlbEntry& hit);
   Cycles sysreg_write_cost(SysReg r) const;
-  void refresh_translation_context();
+  void refresh_translation_context(bool globals_too);
   void refresh_watchpoints();
 
   const arch::Platform& plat_;
@@ -273,8 +284,12 @@ class Core {
   //   * tlb_gen   == tlb_.generation()  (no TLB mutation since install:
   //     the micro-TLB still holds exactly the memoized entry, so a hit is
   //     observationally an L1 hit with zero extra cost), and
-  //   * ctx_epoch == ctx_epoch_         (no TTBR0/TTBR1/VTTBR/HCR write —
-  //     bare §4.1.2 domain switches miss L0 and re-consult the real TLB),
+  //   * ctx_epoch == ctx_epoch_[global] (no context write that could change
+  //     what the TLB returns for this entry: a non-global entry dies on any
+  //     TTBR0/TTBR1/VTTBR/HCR write, so bare §4.1.2 domain switches miss L0
+  //     and re-consult the real TLB; a global entry matches every ASID and
+  //     the lower-half root plays no part in its lookup, so it survives a
+  //     bare TTBR0 write and dies only on TTBR1/VTTBR/HCR writes),
   //   * el/pan match PSTATE             (permissions were checked under
   //     exactly this privilege; PSTATE is externally mutable by reference,
   //     so it is compared directly rather than epoch-tracked).
@@ -286,6 +301,7 @@ class Core {
     ExceptionLevel el = ExceptionLevel::kEl0;
     bool pan = false;
     bool valid = false;
+    u8 global = 0;          // entry.global: indexes ctx_epoch_
     PhysAddr pa_page = 0;   // post-permission-check output frame
     mem::TlbEntry entry;    // for the lz::check TLB-vs-walk oracle
   };
@@ -302,7 +318,10 @@ class Core {
   std::array<L0Entry, kL0FetchSlots> l0_fetch_{};
   std::array<L0Entry, kL0DataSlots> l0_read_{};
   std::array<L0Entry, kL0DataSlots> l0_write_{};
-  u64 ctx_epoch_ = 1;  // bumped by every TTBR0/TTBR1/VTTBR/HCR write
+  // Context epochs indexed by an entry's global bit: [0] is bumped by every
+  // TTBR0/TTBR1/VTTBR/HCR write, [1] by all of those but TTBR0. Indexing
+  // keeps the L0 check a single compare.
+  std::array<u64, 2> ctx_epoch_{1, 1};
 
   // Derived translation context (satellite: no sysreg-file re-derivation
   // per translate() call).
@@ -346,7 +365,8 @@ class Core {
   // cost is charged and traced), at ERET, at exec_system entry (every
   // trace-emitting or directly-charged system op), before the on_insn
   // hook, at run() exit, and at the end of a top-level (outside-run)
-  // step() or translate(). Privileged C++ software only ever runs behind
+  // step() or translate(). C++-driven call gates run through
+  // run(max, stop_pc), so a gate switch flushes once, at that run's exit. Privileged C++ software only ever runs behind
   // one of these boundaries, so it always observes exact counters, cycle
   // totals and TlbStats; trace timestamps (ledger totals) are
   // byte-identical to the unbatched engine. The trace tier pre-sums a
@@ -427,6 +447,7 @@ class Core {
   std::array<TrapHandler, 3> handlers_{};
   bool stop_requested_ = false;
   bool stop_unhandled_ = false;
+  std::optional<u64> stop_pc_;  // the innermost run()'s stop PC
   TrapInfo last_trap_;
   u64 pending_elr_ = 0;  // preferred return address for the next exception
   u32 nested_faults_ = 0;

@@ -22,6 +22,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <new>
 
 #include "arch/decode.h"
 #include "obs/counters.h"
@@ -229,6 +231,21 @@ void set_trace_tier_default(bool on) {
   g_trace_tier_default.store(on, std::memory_order_relaxed);
 }
 
+TracePtr make_trace(unsigned cap) {
+  const std::size_t bytes = sizeof(Trace) +
+                            (std::size_t{cap} + 1) * sizeof(TraceOp) +
+                            std::size_t{cap} * sizeof(u32);
+  auto* t = new (::operator new(bytes)) Trace;
+  t->cap = static_cast<u16>(cap);
+  std::uninitialized_default_construct_n(t->ops(), cap + 1);
+  return TracePtr(t);
+}
+
+void TraceDeleter::operator()(Trace* t) const noexcept {
+  t->~Trace();  // TraceOp and u32 storage is trivially destructible
+  ::operator delete(t);
+}
+
 unsigned TraceCache::invalidate_page(PhysAddr ppage) {
   unsigned dropped = 0;
   for (auto& s : slots_) {
@@ -258,25 +275,27 @@ void Core::trace_invalidate_teardown() {
 // Builds a trace starting at pc_ from the L0 fetch slot's memoized
 // translation — a valid slot hands over the physical page and the
 // generation/epoch tags with zero simulated side effects. If the slot is
-// cold the build is skipped; step() will fetch (and install it) first.
-bool Core::build_trace(TraceCache::Slot& s) {
+// cold the build is skipped; step() will fetch (and install it) first. A
+// block that cannot form a trace (fewer than two lowerable ops) backs the
+// slot off and allocates nothing. Returns the built trace, or nullptr.
+Trace* Core::build_trace(TraceCache::Slot& s) {
   const u64 vpage = page_index(pc_);
   const L0Entry& l0 = l0_fetch_[vpage & (kL0FetchSlots - 1)];
   if (!(l0.valid && l0.vpage == vpage && l0.tlb_gen == tlb_.generation() &&
-        l0.ctx_epoch == ctx_epoch_ && l0.el == pstate_.el &&
+        l0.ctx_epoch == ctx_epoch_[l0.global] && l0.el == pstate_.el &&
         l0.pan == pstate_.pan)) {
-    return false;
+    return nullptr;
   }
-  if (!s.trace) s.trace = std::make_unique<Trace>();
-  Trace& t = *s.trace;
-  t.valid = false;
   const PhysAddr ppage = l0.pa_page;
   const u8* host = pm_.page_ptr(ppage);
   const u32 start_off = static_cast<u32>(page_offset(pc_));
   // Decode from a private copy of each word (not through the decoded-page
-  // cache): ops[] and words[] must come from the same read even if another
+  // cache): ops and words must come from the same read even if another
   // core races a code write, and decode_count() keeps meaning exactly
-  // "decoded-page cache misses".
+  // "decoded-page cache misses". Lowering goes to the stack first, so the
+  // slot's block is only touched (or sized) once the build has succeeded.
+  std::array<TraceOp, Trace::kMaxOps> ops;
+  std::array<u32, Trace::kMaxOps> words;
   unsigned n = 0;
   u16 ldst_n = 0;
   u32 cyc = 0;
@@ -287,18 +306,26 @@ bool Core::build_trace(TraceCache::Slot& s) {
     std::memcpy(&word, host + off, 4);
     TraceOp op;
     if (!lower(plat_, arch::decode(word), pc_ + u64{n} * 4, &op, &cyc)) break;
-    t.words[n] = word;
+    words[n] = word;
     if (op.kind == TraceOpKind::kLdSt) ++ldst_n;
-    t.ops[n] = op;
+    ops[n] = op;
     ++n;
     if (is_terminal(op.kind)) break;
   }
-  if (n < 2) return false;  // a one-op trace costs more than it saves
-  t.ops[n] = TraceOp{};
-  t.ops[n].kind = TraceOpKind::kEnd;  // dispatch sentinel (fall-off traces)
+  if (n < 2) {  // a one-op trace costs more than it saves
+    s.back_off();
+    return nullptr;
+  }
+  if (!s.trace || s.trace->cap < n) s.trace = make_trace(n);
+  Trace& t = *s.trace;
+  std::copy_n(ops.data(), n, t.ops());
+  t.ops()[n] = TraceOp{};
+  t.ops()[n].kind = TraceOpKind::kEnd;  // dispatch sentinel (fall-off traces)
+  std::copy_n(words.data(), n, t.words());
   t.start_va = pc_;
   t.tlb_gen = l0.tlb_gen;  // == tlb_.generation(), checked above
-  t.ctx_epoch = ctx_epoch_;
+  t.global = l0.global;
+  t.ctx_epoch = l0.ctx_epoch;  // == ctx_epoch_[global], checked above
   t.el = pstate_.el;
   t.pan = pstate_.pan;
   t.n = static_cast<u16>(n);
@@ -309,7 +336,7 @@ bool Core::build_trace(TraceCache::Slot& s) {
   t.host = host;
   t.valid = true;
   ++tstats_.built;
-  return true;
+  return &t;
 }
 
 u64 Core::try_trace(u64 remaining) {
@@ -323,32 +350,25 @@ u64 Core::try_trace(u64 remaining) {
   TraceCache::Slot& s = tcache_.slot(pc_);
   Trace* t = s.trace.get();
   if (t != nullptr && t->valid && t->start_va == pc_) {
-    if (t->tlb_gen != tlb_.generation() || t->ctx_epoch != ctx_epoch_ ||
-        t->el != pstate_.el || t->pan != pstate_.pan) {
+    if (t->tlb_gen != tlb_.generation() ||
+        t->ctx_epoch != ctx_epoch_[t->global] || t->el != pstate_.el ||
+        t->pan != pstate_.pan) {
       // The translation may have changed under the trace (TLBI, remote DVM
-      // shootdown, TTBR/ASID rewrite, EL/PAN change): discard, then fall
-      // through to the rebuild path under the live context.
+      // shootdown, TTBR/ASID rewrite over non-global code, EL/PAN change):
+      // discard and back off; a later visit rebuilds under the live context.
       t->valid = false;
       ++tstats_.invalidated_gen;
-      s.defer = s.defer != 0 ? static_cast<u16>(std::min(s.defer * 2, 256))
-                             : u16{2};
-    } else if (std::memcmp(t->words.data(), t->host + t->start_off,
+      s.back_off();
+    } else if (std::memcmp(t->words(), t->host + t->start_off,
                            std::size_t{t->n} * 4) != 0) {
       // Self-modifying code: the live words no longer match what the trace
       // was lowered from. The interpreter re-reads and re-decodes.
       t->valid = false;
       ++tstats_.invalidated_smc;
-      s.defer = s.defer != 0 ? static_cast<u16>(std::min(s.defer * 2, 256))
-                             : u16{2};
+      s.back_off();
     } else {
-      if (s.defer != 0) s.defer = 0;  // stable again: rebuild eagerly next
-      if (u64{t->n} > remaining) return 0;  // near max_steps: step exactly
-      if (prof_on_) {
-        const Cycles now = account_.total() + pending_insn_cycles_ +
-                           pending_mem_cycles_;
-        if (now + trace_cycle_bound(plat_, *t) >= prof_next_) return 0;
-      }
-      return exec_trace(*t, remaining);
+      s.backoff = 0;  // stable again: rebuild eagerly after the next miss
+      return dispatch_trace(*t, remaining);
     }
   }
   if (s.hot_va != pc_) {
@@ -359,15 +379,26 @@ u64 Core::try_trace(u64 remaining) {
     --s.defer;  // invalidation backoff: let the interpreter run this block
     return 0;
   }
-  if (!build_trace(s)) return 0;
-  t = s.trace.get();
-  if (u64{t->n} > remaining) return 0;
+  t = build_trace(s);
+  return t != nullptr ? dispatch_trace(*t, remaining) : 0;
+}
+
+// The per-dispatch conditions under which a valid trace still must not run
+// as a block; 0 hands the instruction to the interpreter.
+u64 Core::dispatch_trace(Trace& t, u64 remaining) {
+  if (u64{t.n} > remaining) return 0;  // near max_steps: step exactly
+  if (stop_pc_) {
+    // The run stops exactly at the stop PC: a block may start there (the
+    // run loop has already checked pc_) but never run through it.
+    const u64 d = *stop_pc_ - t.start_va;
+    if (d != 0 && d < u64{t.n} * 4) return 0;
+  }
   if (prof_on_) {
     const Cycles now =
         account_.total() + pending_insn_cycles_ + pending_mem_cycles_;
-    if (now + trace_cycle_bound(plat_, *t) >= prof_next_) return 0;
+    if (now + trace_cycle_bound(plat_, t) >= prof_next_) return 0;
   }
-  return exec_trace(*t, remaining);
+  return exec_trace(t, remaining);
 }
 
 u64 Core::exec_trace(Trace& t, u64 remaining) {
@@ -405,7 +436,7 @@ u64 Core::exec_trace(Trace& t, u64 remaining) {
     ++op;            \
     goto* kJump[static_cast<unsigned>(op->kind)]; \
   } while (0)
-  const TraceOp* const ops = t.ops.data();
+  const TraceOp* const ops = t.ops();
   const unsigned n = t.n;
   u64* const xr = x_.data();
   const u64 start_va = t.start_va;
@@ -490,15 +521,19 @@ h_andsreg: {
 h_lslimm:
   xr[op->rd] = xr[op->rn] << op->shift;
   LZ_TR_NEXT();
-h_ldst:
+h_ldst: {
   materialize();  // trace_ldst's fault path flushes and rolls back pendings
-  if (!trace_ldst(t, *op, static_cast<unsigned>(op - ops))) {
-    const u64 done = retired + static_cast<u64>(op - ops) + 1;
+  // On a fault the trap handler may run nested code that rebuilds this very
+  // slot (possibly into a new block): nothing below reads the trace again.
+  const unsigned i = static_cast<unsigned>(op - ops);
+  if (!trace_ldst(t, *op, i)) {
+    const u64 done = retired + i + 1;
     tstats_.executed += iters;
     tstats_.insns += done;
     return done;
   }
   LZ_TR_NEXT();
+}
 h_b:
   next_pc = op->aux;
   goto h_end;
@@ -596,9 +631,7 @@ bool Core::trace_ldst(Trace& t, const TraceOp& op, unsigned i) {
     pc_ = insn_pc + 4;
     t.valid = false;
     ++tstats_.invalidated_smc;
-    TraceCache::Slot& s = tcache_.slot(t.start_va);
-    s.defer = s.defer != 0 ? static_cast<u16>(std::min(s.defer * 2, 256))
-                           : u16{2};
+    tcache_.slot(t.start_va).back_off();
     return false;
   }
   return true;

@@ -2,7 +2,7 @@
 // decoded instructions within one physical code page, chained into a
 // "trace" and executed as a unit by threaded-code dispatch in the core.
 //
-// A trace is pure host-side memoization layered *on top of* the PR-4
+// A trace is pure host-side memoization layered *on top of* the
 // decoded-page cache: it carries the Tlb generation, context epoch and
 // EL/PAN it was built under (the exact validity predicate of an L0 fetch
 // slot), the identity of its physical page, and a copy of the encoded
@@ -23,6 +23,7 @@
 // L0 cache, so no lock and no atomics appear on the dispatch path.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <memory>
 
@@ -79,11 +80,13 @@ struct Trace {
   // Validity tags: the L0Entry predicate (see core.h) plus page identity.
   u64 start_va = 0;
   u64 tlb_gen = 0;
-  u64 ctx_epoch = 0;
+  u64 ctx_epoch = 0;     // value of Core's epoch for `global` at build time
   arch::ExceptionLevel el = arch::ExceptionLevel::kEl0;
   bool pan = false;
   bool valid = false;
+  u8 global = 0;         // built from a global fetch entry (epoch class)
   u16 n = 0;             // retired instructions when the trace runs to the end
+  u16 cap = 0;           // ops this block has room for (rebuild-in-place bound)
   u16 ldst_n = 0;        // loads/stores in the trace (profiler margin bound)
   u32 start_off = 0;     // byte offset of start_va's word within the page
   u32 cycles = 0;        // presummed kInsn cycles for the whole trace
@@ -91,9 +94,22 @@ struct Trace {
   const u8* host = nullptr;  // live page bytes (self-modifying-code recheck)
 
   static constexpr unsigned kMaxOps = 64;
-  std::array<u32, kMaxOps> words{};  // encodings the ops were lowered from
-  std::array<TraceOp, kMaxOps + 1> ops{};  // +1: kEnd dispatch sentinel
+
+  // The ops and the encodings they were lowered from live in the same
+  // allocation, right after this header, sized to `cap`:
+  //   TraceOp ops[cap + 1]   (+1: kEnd dispatch sentinel)
+  //   u32     words[cap]
+  TraceOp* ops() { return reinterpret_cast<TraceOp*>(this + 1); }
+  u32* words() { return reinterpret_cast<u32*>(ops() + cap + 1); }
 };
+static_assert(sizeof(Trace) % alignof(TraceOp) == 0);
+
+struct TraceDeleter {
+  void operator()(Trace* t) const noexcept;
+};
+using TracePtr = std::unique_ptr<Trace, TraceDeleter>;
+// One block holding a Trace header and room for `cap` ops.
+TracePtr make_trace(unsigned cap);
 
 // Host-side per-core statistics, published to the obs registry's host-only
 // counters (`sim.trace.*`) at run() exit. Like Core::decode_count(), these
@@ -106,26 +122,42 @@ struct TraceStats {
   u64 invalidated_smc = 0;       // live-word mismatch / store into own page
   u64 invalidated_gen = 0;       // Tlb generation / context-epoch tag miss
   u64 invalidated_teardown = 0;  // eager drop from Machine DVM/teardown paths
+
+  bool operator==(const TraceStats&) const = default;
 };
 
-// Direct-mapped trace store, keyed by start VA. Slots allocate lazily (a
-// core that never runs hot code pays an array of null pointers); a Trace,
-// once allocated, is reused in place by rebuilds, so a dispatch loop never
-// sees its storage move.
+// Direct-mapped trace store, keyed by start VA. A slot allocates only when
+// a build succeeds, one block sized to the trace; a rebuild that fits
+// reuses that block in place, a larger one replaces it. A running
+// exec_trace never sees its block move: the only way back into a build
+// while it runs is a faulting load/store's trap handler, and exec_trace
+// touches nothing of the trace after such a fault.
 class TraceCache {
  public:
   static constexpr unsigned kSlots = 1024;  // power of two
+  static constexpr u16 kMaxBackoff = 256;
 
   struct Slot {
     u64 hot_va = ~u64{0};  // build-on-second-visit marker
-    // Rebuild backoff: how many dispatch opportunities to skip before
-    // rebuilding. Doubles (to a cap) each time this slot's trace is
-    // invalidated, and resets on a dispatch that survives validation —
-    // so a block whose context churns every iteration (e.g. a domain-switch
-    // loop rewriting TTBR0) stops paying build cost, while a one-off
-    // TLBI/SMC patch only delays the rebuild by a couple of blocks.
+    // Rebuild backoff. `backoff` is the current window: 0 while the slot is
+    // stable, else 2, 4, ..., kMaxBackoff, doubling each time this slot's
+    // trace is invalidated or a build here fails, and reset by a dispatch
+    // that survives validation. `defer` counts down the dispatch
+    // opportunities left in the window before the next build attempt. So a
+    // block whose context churns every iteration (e.g. a domain-switch loop
+    // rewriting TTBR0 over non-global code) or that cannot form a trace
+    // (it starts at an MSR or a lone RET) stops paying build cost, while a
+    // one-off TLBI/SMC patch only delays the rebuild by a couple of blocks.
+    u16 backoff = 0;
     u16 defer = 0;
-    std::unique_ptr<Trace> trace;
+    TracePtr trace;
+
+    void back_off() {
+      backoff = backoff == 0 ? u16{2}
+                             : static_cast<u16>(std::min<unsigned>(
+                                   backoff * 2u, kMaxBackoff));
+      defer = backoff;
+    }
   };
 
   Slot& slot(u64 va) { return slots_[(va >> 2) & (kSlots - 1)]; }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "check/bbm.h"
+#include "check/check.h"
 #include "mem/phys_mem.h"
 #include "mem/tlb.h"
 #include "obs/counters.h"
@@ -658,6 +659,255 @@ TEST_F(TraceTierTest, BareTtbr0RewriteInvalidatesByEpoch) {
   EXPECT_EQ(core.x(2), 2 * kIters);
   EXPECT_GE(Stats().invalidated_gen, gen0 + 1);  // old trace died by tag
   EXPECT_GE(Stats().built, built0 + 1);          // and was rebuilt
+}
+
+// --- Epoch rule for global entries -------------------------------------------
+// A global TLB entry matches every ASID and its lookup never consults the
+// lower-half root, so L0 slots and traces built from one are keyed to the
+// epoch a bare TTBR0 write leaves alone (DESIGN.md §11): the call gate's
+// own MSR TTBR0_EL1 no longer kills its blocks. Non-global ones still die.
+
+struct Ttbr0LoopOutcome {
+  TraceStats trace;
+  mem::TlbStats tlb;
+  Cycles cycles = 0;
+  u64 iterations = 0;
+  std::size_t divergences = 0;
+};
+
+// `iters` iterations of: bare TTBR0 rewrite (same root and ASID), an MRS
+// (interpreted, so its fetch re-installs the L0 fetch slot a non-global
+// trace build needs), then a three-op straight-line block — on a fresh
+// machine with the TLB-vs-walk oracle capturing instead of aborting.
+Ttbr0LoopOutcome RunTtbr0RewriteLoop(bool global_code, bool tier, u16 iters) {
+  check::CaptureDivergences caught;
+  Machine m(arch::Platform::cortex_a55(), /*seed=*/42);
+  mem::Stage1Table tbl(m.mem(), /*asid=*/1);
+  Asm a;
+  auto loop = a.new_label();
+  a.movz(1, iters);
+  a.bind(loop);
+  a.msr(SysReg::kTtbr0El1, 5);
+  a.mrs(6, SysReg::kTtbr0El1);
+  a.add_imm(2, 2, 1);
+  a.sub_imm(1, 1, 1);
+  a.cbnz(1, loop);
+  a.svc(0);
+  const PhysAddr code = m.mem().alloc_frame();
+  a.install(m.mem(), code);
+  S1Attrs attrs = CodeAttrs();
+  attrs.global = global_code;
+  LZ_CHECK_OK(tbl.map(kCodeVa, code, attrs));
+  auto& core = m.core(0);
+  core.set_trace_tier(tier);
+  core.set_sysreg(SysReg::kTtbr0El1, tbl.ttbr());
+  core.pstate().el = ExceptionLevel::kEl1;
+  core.set_x(5, tbl.ttbr());
+  core.set_pc(kCodeVa);
+  core.set_handler(ExceptionLevel::kEl1,
+                   [](const TrapInfo&) { return TrapAction::kStop; });
+  EXPECT_EQ(core.run(100'000).reason, StopReason::kHandlerStop);
+  return {core.trace_stats(), m.tlb(0).stats(), core.account().total(),
+          core.x(2), caught.items().size()};
+}
+
+void ExpectSameSimulatedOutcome(const Ttbr0LoopOutcome& on,
+                                const Ttbr0LoopOutcome& off) {
+  EXPECT_EQ(on.iterations, off.iterations);
+  EXPECT_EQ(on.cycles, off.cycles);
+  EXPECT_EQ(on.tlb.l1_hits, off.tlb.l1_hits);
+  EXPECT_EQ(on.tlb.l2_hits, off.tlb.l2_hits);
+  EXPECT_EQ(on.tlb.misses, off.tlb.misses);
+  EXPECT_EQ(on.tlb.invalidations, off.tlb.invalidations);
+  EXPECT_EQ(on.divergences, 0u);
+  EXPECT_EQ(off.divergences, 0u);
+}
+
+TEST(GlobalEpochTest, GlobalCodeTraceSurvivesBareTtbr0Writes) {
+  constexpr u16 kIters = 1000;
+  const auto on = RunTtbr0RewriteLoop(/*global_code=*/true, true, kIters);
+  const auto off = RunTtbr0RewriteLoop(/*global_code=*/true, false, kIters);
+  EXPECT_EQ(on.iterations, kIters);
+  // Built once on the second visit, then dispatched every iteration after:
+  // 1000 TTBR0 writes and not one tag miss.
+  EXPECT_EQ(on.trace.built, 1u);
+  EXPECT_EQ(on.trace.invalidated_gen, 0u);
+  EXPECT_EQ(on.trace.executed, kIters - 1u);
+  ExpectSameSimulatedOutcome(on, off);
+}
+
+TEST(GlobalEpochTest, NonGlobalCodeTraceDiesAndBacksOffGeometrically) {
+  constexpr u16 kIters = 1000;
+  const auto on = RunTtbr0RewriteLoop(/*global_code=*/false, true, kIters);
+  const auto off = RunTtbr0RewriteLoop(/*global_code=*/false, false, kIters);
+  EXPECT_EQ(on.iterations, kIters);
+  // Every rebuilt trace dies at its next dispatch. The backoff window
+  // doubles 2, 4, ..., 256 and then stays there: about log2(256) + N/257
+  // builds per block (10 here), for two blocks — the one at the ADD and,
+  // while that one is deferred, its SUB/CBNZ tail. A window stuck at 2
+  // rebuilt every third iteration (~N/3 per block).
+  EXPECT_GE(on.trace.invalidated_gen, 1u);
+  EXPECT_GE(on.trace.built, 2u);
+  EXPECT_LE(on.trace.built, 24u);
+  ExpectSameSimulatedOutcome(on, off);
+}
+
+// The bare TTBR0 write's data-side twin: a global L0/TLB entry still serves
+// the page after a switch to another ASID's table, exactly as the real TLB
+// lookup would (one micro-TLB hit, no walk), and the oracle stays quiet.
+TEST_F(HotPathTest, GlobalDataEntryServesAcrossBareTtbr0Write) {
+  check::CaptureDivergences caught;
+  mem::Stage1Table tbl_a(machine.mem(), /*asid=*/1);
+  mem::Stage1Table tbl_b(machine.mem(), /*asid=*/2);
+  const PhysAddr frame = machine.mem().alloc_frame();
+  S1Attrs global = DataAttrs();
+  global.global = true;
+  LZ_CHECK_OK(tbl_a.map(kDataVa, frame, global));
+  LZ_CHECK_OK(tbl_b.map(kDataVa, frame, global));
+  UseTable(tbl_a);
+  EXPECT_EQ(Warm(kDataVa), frame);
+  const auto warm = machine.tlb(0).stats();
+
+  machine.core(0).set_sysreg(SysReg::kTtbr0El1, tbl_b.ttbr());
+  const auto t = machine.core(0).translate(kDataVa, AccessType::kRead, false);
+  const auto after = machine.tlb(0).stats();
+  EXPECT_TRUE(t.ok);
+  EXPECT_EQ(t.pa, frame);
+  EXPECT_EQ(after.l1_hits, warm.l1_hits + 1);
+  EXPECT_EQ(after.misses, warm.misses);
+  EXPECT_TRUE(caught.items().empty());
+}
+
+// --- Bounded stop-PC runs ----------------------------------------------------
+// run(max, stop_pc) stops with the PC exactly at the stop PC, never having
+// executed it, even when the stop PC lies inside a hot trace or behind a
+// chained loop — and retires exactly what the interpreter would.
+
+TEST_F(TraceTierTest, StopPcInsideHotBlockStopsExactly) {
+  constexpr u64 kIters = 50;
+  Asm a;
+  auto loop = a.new_label();
+  a.movz(1, kIters);
+  a.bind(loop);
+  a.add_imm(2, 2, 1);
+  a.add_imm(3, 3, 1);
+  a.add_imm(4, 4, 1);  // stop PC for the mid-block run
+  a.add_imm(5, 5, 1);
+  a.sub_imm(1, 1, 1);
+  a.cbnz(1, loop);
+  a.svc(0);            // stop PC for the chained-loop run
+  InstallCode(a);
+  auto& core = machine.core(0);
+  const u64 loop_va = kCodeVa + 4;
+  const u64 mid_va = loop_va + 2 * 4;
+  const u64 svc_va = loop_va + 6 * 4;
+
+  // Warm: the loop body becomes a trace and chains.
+  EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);
+  EXPECT_GE(Stats().built, 1u);
+  const u64 executed0 = Stats().executed;
+
+  // Mid-block stop: the trace covering mid_va must not dispatch.
+  for (unsigned r : {2u, 3u, 4u, 5u}) core.set_x(r, 0);
+  core.set_x(1, kIters);
+  core.set_pc(loop_va);
+  auto res = core.run(10'000, mid_va);
+  EXPECT_EQ(res.reason, StopReason::kStopPc);
+  EXPECT_EQ(res.steps, 2u);
+  EXPECT_EQ(core.pc(), mid_va);
+  EXPECT_EQ(core.x(2), 1u);
+  EXPECT_EQ(core.x(3), 1u);
+  EXPECT_EQ(core.x(4), 0u);  // the instruction at the stop PC did not run
+  EXPECT_EQ(Stats().executed, executed0);
+
+  // Stop behind a chained loop: the whole loop runs through the tier, the
+  // SVC at the stop PC does not (no trap, no handler stop).
+  core.set_x(1, kIters);
+  core.set_pc(loop_va);
+  res = core.run(10'000, svc_va);
+  EXPECT_EQ(res.reason, StopReason::kStopPc);
+  EXPECT_EQ(core.pc(), svc_va);
+  EXPECT_EQ(res.steps, kIters * 6);
+  EXPECT_EQ(core.x(5), kIters);
+  EXPECT_GT(Stats().executed, executed0);
+
+  // A stop PC at the run's own start PC stops before anything retires.
+  res = core.run(10'000, svc_va);
+  EXPECT_EQ(res.reason, StopReason::kStopPc);
+  EXPECT_EQ(res.steps, 0u);
+}
+
+// The same bounded runs with the tier off retire the same instructions and
+// charge the same cycles.
+TEST_F(DecodeCacheTest, StopPcRunMatchesAcrossTiers) {
+  Asm a;
+  auto loop = a.new_label();
+  a.movz(1, 40);
+  a.bind(loop);
+  a.add_imm(2, 2, 1);
+  a.add_imm(3, 3, 1);
+  a.sub_imm(1, 1, 1);
+  a.cbnz(1, loop);
+  a.add_imm(6, 6, 1);
+  a.add_imm(7, 7, 1);  // stop PC
+  a.svc(0);
+  InstallCode(a);
+  const u64 stop = kCodeVa + 6 * 4;
+  auto& core = machine.core(0);
+  core.set_trace_tier(false);
+  EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);  // warm TLB
+  std::array<RunResult, 2> res;
+  std::array<Cycles, 2> cycles;
+  for (int tier = 0; tier < 2; ++tier) {
+    core.set_trace_tier(tier == 1);
+    core.set_pc(kCodeVa);
+    const Cycles before = core.account().total();
+    res[tier] = core.run(10'000, stop);
+    cycles[tier] = core.account().total() - before;
+    EXPECT_EQ(core.pc(), stop);
+    EXPECT_EQ(core.x(6), u64(tier + 2));
+    EXPECT_EQ(core.x(7), 1u);  // only the warm-up run got past the stop PC
+  }
+  EXPECT_EQ(res[0].reason, StopReason::kStopPc);
+  EXPECT_EQ(res[1].reason, StopReason::kStopPc);
+  EXPECT_EQ(res[0].steps, res[1].steps);
+  EXPECT_EQ(cycles[0], cycles[1]);
+}
+
+// A bounded run reached from inside another (a trap handler driving a gate
+// the way exec_gate_switch does) stops at its own stop PC, and the outer
+// run's stop PC is back in force when it returns.
+TEST_F(DecodeCacheTest, NestedRunRestoresOuterStopPc) {
+  constexpr VirtAddr kSubVa = kCodeVa + 0x100;
+  Asm a;
+  a.svc(0);            // 0x00: handler runs the nested bounded run
+  a.add_imm(2, 2, 1);  // 0x04
+  a.add_imm(3, 3, 1);  // 0x08: outer stop PC
+  a.svc(0);            // 0x0c: reached only if the outer stop PC was lost
+  while (a.size_bytes() < kSubVa - kCodeVa) a.nop();
+  a.add_imm(5, 5, 1);  // kSubVa
+  a.add_imm(6, 6, 1);  // kSubVa + 4: inner stop PC
+  a.svc(0);
+  InstallCode(a);
+  auto& core = machine.core(0);
+  RunResult inner;
+  int traps = 0;
+  core.set_handler(ExceptionLevel::kEl1, [&](const TrapInfo& info) {
+    if (++traps > 1) return TrapAction::kStop;
+    core.set_pc(kSubVa);
+    inner = core.run(100, kSubVa + 4);
+    core.set_pc(info.pc);  // ELR: the instruction after the SVC
+    return TrapAction::kResume;
+  });
+  const auto outer = core.run(100, kCodeVa + 8);
+  EXPECT_EQ(inner.reason, StopReason::kStopPc);
+  EXPECT_EQ(core.x(5), 1u);
+  EXPECT_EQ(core.x(6), 0u);
+  EXPECT_EQ(outer.reason, StopReason::kStopPc);
+  EXPECT_EQ(core.pc(), kCodeVa + 8);
+  EXPECT_EQ(core.x(2), 1u);
+  EXPECT_EQ(core.x(3), 0u);
+  EXPECT_EQ(traps, 1);
 }
 
 // A TLBI issued by the core that owns the traces drops them eagerly via the

@@ -5,8 +5,14 @@
 // semantics. These run real instruction streams end to end.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "arch/encode.h"
 #include "lightzone/api.h"
+#include "lightzone/gate.h"
+#include "obs/counters.h"
+#include "obs/trace.h"
 #include "sim/assembler.h"
 
 namespace lz::core {
@@ -339,6 +345,157 @@ TEST_F(LightZoneTest, FastPathGateSwitchCycles) {
   // TTBR0 now selects pgt1.
   EXPECT_EQ(env.machine->core().sysreg(SysReg::kTtbr0El1),
             lz.module().domain_ttbr(lz.ctx(), 1));
+}
+
+// --- Gate switches through the batched engine --------------------------------
+// exec_gate_switch runs the gate with Core::run(64, entry) instead of a
+// top-level step() loop, and the trace tier now keeps the gate's (global)
+// blocks across the gate's own TTBR0 write. Neither may be visible in the
+// simulated world: N switches must leave the same cycles, counters, PMU
+// count, trace-event timestamps and registers as the step() reference.
+
+enum class GateDrive { kStepLoop, kModuleTierOff, kModuleTierOn };
+
+struct GateRunRecord {
+  Cycles cycles = 0;
+  u64 insn_retired = 0;
+  u64 l1_hits = 0;
+  u64 ttbr0_switches = 0;
+  u64 pmu_domain_switches = 0;
+  std::vector<obs::Event> events;  // the module's own kGateSwitch excluded
+  std::array<u64, 31> regs{};
+  u64 ttbr0 = 0;
+  bool alive = false;
+};
+
+GateRunRecord RunGateSwitches(GateDrive drive) {
+  constexpr int kSwitches = 60;
+  constexpr int kGates = 3;
+  constexpr VirtAddr kEntry = Env::kCodeVa + 0x40;
+  obs::reset_all();
+  obs::trace().arm(1 << 14);
+  Env env(Env::Options().platform(arch::Platform::cortex_a55()));
+  auto& proc = env.new_process();
+  LzProc lz = LzProc::enter(*env.module, proc, true, 1);
+  for (int g = 0; g < kGates; ++g) {
+    const int pgt = g == 0 ? 0 : lz.lz_alloc().value();
+    EXPECT_TRUE(lz.lz_map_gate_pgt(pgt, g).is_ok());
+    EXPECT_TRUE(lz.lz_set_gate_entry(g, kEntry).is_ok());
+  }
+  auto& core = env.machine->core();
+  core.set_trace_tier(drive == GateDrive::kModuleTierOn);
+  lz.enter_world();
+  core.pstate().el = arch::ExceptionLevel::kEl1;
+  core.set_sysreg(SysReg::kTtbr0El1, lz.module().domain_ttbr(lz.ctx(), 0));
+  core.set_sysreg(SysReg::kTtbr1El1, lz.ctx().ctx.ttbr1);
+  core.set_sysreg(SysReg::kVbarEl1, lz.ctx().ctx.vbar);
+  namespace pmu = arch::pmu;
+  core.set_sysreg(SysReg::kPmevtyper0El0, pmu::kEvtLzDomainSwitch);
+  core.set_sysreg(SysReg::kPmcntensetEl0, 1);
+  core.set_sysreg(SysReg::kPmcrEl0, pmu::kPmcrE);
+
+  auto& reg = obs::registry();
+  auto& insn = reg.counter("sim.core.insn_retired");
+  auto& l1 = reg.counter("mem.tlb.l1_hit");
+  auto& ttbr0 = reg.counter("sim.core.ttbr0_switch");
+  const u64 insn0 = insn.value(), l10 = l1.value(), ttbr00 = ttbr0.value();
+  const Cycles c0 = core.account().total();
+  obs::trace().clear();
+  for (int i = 0; i < kSwitches; ++i) {
+    const int g = i % kGates;
+    if (drive == GateDrive::kStepLoop) {
+      // The pre-batching way of running a gate, kept as the reference.
+      core.set_x(30, kEntry);
+      core.set_pc(UpperLayout::gate_va(static_cast<u32>(g)));
+      for (int s = 0; s < 64 && core.pc() != kEntry && proc.alive(); ++s) {
+        core.step();
+      }
+    } else {
+      EXPECT_TRUE(lz.lz_switch_to_ttbr_gate(g).is_ok());
+    }
+    EXPECT_EQ(core.pc(), kEntry);
+  }
+  GateRunRecord r;
+  r.cycles = core.account().total() - c0;
+  r.insn_retired = insn.value() - insn0;
+  r.l1_hits = l1.value() - l10;
+  r.ttbr0_switches = ttbr0.value() - ttbr00;
+  r.pmu_domain_switches = core.pmu_read(SysReg::kPmevcntr0El0);
+  for (const auto& e : obs::trace().events()) {
+    if (e.kind != obs::EventKind::kGateSwitch) r.events.push_back(e);
+  }
+  for (unsigned i = 0; i < 31; ++i) r.regs[i] = core.x(i);
+  r.ttbr0 = core.sysreg(SysReg::kTtbr0El1);
+  r.alive = proc.alive();
+  lz.exit_world();
+  obs::trace().disarm();
+  obs::reset_all();
+  return r;
+}
+
+void ExpectSameGateRun(const GateRunRecord& a, const GateRunRecord& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.insn_retired, b.insn_retired);
+  EXPECT_EQ(a.l1_hits, b.l1_hits);
+  EXPECT_EQ(a.ttbr0_switches, b.ttbr0_switches);
+  EXPECT_EQ(a.pmu_domain_switches, b.pmu_domain_switches);
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    const obs::Event& x = a.events[i];
+    const obs::Event& y = b.events[i];
+    EXPECT_EQ(x.ts, y.ts) << "event " << i;
+    EXPECT_EQ(x.kind, y.kind) << "event " << i;
+    EXPECT_EQ(x.a0, y.a0) << "event " << i;
+    EXPECT_EQ(x.a1, y.a1) << "event " << i;
+  }
+  EXPECT_EQ(a.regs, b.regs);
+  EXPECT_EQ(a.ttbr0, b.ttbr0);
+  EXPECT_EQ(a.alive, b.alive);
+}
+
+TEST(GateEngineTest, BatchedGateSwitchesMatchStepReference) {
+  const auto ref = RunGateSwitches(GateDrive::kStepLoop);
+  const auto off = RunGateSwitches(GateDrive::kModuleTierOff);
+  const auto on = RunGateSwitches(GateDrive::kModuleTierOn);
+  EXPECT_TRUE(ref.alive);
+  EXPECT_EQ(ref.ttbr0_switches, 60u);
+  EXPECT_EQ(ref.pmu_domain_switches, 60u);
+  EXPECT_FALSE(ref.events.empty());
+  ExpectSameGateRun(ref, off);
+  ExpectSameGateRun(off, on);
+}
+
+// A forged return address still fails the gate's phase-2 check: the BRK
+// kills the process and its handler stops the bounded run before the
+// forged target (the run's stop PC) is ever reached.
+TEST_F(LightZoneTest, ForgedLrKillsAndStopsBatchedGateRun) {
+  auto& proc = env.new_process();
+  constexpr VirtAddr kEntry = Env::kCodeVa + 0x40;
+  LzProc lz = LzProc::enter(*env.module, proc, true, 1);
+  const int pgt1 = lz.lz_alloc().value();
+  ASSERT_TRUE(lz.lz_map_gate_pgt(pgt1, 0).is_ok());
+  ASSERT_TRUE(lz.lz_set_gate_entry(0, kEntry).is_ok());
+  auto& core = env.machine->core();
+  core.set_trace_tier(true);
+  lz.enter_world();
+  core.pstate().el = arch::ExceptionLevel::kEl1;
+  core.set_sysreg(SysReg::kTtbr0El1, lz.module().domain_ttbr(lz.ctx(), 0));
+  core.set_sysreg(SysReg::kTtbr1El1, lz.ctx().ctx.ttbr1);
+  core.set_sysreg(SysReg::kVbarEl1, lz.ctx().ctx.vbar);
+  // Warm the gate's traces with legal switches first.
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(lz.lz_switch_to_ttbr_gate(0).is_ok());
+
+  const VirtAddr forged = kEntry + 4;
+  core.set_x(30, forged);
+  core.set_pc(UpperLayout::gate_va(0));
+  const auto r = core.run(64, forged);
+  lz.exit_world();
+  EXPECT_EQ(r.reason, sim::StopReason::kHandlerStop);
+  EXPECT_LT(r.steps, 64u);
+  EXPECT_NE(core.pc(), forged);
+  EXPECT_FALSE(proc.alive());
+  EXPECT_NE(proc.kill_reason().find("call-gate"), std::string::npos)
+      << proc.kill_reason();
 }
 
 TEST_F(LightZoneTest, PanTogglesAreTensOfCycles) {
