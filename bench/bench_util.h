@@ -387,6 +387,14 @@ class ObsSession {
   inline static ObsSession* instance_ = nullptr;
 };
 
+// For benches that model one process: --cores would be ignored, so refuse
+// it the way an unknown flag is refused. Returns main's exit status (2).
+inline int reject_cores(const char* argv0) {
+  std::fprintf(stderr, "%s: --cores is not supported (one-process model)\n",
+               argv0);
+  return 2;
+}
+
 // Headline-number hook for the table printers: records into the active
 // session's report, if any (no-op when the binary runs without --json).
 inline void record(std::string key, double value) {

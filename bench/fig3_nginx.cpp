@@ -1,12 +1,15 @@
 // Figure 3: average throughput of original, LightZone-PAN, LightZone-TTBR,
 // Watchpoint, and simulated-lwC Nginx (1 worker, 1 KB HTTPS file) on
 // Carmel Host/Guest and Cortex Host/Guest, across client concurrency —
-// plus the §9.1 memory-overhead numbers.
+// plus the §9.1 memory-overhead numbers. `--backend B` swaps the rows for
+// vanilla + B; `--cores N` runs N workers on an N-core Cortex-A55 host.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "obs/metrics.h"
@@ -17,15 +20,11 @@ namespace {
 using namespace lz;
 using namespace lz::workload;
 
-constexpr Mechanism kMechs[] = {Mechanism::kNone, Mechanism::kLzPan,
-                                Mechanism::kLzTtbr, Mechanism::kWatchpoint,
-                                Mechanism::kLwc};
-
 struct Combo {
   const arch::Platform* plat;
   Placement placement;
   const char* label;
-  // Paper throughput losses in the same order as kMechs[1..]: PAN, TTBR,
+  // Paper throughput losses of the default rows after vanilla: PAN, TTBR,
   // Watchpoint, lwC.
   double paper[4];
 };
@@ -40,6 +39,9 @@ const Combo kCombos[] = {
     {&arch::Platform::cortex_a55(), Placement::kGuest, "Cortex Guest",
      {1.98, 2.03, 6.04, 21.24}},
 };
+const Combo kSmpCombo = {&arch::Platform::cortex_a55(), Placement::kHost,
+                         "Cortex Host", {}};
+constexpr int kConcurrency[] = {1, 2, 4, 8, 16, 32, 64};
 
 std::string slug_of(const char* label) {
   std::string s(label);
@@ -47,64 +49,94 @@ std::string slug_of(const char* label) {
   return s;
 }
 
-void print_fig3() {
+// One sweep: every combo x every row, each row a `workers`-worker server.
+// Results keys: `<combo>.<row>.*` by default, `backend.<B>.<combo>.*`
+// under --backend (the backend's own row unlabelled), and
+// `smp.<combo>.<row>.*` with per-core cycles under --cores.
+void print_fig3(core::BackendKind backend, unsigned cores) {
+  const bool by_backend = backend != core::BackendKind::kTtbrPan;
+  const unsigned workers = cores > 0 ? cores : 1;
+  const std::vector<Row> rows = figure_rows(backend);
+  std::vector<Combo> combos(std::begin(kCombos), std::end(kCombos));
+  if (cores > 0) combos = {kSmpCombo};
+
   std::printf(
-      "Figure 3: Nginx throughput (requests/s), 1 worker, 1 KB HTTPS file,\n"
-      "10 runs averaged by construction (deterministic model)\n\n");
-  for (const auto& combo : kCombos) {
+      "Figure 3: Nginx throughput (requests/s), %u worker(s), 1 KB HTTPS "
+      "file,\n10 runs averaged by construction (deterministic model)\n\n",
+      workers);
+  for (const auto& combo : combos) {
     HttpdParams params = HttpdParams::defaults(*combo.plat);
-    params.requests = 1500;
+    params.requests = cores > 0 ? 800 : 1500;
 
     std::printf("%s\n  %-15s", combo.label, "concurrency:");
-    for (const int c : {1, 2, 4, 8, 16, 32, 64}) std::printf(" %8d", c);
+    for (const int c : kConcurrency) std::printf(" %8d", c);
     std::printf(" %10s\n", "loss");
 
+    const std::string slug = slug_of(combo.label);
     double base_rps = 0;
-    for (std::size_t m = 0; m < std::size(kMechs); ++m) {
-      const AppConfig config{combo.plat, combo.placement, kMechs[m], 42};
+    for (std::size_t m = 0; m < rows.size(); ++m) {
+      const AppConfig config{combo.plat, combo.placement, rows[m], 42,
+                             workers};
       const auto result = run_httpd(config, params);
-      std::printf("  %-15s", to_string(kMechs[m]));
-      for (const int c : {1, 2, 4, 8, 16, 32, 64}) {
-        std::printf(" %8.0f", httpd_throughput_rps(result, params, config, c));
+      std::printf("  %-15s", rows[m].label);
+      for (const int c : kConcurrency) {
+        std::printf(" %8.0f", httpd_total_rps(result, params, config, c));
       }
-      const double sat = httpd_throughput_rps(result, params, config, 64);
-      bench::record(slug_of(combo.label) + "." + to_string(kMechs[m]) +
-                        ".rps_at_64",
-                    sat);
-      // Per-tenant rps sample for the metrics plane: the single-worker
-      // sweep contributes one saturation-rps sample per combo/mechanism to
-      // the "httpd-worker" tenant's distribution.
+      const double sat = httpd_total_rps(result, params, config, 64);
+      // Per-tenant rps sample for the metrics plane: one saturation-rps
+      // sample per worker per combo/row.
       if (obs::metrics().enabled()) {
-        obs::LabelSet labels;
-        labels.set(obs::LabelKey::kTenant, "httpd-worker");
-        obs::metrics()
-            .histogram_family("httpd.rps")
-            .with(labels)
-            .record(static_cast<u64>(sat));
+        const int share = std::max(1, 64 / static_cast<int>(workers));
+        for (unsigned w = 0; w < workers; ++w) {
+          obs::LabelSet labels;
+          labels.set(obs::LabelKey::kTenant, httpd_tenant(w, workers));
+          obs::metrics()
+              .histogram_family("httpd.rps")
+              .with(labels)
+              .record(static_cast<u64>(
+                  httpd_throughput_rps(result[w], params, config, share)));
+        }
+      }
+      std::string key = slug + "." + rows[m].label;
+      if (cores > 0) {
+        key = "smp." + key;
+      } else if (by_backend) {
+        key = "backend." + std::string(core::to_string(backend)) + "." +
+              slug + (m == 0 ? ".vanilla" : "");
+      }
+      if (cores > 0) {
+        bench::record(key + ".total_rps", sat);
+        for (unsigned w = 0; w < workers; ++w) {
+          bench::record(key + ".core" + std::to_string(w) + ".cycles_per_req",
+                        result[w].cycles_per_request);
+        }
+      } else {
+        bench::record(key + ".rps_at_64", sat);
       }
       if (m == 0) {
         base_rps = sat;
         std::printf(" %10s\n", "(base)");
-      } else {
-        const double loss = 100.0 * (base_rps - sat) / base_rps;
-        std::printf("  %5.2f%% (paper %.2f%%)\n", loss, combo.paper[m - 1]);
-        bench::record(slug_of(combo.label) + "." + to_string(kMechs[m]) +
-                          ".loss_pct",
-                      loss);
+        continue;
       }
+      const double loss = 100.0 * (base_rps - sat) / base_rps;
+      if (by_backend || cores > 0) {
+        std::printf("  %5.2f%%\n", loss);
+      } else {
+        std::printf("  %5.2f%% (paper %.2f%%)\n", loss, combo.paper[m - 1]);
+      }
+      if (cores == 0) bench::record(key + ".loss_pct", loss);
     }
     std::printf("\n");
   }
+  if (by_backend || cores > 0) return;
 
   // §9.1 memory overheads.
   HttpdParams params = HttpdParams::defaults(arch::Platform::carmel());
   params.requests = 50;
-  const AppConfig pan_cfg{&arch::Platform::carmel(), Placement::kHost,
-                          Mechanism::kLzPan, 42};
-  const AppConfig ttbr_cfg{&arch::Platform::carmel(), Placement::kHost,
-                           Mechanism::kLzTtbr, 42};
-  const auto pan = run_httpd(pan_cfg, params);
-  const auto ttbr = run_httpd(ttbr_cfg, params);
+  const auto pan = run_httpd(
+      {&arch::Platform::carmel(), Placement::kHost, kLzPan, 42}, params)[0];
+  const auto ttbr = run_httpd(
+      {&arch::Platform::carmel(), Placement::kHost, kLzTtbr, 42}, params)[0];
   // Baseline Nginx: 21.7 MB (paper). Fragmentation: one page per key.
   const double base_mb = 21.7;
   const double frag_pct =
@@ -126,126 +158,24 @@ void print_fig3() {
   bench::record("memory.ttbr_table_pages", ttbr.isolation_table_pages);
 }
 
-// --backend B (B != ttbr_pan): the same Nginx model with the chosen
-// isolation backend standing in for LightZone — vanilla as the baseline
-// row, then the backend's mechanism. poe/cca run the cost-model backends
-// through AppDriver; watchpoint/lwc reuse the existing baselines, now
-// reachable from the same flag the other benches use.
-Mechanism mech_of_backend(lz::core::BackendKind kind) {
-  switch (kind) {
-    case lz::core::BackendKind::kPoe: return Mechanism::kPoe;
-    case lz::core::BackendKind::kCca: return Mechanism::kCca;
-    case lz::core::BackendKind::kWatchpoint: return Mechanism::kWatchpoint;
-    case lz::core::BackendKind::kLwc: return Mechanism::kLwc;
-    case lz::core::BackendKind::kTtbrPan: break;
-  }
-  return Mechanism::kLzTtbr;
-}
-
-void print_fig3_backend(lz::core::BackendKind kind) {
-  const Mechanism mech = mech_of_backend(kind);
-  const std::string name = lz::core::to_string(kind);
-  std::printf(
-      "Figure 3 (--backend %s): Nginx throughput (requests/s), 1 worker,\n"
-      "1 KB HTTPS file, %s vs vanilla\n\n",
-      name.c_str(), to_string(mech));
-  for (const auto& combo : kCombos) {
-    HttpdParams params = HttpdParams::defaults(*combo.plat);
-    params.requests = 1500;
-    std::printf("%s\n  %-15s", combo.label, "concurrency:");
-    for (const int c : {1, 2, 4, 8, 16, 32, 64}) std::printf(" %8d", c);
-    std::printf(" %10s\n", "loss");
-    double base_rps = 0;
-    for (const Mechanism m : {Mechanism::kNone, mech}) {
-      const AppConfig config{combo.plat, combo.placement, m, 42};
-      const auto result = run_httpd(config, params);
-      std::printf("  %-15s", to_string(m));
-      for (const int c : {1, 2, 4, 8, 16, 32, 64}) {
-        std::printf(" %8.0f", httpd_throughput_rps(result, params, config, c));
-      }
-      const double sat = httpd_throughput_rps(result, params, config, 64);
-      const std::string base =
-          "backend." + name + "." + slug_of(combo.label);
-      if (m == Mechanism::kNone) {
-        base_rps = sat;
-        bench::record(base + ".vanilla.rps_at_64", sat);
-        std::printf(" %10s\n", "(base)");
-      } else {
-        const double loss = 100.0 * (base_rps - sat) / base_rps;
-        std::printf("  %5.2f%%\n", loss);
-        bench::record(base + ".rps_at_64", sat);
-        bench::record(base + ".loss_pct", loss);
-      }
-    }
-    std::printf("\n");
-  }
-}
-
-// --cores N: multi-worker scaling on the SMP machine — one worker process
-// pinned per core (nginx's worker-per-core deployment), all sharing one
-// kernel and physical memory. Throughput should scale near-linearly with
-// cores for every mechanism: LightZone's per-core TLBs and per-process
-// VMID/ASID tags keep domain switches local, so no cross-core shootdowns
-// land on the request path.
-void print_fig3_smp(unsigned cores) {
-  std::printf(
-      "Figure 3 (SMP): Nginx throughput (requests/s), %u worker(s) on %u "
-      "cores,\n1 KB HTTPS file, 64 clients, Cortex-A55 host\n\n",
-      cores, cores);
-  HttpdParams params = HttpdParams::defaults(arch::Platform::cortex_a55());
-  params.requests = 800;
-  constexpr int kConcurrency = 64;
-  for (const auto mech :
-       {Mechanism::kNone, Mechanism::kLzPan, Mechanism::kLzTtbr}) {
-    const AppConfig config{&arch::Platform::cortex_a55(), Placement::kHost,
-                           mech, 42};
-    const auto smp = run_httpd_smp(config, params, cores, kConcurrency);
-    std::printf("  %-15s %8.0f req/s total (", to_string(mech),
-                smp.total_rps);
-    for (unsigned c = 0; c < smp.per_core.size(); ++c) {
-      std::printf("%score%u %.0f cyc/req", c == 0 ? "" : ", ", c,
-                  smp.per_core[c].cycles_per_request);
-    }
-    std::printf(")\n");
-    const std::string base =
-        std::string("smp.cortex_host.") + to_string(mech);
-    bench::record(base + ".total_rps", smp.total_rps);
-    for (unsigned c = 0; c < smp.per_core.size(); ++c) {
-      bench::record(base + ".core" + std::to_string(c) + ".cycles_per_req",
-                    smp.per_core[c].cycles_per_request);
-    }
-  }
-  std::printf("\n");
-}
-
 void BM_HttpdRequest(benchmark::State& state) {
-  const auto mech = static_cast<Mechanism>(state.range(0));
   HttpdParams params = HttpdParams::defaults(arch::Platform::cortex_a55());
   params.requests = 100;
   const AppConfig config{&arch::Platform::cortex_a55(), Placement::kHost,
-                         mech, 42};
+                         kRows[state.range(0)], 42};
   double cycles = 0;
   for (auto _ : state) {
-    cycles = run_httpd(config, params).cycles_per_request;
+    cycles = run_httpd(config, params)[0].cycles_per_request;
   }
   state.counters["sim_cycles_per_request"] = cycles;
 }
-BENCHMARK(BM_HttpdRequest)
-    ->Arg(static_cast<int>(Mechanism::kNone))
-    ->Arg(static_cast<int>(Mechanism::kLzTtbr))
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HttpdRequest)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
   lz::bench::ObsSession obs("fig3_nginx", &argc, argv);
-  if (obs.backend() != lz::core::BackendKind::kTtbrPan) {
-    print_fig3_backend(obs.backend());
-  } else if (obs.cores() > 0) {
-    print_fig3_smp(obs.cores());
-  } else {
-    print_fig3();
-  }
+  print_fig3(obs.backend(), obs.cores());
   obs.finish();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -2,11 +2,13 @@
 // simulated lwC on the NVM data-structure benchmark (2 MB buffers,
 // fixed-complexity substring searches), for varying domain counts, on
 // Carmel Host/Guest and Cortex Host/Guest — plus the §9.3 memory numbers.
+// `--backend B` plots B instead of the paper's four mechanisms.
 #include <benchmark/benchmark.h>
 
 #include <cctype>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "workloads/nvm.h"
@@ -40,7 +42,10 @@ std::string slug_of(const char* label) {
   return s;
 }
 
-void print_fig5() {
+// `--backend B` plots B's row alone, namespaced `backend.<B>.<combo>.*`.
+void print_fig5(core::BackendKind backend) {
+  const bool by_backend = backend != core::BackendKind::kTtbrPan;
+  const std::vector<Row> rows = figure_rows(backend);
   std::printf(
       "Figure 5: NVM benchmark time overhead (%%) vs number of 2 MB buffer "
       "domains\n(searches of 7,000-8,500 cycles; domain switch before and "
@@ -53,43 +58,45 @@ void print_fig5() {
     for (const int d : kDomainCounts) std::printf(" %7d", d);
     std::printf("\n");
 
-    for (const auto mech : {Mechanism::kLzPan, Mechanism::kLzTtbr,
-                            Mechanism::kWatchpoint, Mechanism::kLwc}) {
-      std::printf("  %-15s", to_string(mech));
+    // Vanilla (rows[0]) is the baseline of every cell.
+    for (std::size_t m = 1; m < rows.size(); ++m) {
+      std::printf("  %-15s", rows[m].label);
+      std::string key = slug_of(combo.label) + "." + rows[m].label;
+      if (by_backend) {
+        key = "backend." + std::string(core::to_string(backend)) + "." +
+              slug_of(combo.label);
+      }
       for (const int d : kDomainCounts) {
-        if (mech == Mechanism::kWatchpoint && d > 16) {
-          std::printf(" %7s", "-");  // beyond the 16-domain cap
+        if (d > domain_cap(rows[m])) {
+          std::printf(" %7s", "-");  // beyond the backend's domain cap
           continue;
         }
         NvmParams params;
         params.searches = 6000;
         params.buffers = d;
-        const auto base = run_nvm(
-            {combo.plat, combo.placement, Mechanism::kNone, 42}, params);
+        const auto base =
+            run_nvm({combo.plat, combo.placement, kVanilla, 42}, params);
         const auto prot =
-            run_nvm({combo.plat, combo.placement, mech, 42}, params);
+            run_nvm({combo.plat, combo.placement, rows[m], 42}, params);
         const double overhead = nvm_overhead_pct(prot, base);
         std::printf(" %6.2f%%", overhead);
-        bench::record(slug_of(combo.label) + "." + to_string(mech) +
-                          ".overhead_pct." + std::to_string(d),
-                      overhead);
+        bench::record(key + ".overhead_pct." + std::to_string(d), overhead);
       }
       std::printf("\n");
     }
     std::printf("\n");
   }
+  if (by_backend) return;
 
   // §9.3 memory overheads (paper: baseline 309 MB; page tables negligible
   // for PAN, 12.1% for scalable protection with huge pages).
   NvmParams params;
   params.searches = 500;
   params.buffers = 64;
-  const auto pan = run_nvm({&arch::Platform::carmel(), Placement::kHost,
-                            Mechanism::kLzPan, 42},
-                           params);
-  const auto ttbr = run_nvm({&arch::Platform::carmel(), Placement::kHost,
-                             Mechanism::kLzTtbr, 42},
-                            params);
+  const auto pan = run_nvm(
+      {&arch::Platform::carmel(), Placement::kHost, kLzPan, 42}, params);
+  const auto ttbr = run_nvm(
+      {&arch::Platform::carmel(), Placement::kHost, kLzTtbr, 42}, params);
   std::printf(
       "Memory overheads (Section 9.3): isolation page tables PAN %llu "
       "pages, TTBR %llu pages for %d buffers\n(paper: negligible vs 12.1%% "
@@ -102,28 +109,25 @@ void print_fig5() {
 }
 
 void BM_NvmSearch(benchmark::State& state) {
-  const auto mech = static_cast<Mechanism>(state.range(0));
   NvmParams params;
   params.searches = 1000;
   params.buffers = 8;
   const AppConfig config{&arch::Platform::cortex_a55(), Placement::kHost,
-                         mech, 42};
+                         kRows[state.range(0)], 42};
   double cycles = 0;
   for (auto _ : state) {
     cycles = run_nvm(config, params).cycles_per_search;
   }
   state.counters["sim_cycles_per_search"] = cycles;
 }
-BENCHMARK(BM_NvmSearch)
-    ->Arg(static_cast<int>(Mechanism::kNone))
-    ->Arg(static_cast<int>(Mechanism::kLzTtbr))
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NvmSearch)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
   lz::bench::ObsSession obs("fig5_nvm", &argc, argv);
-  print_fig5();
+  if (obs.cores() > 0) return lz::bench::reject_cores("fig5_nvm");
+  print_fig5(obs.backend());
   obs.finish();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

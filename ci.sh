@@ -76,6 +76,18 @@ if build/bench/table5_switch --no-such-flag >/dev/null 2>&1; then
   exit 1
 fi
 build/bench/table5_switch --help | grep -q -- '--ts-period'
+# The one-process figures refuse --cores the same way (exit 2) rather than
+# silently running the single-process model.
+for fig in fig4_mysql fig5_nvm; do
+  set +e
+  build/bench/$fig --cores 2 --benchmark_filter=NONE >/dev/null 2>&1
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ]; then
+    echo "ci.sh: $fig --cores exited $rc, not 2" >&2
+    exit 1
+  fi
+done
 
 # Span tracing + time-series smoke: a 4-core httpd run with --trace must
 # emit nested per-request duration spans (client request -> kernel task ->
@@ -210,6 +222,11 @@ build/bench/fuzz_a64 --seed 20260808 --cores 2 --streams 1500
 # ttbr_pan leg is the refactor gate — routing the verbs through the
 # interface may not move a byte of the checked-in golden. The model legs
 # must emit schema-valid v2 reports and fuzz divergence-free.
+# fig3 runs the same backend as a row of the multi-worker httpd server
+# (--backend and --cores together), so every backend must also reach its
+# smp.<combo>.<row> keys through the one workload driver.
+declare -A smp_row=([ttbr_pan]=LightZone-TTBR [poe]=POE-keys [cca]=CCA-GPT
+                    [watchpoint]=Watchpoint [lwc]=lwC)
 for backend in ttbr_pan poe cca watchpoint lwc; do
   bk=/tmp/t5.backend.$backend.json
   rm -f "$bk"
@@ -217,6 +234,12 @@ for backend in ttbr_pan poe cca watchpoint lwc; do
     --benchmark_filter=NONE >/dev/null
   build/bench/report_check "$bk"
   build/bench/fuzz_table2 --backend "$backend" --seed 7 --cores 2 --ops 800
+  f3=/tmp/fig3.backend.$backend.json
+  rm -f "$f3"
+  build/bench/fig3_nginx --backend "$backend" --cores 2 --json "$f3" \
+    --benchmark_filter=NONE >/dev/null
+  build/bench/report_check "$f3"
+  grep -q "\"smp.cortex_host.${smp_row[$backend]}.total_rps\"" "$f3"
 done
 # The v2 report's "host" section (sim.trace.*) moves with the engine — the
 # call gates run through the trace tier — so the golden gate compares every
@@ -266,7 +289,7 @@ build/bench/lz_report BENCH_throughput.json \
 cmake -B build-tsan -G Ninja -DLZ_SANITIZE=thread >/dev/null
 cmake --build build-tsan --target smp_test obs_test obs_v3_test \
   metrics_test hotpath_test histogram_test profiler_test pmu_test \
-  backend_test bbm_test fuzz_table2 fuzz_a64 throughput
+  backend_test bbm_test workloads_test fuzz_table2 fuzz_a64 throughput
 build-tsan/tests/smp_test
 build-tsan/tests/obs_test
 build-tsan/tests/obs_v3_test
@@ -279,6 +302,9 @@ build-tsan/tests/profiler_test
 build-tsan/tests/pmu_test
 build-tsan/tests/backend_test
 build-tsan/tests/bbm_test
+# Every workload row runs its request loop on a kernel worker thread,
+# model backends included.
+build-tsan/tests/workloads_test
 build-tsan/bench/fuzz_table2 --seed 3 --cores 4 --ops 400
 LZ_TRACE_TIER=1 build-tsan/bench/fuzz_a64 --seed 3 --cores 4 --streams 200
 build-tsan/bench/throughput --iters 1 --cores 2 >/dev/null
@@ -290,7 +316,7 @@ build-tsan/bench/throughput --iters 1 --cores 2 >/dev/null
 cmake -B build-asan -G Ninja -DLZ_SANITIZE=address >/dev/null
 cmake --build build-asan --target fuzz_table2 fuzz_a64 check_test bbm_test \
   hotpath_test histogram_test profiler_test pmu_test obs_v3_test \
-  backend_test metrics_test
+  backend_test metrics_test workloads_test
 build-asan/tests/check_test
 build-asan/tests/metrics_test
 build-asan/tests/bbm_test
@@ -300,6 +326,7 @@ build-asan/tests/profiler_test
 build-asan/tests/pmu_test
 build-asan/tests/obs_v3_test
 build-asan/tests/backend_test
+build-asan/tests/workloads_test
 build-asan/bench/fuzz_table2 --seed 5 --cores 4 --ops 600
 LZ_TRACE_TIER=1 build-asan/bench/fuzz_a64 --seed 5 --cores 4 --streams 200
 

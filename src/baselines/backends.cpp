@@ -14,8 +14,9 @@ namespace {
 // lightzone/module.h's kPgtAll, restated so the models share the shadow
 // oracle's independence from the implementation under test.
 constexpr int kPgtAll = -1;
-// Arena the Watchpoint backend's 16 domain slots live in (one page each),
-// away from the standard code/heap/stack layout.
+// Stand-in arena for the Watchpoint backend's 16 slots (one page each)
+// until an lz_prot names the process's own, away from the standard
+// code/heap/stack layout.
 constexpr VirtAddr kWpArenaBase = 0x40000000;
 }  // namespace
 
@@ -131,10 +132,10 @@ Result<Cycles> ModelBackend::switch_to(int gate) {
   // drivers consult the shadow's gate_runnable before calling.
   LZ_CHECK(pgt_live(gates_[gate].pgt));
   auto& m = machine();
-  const Cycles start = m.cycles();
+  const Cycles start = m.account().total();
   do_switch(gates_[gate].pgt);
   current_ = gates_[gate].pgt;
-  return m.cycles() - start;
+  return m.account().total() - start;
 }
 
 Status ModelBackend::touch(VirtAddr va, bool want_write, bool want_exec) {
@@ -162,16 +163,39 @@ Status ModelBackend::touch(VirtAddr va, bool want_write, bool want_exec) {
 
 Cycles ModelBackend::access(VirtAddr va) {
   auto& m = machine();
-  const Cycles start = m.cycles();
+  const Cycles start = m.account().total();
   m.charge(CostKind::kMem, plat().mem_access);
   do_access(va);
-  return m.cycles() - start;
+  return m.account().total() - start;
 }
 
 WatchpointBackend::WatchpointBackend(Env& env, u32 max_gates)
     : ModelBackend(env, max_gates), wp_(*env.host, env.vm.get()) {
   LZ_CHECK_OK(wp_.setup_arena(kWpArenaBase, kPageSize,
                               WatchpointIsolation::kMaxDomains));
+}
+
+void WatchpointBackend::on_prot(VirtAddr start, VirtAddr end, int pgt) {
+  if (arena_from_prot_ || pgt < 1) return;
+  const u64 slot = end - start;
+  const u64 before = static_cast<u64>(pgt - 1) * slot;
+  if (start < before) return;
+  // Registering the arena is one more ioctl; a region that breaks the
+  // layout is accepted (validation is shared) but stays unwatched.
+  if (!wp_.setup_arena(start - before, slot, WatchpointIsolation::kMaxDomains)
+           .is_ok()) {
+    return;
+  }
+  arena_from_prot_ = true;
+  if (current_domain() != 0) do_switch(current_domain());
+}
+
+void WatchpointBackend::do_switch(int pgt) {
+  if (pgt == 0) {
+    wp_.exit_domains();
+  } else {
+    wp_.switch_to(pgt - 1);
+  }
 }
 
 LwcBackend::LwcBackend(Env& env, u32 max_gates)

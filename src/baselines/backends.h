@@ -44,7 +44,6 @@ class ModelBackend : public core::IsolationBackend {
   Cycles set_pan(bool) override { return 0; }
   Status touch(VirtAddr va, bool want_write, bool want_exec) override;
   Cycles access(VirtAddr va) override;
-  int max_domains() const override { return 1 << 16; }
   u32 max_gates() const override { return max_gates_; }
   core::BackendStats stats() const override { return stats_; }
 
@@ -110,10 +109,14 @@ class ModelBackend : public core::IsolationBackend {
   std::vector<Vma> vmas_;
 };
 
-// §8 Watchpoint baseline on the backend interface. The four DBGW pairs cap
-// the scheme at 16 domains (arena slots), so alloc() exhausts at id 16 —
-// the one place the shared validation diverges per backend, mirrored by
-// ShadowTable2's backend tag.
+// §8 Watchpoint baseline on the backend interface. The four DBGW pairs
+// watch a 16-slot arena: pgt p owns slot p-1, and the default domain (pgt
+// 0) watches every slot, so alloc() exhausts at id 17 — the one place the
+// shared validation diverges per backend, mirrored by ShadowTable2's
+// backend tag. The arena is the process's own layout: the first private
+// lz_prot that fits the §8 constraint (equal power-of-two slots in an
+// arena aligned to its size, slot p-1 at the region) re-bases it there;
+// until then a private arena at 0x40000000 stands in.
 class WatchpointBackend final : public ModelBackend {
  public:
   WatchpointBackend(core::Env& env, u32 max_gates);
@@ -121,13 +124,14 @@ class WatchpointBackend final : public ModelBackend {
   core::BackendKind kind() const override {
     return core::BackendKind::kWatchpoint;
   }
-  int max_domains() const override { return WatchpointIsolation::kMaxDomains; }
 
  protected:
-  void do_switch(int pgt) override { wp_.switch_to(pgt); }
+  void on_prot(VirtAddr start, VirtAddr end, int pgt) override;
+  void do_switch(int pgt) override;
 
  private:
   WatchpointIsolation wp_;
+  bool arena_from_prot_ = false;
 };
 
 // lwC baseline [31] on the backend interface: one kernel context per

@@ -34,21 +34,21 @@ Status LwcIsolation::attach(int ctx_id, VirtAddr base, u64 len) {
 Cycles LwcIsolation::charge_syscall_roundtrip() {
   auto& m = host_.machine();
   const auto& plat = m.platform();
-  const Cycles start = m.cycles();
+  const Cycles start = m.account().total();
   const auto kernel_el =
       vm_ == nullptr ? ExceptionLevel::kEl2 : ExceptionLevel::kEl1;
   m.charge(CostKind::kExcp, plat.excp(ExceptionLevel::kEl0, kernel_el));
   m.charge(CostKind::kGpr, 2 * plat.gpr_save_all());
   m.charge(CostKind::kDispatch, plat.dispatch_kernel);
   m.charge(CostKind::kExcp, plat.eret(kernel_el, ExceptionLevel::kEl0));
-  return m.cycles() - start;
+  return m.account().total() - start;
 }
 
 Cycles LwcIsolation::switch_to(int ctx_id) {
   LZ_CHECK(ctx_id >= 0 && ctx_id < context_count());
   auto& m = host_.machine();
   const auto& plat = m.platform();
-  const Cycles start = m.cycles();
+  const Cycles start = m.account().total();
   charge_syscall_roundtrip();
   // Kernel-side context switch: swap the page table (TTBR0), move the
   // per-context kernel state, and touch lwC bookkeeping structures. A
@@ -61,7 +61,7 @@ Cycles LwcIsolation::switch_to(int ctx_id) {
   m.charge(CostKind::kDispatch, plat.dispatch_lwc);
   m.charge(CostKind::kMem, 24 * plat.mem_access);
   current_ = ctx_id;
-  return m.cycles() - start;
+  return m.account().total() - start;
 }
 
 Cycles LwcIsolation::switch_cost_estimate() const {

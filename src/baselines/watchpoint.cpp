@@ -64,7 +64,7 @@ Status WatchpointIsolation::setup_arena(VirtAddr base, u64 slot_size,
 Cycles WatchpointIsolation::charge_ioctl_roundtrip() {
   auto& m = host_.machine();
   const auto& plat = m.platform();
-  const Cycles start = m.cycles();
+  const Cycles start = m.account().total();
   if (vm_ == nullptr) {
     // Host process: EL0 -> EL2 (VHE) syscall round-trip.
     m.charge(CostKind::kExcp, plat.excp(ExceptionLevel::kEl0,
@@ -82,7 +82,7 @@ Cycles WatchpointIsolation::charge_ioctl_roundtrip() {
     m.charge(CostKind::kExcp, plat.eret(ExceptionLevel::kEl1,
                                         ExceptionLevel::kEl0));
   }
-  return m.cycles() - start;
+  return m.account().total() - start;
 }
 
 void WatchpointIsolation::program_watchpoints(int hole_domain) {
@@ -130,18 +130,18 @@ void WatchpointIsolation::program_watchpoints(int hole_domain) {
 Cycles WatchpointIsolation::switch_to(int domain) {
   LZ_CHECK(domain >= 0 && domain < num_domains_);
   auto& m = host_.machine();
-  const Cycles start = m.cycles();
+  const Cycles start = m.account().total();
   charge_ioctl_roundtrip();
   program_watchpoints(domain);
-  return m.cycles() - start;
+  return m.account().total() - start;
 }
 
 Cycles WatchpointIsolation::exit_domains() {
   auto& m = host_.machine();
-  const Cycles start = m.cycles();
+  const Cycles start = m.account().total();
   charge_ioctl_roundtrip();
   program_watchpoints(-1);
-  return m.cycles() - start;
+  return m.account().total() - start;
 }
 
 Cycles WatchpointIsolation::switch_cost_estimate() const {

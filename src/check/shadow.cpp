@@ -36,9 +36,10 @@ ShadowTable2::AllocOutcome ShadowTable2::alloc() {
     }
   }
   // Per-backend domain cap: four DBGW pairs give the Watchpoint baseline
-  // sixteen arena slots; every other mechanism scales to the 2^16 id space.
+  // sixteen watched slots on top of the default domain; every other
+  // mechanism scales to the 2^16 id space.
   const u64 cap =
-      backend_ == core::BackendKind::kWatchpoint ? 16 : (u64{1} << 16);
+      backend_ == core::BackendKind::kWatchpoint ? 17 : (u64{1} << 16);
   if (id >= cap) return {Errc::kResourceExhausted, -1};
   if (id == pgts_.size()) pgts_.push_back(0);
   pgts_[id] = 1;

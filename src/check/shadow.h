@@ -28,10 +28,11 @@ class ShadowTable2 {
   };
 
   // The backend tag selects the one place validation is backend-specific:
-  // the domain cap lz_alloc exhausts at (16 for the Watchpoint baseline's
-  // four DBGW pairs, 2^16 everywhere else). It also labels fuzz results so
-  // counter comparisons across different backends are rejected instead of
-  // reported as spurious divergence (fuzz.h).
+  // the domain cap lz_alloc exhausts at (17 for the Watchpoint baseline:
+  // its four DBGW pairs watch 16 slots, plus the default domain; 2^16
+  // everywhere else). It also labels fuzz results so counter comparisons
+  // across different backends are rejected instead of reported as
+  // spurious divergence (fuzz.h).
   ShadowTable2(u32 max_gates, bool allow_scalable,
                core::BackendKind backend = core::BackendKind::kTtbrPan);
 

@@ -22,6 +22,10 @@ std::optional<BackendKind> backend_from_string(std::string_view name) {
   return std::nullopt;
 }
 
+int max_domains(BackendKind kind) {
+  return kind == BackendKind::kWatchpoint ? 17 : 1 << 16;
+}
+
 Cycles TtbrPanBackend::access(VirtAddr va) {
   // The real mechanism executes a real load: the access goes through the
   // active domain table (and stage-2), hitting or walking the TLBs.

@@ -45,6 +45,10 @@ const char* to_string(BackendKind kind);
 // Parses the --backend flag spelling ("ttbr_pan", "poe", "cca",
 // "watchpoint", "lwc"); nullopt for anything else.
 std::optional<BackendKind> backend_from_string(std::string_view name);
+// The domain-table cap lz_alloc exhausts at, counting the default pgt 0:
+// the four DBGW pairs give Watchpoint 16 watched slots on top of it; every
+// other mechanism scales to the 2^16 id space.
+int max_domains(BackendKind kind);
 
 // Mechanism-side tallies a backend may expose for reporting. Plain struct,
 // not obs counters: registering counters lazily per backend would leak into
@@ -86,7 +90,7 @@ class IsolationBackend {
   virtual void enter_world() {}
   virtual void exit_world() {}
 
-  virtual int max_domains() const = 0;
+  int max_domains() const { return core::max_domains(kind()); }
   virtual u32 max_gates() const = 0;
   virtual BackendStats stats() const { return {}; }
 };
@@ -123,7 +127,6 @@ class TtbrPanBackend final : public IsolationBackend {
   Cycles access(VirtAddr va) override;
   void enter_world() override { module_->enter_world(*ctx_); }
   void exit_world() override { module_->exit_world(*ctx_); }
-  int max_domains() const override { return 1 << 16; }
   u32 max_gates() const override { return ctx_->opts().max_gates; }
 
   LzModule& module() { return *module_; }

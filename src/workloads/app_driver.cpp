@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "baselines/backends.h"
 #include "sim/assembler.h"
 
 namespace lz::workload {
@@ -9,19 +10,20 @@ namespace lz::workload {
 using arch::ExceptionLevel;
 using core::Env;
 using core::LzProc;
-using sim::CostKind;
 
-const char* to_string(Mechanism mech) {
-  switch (mech) {
-    case Mechanism::kNone: return "vanilla";
-    case Mechanism::kLzPan: return "LightZone-PAN";
-    case Mechanism::kLzTtbr: return "LightZone-TTBR";
-    case Mechanism::kWatchpoint: return "Watchpoint";
-    case Mechanism::kLwc: return "lwC";
-    case Mechanism::kPoe: return "POE-keys";
-    case Mechanism::kCca: return "CCA-GPT";
+std::vector<Row> figure_rows(core::BackendKind backend) {
+  if (backend == core::BackendKind::kTtbrPan) {
+    return {kVanilla, kLzPan, kLzTtbr, kWatchpoint, kLwc};
   }
-  return "?";
+  const Row* row =
+      std::find_if(std::begin(kRows), std::end(kRows),
+                   [&](const Row& r) { return r.backend == backend; });
+  LZ_CHECK(row != std::end(kRows));
+  return {kVanilla, *row};
+}
+
+int domain_cap(const Row& row) {
+  return row.backend ? core::max_domains(*row.backend) - 1 : 0;
 }
 
 namespace {
@@ -72,281 +74,181 @@ Cycles measure_marginal_syscall(const AppConfig& config, bool lightzone) {
 
 }  // namespace
 
-AppDriver::AppDriver(const AppConfig& config) : config_(config) {
+AppDriver::AppDriver(const AppConfig& config)
+    : config_(config), workers_(config.workers) {
+  LZ_CHECK(config.workers >= 1);
   env_ = std::make_unique<Env>(Env::Options()
                                    .platform(*config.platform)
                                    .placement(config.placement ==
                                                       Placement::kHost
                                                   ? Env::Placement::kHost
                                                   : Env::Placement::kGuest)
+                                   .cores(config.workers)
                                    .seed(config.seed));
-  proc_ = &env_->new_process();
-  syscall_cost_ = measure_marginal_syscall(config, is_lz());
-
-  switch (config_.mech) {
-    case Mechanism::kNone:
-      break;
-    case Mechanism::kLzPan:
-      lz_.emplace(LzProc::enter(*env_->module, *proc_,
-                                /*allow_scalable=*/false, /*insn_san=*/2));
-      break;
-    case Mechanism::kLzTtbr:
-      lz_.emplace(LzProc::enter(*env_->module, *proc_,
-                                /*allow_scalable=*/true, /*insn_san=*/1));
-      break;
-    case Mechanism::kWatchpoint:
-      wp_ = std::make_unique<baseline::WatchpointIsolation>(
-          *env_->host, env_->vm.get());
-      break;
-    case Mechanism::kLwc:
-      lwc_ = std::make_unique<baseline::LwcIsolation>(*env_->host,
-                                                      env_->vm.get());
-      break;
-    case Mechanism::kPoe:
-    case Mechanism::kCca:
-      // Deferred to setup_domains: the backend's gate table is sized to
-      // the domain count the workload asks for.
-      break;
+  for (auto& w : workers_) w.proc = &env_->new_process();
+  syscall_cost_ = measure_marginal_syscall(config, config.row.lightzone());
+  // LightZone rows enter the worker's own process (lz_enter); model
+  // backends are built in setup_domains, which knows the gate count they
+  // need.
+  if (!config.row.lightzone()) return;
+  for (unsigned w = 0; w < config.workers; ++w) {
+    sim::Machine::CoreBinding bind(machine(), w);
+    workers_[w].lz.emplace(LzProc::enter(*env_->module, *workers_[w].proc,
+                                         /*allow_scalable=*/!config.row.pan,
+                                         /*insn_san=*/config.row.pan ? 2 : 1));
   }
 }
 
 AppDriver::~AppDriver() {
-  if (lz_ && lz_->module().active() == &lz_->ctx()) lz_->exit_world();
+  for (unsigned w = 0; w < workers_.size(); ++w) {
+    sim::Machine::CoreBinding bind(machine(), w);
+    core::LzContext* ctx = lz_ctx();
+    if (ctx != nullptr && workers_[w].lz->module().active() == ctx) {
+      workers_[w].lz->exit_world();
+    }
+  }
+}
+
+core::LzContext* AppDriver::lz_ctx() {
+  return config_.row.lightzone() ? &worker().lz->ctx() : nullptr;
 }
 
 void AppDriver::setup_domains(VirtAddr base, u64 slot, int count) {
   base_ = base;
   slot_ = slot;
   domains_ = count;
-  auto& core = machine().core();
-  switch (config_.mech) {
-    case Mechanism::kNone:
-      populate_and_enter_el0();
-      return;
-    case Mechanism::kLzPan: {
-      // All slots live in the single PAN-protected domain (user pages).
-      for (int d = 0; d < count; ++d) {
-        const VirtAddr va = base + static_cast<u64>(d) * slot;
-        LZ_CHECK_OK(lz_->module().prot(
-            lz_->ctx(), va, slot, core::kPgtAll,
-            core::kLzRead | core::kLzWrite | core::kLzUser));
-        LZ_CHECK_OK(lz_->module().touch_page(lz_->ctx(), va, true, false));
-      }
-      lz_->enter_world();
-      core.pstate().el = ExceptionLevel::kEl1;
-      core.pstate().pan = true;
-      core.set_sysreg(sim::SysReg::kTtbr0El1,
-                      lz_->module().domain_ttbr(lz_->ctx(), 0));
-      core.set_sysreg(sim::SysReg::kTtbr1El1, lz_->ctx().ctx.ttbr1);
-      core.set_sysreg(sim::SysReg::kVbarEl1, lz_->ctx().ctx.vbar);
-      return;
-    }
-    case Mechanism::kLzTtbr: {
-      auto& module = lz_->module();
-      auto& ctx = lz_->ctx();
-      const VirtAddr entry = Env::kCodeVa + 0x40;
-      LZ_CHECK(count + 1 <= static_cast<int>(ctx.opts().max_gates));
-      // Gate 0 returns to the default (no-domain) table pgt0; domain d
-      // lives in its own table behind gate d+1.
-      LZ_CHECK_OK(module.map_gate_pgt(ctx, 0, 0));
-      LZ_CHECK_OK(module.set_gate_entry(ctx, 0, entry));
-      for (int d = 0; d < count; ++d) {
-        const VirtAddr va = base + static_cast<u64>(d) * slot;
-        const int pgt = module.alloc_pgt(ctx).value();
-        LZ_CHECK(pgt >= 1);
-        LZ_CHECK_OK(module.prot(ctx, va, slot, pgt,
-                                core::kLzRead | core::kLzWrite));
-        LZ_CHECK_OK(module.map_gate_pgt(ctx, pgt, d + 1));
-        LZ_CHECK_OK(module.set_gate_entry(ctx, d + 1, entry));
-        LZ_CHECK_OK(module.touch_page(ctx, va, true, false));
-      }
-      lz_->enter_world();
-      core.pstate().el = ExceptionLevel::kEl1;
-      core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-      core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-      core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
-      // Warm the gates and domain pages.
-      for (int d = 0; d < count; ++d) {
-        enter_domain(d);
-        (void)core.mem_read(base + static_cast<u64>(d) * slot, 8);
-      }
-      return;
-    }
-    case Mechanism::kWatchpoint: {
-      // Only the first 16 slots can be protected (the baseline's cap).
-      const int protected_count =
-          std::min(count, baseline::WatchpointIsolation::kMaxDomains);
-      populate_and_enter_el0();
-      LZ_CHECK_OK(wp_->setup_arena(base, slot, protected_count));
-      return;
-    }
-    case Mechanism::kLwc: {
-      for (int d = 0; d < count; ++d) {
-        const int id = lwc_->create_context();
-        LZ_CHECK_OK(
-            lwc_->attach(id, base + static_cast<u64>(d) * slot, slot));
-      }
-      populate_and_enter_el0();
-      return;
-    }
-    case Mechanism::kPoe:
-    case Mechanism::kCca: {
-      backend_ = baseline::make_backend(
-          config_.mech == Mechanism::kPoe ? core::BackendKind::kPoe
-                                          : core::BackendKind::kCca,
-          *env_, static_cast<u32>(std::max(count + 1, 256)));
-      backend_->add_vma(base, base + static_cast<u64>(count) * slot,
-                        /*write=*/true, /*exec=*/false);
-      // Gate 0 returns to the default domain; domain d sits behind gate
-      // d+1, mirroring the TTBR layout so switch patterns compare 1:1.
-      LZ_CHECK_OK(backend_->map_gate_pgt(0, 0));
-      LZ_CHECK_OK(backend_->set_gate_entry(0, Env::kCodeVa + 0x40));
-      for (int d = 0; d < count; ++d) {
-        const VirtAddr va = base + static_cast<u64>(d) * slot;
-        const int pgt = backend_->alloc().value();
-        LZ_CHECK(pgt >= 1);
-        LZ_CHECK_OK(backend_->prot(va, slot, pgt,
-                                   core::kLzRead | core::kLzWrite));
-        LZ_CHECK_OK(backend_->map_gate_pgt(pgt, d + 1));
-        LZ_CHECK_OK(backend_->set_gate_entry(d + 1, Env::kCodeVa + 0x40));
-        LZ_CHECK_OK(backend_->touch(va, /*want_write=*/true,
-                                    /*want_exec=*/false));
-      }
-      populate_and_enter_el0();
-      return;
-    }
+  for (unsigned w = 0; w < workers_.size(); ++w) {
+    sim::Machine::CoreBinding bind(machine(), w);
+    setup_worker(workers_[w]);
   }
 }
 
-void AppDriver::populate_and_enter_el0() {
+void AppDriver::setup_worker(Worker& w) {
+  const Row& row = config_.row;
+  if (!row.backend) {
+    populate_and_enter_el0(w);
+    return;
+  }
+  if (!w.lz) {
+    w.lz.emplace(baseline::make_backend(
+        *row.backend, *env_, static_cast<u32>(std::max(domains_ + 1, 256))));
+  }
+  auto& lz = *w.lz;
+  const auto slot_va = [&](int d) {
+    return base_ + static_cast<u64>(d) * slot_;
+  };
+  if (row.pan) {
+    // All slots live in the single PAN-protected domain (user pages).
+    for (int d = 0; d < domains_; ++d) {
+      LZ_CHECK_OK(lz.lz_prot(slot_va(d), slot_, core::kPgtAll,
+                             core::kLzRead | core::kLzWrite | core::kLzUser));
+      LZ_CHECK_OK(lz.backend().touch(slot_va(d), true, false));
+    }
+  } else {
+    // Gate 0 returns to the default domain (pgt 0); domain d lives in its
+    // own domain behind gate d+1, up to the backend's cap.
+    const VirtAddr entry = Env::kCodeVa + 0x40;
+    const int cap = domain_cap(row);
+    LZ_CHECK(domains_ + 1 <= static_cast<int>(lz.backend().max_gates()));
+    LZ_CHECK_OK(lz.lz_map_gate_pgt(0, 0));
+    LZ_CHECK_OK(lz.lz_set_gate_entry(0, entry));
+    std::vector<int> pgts;
+    for (int d = 0; d < domains_; ++d) {
+      if (d < cap) {
+        pgts.push_back(lz.lz_alloc().value());
+        LZ_CHECK_OK(lz.lz_prot(slot_va(d), slot_, pgts.back(),
+                               core::kLzRead | core::kLzWrite));
+      }
+      LZ_CHECK_OK(lz.lz_map_gate_pgt(pgts[d % cap], d + 1));
+      LZ_CHECK_OK(lz.lz_set_gate_entry(d + 1, entry));
+      LZ_CHECK_OK(lz.backend().touch(slot_va(d), true, false));
+    }
+  }
+  if (!row.lightzone()) {
+    populate_and_enter_el0(w);
+    return;
+  }
+  // The LightZone process runs at EL1 in its own VM, starting in the
+  // default domain (PAN set: no user-page access).
+  auto& core = machine().core();
+  auto& ctx = lz.ctx();
+  lz.enter_world();
+  core.pstate().el = ExceptionLevel::kEl1;
+  if (row.pan) core.pstate().pan = true;
+  core.set_sysreg(sim::SysReg::kTtbr0El1, lz.module().domain_ttbr(ctx, 0));
+  core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
+  core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
+  if (row.pan) return;
+  // Warm the call gates and domain pages.
+  for (int d = 0; d < domains_; ++d) {
+    enter_domain(d);
+    (void)core.mem_read(slot_va(d), 8);
+  }
+}
+
+void AppDriver::populate_and_enter_el0(Worker& w) {
   // The domain slots live inside the process's heap VMA: back them with
   // frames and put the core into this process's EL0 context so the
   // workload's data accesses translate through its page table.
   auto& k = env_->kern();
   for (int d = 0; d < domains_; ++d) {
     for (u64 off = 0; off < slot_; off += kPageSize) {
-      LZ_CHECK_OK(k.populate_page(*proc_, base_ + static_cast<u64>(d) * slot_ + off,
+      LZ_CHECK_OK(k.populate_page(*w.proc,
+                                  base_ + static_cast<u64>(d) * slot_ + off,
                                   kernel::kProtRead | kernel::kProtWrite));
     }
   }
-  k.load_ctx(*proc_, machine().core());
+  k.load_ctx(*w.proc, machine().core());
   machine().core().pstate().el = ExceptionLevel::kEl0;
 }
 
-int AppDriver::protected_domains() const {
-  if (config_.mech == Mechanism::kWatchpoint) {
-    return std::min(domains_, baseline::WatchpointIsolation::kMaxDomains);
-  }
-  if (config_.mech == Mechanism::kNone) return 0;
-  return domains_;
-}
-
 Cycles AppDriver::enter_domain(int domain) {
-  switch (config_.mech) {
-    case Mechanism::kNone:
-      return 0;
-    case Mechanism::kLzPan:
-      return lz_->set_pan(false);
-    case Mechanism::kLzTtbr:
-      return lz_->lz_switch_to_ttbr_gate(domain + 1).value();
-    case Mechanism::kWatchpoint:
-      // Only 16 hardware-watchable domains exist; higher-numbered logical
-      // domains share them (the baseline's scalability failure, Table 1).
-      return wp_->switch_to(domain % protected_domains());
-    case Mechanism::kLwc:
-      return lwc_->switch_to(domain);
-    case Mechanism::kPoe:
-    case Mechanism::kCca:
-      return backend_->switch_to(domain + 1).value();
-  }
-  return 0;
+  auto& lz = worker().lz;
+  if (!lz) return 0;
+  if (config_.row.pan) return lz->set_pan(false);
+  return lz->lz_switch_to_ttbr_gate(domain + 1).value();
 }
 
-Cycles AppDriver::exit_domain(int domain) {
-  (void)domain;
-  switch (config_.mech) {
-    case Mechanism::kNone:
-      return 0;
-    case Mechanism::kLzPan:
-      return lz_->set_pan(true);
-    case Mechanism::kLzTtbr:
-      // Returning to the default table revokes access.
-      return lz_->lz_switch_to_ttbr_gate(0).value();
-    case Mechanism::kWatchpoint:
-      return wp_->exit_domains();
-    case Mechanism::kLwc:
-      return lwc_->switch_to(0);
-    case Mechanism::kPoe:
-    case Mechanism::kCca:
-      // Returning to the default domain revokes access (POR reset / GPT
-      // base back to the shared view).
-      return backend_->switch_to(0).value();
-  }
-  return 0;
+Cycles AppDriver::exit_domain() {
+  auto& lz = worker().lz;
+  if (!lz) return 0;
+  if (config_.row.pan) return lz->set_pan(true);
+  // Returning to the default domain revokes access.
+  return lz->lz_switch_to_ttbr_gate(0).value();
 }
 
 Cycles AppDriver::domain_setup_cost() const {
+  const Row& row = config_.row;
   const auto& plat = *config_.platform;
-  switch (config_.mech) {
-    case Mechanism::kNone:
-      return 0;
-    case Mechanism::kLzPan:
-      // One lz_prot module call (a LightZone syscall) + PTE updates.
-      return syscall_cost_ + 12 * plat.mem_access;
-    case Mechanism::kLzTtbr:
-      // One batched setup call (lz_alloc + lz_prot + lz_map_gate_pgt are
-      // issued together when a key domain is created) + table updates.
-      return syscall_cost_ + 40 * plat.mem_access;
-    case Mechanism::kWatchpoint:
-      return syscall_cost_ + 8 * plat.mem_access;
-    case Mechanism::kLwc:
-      // lwCreate is a heavyweight fork-like call.
-      return 3 * syscall_cost_ + 400 * plat.insn_base;
-    case Mechanism::kPoe:
-      // One setup call + per-page PTE overlay-index re-tags.
-      return syscall_cost_ + 16 * plat.mem_access;
-    case Mechanism::kCca:
-      // The SMC to the monitor plus the granule delegation itself
-      // dominates everything else in domain creation.
-      return syscall_cost_ + plat.gpt_delegate;
-  }
-  return 0;
+  return row.setup_syscalls * syscall_cost_ +
+         row.setup_mem_accesses * plat.mem_access +
+         row.setup_insns * plat.insn_base + (row.gpt ? plat.gpt_delegate : 0);
 }
 
 Cycles AppDriver::tlb_miss_cost(bool huge_pages) const {
   const auto& plat = *config_.platform;
+  const bool lightzone = config_.row.lightzone();
   // Native: 4-level stage-1 walk (2 levels with huge pages).
-  const unsigned native_levels = huge_pages ? 2 : 4;
-  unsigned levels = native_levels;
-  if (is_lz()) {
-    if (config_.mech == Mechanism::kLzTtbr &&
-        lz_->ctx().opts().fake_phys) {
-      // Fake-physical randomisation defeats walk-cache contiguity: pay the
-      // stage-2 hop for each stage-1 level plus the final stage-2 walk.
-      levels = native_levels * 2 + 3;
-    } else {
-      // Identity stage-2: walk caches absorb the table hops; only the
-      // final stage-2 translation adds levels.
-      levels = native_levels + 3;
-    }
+  unsigned levels = huge_pages ? 2 : 4;
+  if (lightzone) {
+    // Fake-physical randomisation defeats walk-cache contiguity: pay the
+    // stage-2 hop for each stage-1 level. Otherwise identity stage-2 lets
+    // the walk caches absorb the table hops. Either way the final stage-2
+    // translation adds its levels.
+    const auto& opts = workers_[0].lz->ctx().opts();
+    if (opts.allow_scalable && opts.fake_phys) levels *= 2;
+    levels += 3;
   }
   Cycles cost = levels * plat.tlb_walk_per_level;
-  if (config_.placement == Placement::kGuest && is_lz()) {
+  if (config_.placement == Placement::kGuest && lightzone) {
     // Nested TLB pressure: the guest kernel's VM and the LightZone VM
     // compete for TLB and walk-cache capacity.
     cost *= 2;
   }
-  if (config_.mech == Mechanism::kCca) {
-    // Every TLB fill under RME also checks the granule's protection
-    // state; a GPC-TLB miss walks the GPT.
-    cost += plat.gpt_walk;
-  }
+  // Every TLB fill under RME also checks the granule's protection state;
+  // a GPC-TLB miss walks the GPT.
+  if (config_.row.gpt) cost += plat.gpt_walk;
   return cost;
-}
-
-u64 AppDriver::isolation_table_pages() const {
-  if (lz_) return lz_->ctx().isolation_table_pages();
-  return 0;
 }
 
 }  // namespace lz::workload

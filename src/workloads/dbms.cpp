@@ -20,6 +20,7 @@ constexpr u64 kRowBytes = 64;
 }  // namespace
 
 DbmsResult run_dbms(const AppConfig& config, const DbmsParams& params) {
+  LZ_CHECK(config.workers == 1);  // one server process
   AppDriver driver(config);
   auto& machine = driver.machine();
   auto& core = machine.core();
@@ -30,11 +31,11 @@ DbmsResult run_dbms(const AppConfig& config, const DbmsParams& params) {
   //   slot  connections (the "data domain")  -> HP_PTRS in-memory rows
   // PAN mode protects only the data (stacks cannot each get a domain with
   // a single PAN bit); Watchpoint likewise protects the data domain only
-  // ("fails to isolate stacks", §9.2).
+  // ("fails to isolate stacks", §9.2); the POE and CCA models keep the
+  // same data-only protection.
   const VirtAddr arena = core::Env::kHeapVa;
   const int data_domain = params.connections;
-  const bool per_stack_domains = config.mech == Mechanism::kLzTtbr ||
-                                 config.mech == Mechanism::kLwc;
+  const bool per_stack_domains = config.row == kLzTtbr || config.row == kLwc;
   driver.setup_domains(arena, kPageSize, params.connections + 1);
 
   const VirtAddr data_va =
@@ -52,13 +53,11 @@ DbmsResult run_dbms(const AppConfig& config, const DbmsParams& params) {
   };
 
   // Seed the visible rows.
-  const bool lz_pan = config.mech == Mechanism::kLzPan;
   driver.enter_domain(data_domain);
   for (u64 i = 0; i < modelled_rows; ++i) {
     (void)core.mem_write(data_va + i * kRowBytes, 8, i * 2654435761u);
-    (void)lz_pan;
   }
-  driver.exit_domain(data_domain);
+  driver.exit_domain();
 
   const Cycles start = machine.cycles();
   for (int t = 0; t < params.transactions; ++t) {
@@ -86,12 +85,12 @@ DbmsResult run_dbms(const AppConfig& config, const DbmsParams& params) {
       if (op < params.updates) {
         (void)core.mem_write(row_va(table, row), 8, r.value + 1);
       }
-      driver.exit_domain(data_domain);
+      driver.exit_domain();
       // Index lookup + row copy costs ride in app cycles.
     }
 
     if (per_stack_domains) {
-      driver.exit_domain(conn);
+      driver.exit_domain();
     }
 
     driver.charge_tlb_misses(params.tlb_misses_per_txn);

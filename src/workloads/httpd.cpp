@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "lightzone/api.h"
@@ -35,51 +34,26 @@ struct TenantRequestMetrics {
   }
 };
 
-}  // namespace
-
-HttpdParams HttpdParams::defaults(const arch::Platform& platform) {
-  HttpdParams p;
-  // Baseline per-request compute (TLS handshake share + record crypto +
-  // HTTP parsing). The wide Carmel core retires the same work in fewer
-  // cycles than the in-order A55.
-  p.app_cycles_per_request =
-      &platform == &arch::Platform::carmel() ? 667'000 : 905'000;
-  return p;
-}
-
-HttpdResult run_httpd(const AppConfig& config, const HttpdParams& params) {
-  AppDriver driver(config);
+// Worker w's request loop, on its own core: `rng` has drawn the worker's
+// keys and goes on to draw its response.
+HttpdResult serve(AppDriver& driver, const HttpdParams& params, Rng& rng,
+                  const std::string& tenant) {
   auto& machine = driver.machine();
   auto& core = machine.core();
-  Rng rng(config.seed);
-
-  // Key arena: one page-aligned slot per live AES_KEY (the paper notes the
-  // resulting fragmentation: each key gets its own 4 KiB page, §9.1).
   const VirtAddr key_arena = core::Env::kHeapVa;
-  driver.setup_domains(key_arena, kPageSize, params.concurrent_keys);
-
-  // Install the actual key material.
-  for (int k = 0; k < params.concurrent_keys; ++k) {
-    u8 key[crypto::kAesKeySize];
-    for (auto& b : key) b = static_cast<u8>(rng.next());
-    // Write through the kernel-side view of the process's memory.
-    driver.env().kern().copy_to_user(
-        driver.proc(), key_arena + static_cast<u64>(k) * kPageSize, key,
-        sizeof(key));
-  }
-
   u8 response[1024];
   for (auto& b : response) b = static_cast<u8>(rng.next());
   double checksum = 0;
 
   // Tenant identity for span/profile attribution: the worker's VMID (its
   // LightZone context, if any) and the process ASID.
-  const u16 span_vmid = driver.lz() ? driver.lz()->ctx().vmid : 0;
+  const u16 span_vmid = driver.lz_ctx() ? driver.lz_ctx()->vmid : 0;
   const u16 span_asid = driver.proc().asid();
-  obs::set_domain_label(span_vmid, span_asid, "httpd-worker");
-  const auto tenant_metrics = TenantRequestMetrics::resolve("httpd-worker");
+  obs::set_domain_label(span_vmid, span_asid, tenant);
+  const auto tenant_metrics = TenantRequestMetrics::resolve(tenant);
 
-  const Cycles start = machine.cycles();
+  auto& account = machine.account();
+  const Cycles start = account.total();
   Cycles req_start = start;
   for (int r = 0; r < params.requests; ++r) {
     const obs::SpanScope request_span(obs::SpanKind::kRequest,
@@ -104,7 +78,7 @@ HttpdResult run_httpd(const AppConfig& config, const HttpdParams& params) {
       LZ_CHECK(lo.ok && hi.ok);
       std::memcpy(key, &lo.value, 8);
       std::memcpy(key + 8, &hi.value, 8);
-      driver.exit_domain(key_id);
+      driver.exit_domain();
 
       if (c == 0) {
         // One real AES-CBC encryption of the 1 KB response per request;
@@ -122,8 +96,9 @@ HttpdResult run_httpd(const AppConfig& config, const HttpdParams& params) {
 
     driver.charge_tlb_misses(params.tlb_misses_per_request);
     driver.charge_app(params.app_cycles_per_request);
+    LZ_CHECK(driver.proc().alive());
     if (tenant_metrics.requests != nullptr) {
-      const Cycles req_end = machine.cycles();
+      const Cycles req_end = account.total();
       tenant_metrics.requests->add();
       tenant_metrics.request_cycles->record(req_end - req_start);
       req_start = req_end;
@@ -132,11 +107,69 @@ HttpdResult run_httpd(const AppConfig& config, const HttpdParams& params) {
 
   HttpdResult result;
   result.cycles_per_request =
-      static_cast<double>(machine.cycles() - start) / params.requests;
+      static_cast<double>(account.total() - start) / params.requests;
   result.response_checksum = checksum;
   result.isolation_table_pages = driver.isolation_table_pages();
   result.key_pages = params.concurrent_keys;
   return result;
+}
+
+}  // namespace
+
+HttpdParams HttpdParams::defaults(const arch::Platform& platform) {
+  HttpdParams p;
+  // Baseline per-request compute (TLS handshake share + record crypto +
+  // HTTP parsing). The wide Carmel core retires the same work in fewer
+  // cycles than the in-order A55.
+  p.app_cycles_per_request =
+      &platform == &arch::Platform::carmel() ? 667'000 : 905'000;
+  return p;
+}
+
+std::string httpd_tenant(unsigned worker, unsigned workers) {
+  return workers == 1 ? "httpd-worker"
+                      : "httpd-worker" + std::to_string(worker);
+}
+
+std::vector<HttpdResult> run_httpd(const AppConfig& config,
+                                   const HttpdParams& params) {
+  AppDriver driver(config);
+  auto& kern = driver.env().kern();
+
+  // Key arena: one page-aligned slot per live AES_KEY (the paper notes the
+  // resulting fragmentation: each key gets its own 4 KiB page, §9.1).
+  const VirtAddr key_arena = core::Env::kHeapVa;
+  driver.setup_domains(key_arena, kPageSize, params.concurrent_keys);
+
+  // Install each worker's key material, sequentially on the main thread:
+  // frame allocation order stays independent of thread interleaving.
+  std::vector<Rng> rngs;
+  for (unsigned w = 0; w < config.workers; ++w) {
+    sim::Machine::CoreBinding bind(driver.machine(), w);
+    Rng& rng = rngs.emplace_back(config.seed + w);
+    for (int k = 0; k < params.concurrent_keys; ++k) {
+      u8 key[crypto::kAesKeySize];
+      for (auto& b : key) b = static_cast<u8>(rng.next());
+      // Write through the kernel-side view of the process's memory.
+      kern.copy_to_user(driver.proc(),
+                        key_arena + static_cast<u64>(k) * kPageSize, key,
+                        sizeof(key));
+    }
+  }
+
+  // Every worker serves its request stream on its core. Streams are
+  // disjoint (own process, own VMID/ASIDs, own per-core TLB and cycle
+  // account), so each worker's numbers are independent of thread
+  // interleaving.
+  std::vector<HttpdResult> results(config.workers);
+  for (unsigned w = 0; w < config.workers; ++w) {
+    kern.run_on(w, [&, w](unsigned) {
+      results[w] = serve(driver, params, rngs[w],
+                         httpd_tenant(w, config.workers));
+    });
+  }
+  kern.schedule();
+  return results;
 }
 
 double httpd_throughput_rps(const HttpdResult& result,
@@ -149,238 +182,16 @@ double httpd_throughput_rps(const HttpdResult& result,
   return std::min(concurrency / latency_s, 1.0 / service_s);
 }
 
-HttpdSmpResult run_httpd_smp(const AppConfig& config,
-                             const HttpdParams& params, unsigned cores,
-                             int concurrency) {
-  using core::Env;
-  using core::LzProc;
-  LZ_CHECK(cores >= 1);
-  LZ_CHECK(config.mech == Mechanism::kNone ||
-           config.mech == Mechanism::kLzPan ||
-           config.mech == Mechanism::kLzTtbr);
-
-  // Per-event cycle costs probed from a single-core driver of the same
-  // configuration (they are pure numbers; the SMP run charges its own
-  // machine with them).
-  Cycles setup_cost = 0, syscall_cost = 0, tlb_miss = 0;
-  {
-    AppDriver probe(config);
-    setup_cost = probe.domain_setup_cost();
-    syscall_cost = probe.syscall_cost();
-    tlb_miss = probe.tlb_miss_cost();
+double httpd_total_rps(const std::vector<HttpdResult>& workers,
+                       const HttpdParams& params, const AppConfig& config,
+                       int concurrency) {
+  const int share =
+      std::max(1, concurrency / static_cast<int>(workers.size()));
+  double total = 0;
+  for (const auto& w : workers) {
+    total += httpd_throughput_rps(w, params, config, share);
   }
-
-  Env env(Env::Options()
-              .platform(*config.platform)
-              .placement(config.placement == Placement::kHost
-                             ? Env::Placement::kHost
-                             : Env::Placement::kGuest)
-              .cores(cores)
-              .seed(config.seed));
-  auto& machine = *env.machine;
-  const VirtAddr key_arena = Env::kHeapVa;
-  const VirtAddr entry = Env::kCodeVa + 0x40;
-
-  // Deterministic setup, sequential on the main thread: one worker process
-  // per core with its own key arena, domains and (for TTBR) call gates.
-  std::vector<kernel::Process*> procs(cores);
-  std::vector<std::optional<LzProc>> lzs(cores);
-  for (unsigned w = 0; w < cores; ++w) {
-    sim::Machine::CoreBinding bind(machine, w);
-    auto& core = machine.core(w);
-    auto& proc = env.new_process();
-    procs[w] = &proc;
-
-    switch (config.mech) {
-      case Mechanism::kNone:
-        for (int k = 0; k < params.concurrent_keys; ++k) {
-          LZ_CHECK_OK(env.kern().populate_page(
-              proc, key_arena + static_cast<u64>(k) * kPageSize,
-              kernel::kProtRead | kernel::kProtWrite));
-        }
-        env.kern().load_ctx(proc, core);
-        core.pstate().el = arch::ExceptionLevel::kEl0;
-        break;
-      case Mechanism::kLzPan: {
-        lzs[w].emplace(LzProc::enter(*env.module, proc,
-                                     /*allow_scalable=*/false,
-                                     /*insn_san=*/2));
-        auto& lz = *lzs[w];
-        auto& module = lz.module();
-        auto& ctx = lz.ctx();
-        for (int k = 0; k < params.concurrent_keys; ++k) {
-          const VirtAddr va = key_arena + static_cast<u64>(k) * kPageSize;
-          LZ_CHECK_OK(module.prot(ctx, va, kPageSize, core::kPgtAll,
-                                  core::kLzRead | core::kLzWrite |
-                                      core::kLzUser));
-          LZ_CHECK_OK(module.touch_page(ctx, va, true, false));
-        }
-        lz.enter_world();
-        core.pstate().el = arch::ExceptionLevel::kEl1;
-        core.pstate().pan = true;
-        core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-        core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-        core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
-        break;
-      }
-      case Mechanism::kLzTtbr: {
-        lzs[w].emplace(LzProc::enter(*env.module, proc,
-                                     /*allow_scalable=*/true,
-                                     /*insn_san=*/1));
-        auto& lz = *lzs[w];
-        auto& module = lz.module();
-        auto& ctx = lz.ctx();
-        LZ_CHECK_OK(module.map_gate_pgt(ctx, 0, 0));
-        LZ_CHECK_OK(module.set_gate_entry(ctx, 0, entry));
-        for (int k = 0; k < params.concurrent_keys; ++k) {
-          const VirtAddr va = key_arena + static_cast<u64>(k) * kPageSize;
-          const int pgt = module.alloc_pgt(ctx).value();
-          LZ_CHECK_OK(module.prot(ctx, va, kPageSize, pgt,
-                                  core::kLzRead | core::kLzWrite));
-          LZ_CHECK_OK(module.map_gate_pgt(ctx, pgt, k + 1));
-          LZ_CHECK_OK(module.set_gate_entry(ctx, k + 1, entry));
-          LZ_CHECK_OK(module.touch_page(ctx, va, true, false));
-        }
-        lz.enter_world();
-        core.pstate().el = arch::ExceptionLevel::kEl1;
-        core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-        core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-        core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
-        break;
-      }
-      default:
-        break;
-    }
-
-    // Tenant label for span/profile attribution of this worker's domain.
-    obs::set_domain_label(lzs[w] ? lzs[w]->ctx().vmid : 0, proc.asid(),
-                          "httpd-worker" + std::to_string(w));
-
-    // Install the key material (per-worker keys differ by seed).
-    Rng rng(config.seed + w);
-    for (int k = 0; k < params.concurrent_keys; ++k) {
-      u8 key[crypto::kAesKeySize];
-      for (auto& b : key) b = static_cast<u8>(rng.next());
-      env.kern().copy_to_user(proc,
-                              key_arena + static_cast<u64>(k) * kPageSize,
-                              key, sizeof(key));
-    }
-  }
-
-  // Concurrent phase: every worker serves its request stream on its core.
-  // Streams are disjoint (own process, own VMID/ASIDs, own per-core TLB),
-  // so per-core cycle counts — and therefore all counter totals — are
-  // independent of thread interleaving.
-  HttpdSmpResult result;
-  result.per_core.resize(cores);
-  for (unsigned w = 0; w < cores; ++w) {
-    env.kern().run_on(w, [&, w](unsigned core_id) {
-      auto& core = machine.core(core_id);
-      auto& proc = *procs[w];
-      Rng rng(config.seed ^ (0x9e3779b9u * (core_id + 1)));
-      u8 response[1024];
-      for (auto& b : response) b = static_cast<u8>(rng.next());
-      double checksum = 0;
-
-      const auto enter_dom = [&](int key_id) {
-        if (config.mech == Mechanism::kLzPan) {
-          lzs[w]->set_pan(false);
-        } else if (config.mech == Mechanism::kLzTtbr) {
-          LZ_CHECK(lzs[w]->lz_switch_to_ttbr_gate(key_id + 1).is_ok());
-        }
-      };
-      const auto exit_dom = [&] {
-        if (config.mech == Mechanism::kLzPan) {
-          lzs[w]->set_pan(true);
-        } else if (config.mech == Mechanism::kLzTtbr) {
-          LZ_CHECK(lzs[w]->lz_switch_to_ttbr_gate(0).is_ok());
-        }
-      };
-
-      const u16 span_vmid = lzs[w] ? lzs[w]->ctx().vmid : 0;
-      const u16 span_asid = proc.asid();
-      const auto tenant_metrics =
-          TenantRequestMetrics::resolve("httpd-worker" + std::to_string(w));
-
-      const Cycles start = machine.account(core_id).total();
-      Cycles req_start = start;
-      for (int r = 0; r < params.requests; ++r) {
-        const obs::SpanScope request_span(obs::SpanKind::kRequest,
-                                          static_cast<u64>(r), span_vmid,
-                                          span_asid);
-        const int key_id = r % params.concurrent_keys;
-        machine.charge(sim::CostKind::kDispatch, setup_cost);
-        machine.charge(sim::CostKind::kDispatch,
-                       static_cast<Cycles>(params.syscalls_per_request) *
-                           syscall_cost);
-        const VirtAddr key_va =
-            key_arena + static_cast<u64>(key_id) * kPageSize;
-        for (int c = 0; c < params.gated_crypto_calls; ++c) {
-          enter_dom(key_id);
-          u8 key[crypto::kAesKeySize];
-          const auto lo = core.mem_read(key_va, 8);
-          const auto hi = core.mem_read(key_va + 8, 8);
-          LZ_CHECK(lo.ok && hi.ok);
-          std::memcpy(key, &lo.value, 8);
-          std::memcpy(key + 8, &hi.value, 8);
-          exit_dom();
-          if (c == 0) {
-            const auto expanded = crypto::aes_expand_key(key);
-            u8 iv[crypto::kAesBlockSize] = {};
-            iv[0] = static_cast<u8>(r);
-            u8 buf[1024];
-            std::memcpy(buf, response, sizeof(buf));
-            crypto::aes_cbc_encrypt(expanded, iv, buf, sizeof(buf));
-            checksum += buf[0] + buf[512] + buf[1023];
-          }
-        }
-        machine.charge(sim::CostKind::kTlb,
-                       static_cast<Cycles>(params.tlb_misses_per_request *
-                                           tlb_miss));
-        machine.charge(sim::CostKind::kWorkload,
-                       params.app_cycles_per_request);
-        LZ_CHECK(proc.alive());
-        if (tenant_metrics.requests != nullptr) {
-          const Cycles req_end = machine.account(core_id).total();
-          tenant_metrics.requests->add();
-          tenant_metrics.request_cycles->record(req_end - req_start);
-          req_start = req_end;
-        }
-      }
-
-      HttpdResult& res = result.per_core[core_id];
-      res.cycles_per_request =
-          static_cast<double>(machine.account(core_id).total() - start) /
-          params.requests;
-      res.response_checksum = checksum;
-      res.isolation_table_pages =
-          lzs[w] ? lzs[w]->ctx().isolation_table_pages() : 0;
-      res.key_pages = params.concurrent_keys;
-      if (lzs[w]) lzs[w]->exit_world();
-    });
-  }
-  env.kern().schedule();
-
-  // Clients split evenly across workers; each worker is an independent
-  // closed-loop server.
-  const int share = std::max(1, concurrency / static_cast<int>(cores));
-  for (unsigned w = 0; w < cores; ++w) {
-    const double rps =
-        httpd_throughput_rps(result.per_core[w], params, config, share);
-    result.total_rps += rps;
-    // Per-tenant rps distribution: one sample per worker per run, so a
-    // fig3 sweep accumulates the per-tenant throughput spread across its
-    // combo/mechanism grid.
-    if (obs::metrics().enabled()) {
-      obs::LabelSet labels;
-      labels.set(obs::LabelKey::kTenant, "httpd-worker" + std::to_string(w));
-      obs::metrics()
-          .histogram_family("httpd.rps")
-          .with(labels)
-          .record(static_cast<u64>(rps));
-    }
-  }
-  return result;
+  return total;
 }
 
 }  // namespace lz::workload

@@ -1,4 +1,4 @@
-// Nginx-like HTTPS server model (Fig. 3, §9.1): one worker serving
+// Nginx-like HTTPS server model (Fig. 3, §9.1): workers serving
 // short-lived TLS connections that fetch a 1 KB file. Cryptographic keys
 // (one AES_KEY per connection) are isolated — one PAN domain for all keys,
 // or one TTBR domain per key with function-grained call gates around every
@@ -9,6 +9,7 @@
 // the protection mechanisms are genuinely on the request path.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "workloads/app_driver.h"
@@ -37,26 +38,26 @@ struct HttpdResult {
   u64 key_pages = 0;
 };
 
-HttpdResult run_httpd(const AppConfig& config, const HttpdParams& params);
+// One worker process per core (`config.workers`, nginx's worker-per-core
+// deployment), all sharing one kernel and one physical memory. Each
+// worker serves `params.requests` on its own core with keys and response
+// drawn from Rng(seed + w), so worker 0 of any run is the 1-worker server.
+// One result per worker.
+std::vector<HttpdResult> run_httpd(const AppConfig& config,
+                                   const HttpdParams& params);
 
 // Closed-loop throughput for `concurrency` clients against one worker.
 double httpd_throughput_rps(const HttpdResult& result,
                             const HttpdParams& params,
                             const AppConfig& config, int concurrency);
 
-// --- SMP scaling (`--cores N`) ------------------------------------------------
-// The multi-worker server: one worker process pinned per core of an N-core
-// machine, all sharing one kernel and one physical memory (nginx's
-// worker-per-core deployment). Supports the vanilla and LightZone
-// mechanisms; `concurrency` clients are split evenly across workers and
-// `total_rps` sums the per-worker closed-loop throughput.
-struct HttpdSmpResult {
-  std::vector<HttpdResult> per_core;
-  double total_rps = 0;
-};
+// The whole server: `concurrency` clients split evenly across the workers,
+// each an independent closed-loop server.
+double httpd_total_rps(const std::vector<HttpdResult>& workers,
+                       const HttpdParams& params, const AppConfig& config,
+                       int concurrency);
 
-HttpdSmpResult run_httpd_smp(const AppConfig& config,
-                             const HttpdParams& params, unsigned cores,
-                             int concurrency);
+// Worker w's tenant label in spans, profiles and the metrics plane.
+std::string httpd_tenant(unsigned worker, unsigned workers);
 
 }  // namespace lz::workload

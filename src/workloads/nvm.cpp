@@ -17,6 +17,7 @@ constexpr const char kNeedle[] = "dolore";
 }  // namespace
 
 NvmResult run_nvm(const AppConfig& config, const NvmParams& params) {
+  LZ_CHECK(config.workers == 1);  // one process
   AppDriver driver(config);
   auto& machine = driver.machine();
   auto& core = machine.core();
@@ -57,7 +58,7 @@ NvmResult run_nvm(const AppConfig& config, const NvmParams& params) {
                                 params.search_cycles_max));
     driver.charge_tlb_misses(params.tlb_misses_per_search,
                              /*huge_pages=*/true);
-    driver.exit_domain(b);
+    driver.exit_domain();
   }
 
   NvmResult result;

@@ -122,8 +122,9 @@ TEST(BackendParityTest, AllocIdsMatchAcrossBackends) {
 TEST(WatchpointBackendTest, CapsAtSixteenDomains) {
   Env env(Env::Options().backend(BackendKind::kWatchpoint));
   auto be = make_backend(BackendKind::kWatchpoint, env);
-  // Slots 1..15 on top of the default domain, then the pairs run out.
-  for (int i = 1; i < 16; ++i) EXPECT_EQ(be->alloc().value(), i);
+  // Domains 1..16 own the 16 watched slots on top of the default domain,
+  // then the pairs run out.
+  for (int i = 1; i <= 16; ++i) EXPECT_EQ(be->alloc().value(), i);
   EXPECT_EQ(be->alloc().status().errc(), Errc::kResourceExhausted);
 }
 

@@ -36,7 +36,6 @@ using obs::LabelKey;
 using obs::LabelSet;
 using workload::AppConfig;
 using workload::HttpdParams;
-using workload::Mechanism;
 using workload::Placement;
 
 class MetricsTest : public ::testing::Test {
@@ -197,14 +196,14 @@ TEST_F(MetricsTest, EnabledPlaneChangesNoSimulatedCycles) {
   HttpdParams params = HttpdParams::defaults(arch::Platform::cortex_a55());
   params.requests = 50;
   const AppConfig config{&arch::Platform::cortex_a55(), Placement::kHost,
-                         Mechanism::kLzTtbr, 42};
+                         workload::kLzTtbr, 42};
 
-  const auto off = workload::run_httpd(config, params);
+  const auto off = workload::run_httpd(config, params)[0];
   const auto counters_off = obs::registry().snapshot();
 
   obs::reset_all();
   obs::metrics().enable();
-  const auto on = workload::run_httpd(config, params);
+  const auto on = workload::run_httpd(config, params)[0];
   const auto counters_on = obs::registry().snapshot();
 
   // Identical simulated work, identical counters — recording is free in
@@ -226,7 +225,7 @@ TEST_F(MetricsTest, DisabledPlaneRecordsNothing) {
   HttpdParams params = HttpdParams::defaults(arch::Platform::cortex_a55());
   params.requests = 10;
   const AppConfig config{&arch::Platform::cortex_a55(), Placement::kHost,
-                         Mechanism::kLzPan, 42};
+                         workload::kLzPan, 42};
   (void)workload::run_httpd(config, params);
   EXPECT_EQ(obs::metrics().counter_family("httpd.requests").size(),
             requests_before);
@@ -252,7 +251,7 @@ TEST_F(MetricsTest, PumpRidesTheTimeSeriesHook) {
   HttpdParams params = HttpdParams::defaults(arch::Platform::cortex_a55());
   params.requests = 100;
   const AppConfig config{&arch::Platform::cortex_a55(), Placement::kHost,
-                         Mechanism::kLzTtbr, 42};
+                         workload::kLzTtbr, 42};
   (void)workload::run_httpd(config, params);
 
   // The workload burned well over one sampling period, so the sampler
@@ -315,7 +314,7 @@ TEST_F(MetricsTest, SelfProfilerAttributesEngineTiersDuringRuns) {
   HttpdParams params = HttpdParams::defaults(arch::Platform::cortex_a55());
   params.requests = 50;
   const AppConfig config{&arch::Platform::cortex_a55(), Placement::kHost,
-                         Mechanism::kLzTtbr, 42};
+                         workload::kLzTtbr, 42};
   (void)workload::run_httpd(config, params);
   // The outer run bracket always accumulates; the walker fires on TLB
   // misses, which this workload generates by construction.
