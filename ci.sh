@@ -289,7 +289,8 @@ build/bench/lz_report BENCH_throughput.json \
 cmake -B build-tsan -G Ninja -DLZ_SANITIZE=thread >/dev/null
 cmake --build build-tsan --target smp_test obs_test obs_v3_test \
   metrics_test hotpath_test histogram_test profiler_test pmu_test \
-  backend_test bbm_test workloads_test fuzz_table2 fuzz_a64 throughput
+  backend_test bbm_test workloads_test mem_test fuzz_table2 fuzz_a64 \
+  throughput
 build-tsan/tests/smp_test
 build-tsan/tests/obs_test
 build-tsan/tests/obs_v3_test
@@ -305,6 +306,9 @@ build-tsan/tests/bbm_test
 # Every workload row runs its request loop on a kernel worker thread,
 # model backends included.
 build-tsan/tests/workloads_test
+# The TLB levels' u16 chain links and valid bitmaps, which remote DVM
+# shootdowns reach too (differential test against the linear scan).
+build-tsan/tests/mem_test
 build-tsan/bench/fuzz_table2 --seed 3 --cores 4 --ops 400
 LZ_TRACE_TIER=1 build-tsan/bench/fuzz_a64 --seed 3 --cores 4 --streams 200
 build-tsan/bench/throughput --iters 1 --cores 2 >/dev/null
@@ -316,7 +320,7 @@ build-tsan/bench/throughput --iters 1 --cores 2 >/dev/null
 cmake -B build-asan -G Ninja -DLZ_SANITIZE=address >/dev/null
 cmake --build build-asan --target fuzz_table2 fuzz_a64 check_test bbm_test \
   hotpath_test histogram_test profiler_test pmu_test obs_v3_test \
-  backend_test metrics_test workloads_test
+  backend_test metrics_test workloads_test mem_test
 build-asan/tests/check_test
 build-asan/tests/metrics_test
 build-asan/tests/bbm_test
@@ -327,6 +331,7 @@ build-asan/tests/pmu_test
 build-asan/tests/obs_v3_test
 build-asan/tests/backend_test
 build-asan/tests/workloads_test
+build-asan/tests/mem_test
 build-asan/bench/fuzz_table2 --seed 5 --cores 4 --ops 600
 LZ_TRACE_TIER=1 build-asan/bench/fuzz_a64 --seed 5 --cores 4 --streams 200
 

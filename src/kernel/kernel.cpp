@@ -86,6 +86,19 @@ Process* Kernel::find(u32 pid) {
 
 void Kernel::destroy(Process& proc) {
   std::lock_guard<std::recursive_mutex> lock(mm_mu_);
+  if (auto* ext = proc.extension()) ext->on_exit();
+  // Break-before-make, as in munmap but for the whole address space: clear
+  // every user descriptor, one ASID-scoped broadcast covers them all (user
+  // pages are never global), and only then do the frames go back. The
+  // page-table frames follow with the Process.
+  std::vector<std::pair<VirtAddr, PhysAddr>> pages;
+  proc.pgt().for_each([&](VirtAddr va, u64 desc) {
+    pages.emplace_back(va, mem::pte::addr(desc));
+  });
+  for (const auto& [va, pa] : pages) LZ_CHECK_OK(proc.pgt().unmap(va));
+  if (!pages.empty()) machine_.tlbi_asid_is(proc.asid(), tlb_vmid_);
+  for (const auto& [va, pa] : pages) free_frame(pa);
+  pages_mapped_ -= pages.size();
   procs_.erase(proc.pid());
 }
 

@@ -51,6 +51,10 @@ struct SigAction {
 class ProcessExtension {
  public:
   virtual ~ProcessExtension() = default;
+  // Process exit (Kernel::destroy): return every frame the extension holds,
+  // break-before-make, before the kernel frees the process's own pages.
+  // Not called when the whole kernel is torn down with its machine.
+  virtual void on_exit() {}
 };
 
 class Kernel;

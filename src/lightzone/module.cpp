@@ -136,6 +136,25 @@ LzContext::LzContext(LzModule& module, kernel::Process& proc,
 
 LzContext::~LzContext() = default;
 
+void LzContext::on_exit() {
+  // No core has this VM entered, so after one VMID-scoped broadcast — it
+  // covers every domain ASID, the global upper half and stage-2 alike — no
+  // walker can cache a translation of it again, and every frame below goes
+  // back after its invalidation.
+  for (const auto& w : module_.world_) LZ_CHECK(w.active != this);
+  auto& kern = module_.kern();
+  module_.machine().tlbi_vmid_is(vmid);
+  pgts.clear();  // table frames return through table_frame_ops
+  upper.reset();
+  for (const PhysAddr pa : code_pages) kern.free_frame(pa);
+  for (const PhysAddr pa : ttbrtab_pages) kern.free_frame(pa);
+  kern.free_frame(gatetab_pa);
+  code_pages.clear();
+  ttbrtab_pages.clear();
+  gatetab_pa = 0;
+  stage2.reset();
+}
+
 IntermAddr LzContext::ipa_of(PhysAddr real) {
   if (opts_.allow_scalable && opts_.fake_phys) {
     return fake.fake_of(page_floor(real)) | page_offset(real);
@@ -476,6 +495,7 @@ void LzModule::build_upper_half(LzContext& ctx) {
   // Forwarding stub (EL1 vector page of the API library).
   {
     const PhysAddr frame = kern().alloc_frame();
+    ctx.code_pages.push_back(frame);
     build_stub_page().install(pm, frame);
     LZ_CHECK_OK(ctx.upper->map(UpperLayout::kStubVa, ctx.ipa_of(frame),
                                code_attrs));
@@ -488,6 +508,7 @@ void LzModule::build_upper_half(LzContext& ctx) {
   std::vector<PhysAddr> gate_frames(gate_pages);
   for (u64 i = 0; i < gate_pages; ++i) {
     gate_frames[i] = kern().alloc_frame();
+    ctx.code_pages.push_back(gate_frames[i]);
     LZ_CHECK_OK(ctx.upper->map(UpperLayout::kGateCodeVa + i * kPageSize,
                                ctx.ipa_of(gate_frames[i]), code_attrs));
     LZ_CHECK_OK(ctx.stage2->map(ctx.ipa_of(gate_frames[i]), gate_frames[i],

@@ -72,6 +72,8 @@ class LzContext : public kernel::ProcessExtension {
  public:
   LzContext(LzModule& module, kernel::Process& proc, const LzOptions& opts);
   ~LzContext() override;
+  // Process exit: tears the VM down and returns its frames (module.cpp).
+  void on_exit() override;
 
   kernel::Process& proc() { return proc_; }
   const LzOptions& opts() const { return opts_; }
@@ -114,6 +116,8 @@ class LzContext : public kernel::ProcessExtension {
   // Physical frames of the two gate tables (module-written, RO to the VM).
   PhysAddr gatetab_pa = 0;
   std::vector<PhysAddr> ttbrtab_pages;  // indexed by pgt_id / 512
+  // The other upper-half data frames: forwarding stub and gate code pages.
+  std::vector<PhysAddr> code_pages;
 
   // Saved EL1 execution context of the LightZone process.
   kernel::CpuCtx ctx;

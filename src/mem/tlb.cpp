@@ -1,6 +1,10 @@
 #include "mem/tlb.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "obs/trace.h"
+#include "support/status.h"
 
 namespace lz::mem {
 
@@ -22,25 +26,112 @@ Tlb::Tlb(std::size_t l1_entries, std::size_t l2_entries, u64 seed,
   }
 }
 
+// --- Level: slots + (vmid, vpage) chains + valid bitmap ----------------------
+
+Tlb::Level::Level(std::size_t entries)
+    : slots_(entries),
+      next_(entries, kNil),
+      prev_(entries, kNil),
+      valid_((entries + 63) / 64, 0) {
+  LZ_CHECK(entries < kNil);  // u16 links, kNil reserved
+  std::size_t buckets = 1;
+  while (buckets < 2 * entries) buckets *= 2;  // load factor <= 1/2
+  head_.assign(buckets, kNil);
+  mask_ = buckets - 1;
+}
+
+std::size_t Tlb::Level::bucket(u16 vmid, u64 vpage) const {
+  u64 h = (vpage ^ (u64{vmid} << 48)) * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 32;
+  return static_cast<std::size_t>(h) & mask_;
+}
+
+u16 Tlb::Level::find(u64 vpage, u16 asid, u16 vmid) const {
+  for (u16 i = head_[bucket(vmid, vpage)]; i != kNil; i = next_[i]) {
+    if (matches(slots_[i], vpage, asid, vmid)) return i;
+  }
+  return kNil;
+}
+
+u16 Tlb::Level::first_free() const {
+  for (std::size_t w = 0; w < valid_.size(); ++w) {
+    const u64 free = ~valid_[w];
+    if (free == 0) continue;
+    const std::size_t i = w * 64 + std::countr_zero(free);
+    return i < slots_.size() ? static_cast<u16>(i) : kNil;  // tail padding
+  }
+  return kNil;
+}
+
+void Tlb::Level::fill(u16 i, const TlbEntry& e) {
+  slots_[i] = e;
+  if (!e.valid) return;
+  valid_[i / 64] |= u64{1} << (i % 64);
+  u16& head = head_[bucket(e.vmid, e.vpage)];
+  prev_[i] = kNil;
+  next_[i] = head;
+  if (head != kNil) prev_[head] = i;
+  head = i;
+}
+
+void Tlb::Level::kill(u16 i) {
+  TlbEntry& e = slots_[i];
+  e.valid = false;
+  valid_[i / 64] &= ~(u64{1} << (i % 64));
+  if (prev_[i] != kNil) {
+    next_[prev_[i]] = next_[i];
+  } else {
+    head_[bucket(e.vmid, e.vpage)] = next_[i];
+  }
+  if (next_[i] != kNil) prev_[next_[i]] = prev_[i];
+}
+
+void Tlb::Level::kill_all() {
+  for_each_valid([&](u16 i) { slots_[i].valid = false; });
+  std::fill(head_.begin(), head_.end(), kNil);
+  std::fill(valid_.begin(), valid_.end(), 0);
+}
+
+template <class F>
+void Tlb::Level::for_each_on_chain(u16 vmid, u64 vpage, F&& f) {
+  for (u16 i = head_[bucket(vmid, vpage)]; i != kNil;) {
+    const u16 next = next_[i];  // f may unlink i
+    f(i);
+    i = next;
+  }
+}
+
+template <class F>
+void Tlb::Level::for_each_valid(F&& f) {
+  for (std::size_t w = 0; w < valid_.size(); ++w) {
+    for (u64 bits = valid_[w]; bits != 0; bits &= bits - 1) {
+      f(static_cast<u16>(w * 64 + std::countr_zero(bits)));
+    }
+  }
+}
+
+std::size_t Tlb::Level::valid_count() const {
+  std::size_t n = 0;
+  for (const u64 w : valid_) n += std::popcount(w);
+  return n;
+}
+
+// --- Tlb ---------------------------------------------------------------------
+
 std::optional<Tlb::Hit> Tlb::lookup(u64 vpage, u16 asid, u16 vmid,
                                     Cycles l2_hit_cost) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : l1_) {
-    if (matches(e, vpage, asid, vmid)) {
-      ++stats_.l1_hits;
-      count(c_l1_hit_, d_l1_hit_);
-      return Hit{e, 0, true, gen_.load(std::memory_order_relaxed)};
-    }
+  if (const u16 i = l1_.find(vpage, asid, vmid); i != Level::kNil) {
+    ++stats_.l1_hits;
+    count(c_l1_hit_, d_l1_hit_);
+    return Hit{l1_[i], 0, true, gen_.load(std::memory_order_relaxed)};
   }
-  for (const auto& e : l2_) {
-    if (matches(e, vpage, asid, vmid)) {
-      ++stats_.l2_hits;
-      count(c_l2_hit_, d_l2_hit_);
-      const TlbEntry copy = e;  // place() may shuffle l2_ storage aliasing e
-      if (place(l1_, copy)) bump_generation();  // promote
-      return Hit{copy, l2_hit_cost, false,
-                 gen_.load(std::memory_order_relaxed)};
-    }
+  if (const u16 i = l2_.find(vpage, asid, vmid); i != Level::kNil) {
+    ++stats_.l2_hits;
+    count(c_l2_hit_, d_l2_hit_);
+    const TlbEntry copy = l2_[i];
+    if (place(l1_, copy)) bump_generation();  // promote
+    return Hit{copy, l2_hit_cost, false, gen_.load(std::memory_order_relaxed)};
   }
   ++stats_.misses;
   count(c_miss_, d_miss_);
@@ -55,27 +146,46 @@ u64 Tlb::insert(const TlbEntry& e) {
   return gen_.load(std::memory_order_relaxed);
 }
 
-bool Tlb::place(std::vector<TlbEntry>& level, const TlbEntry& e) {
-  if (level.empty()) return false;
+bool Tlb::place(Level& level, const TlbEntry& e) {
+  if (level.size() == 0) return false;
   // Evict every entry a lookup for `e`'s page could also match, not just
   // the first: refreshing one slot while a second aliasing copy survives
   // (e.g. a global entry ahead of a per-ASID one) would leave a stale
-  // translation that random replacement can later expose.
-  TlbEntry* free_slot = nullptr;
+  // translation that random replacement can later expose. Aliases share
+  // `e`'s (vmid, vpage), so they are all on its chain.
   bool evicted = false;
-  for (auto& slot : level) {
-    if (aliases(slot, e)) {
-      slot.valid = false;
+  level.for_each_on_chain(e.vmid, e.vpage, [&](u16 i) {
+    if (aliases(level[i], e)) {
+      level.kill(i);
       evicted = true;
     }
-    if (!slot.valid && free_slot == nullptr) free_slot = &slot;
+  });
+  u16 slot = level.first_free();
+  if (slot == Level::kNil) {
+    slot = static_cast<u16>(rng_.below(level.size()));  // random replacement
+    level.kill(slot);
+    evicted = true;
   }
-  if (free_slot != nullptr) {
-    *free_slot = e;
-    return evicted;
+  level.fill(slot, e);
+  return evicted;
+}
+
+template <class Pred>
+void Tlb::kill_valid_if(Pred&& dead) {
+  for (Level* level : {&l1_, &l2_}) {
+    level->for_each_valid([&](u16 i) {
+      if (dead((*level)[i])) level->kill(i);
+    });
   }
-  level[rng_.below(level.size())] = e;  // random replacement
-  return true;
+}
+
+template <class Pred>
+void Tlb::kill_on_chain_if(u16 vmid, u64 vpage, Pred&& dead) {
+  for (Level* level : {&l1_, &l2_}) {
+    level->for_each_on_chain(vmid, vpage, [&](u16 i) {
+      if (dead((*level)[i])) level->kill(i);
+    });
+  }
 }
 
 void Tlb::commit_l1_hits(u64 n) {
@@ -91,8 +201,8 @@ void Tlb::invalidate_all() {
   count(c_inval_, d_inval_);
   bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kAll, 0, 0);
-  for (auto& e : l1_) e.valid = false;
-  for (auto& e : l2_) e.valid = false;
+  l1_.kill_all();
+  l2_.kill_all();
 }
 
 void Tlb::invalidate_vmid(u16 vmid) {
@@ -101,12 +211,7 @@ void Tlb::invalidate_vmid(u16 vmid) {
   count(c_inval_, d_inval_);
   bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kVmid, 0, vmid);
-  for (auto& e : l1_) {
-    if (e.vmid == vmid) e.valid = false;
-  }
-  for (auto& e : l2_) {
-    if (e.vmid == vmid) e.valid = false;
-  }
+  kill_valid_if([&](const TlbEntry& e) { return e.vmid == vmid; });
 }
 
 void Tlb::invalidate_asid(u16 asid, u16 vmid) {
@@ -115,12 +220,9 @@ void Tlb::invalidate_asid(u16 asid, u16 vmid) {
   count(c_inval_, d_inval_);
   bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kAsid, asid, vmid);
-  for (auto& e : l1_) {
-    if (e.vmid == vmid && !e.global && e.asid == asid) e.valid = false;
-  }
-  for (auto& e : l2_) {
-    if (e.vmid == vmid && !e.global && e.asid == asid) e.valid = false;
-  }
+  kill_valid_if([&](const TlbEntry& e) {
+    return e.vmid == vmid && !e.global && e.asid == asid;
+  });
 }
 
 void Tlb::invalidate_va(u64 vpage, u16 asid, u16 vmid) {
@@ -132,15 +234,9 @@ void Tlb::invalidate_va(u64 vpage, u16 asid, u16 vmid) {
   // TLBI VAE1: the ASID's own entry for the page, plus any global entry
   // (global translations are not ASID-tagged, so a per-VA invalidate
   // always reaches them). Other ASIDs' non-global entries survive.
-  const auto dead = [&](const TlbEntry& e) {
+  kill_on_chain_if(vmid, vpage, [&](const TlbEntry& e) {
     return e.vmid == vmid && e.vpage == vpage && (e.global || e.asid == asid);
-  };
-  for (auto& e : l1_) {
-    if (dead(e)) e.valid = false;
-  }
-  for (auto& e : l2_) {
-    if (dead(e)) e.valid = false;
-  }
+  });
 }
 
 void Tlb::invalidate_va_all_asid(u64 vpage, u16 vmid) {
@@ -149,19 +245,14 @@ void Tlb::invalidate_va_all_asid(u64 vpage, u16 vmid) {
   count(c_inval_, d_inval_);
   bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kVaAllAsid, 0, vmid);
-  for (auto& e : l1_) {
-    if (e.vmid == vmid && e.vpage == vpage) e.valid = false;
-  }
-  for (auto& e : l2_) {
-    if (e.vmid == vmid && e.vpage == vpage) e.valid = false;
-  }
+  kill_on_chain_if(vmid, vpage, [&](const TlbEntry& e) {
+    return e.vmid == vmid && e.vpage == vpage;
+  });
 }
 
 std::size_t Tlb::valid_entries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& e : l2_) n += e.valid;
-  return n;
+  return l2_.valid_count();
 }
 
 }  // namespace lz::mem

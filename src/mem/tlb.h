@@ -18,6 +18,19 @@
 // verbatim, so the two levels never hold different attributes for the same
 // key. The lz::check TLB-vs-walk oracle re-verifies the visible half of
 // this invariant against the live page tables at every hit.
+//
+// Index: each level keeps, next to its slot array, a hash chain over its
+// valid slots keyed by (vmid, vpage) and a bitmap of valid slots, both
+// under the same mutex. Invariant: slot i is on the chain of bucket
+// (slots[i].vmid, slots[i].vpage) and has its bit set exactly when
+// slots[i].valid. So lookup, alias eviction and the per-VA invalidations
+// walk one page's chain, the ASID/VMID/all scopes and valid_entries() visit
+// only set bits, and a refill finds the lowest free slot with one
+// find-first-zero per 64 slots — TLB maintenance costs what it matches, not
+// the level's capacity. The index never decides anything the linear scan
+// did not: an entry still lands in the lowest free slot, else in
+// rng.below(size); the same entries die; the generation moves the same way.
+// Links are u16 slot numbers, so each level holds fewer than 0xffff entries.
 #pragma once
 
 #include <atomic>
@@ -52,6 +65,8 @@ struct TlbEntry {
   // rewrites TTBR/VTTBR without a TLBI.
   PhysAddr s1_root = 0;
   PhysAddr s2_root = 0;  // 0 when stage2_on is false
+
+  friend bool operator==(const TlbEntry&, const TlbEntry&) = default;
 };
 
 struct TlbStats {
@@ -152,9 +167,54 @@ class Tlb {
     return a.valid && a.vpage == b.vpage && a.vmid == b.vmid &&
            (a.global || b.global || a.asid == b.asid);
   }
+  // One level: its slots plus the (vmid, vpage) chain index and the valid
+  // bitmap described at the top of this file.
+  class Level {
+   public:
+    static constexpr u16 kNil = 0xffff;
+
+    explicit Level(std::size_t entries);
+
+    std::size_t size() const { return slots_.size(); }
+    TlbEntry& operator[](u16 i) { return slots_[i]; }
+    // The slot matching (vpage, asid, vmid), or kNil.
+    u16 find(u64 vpage, u16 asid, u16 vmid) const;
+    // Lowest-numbered invalid slot, or kNil when the level is full.
+    u16 first_free() const;
+    // Stores `e` in slot i, indexing it if it is valid. The slot must be
+    // invalid (kill() it first).
+    void fill(u16 i, const TlbEntry& e);
+    // Invalidates the valid slot i and drops it from the index.
+    void kill(u16 i);
+    void kill_all();
+    // Calls f(i) for every valid slot on (vmid, vpage)'s chain; f may kill i.
+    template <class F>
+    void for_each_on_chain(u16 vmid, u64 vpage, F&& f);
+    // Calls f(i) for every valid slot, lowest first; f may kill i.
+    template <class F>
+    void for_each_valid(F&& f);
+    std::size_t valid_count() const;
+
+   private:
+    std::size_t bucket(u16 vmid, u64 vpage) const;
+
+    std::vector<TlbEntry> slots_;
+    std::vector<u16> head_;         // bucket -> first slot on its chain
+    std::vector<u16> next_, prev_;  // chain links, per slot
+    std::vector<u64> valid_;        // bit i <=> slots_[i].valid
+    std::size_t mask_ = 0;          // bucket count - 1
+  };
+
   // Returns true when it removed or overwrote a live entry (the L0
   // generation must advance so no core keeps a memoized copy).
-  bool place(std::vector<TlbEntry>& level, const TlbEntry& e);
+  bool place(Level& level, const TlbEntry& e);
+  // Kills every valid entry of both levels that `dead` selects.
+  template <class Pred>
+  void kill_valid_if(Pred&& dead);
+  // Kills every entry of both levels on (vmid, vpage)'s chain that `dead`
+  // selects.
+  template <class Pred>
+  void kill_on_chain_if(u16 vmid, u64 vpage, Pred&& dead);
   void count(obs::Counter* aggregate, obs::Counter* per_core, u64 n = 1) {
     aggregate->add(n);
     if (per_core) per_core->add(n);
@@ -162,8 +222,8 @@ class Tlb {
   void bump_generation() { gen_.fetch_add(1, std::memory_order_relaxed); }
 
   mutable std::mutex mu_;
-  std::vector<TlbEntry> l1_;
-  std::vector<TlbEntry> l2_;
+  Level l1_;
+  Level l2_;
   Rng rng_;
   TlbStats stats_;
   std::atomic<u64> gen_{1};

@@ -246,25 +246,24 @@ void TraceDeleter::operator()(Trace* t) const noexcept {
   ::operator delete(t);
 }
 
-unsigned TraceCache::invalidate_page(PhysAddr ppage) {
-  unsigned dropped = 0;
-  for (auto& s : slots_) {
-    if (s.trace && s.trace->valid && s.trace->ppage == ppage) {
-      s.trace->valid = false;
-      ++dropped;
-    }
-  }
-  return dropped;
+void TraceCache::note_built(Slot& s) {
+  const auto i = static_cast<u16>(&s - slots_.data());
+  if (listed_[i]) return;
+  listed_[i] = true;
+  built_.push_back(i);
 }
 
 unsigned TraceCache::invalidate_all() {
   unsigned dropped = 0;
-  for (auto& s : slots_) {
+  for (const u16 i : built_) {
+    listed_[i] = false;
+    Slot& s = slots_[i];
     if (s.trace && s.trace->valid) {
       s.trace->valid = false;
       ++dropped;
     }
   }
+  built_.clear();
   return dropped;
 }
 
@@ -335,6 +334,7 @@ Trace* Core::build_trace(TraceCache::Slot& s) {
   t.ppage = ppage;
   t.host = host;
   t.valid = true;
+  tcache_.note_built(s);
   ++tstats_.built;
   return &t;
 }

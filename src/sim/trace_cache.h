@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <vector>
 
 #include "arch/exception.h"
 #include "arch/insn.h"
@@ -162,13 +163,19 @@ class TraceCache {
 
   Slot& slot(u64 va) { return slots_[(va >> 2) & (kSlots - 1)]; }
 
-  // Drops every valid trace built over `ppage`; returns how many died.
-  unsigned invalidate_page(PhysAddr ppage);
-  // Drops every valid trace; returns how many died.
+  // Records that `s` just built a valid trace (build_trace calls this).
+  void note_built(Slot& s);
+  // Drops every valid trace; returns how many died. Visits only the slots
+  // noted since the previous call, not all kSlots.
   unsigned invalidate_all();
 
  private:
   std::array<Slot, kSlots> slots_;
+  // Slots that built a trace since the last invalidate_all(), each listed
+  // once (`listed_`). Every valid trace's slot is on it: a trace turns
+  // valid only in build_trace, and only invalidate_all() clears the list.
+  std::vector<u16> built_;
+  std::array<bool, kSlots> listed_{};
 };
 
 }  // namespace lz::sim

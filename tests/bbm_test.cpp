@@ -437,5 +437,43 @@ TEST_F(BbmTest, GuestProcessRecycleFollowsBbm) {
   EXPECT_EQ(violations(), 0u);
 }
 
+// Process teardown returns every frame it took: the kernel's demand-paged
+// pages, the LightZone upper half (stub, gate code, GateTab, TTBRTab) and
+// all table frames. 100 new_process + enter + touch + destroy cycles on
+// host and guest placement leave frames_in_use() flat after the first
+// cycle, and the teardown follows break-before-make (covering TLBI before
+// each free), so the monitor stays quiet.
+TEST_F(BbmTest, ProcessTeardownReturnsEveryFrame) {
+  for (const auto placement :
+       {core::Env::Placement::kHost, core::Env::Placement::kGuest}) {
+    core::Env env(core::Env::Options().placement(placement));
+    CaptureDivergences cap;
+    const auto cycle = [&] {
+      auto& proc = env.new_process();
+      {
+        core::LzProc lz = core::LzProc::enter(*env.module, proc, true, 1);
+        for (int d = 0; d < 8; ++d) {
+          const auto pgt = lz.lz_alloc();
+          ASSERT_TRUE(pgt.is_ok());
+          const VirtAddr va = core::Env::kHeapVa + d * kPageSize;
+          ASSERT_TRUE(lz.lz_prot(va, kPageSize, *pgt,
+                                 core::kLzRead | core::kLzWrite)
+                          .is_ok());
+          ASSERT_TRUE(
+              lz.module().touch_page(lz.ctx(), va, true, false).is_ok());
+        }
+      }
+      env.kern().destroy(proc);
+    };
+    cycle();  // first-use growth (guest stage-2 tables, free-list shape)
+    const u64 frames = env.machine->mem().frames_in_use();
+    for (int i = 0; i < 100; ++i) cycle();
+    EXPECT_EQ(env.machine->mem().frames_in_use(), frames)
+        << (placement == core::Env::Placement::kHost ? "host" : "guest");
+    EXPECT_TRUE(cap.items().empty());
+  }
+  EXPECT_EQ(violations(), 0u);
+}
+
 }  // namespace
 }  // namespace lz::check

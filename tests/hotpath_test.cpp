@@ -936,6 +936,73 @@ TEST_F(TraceTierTest, LocalTlbiTearsDownTraces) {
   EXPECT_EQ(core.x(2), 2 * kIters);
 }
 
+// The teardown hook counts exactly the traces that were live: N loops in N
+// slots give N, a rebuild followed by another TLBI gives N again, a TLBI
+// with nothing live gives 0, and a slot whose trace died by its generation
+// tag and was rebuilt before the TLBI is counted once, not once per build.
+TEST_F(TraceTierTest, TeardownDropsExactlyTheLiveTraces) {
+  constexpr u8 kLoops = 8;
+  constexpr u64 kIters = 5;  // enough to rebuild after the 2-visit backoff
+  Asm a;
+  // An interpreted MRS first: its fetch re-installs the L0 fetch slot a
+  // build needs after each TLBI, so every loop head can build on its first
+  // visit of a rerun.
+  a.mrs(20, SysReg::kTtbr0El1);
+  for (u8 k = 0; k < kLoops; ++k) {  // loop k counts down x(3 + k)
+    auto loop = a.new_label();
+    a.bind(loop);
+    a.add_imm(2, 2, 1);
+    a.sub_imm(3 + k, 3 + k, 1);
+    a.cbnz(3 + k, loop);
+  }
+  a.svc(0);
+  InstallCode(a);
+
+  auto& core = machine.core(0);
+  const auto run_loops = [&] {
+    for (u8 k = 0; k < kLoops; ++k) core.set_x(3 + k, kIters);
+    core.set_x(2, 0);
+    core.set_pc(kCodeVa);
+    EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);
+    EXPECT_EQ(core.x(2), kLoops * kIters);
+  };
+  // Traces built minus traces that died at dispatch since the last TLBI.
+  TraceStats mark = Stats();
+  const auto live = [&] {
+    return (Stats().built - mark.built) -
+           (Stats().invalidated_gen - mark.invalidated_gen) -
+           (Stats().invalidated_smc - mark.invalidated_smc);
+  };
+  const auto tlbi = [&] {
+    machine.tlbi_va_is(page_index(kCodeVa), /*asid=*/1, /*vmid=*/0);
+    const u64 dropped =
+        Stats().invalidated_teardown - mark.invalidated_teardown;
+    mark = Stats();
+    return dropped;
+  };
+
+  run_loops();
+  EXPECT_EQ(Stats().built, kLoops);
+  EXPECT_EQ(tlbi(), kLoops);
+
+  run_loops();  // every head is hot: each rebuilds on its first visit
+  EXPECT_EQ(Stats().built - mark.built, kLoops);
+  EXPECT_EQ(tlbi(), kLoops);
+  EXPECT_EQ(tlbi(), 0u);  // nothing live
+
+  run_loops();
+  // Kill every trace by generation only (no teardown hook), then rerun:
+  // each head's trace dies at dispatch, backs off and is rebuilt, so every
+  // head slot built twice since the last TLBI but holds one live trace.
+  machine.tlb(0).invalidate_all();
+  run_loops();
+  EXPECT_EQ(Stats().invalidated_gen - mark.invalidated_gen, kLoops);
+  EXPECT_GE(Stats().built - mark.built, 2u * kLoops);
+  const u64 expected = live();
+  EXPECT_GE(expected, kLoops);
+  EXPECT_EQ(tlbi(), expected);
+}
+
 class TraceTierRemoteTest : public TraceTierTest {
  protected:
   TraceTierRemoteTest() : TraceTierTest(2) {}

@@ -3,10 +3,16 @@
 // randomization layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "mem/fake_phys.h"
 #include "mem/page_table.h"
 #include "mem/phys_mem.h"
 #include "mem/tlb.h"
+#include "support/rng.h"
 
 namespace lz::mem {
 namespace {
@@ -392,6 +398,202 @@ TEST(TlbTest, L2PromotionAfterL1Eviction) {
   hit = tlb.lookup(1, 0, 0, 4);
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->from_l1);
+}
+
+// Reference model for the differential test below: the linear-scan TLB
+// algorithm the indexed one replaced, kept verbatim minus the lock and the
+// obs counters. Every lookup/insert/invalidate scans all slots of both
+// levels; place() evicts aliases, then takes the lowest free slot, else
+// rng.below(size).
+class LinearTlb {
+ public:
+  LinearTlb(std::size_t l1, std::size_t l2, u64 seed)
+      : l1_(l1), l2_(l2), rng_(seed) {}
+
+  std::optional<Tlb::Hit> lookup(u64 vpage, u16 asid, u16 vmid, Cycles l2c) {
+    for (const auto& e : l1_) {
+      if (matches(e, vpage, asid, vmid)) {
+        ++stats_.l1_hits;
+        return Tlb::Hit{e, 0, true, gen_};
+      }
+    }
+    for (const auto& e : l2_) {
+      if (matches(e, vpage, asid, vmid)) {
+        ++stats_.l2_hits;
+        const TlbEntry copy = e;
+        if (place(l1_, copy)) ++gen_;
+        return Tlb::Hit{copy, l2c, false, gen_};
+      }
+    }
+    ++stats_.misses;
+    return std::nullopt;
+  }
+  u64 insert(const TlbEntry& e) {
+    const bool a = place(l1_, e);
+    const bool b = place(l2_, e);
+    if (a || b) ++gen_;
+    return gen_;
+  }
+  template <class Pred>
+  void invalidate_if(Pred dead) {
+    ++stats_.invalidations;
+    ++gen_;
+    for (auto* level : {&l1_, &l2_}) {
+      for (auto& e : *level) {
+        if (dead(e)) e.valid = false;
+      }
+    }
+  }
+  void invalidate_all() {
+    invalidate_if([](const TlbEntry&) { return true; });
+  }
+  void invalidate_vmid(u16 vmid) {
+    invalidate_if([&](const TlbEntry& e) { return e.vmid == vmid; });
+  }
+  void invalidate_asid(u16 asid, u16 vmid) {
+    invalidate_if([&](const TlbEntry& e) {
+      return e.vmid == vmid && !e.global && e.asid == asid;
+    });
+  }
+  void invalidate_va(u64 vpage, u16 asid, u16 vmid) {
+    invalidate_if([&](const TlbEntry& e) {
+      return e.vmid == vmid && e.vpage == vpage && (e.global || e.asid == asid);
+    });
+  }
+  void invalidate_va_all_asid(u64 vpage, u16 vmid) {
+    invalidate_if([&](const TlbEntry& e) {
+      return e.vmid == vmid && e.vpage == vpage;
+    });
+  }
+
+  const TlbStats& stats() const { return stats_; }
+  u64 generation() const { return gen_; }
+  std::size_t valid_entries() const {
+    std::size_t n = 0;
+    for (const auto& e : l2_) n += e.valid;
+    return n;
+  }
+
+ private:
+  static bool matches(const TlbEntry& e, u64 vpage, u16 asid, u16 vmid) {
+    return e.valid && e.vpage == vpage && e.vmid == vmid &&
+           (e.global || e.asid == asid);
+  }
+  static bool aliases(const TlbEntry& a, const TlbEntry& b) {
+    return a.valid && a.vpage == b.vpage && a.vmid == b.vmid &&
+           (a.global || b.global || a.asid == b.asid);
+  }
+  bool place(std::vector<TlbEntry>& level, const TlbEntry& e) {
+    if (level.empty()) return false;
+    TlbEntry* free_slot = nullptr;
+    bool evicted = false;
+    for (auto& slot : level) {
+      if (aliases(slot, e)) {
+        slot.valid = false;
+        evicted = true;
+      }
+      if (!slot.valid && free_slot == nullptr) free_slot = &slot;
+    }
+    if (free_slot != nullptr) {
+      *free_slot = e;
+      return evicted;
+    }
+    level[rng_.below(level.size())] = e;
+    return true;
+  }
+
+  std::vector<TlbEntry> l1_, l2_;
+  Rng rng_;
+  TlbStats stats_;
+  u64 gen_ = 1;
+};
+
+bool same_stats(const TlbStats& a, const TlbStats& b) {
+  return a.l1_hits == b.l1_hits && a.l2_hits == b.l2_hits &&
+         a.misses == b.misses && a.invalidations == b.invalidations;
+}
+
+// The hash-indexed Tlb must be observationally identical to the linear scan
+// it replaced: 200k seeded ops per geometry (aliasing global/non-global
+// inserts over a hot and a cold page set, lookups, all five invalidation
+// scopes), with every hit, insert result, stats line, generation and
+// valid-entry count compared after every op. The cold set overflows even
+// the 1024-entry main TLB, so random replacement is exercised too.
+TEST(TlbTest, IndexedMatchesLinearScanReference) {
+  constexpr u64 kOps = 200'000;
+  for (const std::size_t l1 : {0u, 1u, 16u}) {
+    for (const std::size_t l2 : {0u, 64u, 1024u}) {
+      SCOPED_TRACE("L1=" + std::to_string(l1) + " L2=" + std::to_string(l2));
+      const u64 seed = 1000 + l1 * 7 + l2;
+      Tlb tlb(l1, l2, seed);
+      LinearTlb ref(l1, l2, seed);
+      Rng rng(seed ^ 0x5eed);
+      std::size_t peak = 0;
+      const auto page = [&] {
+        return rng.chance(0.5) ? rng.below(48) : 0x1000 + rng.below(3000);
+      };
+      const auto asid = [&] { return static_cast<u16>(1 + rng.below(4)); };
+      const auto vmid = [&] { return static_cast<u16>(1 + rng.below(2)); };
+      for (u64 op = 0; op < kOps; ++op) {
+        const u64 kind = rng.below(10'000);
+        if (kind < 4000) {
+          const u64 vp = page();
+          const u16 a = asid(), v = vmid();
+          const auto got = tlb.lookup(vp, a, v, 7);
+          const auto want = ref.lookup(vp, a, v, 7);
+          ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+          if (got) {
+            ASSERT_TRUE(got->entry == want->entry) << "op " << op;
+            ASSERT_EQ(got->from_l1, want->from_l1) << "op " << op;
+            ASSERT_EQ(got->extra_cost, want->extra_cost) << "op " << op;
+            ASSERT_EQ(got->gen, want->gen) << "op " << op;
+          }
+        } else if (kind < 8200) {
+          TlbEntry e;
+          e.valid = true;
+          e.vpage = page();
+          e.asid = asid();
+          e.vmid = vmid();
+          e.global = rng.chance(0.25);
+          e.stage2_on = rng.chance(0.5);
+          e.ppage = rng.below(1 << 20) << kPageShift;
+          e.ipa_page = rng.below(1 << 20);
+          e.s1.read_only = rng.chance(0.5);
+          e.s1.global = e.global;
+          e.s2.write = rng.chance(0.5);
+          e.s1_root = rng.below(64) << kPageShift;
+          e.s2_root = e.stage2_on ? rng.below(64) << kPageShift : 0;
+          ASSERT_EQ(tlb.insert(e), ref.insert(e)) << "op " << op;
+        } else if (kind < 9200) {
+          const u64 vp = page();
+          const u16 a = asid(), v = vmid();
+          tlb.invalidate_va(vp, a, v);
+          ref.invalidate_va(vp, a, v);
+        } else if (kind < 9992) {
+          const u64 vp = page();
+          const u16 v = vmid();
+          tlb.invalidate_va_all_asid(vp, v);
+          ref.invalidate_va_all_asid(vp, v);
+        } else if (kind < 9997) {
+          const u16 a = asid(), v = vmid();
+          tlb.invalidate_asid(a, v);
+          ref.invalidate_asid(a, v);
+        } else if (kind < 9999) {
+          const u16 v = vmid();
+          tlb.invalidate_vmid(v);
+          ref.invalidate_vmid(v);
+        } else {
+          tlb.invalidate_all();
+          ref.invalidate_all();
+        }
+        ASSERT_TRUE(same_stats(tlb.stats(), ref.stats())) << "op " << op;
+        ASSERT_EQ(tlb.generation(), ref.generation()) << "op " << op;
+        ASSERT_EQ(tlb.valid_entries(), ref.valid_entries()) << "op " << op;
+        peak = std::max(peak, ref.valid_entries());
+      }
+      EXPECT_EQ(peak, l2);  // every non-empty main TLB filled up
+    }
+  }
 }
 
 TEST(FakePhysTest, SequentialAllocationInFaultOrder) {
