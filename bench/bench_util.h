@@ -1,47 +1,9 @@
 // Shared plumbing for the bench binaries' command lines and reports.
 //
 // Every bench main parses its flags through one parser (no per-binary
-// hand-rolled loops), so all seven binaries accept the same set and reject
-// unknown flags with the same error:
-//
-//   --json <path>           write a machine-readable lz.bench.report
-//                           document (headline results + per-CostKind cycle
-//                           breakdown + counter snapshot; v2 adds latency
-//                           histograms and the cycle-sampling profile)
-//   --report-schema v1|v2   report schema (default v2; v1 reproduces the
-//                           pre-v2 document byte-for-byte)
-//   --trace <path>          arm the lz::obs event ring *and* the span
-//                           tracer for the same region and dump both as
-//                           Chrome trace-event JSON (instant events +
-//                           nested duration spans)
-//   --profile <path>        write the profiler's collapsed-stack file
-//                           (flamegraph.pl / speedscope input)
-//   --sample-period <N>     profiler sampling period in simulated cycles
-//                           (default 4096; 0 disables sampling)
-//   --ts-period <N>         time-series sampling period in simulated
-//                           cycles (0 = off); adds the v2 "timeseries"
-//                           report section
-//   --cores <N>             size of the SMP machine (0 = binary default)
-//   --iters <K>             workload scale factor (default 1)
-//   --backend <B>           isolation backend to evaluate: ttbr_pan
-//                           (default — the live LightZone module; leaves
-//                           every golden byte-identical), poe, cca,
-//                           watchpoint, or lwc (cost-model backends)
-//   --no-trace-tier         disable the superblock trace tier for this run
-//                           (pure interpreter; A/B baseline for the tier's
-//                           speedup — simulated results are identical by
-//                           contract, only host MIPS move)
-//   --metrics-out <path>    arm the labeled metrics plane and write the
-//                           Prometheus-style text exposition snapshot at
-//                           finish(); with --ts-period the exposition pump
-//                           also rewrites the file at every sample so a
-//                           running bench can be scraped live
-//   --self-profile          arm host-side self-profiling (`host.self.*`
-//                           TSC tick attribution per engine tier) and
-//                           include it in the exposition — wall-clock, so
-//                           never part of byte-identity gates
-//   --help / -h             print this flag summary and exit 0
-//   --benchmark_*           passed through to google-benchmark untouched
+// hand-rolled loops), so all the binaries accept the same set; the set is
+// listed once, in print_bench_usage() below (`--help`), and `--benchmark_*`
+// flags pass through to google-benchmark untouched.
 //
 // Any other `--flag` is an error: the binary prints the offender to stderr
 // and exits 2, so a typo can never silently run the wrong experiment. Both
@@ -51,9 +13,9 @@
 // The report covers only the deterministic print_* phase, not the
 // wall-clock-driven BM_* loops, so two runs of the same binary produce
 // byte-identical simulation sections. Host-timed headline numbers (MIPS)
-// are wall-clock by nature; ObsSession::repeats() tells the bench how many
-// in-process repeats to run (3 under v2, 1 under v1) and record_stats()
-// reports their mean plus v2-only `.min` / `.median` keys.
+// are wall-clock by nature; benches run ObsSession::repeats() in-process
+// repeats and record_stats() reports their mean plus `.min` / `.median`
+// keys.
 #pragma once
 
 #include <algorithm>
@@ -85,7 +47,6 @@ struct ObsOptions {
   std::string json_path;
   std::string trace_path;
   std::string profile_path;
-  obs::ReportSchema schema = obs::ReportSchema::kV2;
   u64 sample_period = obs::Profiler::kDefaultPeriod;  // 0 = profiler off
   u64 ts_period = 0;   // --ts-period N: time-series sampling (0 = off)
   unsigned cores = 0;  // --cores N: size of the SMP machine (0 = not given)
@@ -98,14 +59,12 @@ struct ObsOptions {
   bool self_profile = false;  // --self-profile: host.self.* tick brackets
 };
 
-// The one flag summary every bench binary prints for --help; keep in sync
-// with the header comment above.
+// The one flag summary every bench binary prints for --help.
 inline void print_bench_usage(const char* argv0, std::FILE* out) {
   std::fprintf(
       out,
       "usage: %s [flags] [--benchmark_* flags]\n"
       "  --json <path>          write lz.bench.report JSON\n"
-      "  --report-schema v1|v2  report schema (default v2)\n"
       "  --trace <path>         Chrome/Perfetto trace: arch events + spans\n"
       "  --profile <path>       collapsed stacks (flamegraph.pl input)\n"
       "  --sample-period <N>    profiler period, simulated cycles "
@@ -130,7 +89,7 @@ inline void print_bench_usage(const char* argv0, std::FILE* out) {
 // message naming the offender.
 inline ObsOptions parse_bench_flags(int* argc, char** argv) {
   ObsOptions opts;
-  std::string schema_str, cores_str, period_str, ts_period_str, iters_str;
+  std::string cores_str, period_str, ts_period_str, iters_str;
   std::string backend_str;
   const auto die = [&](const char* what, const std::string& arg) {
     std::fprintf(stderr, "%s: %s '%s'\n", argv[0], what, arg.c_str());
@@ -167,7 +126,6 @@ inline ObsOptions parse_bench_flags(int* argc, char** argv) {
     }
     if (take("--json", &opts.json_path) ||
         take("--metrics-out", &opts.metrics_path) ||
-        take("--report-schema", &schema_str) ||
         take("--trace", &opts.trace_path) ||
         take("--profile", &opts.profile_path) ||
         take("--sample-period", &period_str) ||
@@ -184,15 +142,6 @@ inline ObsOptions parse_bench_flags(int* argc, char** argv) {
     die("unknown flag", std::string(arg));
   }
   *argc = out;
-  if (!schema_str.empty()) {
-    if (schema_str == "v1") {
-      opts.schema = obs::ReportSchema::kV1;
-    } else if (schema_str == "v2") {
-      opts.schema = obs::ReportSchema::kV2;
-    } else {
-      die("unknown report schema", schema_str);
-    }
-  }
   if (!cores_str.empty()) {
     const long n = std::strtol(cores_str.c_str(), nullptr, 10);
     if (n < 1 || n > 64) die("bad core count", cores_str);
@@ -218,7 +167,7 @@ inline ObsOptions parse_bench_flags(int* argc, char** argv) {
 
 // One per bench main. Construction resets all process-wide observability
 // state (so the report covers exactly this run), arms the event ring when a
-// trace was requested, and arms the sampling profiler when a v2 report or a
+// trace was requested, and arms the sampling profiler when a report or a
 // collapsed-stack file was requested; finish() assembles and writes the
 // artifacts.
 class ObsSession {
@@ -232,7 +181,6 @@ class ObsSession {
     // builds its machines inside the session, so the whole run is A/B
     // switchable from the command line (LZ_TRACE_TIER=0 works too).
     if (opts_.no_trace_tier) sim::set_trace_tier_default(false);
-    report_.set_schema(opts_.schema);
     if (!opts_.trace_path.empty()) {
       obs::trace().arm(kTraceCapacity);
       obs::spans().arm(kTraceCapacity);
@@ -249,10 +197,8 @@ class ObsSession {
       }
     }
     if (opts_.self_profile) obs::selfprof().enable();
-    const bool want_profile =
-        !opts_.profile_path.empty() ||
-        (opts_.schema == obs::ReportSchema::kV2 && !opts_.json_path.empty());
-    if (want_profile && opts_.sample_period > 0) {
+    if ((!opts_.profile_path.empty() || !opts_.json_path.empty()) &&
+        opts_.sample_period > 0) {
       obs::profiler().arm(opts_.sample_period);
     }
     // Black boxes are most valuable in unattended runs; make sure a stray
@@ -274,15 +220,13 @@ class ObsSession {
     report_.add_result(std::move(key), value);
   }
 
-  // Records a repeated host-timed measurement: mean under the bare key
-  // (matches the single-repeat v1 layout), plus `.min` and `.median` keys
-  // under v2 so reports expose run-to-run variance.
+  // Records a repeated host-timed measurement: mean under the bare key,
+  // plus `.min` and `.median` keys so reports expose run-to-run variance.
   void add_stats(const std::string& key, std::vector<double> values) {
     if (values.empty()) return;
     double sum = 0;
     for (const double v : values) sum += v;
     report_.add_result(key, sum / static_cast<double>(values.size()));
-    if (opts_.schema != obs::ReportSchema::kV2) return;
     std::sort(values.begin(), values.end());
     report_.add_result(key + ".min", values.front());
     report_.add_result(key + ".median", values[values.size() / 2]);
@@ -339,29 +283,27 @@ class ObsSession {
                          ledger.of(k));
     }
     report_.add_counters(obs::registry().snapshot());
-    if (opts_.schema == obs::ReportSchema::kV2) {
-      report_.add_histograms(obs::histograms().snapshot());
-      // Capture the profile while the profiler is still armed so the
-      // section records the effective sampling period.
-      if (opts_.sample_period > 0) report_.set_profile(obs::profiler());
-      // Optional v3 sections: emitted only when their instrument ran, so
-      // reports from flagless runs stay byte-identical with pre-v3 output.
-      if (opts_.ts_period > 0) {
-        // Final snapshot catches the tail between the last period boundary
-        // and the end of the run; set_timeseries() while armed records the
-        // period itself.
-        obs::timeseries().sample_now();
-        report_.set_timeseries(obs::timeseries());
-        obs::timeseries().disarm();
-      }
-      if (spans_armed) report_.set_spans(obs::spans());
-      // Host-counter section ("host"): `sim.trace.*` and friends in every
-      // v2 report, not just bench/throughput's results. Emitted only when
-      // the engine registered host counters (Report skips empty sections),
-      // and values depend on host-side caching — lz_report's
-      // --require-sim-identical strips this member before comparing.
-      report_.add_host_counters(obs::registry().host_snapshot());
+    report_.add_histograms(obs::histograms().snapshot());
+    // Capture the profile while the profiler is still armed so the
+    // section records the effective sampling period.
+    if (opts_.sample_period > 0) report_.set_profile(obs::profiler());
+    // Optional v3 sections: emitted only when their instrument ran, so
+    // reports from flagless runs stay byte-identical with pre-v3 output.
+    if (opts_.ts_period > 0) {
+      // Final snapshot catches the tail between the last period boundary
+      // and the end of the run; set_timeseries() while armed records the
+      // period itself.
+      obs::timeseries().sample_now();
+      report_.set_timeseries(obs::timeseries());
+      obs::timeseries().disarm();
     }
+    if (spans_armed) report_.set_spans(obs::spans());
+    // Host-counter section ("host"): `sim.trace.*` and friends in every
+    // report, not just bench/throughput's results. Emitted only when
+    // the engine registered host counters (Report skips empty sections),
+    // and values depend on host-side caching — lz_report's
+    // --require-sim-identical strips this member before comparing.
+    report_.add_host_counters(obs::registry().host_snapshot());
     obs::profiler().disarm();
     if (report_.write(opts_.json_path)) {
       std::printf("obs: wrote report to %s\n", opts_.json_path.c_str());
@@ -376,10 +318,8 @@ class ObsSession {
   unsigned cores() const { return opts_.cores; }
   u64 iters() const { return opts_.iters; }
   core::BackendKind backend() const { return opts_.backend; }
-  bool v2() const { return opts_.schema == obs::ReportSchema::kV2; }
-  // In-process repeats for host-timed measurements: v1 keeps the historic
-  // single run (byte-identical goldens), v2 runs three and reports spread.
-  unsigned repeats() const { return v2() ? 3 : 1; }
+  // In-process repeats for host-timed measurements.
+  static constexpr unsigned repeats() { return 3; }
 
  private:
   ObsOptions opts_;
@@ -404,7 +344,7 @@ inline void record(std::string key, u64 value) {
   if (auto* s = ObsSession::instance()) s->add_result(std::move(key), value);
 }
 
-// Repeated-measurement hook: mean under `key`, `.min`/`.median` under v2.
+// Repeated-measurement hook: mean under `key`, plus `.min`/`.median`.
 inline void record_stats(const std::string& key, std::vector<double> values) {
   if (auto* s = ObsSession::instance()) s->add_stats(key, std::move(values));
 }

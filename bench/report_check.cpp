@@ -4,8 +4,8 @@
 //
 // Parses each file with the same obs::Json parser the benches serialise
 // with and runs obs::Report::validate on it, so ci.sh can round-trip every
-// artifact a bench emitted (v1 goldens and fresh v2 reports alike) and fail
-// loudly on schema drift. Exits 0 only if every file validates.
+// artifact a bench emitted and fail loudly on schema drift. Exits 0 only
+// if every file validates.
 #include <cstdio>
 #include <fstream>
 #include <sstream>

@@ -248,9 +248,7 @@ int main(int argc, char** argv) {
     print_table5_smp(obs.cores());
   } else {
     print_table5();
-    // v1 reports predate this block; running it only under v2 keeps the
-    // checked-in v1 golden byte-identical.
-    if (obs.v2()) print_seed_stability();
+    print_seed_stability();
   }
   obs.finish();
   benchmark::Initialize(&argc, argv);

@@ -15,10 +15,9 @@
 //
 // Flags: the shared bench_util set. --cores N caps the scaling sweep,
 // --iters K scales every workload (TSan runs use small K so the sanitizer
-// finishes quickly). Under the v2 report schema the three single-core
-// workloads run ObsSession::repeats() times: MIPS and wall time are
-// reported as mean plus `.min`/`.median`, while sim_insns/sim_cycles are
-// identical across repeats by construction.
+// finishes quickly). The single-core workloads run ObsSession::repeats()
+// times: MIPS and wall time are reported as mean plus `.min`/`.median`,
+// while sim_insns/sim_cycles are identical across repeats by construction.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -249,14 +248,13 @@ double mips(const GuestRun& r) {
   return r.wall_s > 0 ? static_cast<double>(r.steps) / r.wall_s / 1e6 : 0;
 }
 
-// Runs one single-core workload `repeats` times and reports the spread.
-// The simulated totals must agree across repeats (they are functions of
-// the executed work alone); host timing is what varies.
-void report(const char* name, GuestRun (*run)(u64), u64 iters,
-            unsigned repeats) {
+// Runs one single-core workload ObsSession::repeats() times and reports
+// the spread. The simulated totals must agree across repeats (they are
+// functions of the executed work alone); host timing is what varies.
+void report(const char* name, GuestRun (*run)(u64), u64 iters) {
   std::vector<double> mips_v, wall_v;
   GuestRun last;
-  for (unsigned rep = 0; rep < repeats; ++rep) {
+  for (unsigned rep = 0; rep < bench::ObsSession::repeats(); ++rep) {
     const GuestRun r = run(iters);
     if (rep > 0) {
       LZ_CHECK(r.steps == last.steps);
@@ -270,10 +268,9 @@ void report(const char* name, GuestRun (*run)(u64), u64 iters,
   for (const double m : mips_v) mips_mean += m;
   mips_mean /= static_cast<double>(mips_v.size());
   std::printf("  %-16s %10.2f host-MIPS  (%llu insns, %llu cycles, %.3fs"
-              "%s)\n",
+              ", mean of 3)\n",
               name, mips_mean, static_cast<unsigned long long>(last.steps),
-              static_cast<unsigned long long>(last.cycles), last.wall_s,
-              repeats > 1 ? ", mean of 3" : "");
+              static_cast<unsigned long long>(last.cycles), last.wall_s);
   const std::string base = name;
   bench::record_stats(base + ".mips", std::move(mips_v));
   bench::record_stats(base + ".host_s", std::move(wall_v));
@@ -285,8 +282,7 @@ void report(const char* name, GuestRun (*run)(u64), u64 iters,
 // backends' switch loop — how many modelled switch-and-access ops the host
 // executes per second, plus the deterministic simulated cycle average the
 // per-backend reports gate on.
-void report_backend_switch(lz::core::BackendKind kind, u64 scale,
-                           unsigned repeats) {
+void report_backend_switch(lz::core::BackendKind kind, u64 scale) {
   const std::string name = lz::core::to_string(kind);
   const int domains = kind == lz::core::BackendKind::kWatchpoint ? 16 : 32;
   const int iters = static_cast<int>(30'000 * scale);
@@ -295,7 +291,7 @@ void report_backend_switch(lz::core::BackendKind kind, u64 scale,
               name.c_str(), domains);
   std::vector<double> mops_v, wall_v;
   workload::BackendSwitchResult last;
-  for (unsigned rep = 0; rep < repeats; ++rep) {
+  for (unsigned rep = 0; rep < bench::ObsSession::repeats(); ++rep) {
     const double t0 = now_s();
     const auto r = workload::backend_switch_avg_cycles(
         kind, arch::Platform::cortex_a55(), workload::Placement::kHost,
@@ -331,7 +327,7 @@ int main(int argc, char** argv) {
   if (obs.backend() != lz::core::BackendKind::kTtbrPan) {
     // Per-backend mode: the interpreter sections below are unaffected by
     // the backend choice, so the default path stays byte-identical.
-    report_backend_switch(obs.backend(), scale, obs.repeats());
+    report_backend_switch(obs.backend(), scale);
     obs.finish();
     return 0;
   }
@@ -344,10 +340,10 @@ int main(int argc, char** argv) {
 #endif
   );
 
-  report("straight_line", run_straight_line, 100'000 * scale, obs.repeats());
-  report("tight_loop", run_tight_loop, 400'000 * scale, obs.repeats());
-  report("pointer_chase", run_pointer_chase, 400'000 * scale, obs.repeats());
-  report("domain_switch", run_domain_switch, 150'000 * scale, obs.repeats());
+  report("straight_line", run_straight_line, 100'000 * scale);
+  report("tight_loop", run_tight_loop, 400'000 * scale);
+  report("pointer_chase", run_pointer_chase, 400'000 * scale);
+  report("domain_switch", run_domain_switch, 150'000 * scale);
 
   // Trace-tier telemetry: host-only counters (obs host_snapshot — kept out
   // of the simulated counter section by design), accumulated across every

@@ -1,7 +1,7 @@
 #include "hv/guest.h"
 
 #include "obs/counters.h"
-#include "obs/span.h"
+#include "obs/switch_probe.h"
 #include "obs/trace.h"
 
 namespace lz::hv {
@@ -11,22 +11,6 @@ using arch::ExceptionLevel;
 using sim::CostKind;
 using sim::TrapAction;
 using sim::TrapInfo;
-
-namespace {
-
-struct GuestCounters {
-  obs::Counter& kvm_hypercall =
-      obs::registry().counter("hv.guest.kvm_hypercall");
-  obs::Counter& hvc_forward = obs::registry().counter("hv.guest.hvc_forward");
-  obs::Counter& stage2_fatal = obs::registry().counter("hv.guest.stage2_fatal");
-};
-
-GuestCounters& guest_counters() {
-  static GuestCounters c;
-  return c;
-}
-
-}  // namespace
 
 GuestVm::GuestVm(Host& host, std::string name)
     : host_(host), name_(std::move(name)) {
@@ -97,32 +81,22 @@ sim::RunResult GuestVm::run_user_process(kernel::Process& proc,
 Cycles GuestVm::kvm_hypercall_roundtrip() {
   auto& machine = host_.machine();
   const auto& plat = machine.platform();
-  const Cycles start = machine.cycles();
-  guest_counters().kvm_hypercall.add();
-  const u16 vmid = mem::vttbr_vmid(stage2_->vttbr());
-  const obs::SpanScope span(obs::SpanKind::kWorldSwitch, /*arg=*/2, vmid);
+  auto probe = obs::switch_scope<obs::SwitchKind::kKvmHypercall>(
+      machine.account(), {.arg = 2, .vmid = mem::vttbr_vmid(stage2_->vttbr())});
 
   // Guest kernel executes HVC: trap to EL2, full switch to the host,
   // dispatch the (empty) hypercall, full switch back, ERET into the guest.
   machine.charge(CostKind::kExcp,
                  plat.excp(ExceptionLevel::kEl1, ExceptionLevel::kEl2));
   machine.charge(CostKind::kGpr, plat.gpr_save_all());
-  charge_full_vm_exit(machine);
-  host_.write_hcr(Host::kHostHcr);
-  host_.write_vttbr(0);
-  obs::trace().world_switch(obs::WorldKind::kVmExit, vmid);
-
+  exit_vm();
   machine.charge(CostKind::kDispatch, plat.dispatch_kernel);
-
-  charge_full_vm_entry(machine);
-  host_.write_hcr(vm_hcr());
-  host_.write_vttbr(stage2_->vttbr());
-  obs::trace().world_switch(obs::WorldKind::kVmEntry, vmid);
+  enter_vm();
   machine.charge(CostKind::kGpr, plat.gpr_save_all());
   machine.charge(CostKind::kExcp,
                  plat.eret(ExceptionLevel::kEl2, ExceptionLevel::kEl1));
 
-  return machine.cycles() - start;
+  return probe.close();
 }
 
 sim::TrapAction GuestVm::guest_el1_trap(const TrapInfo& info) {
@@ -170,7 +144,8 @@ sim::TrapAction GuestVm::on_el2_trap(const TrapInfo& info) {
   // With all owned frames eagerly identity-mapped, a stage-2 fault means
   // the guest touched memory outside its allocation: fatal.
   if (info.stage2) {
-    guest_counters().stage2_fatal.add();
+    static obs::Counter& fatal = obs::bank_counter("hv.guest.stage2_fatal");
+    fatal.add();
     obs::trace().stage2_fault(info.ipa, mem::vttbr_vmid(stage2_->vttbr()));
     if (current_proc_ != nullptr) {
       current_proc_->mark_killed("stage-2 fault: access outside VM memory");
@@ -179,12 +154,11 @@ sim::TrapAction GuestVm::on_el2_trap(const TrapInfo& info) {
   }
   if (info.ec == ExceptionClass::kHvc64) {
     // Guest kernel hypercall while running simulated guest code.
-    guest_counters().hvc_forward.add();
-    obs::trace().hvc_forward(static_cast<u32>(info.esr),
-                             static_cast<u8>(info.ec));
-    const obs::SpanScope span(obs::SpanKind::kHvcForward,
-                              static_cast<u64>(info.ec),
-                              mem::vttbr_vmid(stage2_->vttbr()));
+    const auto probe = obs::switch_scope<obs::SwitchKind::kGuestHvcForward>(
+        host_.machine().account(),
+        {.arg = static_cast<u64>(info.ec),
+         .vmid = mem::vttbr_vmid(stage2_->vttbr()),
+         .esr = static_cast<u32>(info.esr)});
     host_.machine().charge(CostKind::kDispatch,
                            host_.machine().platform().dispatch_kernel);
     host_.machine().core().eret_from(ExceptionLevel::kEl2);

@@ -42,9 +42,9 @@ class GuestVm : public TrapDelegate {
   sim::RunResult run_user_process(kernel::Process& proc,
                                   u64 max_steps = 10'000'000);
 
-  // An empty hypercall round-trip from the guest kernel to the host
-  // hypervisor with a full world switch both ways — the "KVM Virtualization
-  // Host Extensions hypercall" row of Table 4.
+  // An empty hypercall round-trip from the entered guest kernel to the host
+  // hypervisor: exit_vm() and enter_vm() around the host's dispatch — the
+  // "KVM Virtualization Host Extensions hypercall" row of Table 4.
   Cycles kvm_hypercall_roundtrip();
 
   // TrapDelegate: EL2 traps (stage-2 faults) while this VM is active.

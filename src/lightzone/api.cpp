@@ -1,23 +1,10 @@
 #include "lightzone/api.h"
 
-#include "obs/metrics.h"
-
 #ifdef LZ_CONF_CHECK
 #include "check/bbm.h"
 #endif
 
 namespace lz::core {
-
-void LzProc::record_backend_switch(int gate, Cycles delta) {
-  if (!obs::metrics().enabled()) return;
-  obs::LabelSet labels;
-  labels.set(obs::LabelKey::kBackend, backend_->name());
-  labels.set(obs::LabelKey::kDomain, static_cast<u64>(gate));
-  obs::metrics()
-      .histogram_family("lz.backend.switch_cycles")
-      .with(labels)
-      .record(delta);
-}
 
 Env::Env(const Options& opts)
     : placement(opts.placement_), backend(opts.backend_) {

@@ -20,7 +20,7 @@
 
 #include "lightzone/backend.h"
 #include "lightzone/module.h"
-#include "obs/counters.h"
+#include "obs/switch_probe.h"
 
 namespace lz::core {
 
@@ -144,13 +144,16 @@ class LzProc {
 
   // Executes the domain switch (the real call-gate instruction sequence on
   // the TTBR backend); returns the cycles consumed on the calling core.
-  // With the metrics plane armed, the verb cost lands in the
-  // backend-labeled `lz.backend.switch_cycles{backend=,domain=}` family so
-  // cross-mechanism sweeps can compare Table-2 costs per backend from one
-  // exposition (api.cpp).
+  // The cost feeds the switch probe's backend row (obs/switch_probe.h):
+  // with the metrics plane armed it lands in the backend-labeled
+  // `lz.backend.switch_cycles{backend=,domain=}` family, so cross-mechanism
+  // sweeps can compare Table-2 costs per backend from one exposition.
   Result<Cycles> lz_switch_to_ttbr_gate(int gate) {
     auto r = backend_->switch_to(gate);
-    if (r.is_ok()) record_backend_switch(gate, r.value());
+    if (r.is_ok()) {
+      obs::record_switch<obs::SwitchKind::kBackendSwitch>(
+          {.arg = static_cast<u64>(gate), .backend = backend_->name()}, *r);
+    }
     return r;
   }
   // MSR PAN, #imm.
@@ -186,10 +189,6 @@ class LzProc {
   LzProc(std::shared_ptr<IsolationBackend> backend, LzModule& module,
          LzContext& ctx)
       : backend_(std::move(backend)), module_(&module), ctx_(&ctx) {}
-  // Out-of-line (api.cpp): one metrics().enabled() load when the plane is
-  // off, a labeled-family record when it is on. Keeps obs/metrics.h out of
-  // this header's include fan-out.
-  void record_backend_switch(int gate, Cycles delta);
   std::shared_ptr<IsolationBackend> backend_;
   LzModule* module_ = nullptr;  // non-null only for the TTBR+PAN backend
   LzContext* ctx_ = nullptr;

@@ -4,9 +4,7 @@
 #include <span>
 
 #include "obs/counters.h"
-#include "obs/histogram.h"
-#include "obs/metrics.h"
-#include "obs/span.h"
+#include "obs/switch_probe.h"
 #include "obs/trace.h"
 
 namespace lz::core {
@@ -42,84 +40,6 @@ Status unmap_if_mapped(mem::Stage1Table& tbl, VirtAddr va) {
   const Status s = tbl.unmap(va);
   if (s.is_ok() || s.errc() == Errc::kNotFound) return Status::ok();
   return s;
-}
-
-// LightZone-module events (`lz.module.*`).
-struct LzCounters {
-  obs::Counter& gate_switch = obs::registry().counter("lz.module.gate_switch");
-  obs::Counter& pan_toggle = obs::registry().counter("lz.module.pan_toggle");
-  obs::Counter& hvc_forward = obs::registry().counter("lz.module.hvc_forward");
-  obs::Counter& s1_fault = obs::registry().counter("lz.module.s1_fault");
-  obs::Counter& s2_fault = obs::registry().counter("lz.module.s2_fault");
-  obs::Counter& sanitize_pass =
-      obs::registry().counter("lz.module.sanitize_pass");
-  obs::Counter& sanitize_fail =
-      obs::registry().counter("lz.module.sanitize_fail");
-  obs::Counter& killed = obs::registry().counter("lz.module.killed");
-  obs::Counter& world_enter = obs::registry().counter("lz.module.world_enter");
-  obs::Counter& world_exit = obs::registry().counter("lz.module.world_exit");
-};
-
-LzCounters& lz_counters() {
-  static LzCounters c;
-  return c;
-}
-
-// Latency histograms (obs::Histogram, DESIGN.md §12): simulated-cycle
-// distributions of the module's four headline operations. Recording is
-// observe-only — it never charges the account — so always-on recording
-// cannot perturb cycle totals or v1 report byte-identity.
-struct LzHists {
-  obs::Histogram& gate_switch =
-      obs::histograms().histogram("lz.gate.switch_cycles");
-  obs::Histogram& pan_switch =
-      obs::histograms().histogram("lz.pan.switch_cycles");
-  obs::Histogram& hvc_forward =
-      obs::histograms().histogram("lz.hvc.forward_cycles");
-  obs::Histogram& world_switch =
-      obs::histograms().histogram("lz.world.switch_cycles");
-};
-
-LzHists& lz_hists() {
-  static LzHists h;
-  return h;
-}
-
-// Labeled switch-latency families (metrics plane, DESIGN.md §17): the same
-// deltas the flat histograms record, keyed per tenant (the registered
-// domain label, falling back to "vmid<v>") and — for gate switches — per
-// domain (the target ASID). Everything below is guarded by
-// metrics().enabled(), so the flagless path pays one relaxed load and the
-// per-tenant families never even register.
-struct LzMetricFamilies {
-  obs::HistogramFamily& gate =
-      obs::metrics().histogram_family("lz.tenant.gate_switch_cycles");
-  obs::HistogramFamily& pan =
-      obs::metrics().histogram_family("lz.tenant.pan_switch_cycles");
-  obs::HistogramFamily& world =
-      obs::metrics().histogram_family("lz.tenant.world_switch_cycles");
-  obs::HistogramFamily& hvc =
-      obs::metrics().histogram_family("lz.tenant.hvc_forward_cycles");
-};
-
-LzMetricFamilies& lz_metric_families() {
-  static LzMetricFamilies f;
-  return f;
-}
-
-std::string tenant_label(u16 vmid, u16 asid) {
-  std::string label = obs::domain_label(vmid, asid);
-  if (label.empty() && asid != 0) label = obs::domain_label(vmid, 0);
-  if (label.empty()) label = "vmid" + std::to_string(vmid);
-  return label;
-}
-
-void record_tenant_switch(obs::HistogramFamily& family, u16 vmid, u16 asid,
-                          bool with_domain, Cycles delta) {
-  obs::LabelSet labels;
-  labels.set(obs::LabelKey::kTenant, tenant_label(vmid, asid));
-  if (with_domain) labels.set(obs::LabelKey::kDomain, u64{asid});
-  family.with(labels).record(delta);
 }
 
 }  // namespace
@@ -333,13 +253,16 @@ Result<int> LzModule::alloc_pgt(LzContext& ctx) {
       break;
     }
   }
-  if (id >= (u64{1} << 16)) {  // 2^16 domain tables max (ASID width)
+  // A table's ASID is its slot id + 1 (ASID 0 tags the upper table), so
+  // no two live tables share one, and free_pgt's VMID-wide TLBI retires a
+  // slot's entries before the slot and its ASID can be reused.
+  if (id >= 0xffff) {
     return err(Errc::kResourceExhausted, "lz_alloc: out of domain tables");
   }
   if (id == ctx.pgts.size()) ctx.pgts.emplace_back();
 
   auto& slot = ctx.pgts[id];
-  const u16 asid = ctx.next_asid++;
+  const u16 asid = static_cast<u16>(id + 1);
   slot.tbl = std::make_unique<mem::Stage1Table>(machine().mem(), asid,
                                                 ctx.table_frame_ops());
   // Tag the table with the stage-2 regime it runs under, so the BBM
@@ -563,8 +486,9 @@ bool LzModule::sanitize_page(LzContext& ctx, PhysAddr frame) {
   const auto result = sanitize_words(
       std::span<const u32>(words, kPageSize / 4), ctx.opts().san_mode);
   ++ctx.sanitized_pages;
-  (result.ok ? lz_counters().sanitize_pass : lz_counters().sanitize_fail)
-      .add();
+  static obs::Counter& pass = obs::bank_counter("lz.module.sanitize_pass");
+  static obs::Counter& fail = obs::bank_counter("lz.module.sanitize_fail");
+  (result.ok ? pass : fail).add();
   // Scanning 1024 words costs real kernel time.
   machine().charge(CostKind::kDispatch,
                    (kPageSize / 4) * machine().platform().insn_base);
@@ -781,40 +705,26 @@ void LzModule::enter_world(LzContext& ctx) {
   PerCoreWorld& w = world();
   LZ_CHECK(w.active == nullptr);
   auto& core = machine().core();
-  const obs::SpanScope span(obs::SpanKind::kWorldSwitch, /*arg=*/0, ctx.vmid);
-  const Cycles start = machine().account().total();
+  const auto probe = obs::switch_scope<obs::SwitchKind::kLzWorldEnter>(
+      machine().account(), {.vmid = ctx.vmid});
   w.saved_hcr = core.sysreg(SysReg::kHcrEl2);
   w.saved_vttbr = core.sysreg(SysReg::kVttbrEl2);
   host_.write_hcr(lz_hcr(ctx));
   host_.write_vttbr(ctx.stage2->vttbr());
-  lz_counters().world_enter.add();
-  obs::trace().world_switch(obs::WorldKind::kLzEnter, ctx.vmid);
   core.set_handler(ExceptionLevel::kEl1, nullptr);  // stub owns EL1 vectors
   host_.push_delegate(this);
   w.active = &ctx;
-  const Cycles enter_delta = machine().account().total() - start;
-  lz_hists().world_switch.record(enter_delta);
-  if (obs::metrics().enabled())
-    record_tenant_switch(lz_metric_families().world, ctx.vmid, 0,
-                         /*with_domain=*/false, enter_delta);
 }
 
 void LzModule::exit_world(LzContext& ctx) {
   PerCoreWorld& w = world();
   LZ_CHECK(w.active == &ctx);
-  const obs::SpanScope span(obs::SpanKind::kWorldSwitch, /*arg=*/1, ctx.vmid);
-  const Cycles start = machine().account().total();
+  const auto probe = obs::switch_scope<obs::SwitchKind::kLzWorldExit>(
+      machine().account(), {.arg = 1, .vmid = ctx.vmid});
   host_.pop_delegate(this);
   host_.write_hcr(w.saved_hcr);
   host_.write_vttbr(w.saved_vttbr);
-  lz_counters().world_exit.add();
-  obs::trace().world_switch(obs::WorldKind::kLzExit, ctx.vmid);
   w.active = nullptr;
-  const Cycles exit_delta = machine().account().total() - start;
-  lz_hists().world_switch.record(exit_delta);
-  if (obs::metrics().enabled())
-    record_tenant_switch(lz_metric_families().world, ctx.vmid, 0,
-                         /*with_domain=*/false, exit_delta);
 }
 
 sim::RunResult LzModule::run(LzContext& ctx, u64 max_steps) {
@@ -859,53 +769,40 @@ Result<Cycles> LzModule::exec_gate_switch(LzContext& ctx, int gate) {
   if (ctx.gates[gate].pgt < 0) {
     return err(Errc::kNoGate, "gate switch: gate has no table mapped");
   }
-  lz_counters().gate_switch.add();
   const int pgt = ctx.gates[gate].pgt;
   const u16 asid =
       static_cast<std::size_t>(pgt) < ctx.pgts.size() && ctx.pgts[pgt].in_use
           ? ctx.pgts[pgt].tbl->asid()
           : 0;
-  obs::trace().gate_switch(static_cast<u16>(gate), asid);
-  const obs::SpanScope span(obs::SpanKind::kGateSwitch,
-                            static_cast<u64>(gate), ctx.vmid, asid);
-  core.set_x(30, entry);
-  core.set_pc(UpperLayout::gate_va(static_cast<u32>(gate)));
   // Measure on the calling core's own ledger: machine().cycles() sums every
   // core and would fold concurrent work into this switch.
-  const Cycles start = machine().account().total();
+  auto probe = obs::switch_scope<obs::SwitchKind::kLzGate>(
+      machine().account(),
+      {.arg = static_cast<u64>(gate), .vmid = ctx.vmid, .asid = asid});
+  core.set_x(30, entry);
+  core.set_pc(UpperLayout::gate_va(static_cast<u32>(gate)));
   // The gate runs through the batched engine and stops at the legal entry;
   // a failed check's BRK kills the process, whose handler stops the run.
   if (ctx.proc().alive()) core.run(64, entry);
-  const Cycles delta = machine().account().total() - start;
-  lz_hists().gate_switch.record(delta);
-  if (obs::metrics().enabled())
-    record_tenant_switch(lz_metric_families().gate, ctx.vmid, asid,
-                         /*with_domain=*/true, delta);
-  return delta;
+  return probe.close();
 }
 
 Cycles LzModule::exec_set_pan(LzContext& ctx, bool pan) {
   LZ_CHECK(active() == &ctx);
   auto& core = machine().core();
-  const obs::SpanScope span(obs::SpanKind::kPanSwitch, pan, ctx.vmid);
-  const Cycles start = machine().account().total();
+  auto probe = obs::switch_scope<obs::SwitchKind::kLzPan>(
+      machine().account(), {.arg = pan, .vmid = ctx.vmid});
   core.pstate().pan = pan;
   machine().charge(CostKind::kInsn, machine().platform().insn_base);
   machine().charge(CostKind::kSysreg, machine().platform().pan_toggle);
-  lz_counters().pan_toggle.add();
-  obs::trace().pan_toggle(pan);
-  const Cycles delta = machine().account().total() - start;
-  lz_hists().pan_switch.record(delta);
-  if (obs::metrics().enabled())
-    record_tenant_switch(lz_metric_families().pan, ctx.vmid, 0,
-                         /*with_domain=*/false, delta);
-  return delta;
+  return probe.close();
 }
 
 // --- Trap handling -----------------------------------------------------------
 
 sim::TrapAction LzModule::kill(LzContext& ctx, const std::string& reason) {
-  lz_counters().killed.add();
+  static obs::Counter& killed = obs::bank_counter("lz.module.killed");
+  killed.add();
   ctx.proc().mark_killed("LightZone: " + reason);
   return TrapAction::kStop;
 }
@@ -925,15 +822,12 @@ sim::TrapAction LzModule::on_el2_trap(const TrapInfo& info) {
           elr2 >= UpperLayout::kStubVa + kPageSize) {
         return kill(*ctx, "unexpected hypercall from application code");
       }
-      lz_counters().hvc_forward.add();
-      obs::trace().hvc_forward(
-          static_cast<u32>(core.sysreg(SysReg::kEsrEl1)),
-          static_cast<u8>(arch::esr_ec(core.sysreg(SysReg::kEsrEl1))));
-      const obs::SpanScope span(
-          obs::SpanKind::kHvcForward,
-          static_cast<u64>(arch::esr_ec(core.sysreg(SysReg::kEsrEl1))),
-          ctx->vmid);
-      const Cycles fwd_start = machine().account().total();
+      const u64 esr1 = core.sysreg(SysReg::kEsrEl1);
+      const auto probe = obs::switch_scope<obs::SwitchKind::kLzHvcForward>(
+          machine().account(),
+          {.arg = static_cast<u64>(arch::esr_ec(esr1)),
+           .vmid = ctx->vmid,
+           .esr = static_cast<u32>(esr1)});
       if (nested()) charge_nested_entry(*ctx);
       // §5.2.1: HCR_EL2/VTTBR_EL2 are *retained* while the host kernel
       // serves the trap; the ablation charges the conventional switches.
@@ -943,18 +837,14 @@ sim::TrapAction LzModule::on_el2_trap(const TrapInfo& info) {
       }
       const auto action = handle_forwarded(*ctx);
       if (nested() && action == TrapAction::kResume) charge_nested_exit(*ctx);
-      const Cycles fwd_delta = machine().account().total() - fwd_start;
-      lz_hists().hvc_forward.record(fwd_delta);
-      if (obs::metrics().enabled())
-        record_tenant_switch(lz_metric_families().hvc, ctx->vmid, 0,
-                             /*with_domain=*/false, fwd_delta);
       return action;
     }
     case ExceptionClass::kDataAbortLowerEl:
     case ExceptionClass::kInsnAbortLowerEl: {
       if (!info.stage2) return kill(*ctx, "unexpected lower-EL stage-1 abort");
       ++ctx->s2_faults;
-      lz_counters().s2_fault.add();
+      static obs::Counter& s2_fault = obs::bank_counter("lz.module.s2_fault");
+      s2_fault.add();
       obs::trace().stage2_fault(info.ipa, ctx->vmid);
       // Stage-2 fault: with eager mapping this means the process reached
       // outside its VM; with the ablation it can be a legitimate deferred
@@ -1018,7 +908,8 @@ sim::TrapAction LzModule::handle_forwarded(LzContext& ctx) {
     case ExceptionClass::kDataAbortSameEl:
     case ExceptionClass::kInsnAbortSameEl: {
       ++ctx.s1_faults;
-      lz_counters().s1_fault.add();
+      static obs::Counter& s1_fault = obs::bank_counter("lz.module.s1_fault");
+      s1_fault.add();
       const auto action =
           handle_lz_fault(ctx, core.sysreg(SysReg::kFarEl1), esr1);
       if (action == TrapAction::kResume) core.eret_from(ExceptionLevel::kEl2);

@@ -122,7 +122,6 @@ class LzContext : public kernel::ProcessExtension {
   // Saved EL1 execution context of the LightZone process.
   kernel::CpuCtx ctx;
   u64 last_sched_gen = ~u64{0};
-  u16 next_asid = 1;
 
   // Statistics (benchmarks & EXPERIMENTS.md).
   u64 s1_faults = 0;

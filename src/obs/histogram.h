@@ -10,7 +10,7 @@
 // thread, lock-free, and commutative, so totals are deterministic regardless
 // of thread interleaving (the same contract as obs::Counter). Histograms
 // observe and never charge: recording can never perturb cycle totals,
-// counters, or byte-identical v1 reports.
+// counters, or the simulated sections of a report.
 #pragma once
 
 #include <array>

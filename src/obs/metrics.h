@@ -17,7 +17,7 @@
 // recording never charges simulated cycles, and every wiring site guards
 // on `metrics().enabled()` (one relaxed load) so the flagless benches run
 // the exact same instruction/allocation stream as before the plane
-// existed — v1/v2 golden reports stay byte-identical with the plane
+// existed — the v2 golden report stays sim-identical with the plane
 // compiled in (CI-gated). With the plane enabled, series values are fully
 // determined by the executed simulated work, so two same-seed runs render
 // byte-identical expositions (expose.h).

@@ -425,9 +425,8 @@ void Report::set_spans(const SpanTracer& tracer) {
 }
 
 Json Report::to_json() const {
-  const bool v2 = schema_ == ReportSchema::kV2;
   Json doc = Json::object();
-  doc.set("schema", Json::string(std::string(v2 ? kSchemaV2 : kSchema)));
+  doc.set("schema", Json::string(std::string(kSchema)));
   doc.set("bench", Json::string(bench_));
 
   Json results = Json::object();
@@ -444,7 +443,6 @@ Json Report::to_json() const {
   Json counters = Json::object();
   for (const auto& [k, v] : counters_) counters.set(k, Json::number(v));
   doc.set("counters", std::move(counters));
-  if (!v2) return doc;
 
   Json hists = Json::object();
   for (const auto& h : histograms_) {
@@ -561,31 +559,6 @@ bool all_rows_have_numbers(const Json& obj,
   return true;
 }
 
-bool validate_v2_sections(const Json& doc) {
-  const Json* hists = doc.find("histograms");
-  if (hists == nullptr || !hists->is_object() ||
-      !all_rows_have_numbers(
-          *hists, {"count", "min", "max", "mean", "p50", "p90", "p99"})) {
-    return false;
-  }
-  const Json* prof = doc.find("profile");
-  if (prof == nullptr) return true;  // profile is optional in v2
-  if (!prof->is_object()) return false;
-  for (const char* f : {"period", "samples", "dropped_keys"}) {
-    const Json* v = prof->find(f);
-    if (v == nullptr || !v->is_number()) return false;
-  }
-  for (const char* f : {"by_domain", "by_el", "hotspots"}) {
-    const Json* v = prof->find(f);
-    if (v == nullptr || !v->is_object()) return false;
-  }
-  for (const char* f : {"el0", "el1", "el2"}) {
-    const Json* v = prof->find("by_el")->find(f);
-    if (v == nullptr || !v->is_number()) return false;
-  }
-  return true;
-}
-
 // Every member of `obj` must be a number (counter maps).
 bool all_members_are_numbers(const Json& obj) {
   for (const auto& [name, v] : obj.members()) {
@@ -595,9 +568,32 @@ bool all_members_are_numbers(const Json& obj) {
   return true;
 }
 
-// "timeseries" / "spans" are optional in v2; when present they must match
-// the schema exactly (report_check gates on this).
-bool validate_v3_sections(const Json& doc) {
+// "histograms" is required; "profile", "timeseries", "spans" and "host"
+// are optional, and when present they must match the schema exactly
+// (report_check gates on this).
+bool validate_sections(const Json& doc) {
+  const Json* hists = doc.find("histograms");
+  if (hists == nullptr || !hists->is_object() ||
+      !all_rows_have_numbers(
+          *hists, {"count", "min", "max", "mean", "p50", "p90", "p99"})) {
+    return false;
+  }
+  const Json* prof = doc.find("profile");
+  if (prof != nullptr) {
+    if (!prof->is_object()) return false;
+    for (const char* f : {"period", "samples", "dropped_keys"}) {
+      const Json* v = prof->find(f);
+      if (v == nullptr || !v->is_number()) return false;
+    }
+    for (const char* f : {"by_domain", "by_el", "hotspots"}) {
+      const Json* v = prof->find(f);
+      if (v == nullptr || !v->is_object()) return false;
+    }
+    for (const char* f : {"el0", "el1", "el2"}) {
+      const Json* v = prof->find("by_el")->find(f);
+      if (v == nullptr || !v->is_number()) return false;
+    }
+  }
   const Json* ts = doc.find("timeseries");
   if (ts != nullptr) {
     if (!ts->is_object()) return false;
@@ -636,7 +632,7 @@ bool validate_v3_sections(const Json& doc) {
       return false;
     }
   }
-  // "host" (v4): optional flat map of host-counter values.
+  // "host": flat map of host-counter values.
   const Json* host = doc.find("host");
   if (host != nullptr &&
       (!host->is_object() || !all_members_are_numbers(*host))) {
@@ -651,11 +647,7 @@ bool Report::validate(const Json& doc) {
   if (!doc.is_object()) return false;
   const Json* schema = doc.find("schema");
   if (schema == nullptr || !schema->is_string()) return false;
-  const bool v1 = schema->as_string() == kSchema;
-  const bool v2 = schema->as_string() == kSchemaV2;
-  if (!v1 && !v2) return false;
-  if (v2 && !validate_v2_sections(doc)) return false;
-  if (v2 && !validate_v3_sections(doc)) return false;
+  if (schema->as_string() != kSchema || !validate_sections(doc)) return false;
   const Json* bench = doc.find("bench");
   if (bench == nullptr || !bench->is_string() || bench->as_string().empty()) {
     return false;

@@ -7,12 +7,11 @@
 // bench binary emits behind `--json <path>`:
 //
 //   {
-//     "schema": "lz.bench.report.v1" | "lz.bench.report.v2",
+//     "schema": "lz.bench.report.v2",
 //     "bench": "<binary name>",
 //     "results": { "<series>.<point>": number, ... },
 //     "cycles": { "total": N, "by_kind": { "<CostKind name>": N, ... } },
-//     "counters": { "<subsystem.object.event>": N, ... }
-//     // v2 only:
+//     "counters": { "<subsystem.object.event>": N, ... },
 //     "histograms": { "<name>": { "count","min","max","mean",
 //                                 "p50","p90","p99" }, ... },
 //     "profile": { "period","samples","dropped_keys",
@@ -28,12 +27,6 @@
 //     "spans": { "completed","dropped","max_depth",
 //                "by_kind": { "request": N, "syscall": N, ... } }
 //   }
-//
-// v1 stays frozen: a v1 document produced today is byte-identical to one
-// produced before the v2 sections existed, so checked-in v1 goldens keep
-// diffing clean. v2 appends the histogram and profile sections after the
-// shared envelope; everything up to "counters" is laid out identically in
-// both schemas so consumers can share the common parser.
 //
 // The simulation-derived sections never contain wall-clock time: cycle
 // totals, counter values, histogram percentiles, and profile attributions
@@ -122,17 +115,11 @@ class Json {
   std::vector<Json> elements_;
 };
 
-enum class ReportSchema { kV1, kV2 };
-
 class Report {
  public:
-  static constexpr std::string_view kSchema = "lz.bench.report.v1";
-  static constexpr std::string_view kSchemaV2 = "lz.bench.report.v2";
+  static constexpr std::string_view kSchema = "lz.bench.report.v2";
 
   explicit Report(std::string bench_name) : bench_(std::move(bench_name)) {}
-
-  void set_schema(ReportSchema schema) { schema_ = schema; }
-  ReportSchema schema() const { return schema_; }
 
   // Bench-specific headline numbers, keyed "<series>.<point>".
   void add_result(std::string key, double value);
@@ -146,8 +133,8 @@ class Report {
   // Counter snapshot section (typically registry().snapshot()).
   void add_counters(const Snapshot& snapshot);
 
-  // Host-counter section ("host", v2 only, typically
-  // registry().host_snapshot()). Host counters are run-to-run deterministic
+  // Host-counter section ("host", typically registry().host_snapshot()).
+  // Host counters are run-to-run deterministic
   // for a fixed configuration but may legitimately differ between configs
   // that execute identical simulated work (e.g. `sim.trace.*` with the
   // trace tier on vs off), so they live outside "counters" and lz_report's
@@ -157,10 +144,9 @@ class Report {
   // pre-v4 output.
   void add_host_counters(const Snapshot& snapshot);
 
-  // v2-only sections; ignored when the report is serialised as v1.
   void add_histograms(std::vector<HistogramStats> stats);
   void set_profile(const Profiler& profiler);
-  // Snapshot the time-series sampler / span tracer into optional v2
+  // Snapshot the time-series sampler / span tracer into optional
   // sections ("timeseries", "spans"). Sections appear only when these are
   // called, so reports from runs without --ts-period / --trace stay
   // byte-identical to pre-v3 output.
@@ -173,11 +159,10 @@ class Report {
   std::string to_string() const { return to_json().dump(); }
   bool write(const std::string& path) const;
 
-  // Validates the envelope produced by to_json(): schema tag (either
-  // version), bench name, the three shared sections, and — for v2 — the
-  // histogram section plus, when present, the profile section. Used by
-  // tests, the report_check tool, and tooling that consumes BENCH_*.json
-  // trajectories.
+  // Validates the envelope produced by to_json(): schema tag, bench name,
+  // the results/cycles/counters/histograms sections and, when present, the
+  // profile, timeseries, spans and host sections. Used by tests, the
+  // report_check tool, and tooling that consumes BENCH_*.json trajectories.
   static bool validate(const Json& doc);
 
  private:
@@ -208,7 +193,6 @@ class Report {
     std::vector<std::pair<std::string, u64>> by_kind;
   };
 
-  ReportSchema schema_ = ReportSchema::kV1;
   std::string bench_;
   std::vector<std::pair<std::string, Json>> results_;
   u64 cycles_total_ = 0;

@@ -172,7 +172,7 @@ void Trace::push(const Event& e) {
     ++dropped_;  // wraparound: the oldest event was overwritten
     // Surface silent truncation in the counter registry too, so reports
     // flag it without the trace file. Registered lazily on the first drop:
-    // drop-free runs keep their counter section (and v1 goldens) unchanged.
+    // drop-free runs keep their counter section (and goldens) unchanged.
     static Counter& dropped_counter = registry().counter("obs.trace.dropped");
     dropped_counter.add();
   }

@@ -4,7 +4,7 @@
 
 #include "mem/pte_observer.h"
 #include "obs/flight.h"
-#include "obs/histogram.h"
+#include "obs/switch_probe.h"
 
 namespace lz::sim {
 
@@ -13,9 +13,10 @@ thread_local Machine::Binding Machine::tls_binding_;
 Machine::Machine(const arch::Platform& platform, u64 seed, unsigned num_cores,
                  u64 mem_bytes)
     : plat_(platform),
-      pm_(std::make_unique<mem::PhysMem>(0x4000'0000, mem_bytes)),
-      c_dvm_bcast_(&obs::registry().counter("sim.dvm.broadcast")) {
+      pm_(std::make_unique<mem::PhysMem>(0x4000'0000, mem_bytes)) {
   LZ_CHECK(num_cores >= 1);
+  // Listed in every snapshot, even on one core where broadcasts are free.
+  obs::register_switch_bank(obs::SwitchKind::kDvmShootdown);
   cores_.reserve(num_cores);
   for (unsigned id = 0; id < num_cores; ++id) {
     auto unit = std::make_unique<CoreUnit>();
@@ -53,14 +54,11 @@ Machine::CoreBinding::~CoreBinding() {
 
 void Machine::charge_dvm_broadcast() {
   if (num_cores() <= 1) return;  // no remote cores to snoop
-  c_dvm_bcast_->add();
-  const Cycles cost =
-      plat_.dvm_bcast_base +
-      static_cast<Cycles>(num_cores() - 1) * plat_.dvm_bcast_per_core;
-  charge(CostKind::kTlbi, cost);
-  static obs::Histogram& h =
-      obs::histograms().histogram("sim.dvm.shootdown_cycles");
-  h.record(cost);
+  const auto probe =
+      obs::switch_scope<obs::SwitchKind::kDvmShootdown>(account());
+  charge(CostKind::kTlbi,
+         plat_.dvm_bcast_base +
+             static_cast<Cycles>(num_cores() - 1) * plat_.dvm_bcast_per_core);
 }
 
 // Eager superblock-trace drop on the *initiating* core only: the unmap /

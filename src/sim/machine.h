@@ -118,7 +118,6 @@ class Machine {
   const arch::Platform& plat_;
   std::unique_ptr<mem::PhysMem> pm_;
   std::vector<std::unique_ptr<CoreUnit>> cores_;
-  obs::Counter* c_dvm_bcast_;
 };
 
 }  // namespace lz::sim

@@ -583,6 +583,46 @@ TEST_F(LightZoneTest, MaxDomainsIsLarge) {
   EXPECT_EQ(lz.lz_alloc().value(), 150);  // slot reuse
 }
 
+// A domain table's ASID is bound to its slot, so 2^16 alloc/free cycles
+// cannot wrap a per-process counter onto a live domain's ASID: the new
+// table must not reach domain 1's page through domain 1's cached
+// translation.
+TEST_F(LightZoneTest, AllocFreeChurnNeverReusesALiveDomainsAsid) {
+  auto& proc = env.new_process();
+  LzProc lz = LzProc::enter(*env.module, proc, true, 1);
+  auto& module = lz.module();
+  auto& ctx = lz.ctx();
+  const VirtAddr dom_va = Env::kHeapVa;
+  const int pgt1 = lz.lz_alloc().value();
+  ASSERT_TRUE(lz.lz_prot(dom_va, kPageSize, pgt1, kLzRead | kLzWrite).is_ok());
+  for (int i = 0; i < 0xffff; ++i) {
+    const int pgt = lz.lz_alloc().value();
+    ASSERT_TRUE(lz.lz_free(pgt).is_ok());
+  }
+  const int fresh = lz.lz_alloc().value();
+  const u16 asid1 = ctx.pgts[pgt1].tbl->asid();
+  EXPECT_NE(ctx.pgts[fresh].tbl->asid(), asid1) << "both " << asid1;
+
+  // Domain 1 caches its page, then the fresh domain reads it.
+  ASSERT_TRUE(lz.lz_map_gate_pgt(pgt1, 1).is_ok());
+  ASSERT_TRUE(lz.lz_map_gate_pgt(fresh, 2).is_ok());
+  for (int g : {1, 2}) {
+    ASSERT_TRUE(lz.lz_set_gate_entry(g, Env::kCodeVa + 0x40).is_ok());
+  }
+  LZ_CHECK_OK(module.touch_page(ctx, dom_va, true, false));
+  lz.enter_world();
+  auto& core = env.machine->core();
+  core.pstate().el = arch::ExceptionLevel::kEl1;
+  core.set_sysreg(SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
+  core.set_sysreg(SysReg::kTtbr1El1, ctx.ctx.ttbr1);
+  core.set_sysreg(SysReg::kVbarEl1, ctx.ctx.vbar);
+  ASSERT_TRUE(lz.lz_switch_to_ttbr_gate(1).is_ok());
+  EXPECT_TRUE(core.mem_read(dom_va, 8).ok);
+  ASSERT_TRUE(lz.lz_switch_to_ttbr_gate(2).is_ok());
+  EXPECT_FALSE(core.mem_read(dom_va, 8).ok);
+  lz.exit_world();
+}
+
 TEST_F(LightZoneTest, GuestPlacementRunsNestedProcesses) {
   Env genv(Env::Options().platform(arch::Platform::cortex_a55()).placement(Env::Placement::kGuest));
   auto& proc = genv.new_process();

@@ -307,7 +307,6 @@ TEST_F(ObsTest, V2ReportRoundTripsWithHistogramsAndProfile) {
   workload::lz_switch_avg_cycles(arch::Platform::cortex_a55(),
                                  workload::Placement::kHost, 2, 40);
   Report report("v2_style");
-  report.set_schema(obs::ReportSchema::kV2);
   report.add_result("r", u64{1});
   report.set_cycles_total(obs::cycle_ledger().total());
   report.add_counters(obs::registry().snapshot());
@@ -318,7 +317,7 @@ TEST_F(ObsTest, V2ReportRoundTripsWithHistogramsAndProfile) {
   const auto doc = Json::parse(report.to_string());
   ASSERT_TRUE(doc.has_value());
   ASSERT_TRUE(Report::validate(*doc));
-  EXPECT_EQ(doc->find("schema")->as_string(), Report::kSchemaV2);
+  EXPECT_EQ(doc->find("schema")->as_string(), Report::kSchema);
 
   // The workload's gate switches landed in the latency histogram with a
   // full percentile row.

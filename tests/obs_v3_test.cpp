@@ -318,7 +318,6 @@ TEST_F(ObsV3Test, ReportEmitsTimeseriesAndSpanSections) {
   obs::timeseries().sample_now();
 
   obs::Report report("obs_v3");
-  report.set_schema(obs::ReportSchema::kV2);
   report.add_result("r", u64{1});
   report.set_cycles_total(obs::cycle_ledger().total());
   report.add_counters(obs::registry().snapshot());
@@ -342,7 +341,6 @@ TEST_F(ObsV3Test, ReportEmitsTimeseriesAndSpanSections) {
   // Without the setters the sections must be absent (golden byte-identity
   // for flagless runs).
   obs::Report plain("obs_v3_plain");
-  plain.set_schema(obs::ReportSchema::kV2);
   plain.add_result("r", u64{1});
   const std::string text = plain.to_string();
   EXPECT_EQ(text.find("timeseries"), std::string::npos);
