@@ -57,10 +57,12 @@ void print_row_lwc(const char* label, const char* slug,
 // switches should keep a high hit rate; computed from the obs counters
 // accumulated while the rows above executed.
 void print_tlb_hit_rate() {
-  const auto& reg = obs::registry();
-  const auto val = [&reg](const char* name) {
-    const auto* c = reg.find(name);
-    return c == nullptr ? u64{0} : c->value();
+  const obs::Snapshot snap = obs::registry().snapshot();
+  const auto val = [&snap](std::string_view name) {
+    for (const auto& [n, v] : snap) {
+      if (n == name) return v;
+    }
+    return u64{0};
   };
   const u64 hits = val("mem.tlb.l1_hit") + val("mem.tlb.l2_hit");
   const u64 lookups = hits + val("mem.tlb.miss");

@@ -273,7 +273,7 @@ cmake -B build-tsan -G Ninja -DLZ_SANITIZE=thread >/dev/null
 cmake --build build-tsan --target smp_test obs_test obs_v3_test \
   metrics_test hotpath_test histogram_test profiler_test pmu_test \
   backend_test bbm_test workloads_test mem_test fuzz_table2 fuzz_a64 \
-  throughput
+  throughput fig3_nginx
 build-tsan/tests/smp_test
 build-tsan/tests/obs_test
 build-tsan/tests/obs_v3_test
@@ -295,6 +295,14 @@ build-tsan/tests/mem_test
 build-tsan/bench/fuzz_table2 --seed 3 --cores 4 --ops 400
 LZ_TRACE_TIER=1 build-tsan/bench/fuzz_a64 --seed 3 --cores 4 --streams 200
 build-tsan/bench/throughput --iters 1 --cores 2 >/dev/null
+# Snapshots taken while other cores count: the time-series sampler fires on
+# whichever core thread crosses the period and reads every core's linked
+# counters, and the final exposition sums them.
+tsan_expo=/tmp/fig3.tsan.prom
+rm -f "$tsan_expo"
+build-tsan/bench/fig3_nginx --cores 4 --ts-period 200000 \
+  --metrics-out "$tsan_expo" --benchmark_filter=NONE >/dev/null
+test -s "$tsan_expo"
 
 # ASan build: the fuzz driver exercises free/refault paths hard (it is
 # what caught the dangling-region use-after-free in lz_free); keep it

@@ -10,19 +10,15 @@ namespace lz::mem {
 
 Tlb::Tlb(std::size_t l1_entries, std::size_t l2_entries, u64 seed,
          std::string counter_domain)
-    : l1_(l1_entries),
-      l2_(l2_entries),
-      rng_(seed),
-      c_l1_hit_(&obs::registry().counter("mem.tlb.l1_hit")),
-      c_l2_hit_(&obs::registry().counter("mem.tlb.l2_hit")),
-      c_miss_(&obs::registry().counter("mem.tlb.miss")),
-      c_inval_(&obs::registry().counter("mem.tlb.invalidation")) {
-  if (!counter_domain.empty()) {
-    auto& reg = obs::registry();
-    d_l1_hit_ = &reg.counter(counter_domain + ".l1_hit");
-    d_l2_hit_ = &reg.counter(counter_domain + ".l2_hit");
-    d_miss_ = &reg.counter(counter_domain + ".miss");
-    d_inval_ = &reg.counter(counter_domain + ".invalidation");
+    : l1_(l1_entries), l2_(l2_entries), rng_(seed) {
+  const std::pair<obs::OwnedCounter*, const char*> counters[] = {
+      {&l1_hits_, ".l1_hit"},
+      {&l2_hits_, ".l2_hit"},
+      {&misses_, ".miss"},
+      {&invalidations_, ".invalidation"}};
+  for (const auto& [c, event] : counters) {
+    c->link(std::string("mem.tlb") + event);
+    if (!counter_domain.empty()) c->link(counter_domain + event);
   }
 }
 
@@ -122,19 +118,16 @@ std::optional<Tlb::Hit> Tlb::lookup(u64 vpage, u16 asid, u16 vmid,
                                     Cycles l2_hit_cost) {
   std::lock_guard<std::mutex> lock(mu_);
   if (const u16 i = l1_.find(vpage, asid, vmid); i != Level::kNil) {
-    ++stats_.l1_hits;
-    count(c_l1_hit_, d_l1_hit_);
+    l1_hits_.add();
     return Hit{l1_[i], 0, true, gen_.load(std::memory_order_relaxed)};
   }
   if (const u16 i = l2_.find(vpage, asid, vmid); i != Level::kNil) {
-    ++stats_.l2_hits;
-    count(c_l2_hit_, d_l2_hit_);
+    l2_hits_.add();
     const TlbEntry copy = l2_[i];
     if (place(l1_, copy)) bump_generation();  // promote
     return Hit{copy, l2_hit_cost, false, gen_.load(std::memory_order_relaxed)};
   }
-  ++stats_.misses;
-  count(c_miss_, d_miss_);
+  misses_.add();
   return std::nullopt;
 }
 
@@ -188,17 +181,9 @@ void Tlb::kill_on_chain_if(u16 vmid, u64 vpage, Pred&& dead) {
   }
 }
 
-void Tlb::commit_l1_hits(u64 n) {
-  if (n == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.l1_hits += n;
-  count(c_l1_hit_, d_l1_hit_, n);
-}
-
 void Tlb::invalidate_all() {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.invalidations;
-  count(c_inval_, d_inval_);
+  invalidations_.add();
   bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kAll, 0, 0);
   l1_.kill_all();
@@ -207,8 +192,7 @@ void Tlb::invalidate_all() {
 
 void Tlb::invalidate_vmid(u16 vmid) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.invalidations;
-  count(c_inval_, d_inval_);
+  invalidations_.add();
   bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kVmid, 0, vmid);
   kill_valid_if([&](const TlbEntry& e) { return e.vmid == vmid; });
@@ -216,8 +200,7 @@ void Tlb::invalidate_vmid(u16 vmid) {
 
 void Tlb::invalidate_asid(u16 asid, u16 vmid) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.invalidations;
-  count(c_inval_, d_inval_);
+  invalidations_.add();
   bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kAsid, asid, vmid);
   kill_valid_if([&](const TlbEntry& e) {
@@ -227,8 +210,7 @@ void Tlb::invalidate_asid(u16 asid, u16 vmid) {
 
 void Tlb::invalidate_va(u64 vpage, u16 asid, u16 vmid) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.invalidations;
-  count(c_inval_, d_inval_);
+  invalidations_.add();
   bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kVa, asid, vmid);
   // TLBI VAE1: the ASID's own entry for the page, plus any global entry
@@ -241,8 +223,7 @@ void Tlb::invalidate_va(u64 vpage, u16 asid, u16 vmid) {
 
 void Tlb::invalidate_va_all_asid(u64 vpage, u16 vmid) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.invalidations;
-  count(c_inval_, d_inval_);
+  invalidations_.add();
   bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kVaAllAsid, 0, vmid);
   kill_on_chain_if(vmid, vpage, [&](const TlbEntry& e) {

@@ -4,10 +4,13 @@
 // skip TLB invalidation entirely (§4.1.2), and marking unprotected memory
 // global keeps its entries shared across all domains (§8.2).
 //
-// Thread-safety: every operation takes the per-Tlb mutex. In the SMP
-// machine each core owns one Tlb, so the lock is uncontended on the local
-// path and only taken remotely by DVM broadcast invalidations
-// (`TLBI ...IS` walking all cores' TLBs, see sim::Machine::tlbi_*_is).
+// Thread-safety: every operation but commit_l1_hits() and stats() takes
+// the per-Tlb mutex. In the SMP machine each core owns one Tlb, so the lock
+// is uncontended on the local path and only taken remotely by DVM
+// broadcast invalidations (`TLBI ...IS` walking all cores' TLBs, see
+// sim::Machine::tlbi_*_is). The counters behind stats() are the only count
+// of TLB events, each with one writer at a time: only the owning core
+// looks up and commits hits, and invalidations hold the mutex.
 //
 // Coherence invariant: within each level, at most one entry can match any
 // (vpage, asid, vmid) lookup — place() evicts every aliasing entry (the
@@ -85,9 +88,9 @@ struct TlbStats {
 
 class Tlb {
  public:
-  // `counter_domain` names an additional per-core counter namespace (e.g.
-  // "sim.core1.tlb"); the process-wide `mem.tlb.*` aggregates always move
-  // so existing reports and goldens keep their meaning under SMP.
+  // `counter_domain` names a second prefix the counters are linked under
+  // (e.g. "sim.core1.tlb"); every Tlb links `mem.tlb`, so those names sum
+  // all TLBs in the process and keep their meaning under SMP.
   Tlb(std::size_t l1_entries, std::size_t l2_entries, u64 seed = 42,
       std::string counter_domain = {});
 
@@ -138,21 +141,16 @@ class Tlb {
   // exactly like the entry arrays themselves.
   u64 generation() const { return gen_.load(std::memory_order_relaxed); }
 
-  // Batched stats path for Core's L0 cache: credit `n` micro-TLB hits that
-  // were served without taking the lock. Keeps TlbStats and the
-  // mem.tlb.*/sim.coreN.tlb.* counters byte-identical to the unbatched
+  // Batched stats path for Core's L0 cache, owning core only (no lock):
+  // credit `n` micro-TLB hits, so the l1_hit count matches the unbatched
   // engine once the owning core flushes (see Core's flush contract).
-  void commit_l1_hits(u64 n);
+  void commit_l1_hits(u64 n) { l1_hits_.add(n); }
 
-  // Copies stats under the lock; call from a quiesced machine (or the
-  // owning core's thread) for exact values.
+  // Counts since construction (registry reset() leaves them alone). Exact
+  // from a quiesced machine or the owning core's thread.
   TlbStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-  void reset_stats() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = {};
+    return {l1_hits_.value(), l2_hits_.value(), misses_.value(),
+            invalidations_.value()};
   }
   std::size_t valid_entries() const;
 
@@ -215,30 +213,15 @@ class Tlb {
   // selects.
   template <class Pred>
   void kill_on_chain_if(u16 vmid, u64 vpage, Pred&& dead);
-  void count(obs::Counter* aggregate, obs::Counter* per_core, u64 n = 1) {
-    aggregate->add(n);
-    if (per_core) per_core->add(n);
-  }
   void bump_generation() { gen_.fetch_add(1, std::memory_order_relaxed); }
 
   mutable std::mutex mu_;
   Level l1_;
   Level l2_;
   Rng rng_;
-  TlbStats stats_;
   std::atomic<u64> gen_{1};
 
-  // Process-wide observability mirrors of stats_ (cached handles so the
-  // lookup hot path pays one pointer add per event, `mem.tlb.*`), plus the
-  // optional per-core domain (`sim.coreN.tlb.*`).
-  obs::Counter* c_l1_hit_;
-  obs::Counter* c_l2_hit_;
-  obs::Counter* c_miss_;
-  obs::Counter* c_inval_;
-  obs::Counter* d_l1_hit_ = nullptr;
-  obs::Counter* d_l2_hit_ = nullptr;
-  obs::Counter* d_miss_ = nullptr;
-  obs::Counter* d_inval_ = nullptr;
+  obs::OwnedCounter l1_hits_, l2_hits_, misses_, invalidations_;
 };
 
 }  // namespace lz::mem

@@ -10,55 +10,61 @@
 #include "obs/span.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "support/status.h"
 
 namespace lz::obs {
 
+Registry::Entry& Registry::entry(std::string_view name, bool host) {
+  auto it = entries_.find(name);
+  if (it == entries_.end()) {
+    // try_emplace: Counter holds an atomic and is not copyable/movable.
+    it = entries_.try_emplace(std::string(name)).first;
+    it->second.host = host;
+  }
+  return it->second;
+}
+
 Counter& Registry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    // try_emplace: Counter holds an atomic and is not copyable/movable.
-    it = counters_.try_emplace(std::string(name)).first;
-  }
-  return it->second;
+  return entry(name, /*host=*/false).own;
 }
 
-const Counter* Registry::find(std::string_view name) const {
+void Registry::link(std::string_view name, const OwnedCounter& c, bool host) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : &it->second;
+  entry(name, host).links.push_back({&c, c.value()});
 }
 
-Counter& Registry::host_counter(std::string_view name) {
+void Registry::unlink(std::string_view name, const OwnedCounter& c) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = host_counters_.find(name);
-  if (it == host_counters_.end()) {
-    it = host_counters_.try_emplace(std::string(name)).first;
-  }
-  return it->second;
+  const auto e = entries_.find(name);
+  LZ_CHECK(e != entries_.end());
+  auto& links = e->second.links;
+  const auto it = std::find_if(links.begin(), links.end(),
+                               [&](const Link& l) { return l.counter == &c; });
+  LZ_CHECK(it != links.end());
+  e->second.own.add(c.value() - it->base);
+  links.erase(it);
 }
 
-const Counter* Registry::find_host(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = host_counters_.find(name);
-  return it == host_counters_.end() ? nullptr : &it->second;
-}
-
-Snapshot Registry::host_snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
+Snapshot Registry::values(bool host) const {
   Snapshot snap;
-  snap.reserve(host_counters_.size());
-  for (const auto& [name, c] : host_counters_)
-    snap.emplace_back(name, c.value());
+  for (const auto& [name, e] : entries_) {
+    if (e.host != host) continue;
+    u64 v = e.own.value();
+    for (const Link& l : e.links) v += l.counter->value() - l.base;
+    snap.emplace_back(name, v);
+  }
   return snap;
 }
 
 Snapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  Snapshot snap;
-  snap.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) snap.emplace_back(name, c.value());
-  return snap;
+  return values(/*host=*/false);
+}
+
+Snapshot Registry::host_snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return values(/*host=*/true);
 }
 
 Snapshot Registry::delta(const Snapshot& before, const Snapshot& after) {
@@ -77,13 +83,19 @@ Snapshot Registry::delta(const Snapshot& before, const Snapshot& after) {
 
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c.reset();
-  for (auto& [name, c] : host_counters_) c.reset();
+  for (auto& [name, e] : entries_) {
+    e.own.reset();
+    for (Link& l : e.links) l.base = l.counter->value();
+  }
 }
 
-std::size_t Registry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size();
+OwnedCounter::~OwnedCounter() {
+  for (const std::string& name : names_) registry().unlink(name, *this);
+}
+
+void OwnedCounter::link(std::string name, bool host) {
+  registry().link(name, *this, host);
+  names_.push_back(std::move(name));
 }
 
 Registry& registry() {

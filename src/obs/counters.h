@@ -8,15 +8,14 @@
 //
 // Naming convention: `subsystem.object.event`, e.g. `mem.tlb.l1_hit`,
 // `sim.core.insn_retired`, `hv.host.hcr_retained`, `lz.module.gate_switch`.
-// Registration returns a stable Counter* so hot paths increment through a
-// cached pointer — no string lookup, no allocation, one add.
+// Each event is counted once: in a registry Counter (a stable handle, one
+// relaxed atomic add, any thread), or in an OwnedCounter its owner (a
+// core, a TLB) links under its names, which snapshots read in place.
 //
-// Everything here is process-global and thread-safe: the SMP machine runs
-// one std::thread per simulated core, so increments are relaxed atomic adds
-// (addition commutes — totals stay deterministic regardless of interleaving)
-// and registration/snapshot take the registry mutex. Determinism is part of
-// the contract (snapshots are name-sorted, values depend only on the
-// executed work).
+// Addition commutes, so totals stay deterministic however the SMP
+// machine's core threads interleave; registration, linking and snapshots
+// take the registry mutex. Snapshots are name-sorted, and values depend
+// only on the executed work.
 #pragma once
 
 #include <array>
@@ -47,6 +46,27 @@ class Counter {
   std::atomic<u64> value_{0};
 };
 
+// A counter with one writer at a time: its owner's thread, or whoever holds
+// the owner's lock. add() is therefore a relaxed load and store, with no
+// read-modify-write; any thread may read value() without a data race.
+// link() lists it in the registry until it dies.
+class OwnedCounter {
+ public:
+  ~OwnedCounter();
+
+  void add(u64 n = 1) {
+    value_.store(value_.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
+  }
+  u64 value() const { return value_.load(std::memory_order_relaxed); }
+  // registry().link(name, *this, host); the destructor unlinks.
+  void link(std::string name, bool host = false);
+
+ private:
+  std::atomic<u64> value_{0};
+  std::vector<std::string> names_;
+};
+
 // One (name, value) pair per registered counter, sorted by name.
 using Snapshot = std::vector<std::pair<std::string, u64>>;
 
@@ -56,34 +76,44 @@ class Registry {
   // calls with the same name return the same Counter.
   Counter& counter(std::string_view name);
 
-  const Counter* find(std::string_view name) const;
+  // Lists `c` under `name` (registered on first use): a snapshot adds c's
+  // count since the link or the last reset() to the name's own Counter.
+  // unlink() folds that count into the own Counter, so totals outlive the
+  // owner. Host names (`sim.trace.*`) depend on host-side caching, so they
+  // may differ between two byte-identical simulations.
+  void link(std::string_view name, const OwnedCounter& c, bool host = false);
+  void unlink(std::string_view name, const OwnedCounter& c);
 
-  // Host-side counters: same registration/handle semantics, but excluded
-  // from snapshot()/host-independent reports. For values that depend on
-  // host-side caching or heuristics (e.g. `sim.trace.*`) — numbers that may
-  // legitimately differ between two byte-identical simulations.
-  Counter& host_counter(std::string_view name);
-  const Counter* find_host(std::string_view name) const;
-  // Name-sorted copy of the host-side counters only.
-  Snapshot host_snapshot() const;
-
-  // Name-sorted copy of every counter (std::map iteration order).
-  // Host-side counters are deliberately absent.
+  // Name-sorted values of every counter (std::map iteration order).
+  // Host names are deliberately absent.
   Snapshot snapshot() const;
+  // Name-sorted values of the host names only.
+  Snapshot host_snapshot() const;
 
   // Per-name `after - before`; names absent from `before` count from zero.
   // Entries that did not move are kept (delta 0) so schemas stay stable.
   static Snapshot delta(const Snapshot& before, const Snapshot& after);
 
-  // Zero every counter; registrations (and handles) stay valid.
+  // Zero every name; registrations (and handles) stay valid. Links are
+  // rebased rather than written, so owners keep their own counts.
   void reset();
 
-  std::size_t size() const;
-
  private:
+  struct Link {
+    const OwnedCounter* counter;
+    u64 base;  // counter's value at link time or at the last reset()
+  };
+  struct Entry {
+    Counter own;
+    std::vector<Link> links;
+    bool host = false;
+  };
+
+  Entry& entry(std::string_view name, bool host);  // registers on first use
+  Snapshot values(bool host) const;
+
   mutable std::mutex mu_;
-  std::map<std::string, Counter, std::less<>> counters_;
-  std::map<std::string, Counter, std::less<>> host_counters_;
+  std::map<std::string, Entry, std::less<>> entries_;
 };
 
 // The process-wide registry all subsystems wire into.

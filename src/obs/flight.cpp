@@ -105,7 +105,13 @@ void FlightRecorder::record(const Event& e) {
                       (static_cast<u32>(e.b2) << 24),
                   std::memory_order_release);
   slot.seq.store(seq + 1, std::memory_order_release);
-  recorded_.fetch_add(1, std::memory_order_relaxed);
+}
+
+u64 FlightRecorder::recorded() const {
+  u64 n = 0;
+  for (const CoreRing& ring : cores_)
+    n += ring.next.load(std::memory_order_relaxed);
+  return n;
 }
 
 void FlightRecorder::clear() {
@@ -119,7 +125,6 @@ void FlightRecorder::clear() {
       slot.meta.store(0, std::memory_order_relaxed);
     }
   }
-  recorded_.store(0, std::memory_order_relaxed);
 }
 
 std::string FlightRecorder::report() const {
@@ -157,11 +162,7 @@ FlightRecorder& flight() {
 }
 
 #ifndef LZ_OBS_NO_TRACE
-void flight_record(const Event& e) {
-  FlightRecorder& f = flight();
-  if (!f.enabled()) return;
-  f.record(e);
-}
+void flight_record(const Event& e) { flight().record(e); }
 #endif
 
 void flight_dump(std::FILE* out) {

@@ -41,17 +41,15 @@ class FlightRecorder {
   static constexpr std::size_t kMaxCores = 64;
   static constexpr std::size_t kEventsPerCore = 64;  // power of two
 
-  void enable() { enabled_.store(true, std::memory_order_relaxed); }
-  void disable() { enabled_.store(false, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
   // Record one architectural event on `current_core()`.
   void record(const Event& e);
 
   // Drop everything recorded so far (test / session boundary).
   void clear();
 
-  u64 recorded() const { return recorded_.load(std::memory_order_relaxed); }
+  // Events recorded since the last clear(): the sum of the per-core claim
+  // counters, so recording bumps no shared tally.
+  u64 recorded() const;
 
   // Human-readable black-box report: for each core that recorded
   // anything, the last kEventsPerCore events oldest-first with sequence
@@ -73,11 +71,9 @@ class FlightRecorder {
   };
 
   std::array<CoreRing, kMaxCores> cores_;
-  std::atomic<u64> recorded_{0};
-  std::atomic<bool> enabled_{true};
 };
 
-// The process-wide recorder (always constructed, enabled by default).
+// The process-wide recorder (always constructed, always recording).
 FlightRecorder& flight();
 
 // Feed hook called by every Trace emit helper (armed or not).

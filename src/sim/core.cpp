@@ -42,21 +42,6 @@ bool pmu_filter_allows(u64 filter, ExceptionLevel el) {
   return false;
 }
 
-// Cached registry handles shared by every Core in the process (`sim.core.*`).
-struct CoreCounters {
-  obs::Counter& excp_entry = obs::registry().counter("sim.core.excp_entry");
-  obs::Counter& eret = obs::registry().counter("sim.core.eret");
-  obs::Counter& insn_retired = obs::registry().counter("sim.core.insn_retired");
-  obs::Counter& irq = obs::registry().counter("sim.core.irq_taken");
-  obs::Counter& ttbr0_switch = obs::registry().counter("sim.core.ttbr0_switch");
-  obs::Counter& pan_toggle = obs::registry().counter("sim.core.pan_toggle");
-};
-
-CoreCounters& core_counters() {
-  static CoreCounters c;
-  return c;
-}
-
 }  // namespace
 
 Core::Core(const arch::Platform& platform, mem::PhysMem& pm, mem::Tlb& tlb,
@@ -66,6 +51,12 @@ Core::Core(const arch::Platform& platform, mem::PhysMem& pm, mem::Tlb& tlb,
   set_sysreg(SysReg::kHcrEl2, arch::hcr::kRw);
   trace_tier_on_ = trace_tier_default();
   refresh_profiler();  // pick up a profiler armed before core construction
+  excp_entry_.link("sim.core.excp_entry");
+  eret_.link("sim.core.eret");
+  insn_retired_.link("sim.core.insn_retired");
+  irq_taken_.link("sim.core.irq_taken");
+  ttbr0_switch_.link("sim.core.ttbr0_switch");
+  pan_toggle_.link("sim.core.pan_toggle");
 }
 
 void Core::set_handler(ExceptionLevel el, TrapHandler handler) {
@@ -97,7 +88,7 @@ void Core::refresh_watchpoints() {
 void Core::flush_pending() {
   const u64 retired = pending_insn_;
   if (pending_insn_ != 0) {
-    core_counters().insn_retired.add(pending_insn_);
+    insn_retired_.add(pending_insn_);
     pending_insn_ = 0;
   }
   if (pending_insn_cycles_ != 0) {
@@ -572,7 +563,7 @@ void Core::take_exception(const TrapInfo& info) {
   if (el2) set_sysreg(SysReg::kHpfarEl2, info.ipa);
 
   account_.charge(CostKind::kExcp, plat_.excp(from, target));
-  core_counters().excp_entry.add();
+  excp_entry_.add();
   obs::trace().excp_entry(static_cast<u8>(info.ec), static_cast<u8>(from),
                           static_cast<u8>(target), info.esr, info.stage2);
   pstate_.el = target;
@@ -625,7 +616,7 @@ void Core::eret_from(ExceptionLevel from_el) {
   const u64 spsr = sysreg(el2 ? SysReg::kSpsrEl2 : SysReg::kSpsrEl1);
   const auto new_state = arch::PState::from_spsr(spsr);
   account_.charge(CostKind::kExcp, plat_.eret(from_el, new_state.el));
-  core_counters().eret.add();
+  eret_.add();
   obs::trace().excp_return(static_cast<u8>(from_el),
                            static_cast<u8>(new_state.el));
   pstate_ = new_state;
@@ -685,9 +676,6 @@ RunResult Core::run(u64 max_steps, std::optional<u64> stop_pc) {
   stop_pc_ = outer_stop_pc;
   in_run_ = !outer;
   flush_pending();
-  if (outer && trace_tier_on_ && tstats_ != tstats_pub_) {
-    trace_publish_stats();
-  }
   if (self_run_start != 0) selfprof_publish(obs::host_ticks() - self_run_start);
   return result;
 }
@@ -722,7 +710,7 @@ void Core::step() {
     info.esr = 0;
     info.pc = insn_pc;  // resume at the interrupted instruction
     flush_pending();  // exact ledger timestamp for the irq trace
-    core_counters().irq.add();
+    irq_taken_.add();
     obs::trace().irq(static_cast<u8>(info.target));
     take_exception(info);
     return;
@@ -1053,7 +1041,7 @@ void Core::exec_system(const Insn& insn) {
       }
       pstate_.pan = insn.imm & 1;
       account_.charge(CostKind::kSysreg, plat_.pan_toggle);
-      core_counters().pan_toggle.add();
+      pan_toggle_.add();
       obs::trace().pan_toggle(pstate_.pan);
       return;
     }
@@ -1172,7 +1160,7 @@ void Core::exec_system(const Insn& insn) {
         // TTBR0 update with no TLB maintenance (§4.1.2). Gate-driven
         // switches funnel through this same MSR, so the impl-defined PMU
         // event counts both flavours.
-        core_counters().ttbr0_switch.add();
+        ttbr0_switch_.add();
         obs::trace().ttbr_switch(mem::ttbr_asid(v), v);
         if (pmu_active_) pmu_event(arch::pmu::kEvtLzDomainSwitch, el);
       }

@@ -202,7 +202,7 @@ class Core {
   void set_trace_tier(bool on) { trace_tier_on_ = on; }
   bool trace_tier_enabled() const { return trace_tier_on_; }
   // Host-side statistics, same report-exclusion rationale as decode_count().
-  const TraceStats& trace_stats() const { return tstats_; }
+  TraceStats trace_stats() const { return tcount_.stats(); }
   // Eager drop of every cached trace, attributed to DVM/teardown. Called by
   // the Machine's tlbi_*_is paths on the *initiating* core (remote cores'
   // traces die lazily via the Tlb generation tag, like their L0 entries).
@@ -256,7 +256,7 @@ class Core {
   u64 dispatch_trace(Trace& t, u64 remaining);
   u64 exec_trace(Trace& t, u64 remaining);
   bool trace_ldst(Trace& t, const TraceOp& op, unsigned i);
-  void trace_publish_stats();
+  void link_trace_counters();
   void check_tlb_hit(VirtAddr va, const mem::TlbEntry& hit);
   void check_tlb_hit_inner(VirtAddr va, const mem::TlbEntry& hit);
   Cycles sysreg_write_cost(SysReg r) const;
@@ -353,13 +353,17 @@ class Core {
   // thread like the L0/decode caches; remote invalidation rides the Tlb
   // generation tag, local teardown goes through trace_invalidate_teardown().
   TraceCache tcache_;
-  TraceStats tstats_;
-  TraceStats tstats_pub_;  // already published to the host-only counters
+  TraceCounters tcount_;
   bool trace_tier_on_ = true;  // constructor applies trace_tier_default()
+
+  // This core's `sim.core.*` events. Every core links its own counters
+  // under the same names, so a snapshot lists their sum.
+  obs::OwnedCounter excp_entry_, eret_, insn_retired_, irq_taken_,
+      ttbr0_switch_, pan_toggle_;
 
   // Batched accounting: the per-instruction base cost, data-access cost,
   // retired-instruction count and L0 hit count accumulate in these plain
-  // scalars and flush to the shared atomics/TLB at well-defined points.
+  // scalars and flush to the account, counters and TLB at well-defined points.
   // Flush contract (everything outside the straight-line loop sees exact
   // values): flush_pending() runs at exception entry (before the entry
   // cost is charged and traced), at ERET, at exec_system entry (every
@@ -437,7 +441,7 @@ class Core {
   // like `prof_on_`, so the disabled path pays one predictable branch per
   // bracket site — never a tick read. Ticks batch in plain per-core
   // scalars and publish to the global selfprof() atomics once, at outer
-  // run() exit (the same boundary trace_publish_stats uses).
+  // run() exit.
   void selfprof_publish(u64 run_ticks);
   bool selfprof_on_ = false;
   u64 self_ticks_trace_ = 0;

@@ -268,7 +268,7 @@ unsigned TraceCache::invalidate_all() {
 }
 
 void Core::trace_invalidate_teardown() {
-  tstats_.invalidated_teardown += tcache_.invalidate_all();
+  tcount_.invalidated_teardown.add(tcache_.invalidate_all());
 }
 
 // Builds a trace starting at pc_ from the L0 fetch slot's memoized
@@ -335,8 +335,20 @@ Trace* Core::build_trace(TraceCache::Slot& s) {
   t.host = host;
   t.valid = true;
   tcache_.note_built(s);
-  ++tstats_.built;
+  if (tcount_.built.value() == 0) link_trace_counters();
+  tcount_.built.add();
   return &t;
+}
+
+// Lists the trace counters as host counters once the tier has work to
+// show, so a run that never builds a trace reports no `sim.trace.*` names.
+void Core::link_trace_counters() {
+  tcount_.built.link("sim.trace.built", /*host=*/true);
+  tcount_.executed.link("sim.trace.executed", true);
+  tcount_.insns.link("sim.trace.insns", true);
+  tcount_.invalidated_smc.link("sim.trace.invalidated_smc", true);
+  tcount_.invalidated_gen.link("sim.trace.invalidated_gen", true);
+  tcount_.invalidated_teardown.link("sim.trace.invalidated_teardown", true);
 }
 
 u64 Core::try_trace(u64 remaining) {
@@ -357,14 +369,14 @@ u64 Core::try_trace(u64 remaining) {
       // shootdown, TTBR/ASID rewrite over non-global code, EL/PAN change):
       // discard and back off; a later visit rebuilds under the live context.
       t->valid = false;
-      ++tstats_.invalidated_gen;
+      tcount_.invalidated_gen.add();
       s.back_off();
     } else if (std::memcmp(t->words(), t->host + t->start_off,
                            std::size_t{t->n} * 4) != 0) {
       // Self-modifying code: the live words no longer match what the trace
       // was lowered from. The interpreter re-reads and re-decodes.
       t->valid = false;
-      ++tstats_.invalidated_smc;
+      tcount_.invalidated_smc.add();
       s.back_off();
     } else {
       s.backoff = 0;  // stable again: rebuild eagerly after the next miss
@@ -446,7 +458,7 @@ u64 Core::exec_trace(Trace& t, u64 remaining) {
   const bool pure_alu = t.ldst_n == 0;
   const u64 chain_limit = remaining - n;  // entry guarantees n <= remaining
   u64 retired = 0;    // completed prior iterations (chaining)
-  u64 iters = 0;      // block executions, published to tstats_ on exit
+  u64 iters = 0;      // block executions, added to tcount_ on exit
   // Iterations whose accounting pre-sums are not yet materialized into the
   // pending_* scalars. Deferral is exact because no flush boundary can be
   // crossed while it is nonzero: the only C++ entry points inside a block
@@ -528,8 +540,8 @@ h_ldst: {
   const unsigned i = static_cast<unsigned>(op - ops);
   if (!trace_ldst(t, *op, i)) {
     const u64 done = retired + i + 1;
-    tstats_.executed += iters;
-    tstats_.insns += done;
+    tcount_.executed.add(iters);
+    tcount_.insns.add(done);
     return done;
   }
   LZ_TR_NEXT();
@@ -572,8 +584,8 @@ h_end:
     if (now + trace_cycle_bound(plat_, t) < prof_next_) goto enter_block;
   }
   materialize();
-  tstats_.executed += iters;
-  tstats_.insns += retired;
+  tcount_.executed.add(iters);
+  tcount_.insns.add(retired);
   return retired;
 #undef LZ_TR_NEXT
 }
@@ -630,37 +642,11 @@ bool Core::trace_ldst(Trace& t, const TraceOp& op, unsigned i) {
     pending_insn_cycles_ -= t.cycles - op.cyc;
     pc_ = insn_pc + 4;
     t.valid = false;
-    ++tstats_.invalidated_smc;
+    tcount_.invalidated_smc.add();
     tcache_.slot(t.start_va).back_off();
     return false;
   }
   return true;
-}
-
-void Core::trace_publish_stats() {
-  // Host-only counters (excluded from report/replay snapshots): the values
-  // depend on per-core cache state, same rationale as decode_count().
-  struct Counters {
-    obs::Counter& built = obs::registry().host_counter("sim.trace.built");
-    obs::Counter& executed =
-        obs::registry().host_counter("sim.trace.executed");
-    obs::Counter& insns = obs::registry().host_counter("sim.trace.insns");
-    obs::Counter& smc =
-        obs::registry().host_counter("sim.trace.invalidated_smc");
-    obs::Counter& gen =
-        obs::registry().host_counter("sim.trace.invalidated_gen");
-    obs::Counter& teardown =
-        obs::registry().host_counter("sim.trace.invalidated_teardown");
-  };
-  static Counters c;
-  c.built.add(tstats_.built - tstats_pub_.built);
-  c.executed.add(tstats_.executed - tstats_pub_.executed);
-  c.insns.add(tstats_.insns - tstats_pub_.insns);
-  c.smc.add(tstats_.invalidated_smc - tstats_pub_.invalidated_smc);
-  c.gen.add(tstats_.invalidated_gen - tstats_pub_.invalidated_gen);
-  c.teardown.add(tstats_.invalidated_teardown -
-                 tstats_pub_.invalidated_teardown);
-  tstats_pub_ = tstats_;
 }
 
 }  // namespace lz::sim

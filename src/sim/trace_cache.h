@@ -30,6 +30,7 @@
 
 #include "arch/exception.h"
 #include "arch/insn.h"
+#include "obs/counters.h"
 #include "support/types.h"
 
 namespace lz::sim {
@@ -112,10 +113,11 @@ using TracePtr = std::unique_ptr<Trace, TraceDeleter>;
 // One block holding a Trace header and room for `cap` ops.
 TracePtr make_trace(unsigned cap);
 
-// Host-side per-core statistics, published to the obs registry's host-only
-// counters (`sim.trace.*`) at run() exit. Like Core::decode_count(), these
-// depend on per-core cache state and are deliberately kept out of the
-// replay-compared counter snapshots.
+// Host-side per-core statistics of the trace tier. Like
+// Core::decode_count(), they depend on per-core cache state, so they are
+// host counters (`sim.trace.*`), kept out of the replay-compared counter
+// snapshots. TraceCounters is the one count, linked when the core builds
+// its first trace; TraceStats is what Core::trace_stats() reads from it.
 struct TraceStats {
   u64 built = 0;
   u64 executed = 0;
@@ -123,8 +125,17 @@ struct TraceStats {
   u64 invalidated_smc = 0;       // live-word mismatch / store into own page
   u64 invalidated_gen = 0;       // Tlb generation / context-epoch tag miss
   u64 invalidated_teardown = 0;  // eager drop from Machine DVM/teardown paths
+};
 
-  bool operator==(const TraceStats&) const = default;
+struct TraceCounters {
+  obs::OwnedCounter built, executed, insns;
+  obs::OwnedCounter invalidated_smc, invalidated_gen, invalidated_teardown;
+
+  TraceStats stats() const {
+    return {built.value(),           executed.value(),
+            insns.value(),           invalidated_smc.value(),
+            invalidated_gen.value(), invalidated_teardown.value()};
+  }
 };
 
 // Direct-mapped trace store, keyed by start VA. A slot allocates only when

@@ -589,7 +589,7 @@ class TraceTierTest : public DecodeCacheTest {
     for (unsigned c = 0; c < cores; ++c) machine.core(c).set_trace_tier(true);
   }
 
-  const TraceStats& Stats() { return machine.core(0).trace_stats(); }
+  TraceStats Stats() { return machine.core(0).trace_stats(); }
 
   // Writable + executable mapping for self-modifying-code tests.
   static S1Attrs RwxAttrs() {

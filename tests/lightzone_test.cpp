@@ -394,11 +394,7 @@ GateRunRecord RunGateSwitches(GateDrive drive) {
   core.set_sysreg(SysReg::kPmcntensetEl0, 1);
   core.set_sysreg(SysReg::kPmcrEl0, pmu::kPmcrE);
 
-  auto& reg = obs::registry();
-  auto& insn = reg.counter("sim.core.insn_retired");
-  auto& l1 = reg.counter("mem.tlb.l1_hit");
-  auto& ttbr0 = reg.counter("sim.core.ttbr0_switch");
-  const u64 insn0 = insn.value(), l10 = l1.value(), ttbr00 = ttbr0.value();
+  const obs::Snapshot before = obs::registry().snapshot();
   const Cycles c0 = core.account().total();
   obs::trace().clear();
   for (int i = 0; i < kSwitches; ++i) {
@@ -417,9 +413,17 @@ GateRunRecord RunGateSwitches(GateDrive drive) {
   }
   GateRunRecord r;
   r.cycles = core.account().total() - c0;
-  r.insn_retired = insn.value() - insn0;
-  r.l1_hits = l1.value() - l10;
-  r.ttbr0_switches = ttbr0.value() - ttbr00;
+  const obs::Snapshot moved =
+      obs::Registry::delta(before, obs::registry().snapshot());
+  const auto count = [&moved](std::string_view name) {
+    for (const auto& [n, v] : moved) {
+      if (n == name) return v;
+    }
+    return u64{0};
+  };
+  r.insn_retired = count("sim.core.insn_retired");
+  r.l1_hits = count("mem.tlb.l1_hit");
+  r.ttbr0_switches = count("sim.core.ttbr0_switch");
   r.pmu_domain_switches = core.pmu_read(SysReg::kPmevcntr0El0);
   for (const auto& e : obs::trace().events()) {
     if (e.kind != obs::EventKind::kGateSwitch) r.events.push_back(e);

@@ -1,8 +1,10 @@
 // lz::obs — counters, event trace, and report serialisation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -13,6 +15,7 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "sim/cost.h"
+#include "sim/machine.h"
 #include "workloads/microbench.h"
 
 namespace lz {
@@ -22,6 +25,14 @@ using obs::Json;
 using obs::Registry;
 using obs::Report;
 using obs::Snapshot;
+
+// The value registry().snapshot() lists for `name`, if it is registered.
+std::optional<u64> listed(std::string_view name) {
+  for (const auto& [n, v] : obs::registry().snapshot()) {
+    if (n == name) return v;
+  }
+  return std::nullopt;
+}
 
 class ObsTest : public ::testing::Test {
  protected:
@@ -45,10 +56,10 @@ TEST_F(ObsTest, CounterHandleIsStableAndShared) {
   EXPECT_EQ(b.value(), 42u);
 }
 
-TEST_F(ObsTest, FindDoesNotRegister) {
-  EXPECT_EQ(obs::registry().find("test.not.registered"), nullptr);
+TEST_F(ObsTest, SnapshotListsOnlyRegisteredNames) {
+  EXPECT_EQ(listed("test.not.registered"), std::nullopt);
   obs::registry().counter("test.now.registered");
-  EXPECT_NE(obs::registry().find("test.now.registered"), nullptr);
+  EXPECT_EQ(listed("test.now.registered"), 0u);
 }
 
 TEST_F(ObsTest, SnapshotIsNameSorted) {
@@ -91,7 +102,7 @@ TEST_F(ObsTest, ResetZeroesValuesButKeepsHandles) {
   obs::registry().reset();
   EXPECT_EQ(c.value(), 0u);  // same handle, zeroed
   c.add(2);
-  EXPECT_EQ(obs::registry().find("test.reset.me")->value(), 2u);
+  EXPECT_EQ(listed("test.reset.me"), 2u);
 }
 
 // --- CycleLedger mirror ------------------------------------------------------
@@ -151,10 +162,8 @@ TEST_F(ObsTest, TraceDropsSurfaceInCounterAndChromeMetadata) {
   for (u16 g = 0; g < 10; ++g) obs::trace().gate_switch(g, 0);
   // Silent truncation is never silent: the registry counter mirrors the
   // ring's drop count, and the Chrome export carries it as metadata.
-  const obs::Counter* c = obs::registry().find("obs.trace.dropped");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->value(), obs::trace().dropped());
-  EXPECT_EQ(c->value(), 6u);
+  EXPECT_EQ(listed("obs.trace.dropped"), obs::trace().dropped());
+  EXPECT_EQ(listed("obs.trace.dropped"), 6u);
   const std::string json = obs::trace().to_chrome_json();
   EXPECT_NE(json.find("\"dropped_events\":6"), std::string::npos);
 }
@@ -370,6 +379,79 @@ TEST_F(ObsTest, BenchStyleReportCapturesWorkloadActivity) {
   EXPECT_GT(counters->find("mem.tlb.l1_hit")->as_u64(), 0u);
   EXPECT_GT(counters->find("lz.module.gate_switch")->as_u64(), 0u);
   EXPECT_GT(counters->find("sim.core.insn_retired")->as_u64(), 0u);
+}
+
+// --- Linked counters ---------------------------------------------------------
+
+// The owner holds the only count and the registry reads it: values outlive
+// the owner, reset() rebases instead of writing to the owner, and a name
+// linked by several owners is listed once with their sum.
+TEST_F(ObsTest, LinkedCountersOutliveOwnerRebaseOnResetAndSumPerName) {
+  const auto touch = [](mem::Tlb& tlb, u64 vpage) {
+    mem::TlbEntry e;
+    e.valid = true;
+    e.vpage = vpage;
+    e.asid = 1;
+    EXPECT_FALSE(tlb.lookup(vpage, 1, 0, 4).has_value());
+    tlb.insert(e);
+    EXPECT_TRUE(tlb.lookup(vpage, 1, 0, 4).has_value());
+  };
+
+  mem::TlbStats gone;
+  {
+    sim::Machine machine(arch::Platform::cortex_a55(), 42, 1);
+    touch(machine.tlb(0), 0x400);
+    touch(machine.tlb(0), 0x401);
+    machine.tlb(0).invalidate_all();
+    gone = machine.tlb(0).stats();
+  }
+  EXPECT_EQ(gone.misses, 2u);
+  EXPECT_EQ(gone.l1_hits, 2u);
+  EXPECT_EQ(gone.invalidations, 1u);
+  // The Machine is gone; its counts stay under both names.
+  EXPECT_EQ(listed("mem.tlb.miss"), 2u);
+  EXPECT_EQ(listed("mem.tlb.l1_hit"), 2u);
+  EXPECT_EQ(listed("sim.core0.tlb.miss"), 2u);
+  EXPECT_EQ(listed("sim.core0.tlb.invalidation"), 1u);
+
+  {
+    sim::Machine machine(arch::Platform::cortex_a55(), 42, 1);
+    touch(machine.tlb(0), 0x400);
+    EXPECT_EQ(listed("mem.tlb.miss"), 3u);
+    obs::reset_all();
+    // Registry totals restart from zero; the TLB's own counts do not.
+    EXPECT_EQ(listed("mem.tlb.miss"), 0u);
+    EXPECT_EQ(listed("sim.core0.tlb.l1_hit"), 0u);
+    EXPECT_EQ(machine.tlb(0).stats().misses, 1u);
+    EXPECT_EQ(machine.tlb(0).stats().l1_hits, 1u);
+    touch(machine.tlb(0), 0x401);
+    EXPECT_EQ(listed("mem.tlb.miss"), 1u);
+    EXPECT_EQ(machine.tlb(0).stats().misses, 2u);
+  }
+  EXPECT_EQ(listed("mem.tlb.miss"), 1u);  // only what moved since reset
+
+  // Two owners of one name: one snapshot entry, their sum; unlinking one
+  // folds its count in and the name keeps counting the other.
+  obs::OwnedCounter a;
+  obs::registry().link("test.linked.twice", a);
+  a.add(3);
+  {
+    obs::OwnedCounter b;
+    b.link("test.linked.twice");
+    b.add(4);
+    a.add(1);
+    const Snapshot snap = obs::registry().snapshot();
+    EXPECT_EQ(std::count_if(snap.begin(), snap.end(),
+                            [](const auto& e) {
+                              return e.first == "test.linked.twice";
+                            }),
+              1);
+    EXPECT_EQ(listed("test.linked.twice"), 8u);
+  }
+  a.add(1);  // b died: its 4 stay, and a keeps counting
+  EXPECT_EQ(listed("test.linked.twice"), 9u);
+  obs::registry().unlink("test.linked.twice", a);
+  EXPECT_EQ(listed("test.linked.twice"), 9u);
 }
 
 // --- Tlb stats export --------------------------------------------------------

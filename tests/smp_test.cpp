@@ -3,6 +3,8 @@
 // multi-threaded scheduler, and the Status-based Table-2 API error paths.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "lightzone/api.h"
@@ -194,6 +196,67 @@ TEST_F(StatusApiTest, Table2ShimsSpeakErrno) {
             -22);
   EXPECT_EQ(table2::lz_map_gate_pgt(lz, 0, 100000), -22);
   EXPECT_EQ(table2::lz_set_gate_entry(lz, 100000, Env::kCodeVa), -22);
+}
+
+// Each TLB event is counted once, in its core's Tlb, while lookups, lockless
+// hit commits and remote DVM invalidations race across four core threads:
+// every sim.coreK.tlb.* name reads core K's counters exactly, and every
+// mem.tlb.* name is their sum.
+TEST(SmpObsTest, PerCoreTlbCountsStayExactUnderConcurrency) {
+  constexpr unsigned kCores = 4;
+  constexpr int kRounds = 400;
+  constexpr int kTlbiEvery = 10;
+  const obs::Snapshot before = obs::registry().snapshot();
+  Machine machine(arch::Platform::cortex_a55(), /*seed=*/42, kCores);
+  std::vector<std::thread> threads;
+  for (unsigned k = 0; k < kCores; ++k) {
+    threads.emplace_back([&machine, k] {
+      Machine::CoreBinding bind(machine, k);
+      mem::Tlb& tlb = machine.tlb(k);
+      const u16 asid = static_cast<u16>(k + 1);
+      for (int i = 0; i < kRounds; ++i) {
+        const u64 vpage = 0x400 + static_cast<u64>(i % 8);
+        if (!tlb.lookup(vpage, asid, /*vmid=*/0, 0)) {
+          tlb.insert(make_entry(vpage, asid, /*vmid=*/0));
+        }
+        tlb.commit_l1_hits(1);  // the L0 path's batched credit
+        if (i % kTlbiEvery == 0) machine.tlbi_va_is(vpage, asid, /*vmid=*/0);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  const obs::Snapshot moved =
+      obs::Registry::delta(before, obs::registry().snapshot());
+  const auto count = [&moved](const std::string& name) {
+    for (const auto& [n, v] : moved) {
+      if (n == name) return v;
+    }
+    ADD_FAILURE() << "missing snapshot entry " << name;
+    return u64{0};
+  };
+  mem::TlbStats sum;
+  for (unsigned k = 0; k < kCores; ++k) {
+    const mem::TlbStats s = machine.tlb(k).stats();
+    const std::string core = "sim.core" + std::to_string(k) + ".tlb.";
+    EXPECT_EQ(count(core + "l1_hit"), s.l1_hits) << core;
+    EXPECT_EQ(count(core + "l2_hit"), s.l2_hits) << core;
+    EXPECT_EQ(count(core + "miss"), s.misses) << core;
+    EXPECT_EQ(count(core + "invalidation"), s.invalidations) << core;
+    EXPECT_EQ(s.lookups(), 2u * kRounds) << core;  // lookups + commits
+    // Every broadcast, from any core, reaches every TLB once.
+    EXPECT_EQ(s.invalidations, u64{kCores} * (kRounds / kTlbiEvery)) << core;
+    sum.l1_hits += s.l1_hits;
+    sum.l2_hits += s.l2_hits;
+    sum.misses += s.misses;
+    sum.invalidations += s.invalidations;
+  }
+  EXPECT_EQ(count("mem.tlb.l1_hit"), sum.l1_hits);
+  EXPECT_EQ(count("mem.tlb.l2_hit"), sum.l2_hits);
+  EXPECT_EQ(count("mem.tlb.miss"), sum.misses);
+  EXPECT_EQ(count("mem.tlb.invalidation"), sum.invalidations);
+  EXPECT_EQ(sum.invalidations,
+            u64{kCores} * kCores * (kRounds / kTlbiEvery));
 }
 
 // Back-to-back scenarios in one binary must not bleed counters into each

@@ -69,9 +69,10 @@ bool is_switch_event(obs::EventKind kind) {
 // Current value of every switch instrument.
 std::map<std::string, u64> ReadInstruments() {
   std::map<std::string, u64> out;
-  for (const auto& name : kCounters) {
-    const obs::Counter* c = obs::registry().find(name);
-    out["counter:" + name] = c == nullptr ? 0 : c->value();
+  for (const auto& name : kCounters) out["counter:" + name] = 0;
+  for (const auto& [name, value] : obs::registry().snapshot()) {
+    auto it = out.find("counter:" + name);
+    if (it != out.end()) it->second = value;
   }
   for (const auto& name : kHistograms) {
     const obs::Histogram* h = obs::histograms().find(name);
