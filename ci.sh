@@ -10,6 +10,12 @@ cmake -B build -G Ninja >/dev/null
 cmake --build build
 ctest --test-dir build --output-on-failure
 
+# Repo benchmark self-test (perfbench/README.md): builds lzbench in Release
+# and checks every workload's pinned simulated fingerprint, traced vs
+# untraced agreement and span shares summing to 1, so a change that moves
+# simulated work fails here, before any timing run.
+python3 perfbench/run.py --test
+
 # --json smoke test: run the Table 5 print phase only (no gbench loops).
 # The v2 report's latency histograms with percentiles and the
 # cycle-sampling profile with per-domain attribution must all be present,

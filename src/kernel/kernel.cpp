@@ -41,8 +41,7 @@ Process::Process(Kernel& kernel, u32 pid, u16 asid)
       pgt_(std::make_unique<mem::Stage1Table>(
           kernel.machine().mem(), asid,
           mem::FrameOps{[&kernel] { return kernel.alloc_frame(); },
-                        [&kernel](PhysAddr pa) { kernel.free_frame(pa); },
-                        /*to_ipa=*/nullptr, /*to_pa=*/nullptr})) {
+                        [&kernel](PhysAddr pa) { kernel.free_frame(pa); }})) {
   // The kernel's break-before-make shootdowns name (ASID, tlb_vmid); tag
   // the table so the BBM write-protocol oracle matches that scope.
   pgt_->set_vmid(kernel.tlb_vmid());

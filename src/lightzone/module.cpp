@@ -1,5 +1,6 @@
 #include "lightzone/module.h"
 
+#include <algorithm>
 #include <optional>
 #include <span>
 
@@ -42,6 +43,40 @@ Status unmap_if_mapped(mem::Stage1Table& tbl, VirtAddr va) {
   return s;
 }
 
+// Resident pages of [start, end) in ascending VA order, found with one
+// pass over the resident pages: an lz_prot or region over a huge range
+// costs what is resident in it, not what it spans.
+std::vector<VirtAddr> resident_pages(const LzContext& ctx, VirtAddr start,
+                                     VirtAddr end) {
+  std::vector<VirtAddr> out;
+  for (const auto& [vpage, page] : ctx.pages) {
+    const VirtAddr va = vpage << kPageShift;
+    if (va >= start && va < end) out.push_back(va);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+bool covered_by_region(const LzContext& ctx, VirtAddr va) {
+  for (const auto& region : ctx.regions) {
+    if (va >= region.start && va < region.end) return true;
+  }
+  return false;
+}
+
+// Unprotected memory: the identical (global) mapping every table holds,
+// with user-mode permissions translated to kernel mode (UXN -> PXN).
+mem::S1Attrs unprotected_attrs(const LzContext::LzPage& page,
+                               const kernel::Vma& vma) {
+  mem::S1Attrs a;
+  a.user = false;
+  a.read_only = !page.writable || !(vma.prot & kernel::kProtWrite);
+  a.pxn = !page.executable;
+  a.uxn = true;
+  a.global = true;
+  return a;
+}
+
 }  // namespace
 
 // --- LzContext ---------------------------------------------------------------
@@ -76,14 +111,14 @@ void LzContext::on_exit() {
 }
 
 IntermAddr LzContext::ipa_of(PhysAddr real) {
-  if (opts_.allow_scalable && opts_.fake_phys) {
+  if (fake_phys_on()) {
     return fake.fake_of(page_floor(real)) | page_offset(real);
   }
   return real;
 }
 
 PhysAddr LzContext::pa_of(IntermAddr ipa) const {
-  if (opts_.allow_scalable && opts_.fake_phys) {
+  if (fake_phys_on()) {
     const auto real = fake.real_of(ipa);
     LZ_CHECK(real.has_value());
     return *real;
@@ -112,8 +147,7 @@ mem::FrameOps LzContext::table_frame_ops() {
         LZ_CHECK_OK(cp->stage2->unmap(cp->ipa_of(pa)));
         kern.free_frame(pa);
       },
-      [cp](PhysAddr pa) { return cp->ipa_of(pa); },
-      [cp](u64 ipa) { return cp->pa_of(ipa); }};
+      fake_phys_on() ? &fake : nullptr};
 }
 
 u64 LzContext::isolation_table_pages() const {
@@ -274,8 +308,7 @@ Result<int> LzModule::alloc_pgt(LzContext& ctx) {
   // does not fault on code/stack that every domain shares.
   for (const auto& [vpage, page] : ctx.pages) {
     if (page.is_protected) continue;
-    const VirtAddr va = vpage << kPageShift;
-    (void)fault_in_page(ctx, va, /*want_write=*/false, /*want_exec=*/false);
+    (void)copy_unprotected_page(ctx, *slot.tbl, vpage << kPageShift, page);
   }
 
   write_ttbrtab(ctx, static_cast<int>(id), domain_ttbr(ctx, static_cast<int>(id)));
@@ -306,9 +339,7 @@ Status LzModule::free_pgt(LzContext& ctx, int pgt) {
       ++i;
       continue;
     }
-    for (VirtAddr va = region.start; va < region.end; va += kPageSize) {
-      auto it = ctx.pages.find(page_index(va));
-      if (it == ctx.pages.end()) continue;
+    for (const VirtAddr va : resident_pages(ctx, region.start, region.end)) {
       for (auto& d : ctx.pgts) {
         if (d.in_use) LZ_RETURN_IF_ERROR(unmap_if_mapped(*d.tbl, va));
       }
@@ -363,10 +394,8 @@ Status LzModule::prot(LzContext& ctx, VirtAddr addr, u64 len, int pgt,
   // Re-apply protection to already-resident pages: detach from all tables,
   // broadcast the invalidation (another core may run a sibling domain of
   // this process), then fault the new attachment in.
-  for (VirtAddr va = addr; va < end; va += kPageSize) {
-    auto it = ctx.pages.find(page_index(va));
-    if (it == ctx.pages.end()) continue;
-    it->second.is_protected = true;
+  for (const VirtAddr va : resident_pages(ctx, addr, end)) {
+    ctx.pages.at(page_index(va)).is_protected = true;
     for (auto& d : ctx.pgts) {
       if (d.in_use) LZ_RETURN_IF_ERROR(unmap_if_mapped(*d.tbl, va));
     }
@@ -622,15 +651,7 @@ Status LzModule::fault_in_page(LzContext& ctx, VirtAddr va, bool want_write,
   page.is_protected = covered;
 
   if (!covered) {
-    // Unprotected memory: identical (global) mapping in every table, with
-    // user-mode permissions translated to kernel mode (UXN -> PXN).
-    mem::S1Attrs a;
-    a.user = false;
-    a.read_only = !page.writable || !(vma->prot & kernel::kProtWrite);
-    a.pxn = !page.executable;
-    a.uxn = true;
-    a.global = true;
-    attachments.push_back({kPgtAll, a});
+    attachments.push_back({kPgtAll, unprotected_attrs(page, *vma)});
   }
 
   // Coalesce to one final attribute set per table before touching any
@@ -657,7 +678,36 @@ Status LzModule::fault_in_page(LzContext& ctx, VirtAddr va, bool want_write,
     LZ_RETURN_IF_ERROR(map_page_in_table(ctx, *ctx.pgts[i].tbl, va, page,
                                          *final_attrs[i]));
   }
+  finish_fault(ctx, va, page);
+  return Status::ok();
+}
 
+Status LzModule::copy_unprotected_page(LzContext& ctx, mem::Stage1Table& tbl,
+                                       VirtAddr va,
+                                       const LzContext::LzPage& page) {
+  auto& proc = ctx.proc();
+  const kernel::Vma* vma = proc.find_vma(va);
+  // Every fault_in_page of an unprotected page writes the same global
+  // descriptor into every live table, so pgt 0 (never freed) stands for
+  // all older tables. Unless it holds exactly this page's unprotected
+  // mapping (a region covers the page, a failed exec flip left it
+  // unmapped, or a kernel mprotect changed its VMA's rights), take the
+  // full fault path, which brings every table to it break-before-make.
+  const auto held = ctx.pgts[0].tbl->lookup(va);
+  if (vma == nullptr || covered_by_region(ctx, va) || !held.ok ||
+      held.out_addr != page.ipa ||
+      !(held.attrs == unprotected_attrs(page, *vma))) {
+    return fault_in_page(ctx, va, /*want_write=*/false, /*want_exec=*/false);
+  }
+  LZ_RETURN_IF_ERROR(kern().populate_page(proc, va, vma->prot));
+  LZ_CHECK(proc.pgt().lookup(va).ok);
+  LZ_RETURN_IF_ERROR(tbl.map(va, page.ipa, held.attrs));
+  finish_fault(ctx, va, page);
+  return Status::ok();
+}
+
+void LzModule::finish_fault(LzContext& ctx, VirtAddr va,
+                            const LzContext::LzPage& page) {
   // Eagerly establish stage-2 during the stage-1 fault (§5.2) unless the
   // ablation disables it.
   if (ctx.opts().eager_stage2 || ctx.stage2->lookup(page.ipa).ok) {
@@ -669,7 +719,6 @@ Status LzModule::fault_in_page(LzContext& ctx, VirtAddr va, bool want_write,
 
   // Mapping work costs: a handful of table-walk writes.
   machine().charge(CostKind::kMem, 8 * machine().platform().mem_access);
-  return Status::ok();
 }
 
 void LzModule::sync_unmap(LzContext& ctx, VirtAddr va) {
@@ -681,7 +730,7 @@ void LzModule::sync_unmap(LzContext& ctx, VirtAddr va) {
   if (ctx.stage2->lookup(it->second.ipa).ok) {
     LZ_CHECK_OK(ctx.stage2->unmap(it->second.ipa));
   }
-  if (ctx.opts().allow_scalable && ctx.opts().fake_phys) {
+  if (ctx.fake_phys_on()) {
     ctx.fake.erase_real(it->second.real);
   }
   machine().tlbi_va_all_asid_is(page_index(va), ctx.vmid);

@@ -129,6 +129,8 @@ class LzContext : public kernel::ProcessExtension {
   u64 traps = 0;
   u64 sanitized_pages = 0;
 
+  // Whether stage-1 descriptors hold fake pages (the §5.1.2 layer is on).
+  bool fake_phys_on() const { return opts_.allow_scalable && opts_.fake_phys; }
   // IPA of a real frame under this context's addressing scheme.
   IntermAddr ipa_of(PhysAddr real);
   // Inverse (module-side use only; the process never sees real frames).
@@ -229,6 +231,14 @@ class LzModule : public hv::TrapDelegate {
   Status map_page_in_table(LzContext& ctx, mem::Stage1Table& tbl, VirtAddr va,
                            const LzContext::LzPage& page,
                            const mem::S1Attrs& attrs);
+  // lz_alloc's copy of a resident unprotected page: when pgt 0 already
+  // holds its unprotected mapping, the per-fault steps of fault_in_page
+  // written into `tbl` (the new table) alone; otherwise fault_in_page.
+  Status copy_unprotected_page(LzContext& ctx, mem::Stage1Table& tbl,
+                               VirtAddr va, const LzContext::LzPage& page);
+  // The tail every fault-in shares: stage-2, the TLBI, the mapping charge.
+  void finish_fault(LzContext& ctx, VirtAddr va,
+                    const LzContext::LzPage& page);
   // Bring the stage-2 entry for `ipa` to exactly `s2`, break-before-make:
   // absent -> map, equal -> no-op, widening -> in-place protect, tightening
   // -> unmap + broadcast TLBI + remap.

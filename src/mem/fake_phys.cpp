@@ -4,19 +4,12 @@ namespace lz::mem {
 
 IntermAddr FakePhysMap::fake_of(PhysAddr real_page) {
   LZ_CHECK(page_aligned(real_page));
-  auto it = real_to_fake_.find(real_page);
-  if (it != real_to_fake_.end()) return it->second;
-  const IntermAddr fake = next_fake_;
-  next_fake_ += kPageSize;
-  real_to_fake_.emplace(real_page, fake);
-  fake_to_real_.emplace(fake, real_page);
-  return fake;
-}
-
-std::optional<PhysAddr> FakePhysMap::real_of(IntermAddr fake_page) const {
-  auto it = fake_to_real_.find(page_floor(fake_page));
-  if (it == fake_to_real_.end()) return std::nullopt;
-  return it->second | page_offset(fake_page);
+  auto [it, inserted] = real_to_fake_.try_emplace(real_page);
+  if (inserted) {
+    it->second = first_fake_ + fake_to_real_.size() * kPageSize;
+    fake_to_real_.push_back(real_page);
+  }
+  return it->second;
 }
 
 std::optional<IntermAddr> FakePhysMap::lookup_fake(PhysAddr real_page) const {
@@ -28,7 +21,7 @@ std::optional<IntermAddr> FakePhysMap::lookup_fake(PhysAddr real_page) const {
 void FakePhysMap::erase_real(PhysAddr real_page) {
   auto it = real_to_fake_.find(real_page);
   if (it == real_to_fake_.end()) return;
-  fake_to_real_.erase(it->second);
+  fake_to_real_[page_index(it->second - first_fake_)] = kErased;
   real_to_fake_.erase(it);
 }
 

@@ -11,43 +11,6 @@ VaRange classify_va(VirtAddr va) {
   return VaRange::kInvalid;
 }
 
-S1Walk walk_stage1(const PhysMem& pm, PhysAddr root, VirtAddr va,
-                   const TableAddrMapper& map_table) {
-  S1Walk w;
-  u64 table = root;
-  for (unsigned level = 0; level < kStage1Levels; ++level) {
-    // Table addresses are IPAs when stage-2 is on; route through it.
-    PhysAddr table_pa = table;
-    if (map_table) {
-      auto mapped = map_table(table);
-      if (!mapped) {
-        w.fault_level = level;
-        w.s2_table_fault = true;
-        w.s2_fault_ipa = table;
-        return w;  // stage-2 fault on a table access
-      }
-      table_pa = *mapped;
-    }
-    const PhysAddr slot_pa = table_pa + s1_index(va, level) * 8;
-    const u64 desc = pm.read(slot_pa, 8);
-    ++w.mem_accesses;
-    if (!pte::valid(desc)) {
-      w.fault_level = level;
-      return w;
-    }
-    if (level == kStage1Levels - 1) {
-      w.ok = true;
-      w.out_addr = pte::addr(desc) | page_offset(va);
-      w.attrs = pte::s1_attrs(desc);
-      w.leaf_pa = slot_pa;
-      return w;
-    }
-    LZ_CHECK(pte::is_table(desc));
-    table = pte::addr(desc);
-  }
-  return w;
-}
-
 S2Walk walk_stage2(const PhysMem& pm, PhysAddr root, IntermAddr ipa) {
   S2Walk w;
   if (ipa >> kIpaBits) {
@@ -56,8 +19,8 @@ S2Walk walk_stage2(const PhysMem& pm, PhysAddr root, IntermAddr ipa) {
   }
   u64 table = root;
   for (unsigned level = 0; level < kStage2Levels; ++level) {
-    const PhysAddr slot_pa = table + s2_index(ipa, level) * 8;
-    const u64 desc = pm.read(slot_pa, 8);
+    const unsigned index = s2_index(ipa, level);
+    const u64 desc = reinterpret_cast<const u64*>(pm.page_ptr(table))[index];
     ++w.mem_accesses;
     if (!pte::valid(desc)) {
       // The 3-level concatenated walk starts at architectural level 1, so
@@ -69,7 +32,7 @@ S2Walk walk_stage2(const PhysMem& pm, PhysAddr root, IntermAddr ipa) {
       w.ok = true;
       w.out_addr = pte::addr(desc) | page_offset(ipa);
       w.attrs = pte::s2_attrs(desc);
-      w.leaf_pa = slot_pa;
+      w.leaf_pa = table + u64{index} * 8;
       return w;
     }
     LZ_CHECK(pte::is_table(desc));
@@ -83,6 +46,7 @@ S2Walk walk_stage2(const PhysMem& pm, PhysAddr root, IntermAddr ipa) {
 Stage1Table::Stage1Table(PhysMem& pm, u16 asid, FrameOps frame_ops)
     : pm_(pm), frame_ops_(std::move(frame_ops)), root_(0), asid_(asid) {
   root_ = alloc_table_frame();
+  root_desc_ = desc_addr(root_);
 }
 
 Stage1Table::~Stage1Table() { free_recursive(root_, 0); }
@@ -91,13 +55,9 @@ PhysAddr Stage1Table::alloc_table_frame() {
   return frame_ops_.alloc ? frame_ops_.alloc() : pm_.alloc_frame();
 }
 
-u64* Stage1Table::slot(PhysAddr table, unsigned index) const {
-  return reinterpret_cast<u64*>(pm_.page_ptr(table)) + index;
-}
-
 void Stage1Table::write_desc(PhysAddr table, unsigned index, unsigned level,
                              u64 in_addr, u64 new_desc) {
-  u64* d = slot(table, index);
+  u64* d = entries(table) + index;
   const u64 old_desc = *d;
   *d = new_desc;
   notify_pte_write(PteWrite{/*stage2=*/false, &pm_, table + u64{index} * 8,
@@ -111,7 +71,7 @@ Status Stage1Table::walk_to_leaf(VirtAddr va, bool create,
   }
   PhysAddr table = root_;
   for (unsigned level = 0; level + 1 < kStage1Levels; ++level) {
-    u64* d = slot(table, s1_index(va, level));
+    u64* d = entries(table) + s1_index(va, level);
     if (!pte::valid(*d)) {
       if (!create) return err(Errc::kNotFound, "unmapped");
       const PhysAddr next = alloc_table_frame();
@@ -132,7 +92,7 @@ Status Stage1Table::map(VirtAddr va, u64 out_addr, const S1Attrs& attrs) {
   }
   PhysAddr leaf{};
   LZ_RETURN_IF_ERROR(walk_to_leaf(va, /*create=*/true, &leaf));
-  u64* d = slot(leaf, s1_index(va, kStage1Levels - 1));
+  u64* d = entries(leaf) + s1_index(va, kStage1Levels - 1);
   if (pte::valid(*d)) return err(Errc::kAlreadyExists, "page already mapped");
   write_desc(leaf, s1_index(va, kStage1Levels - 1), kStage1Levels - 1, va,
              pte::make_s1_page(out_addr, attrs));
@@ -142,7 +102,7 @@ Status Stage1Table::map(VirtAddr va, u64 out_addr, const S1Attrs& attrs) {
 Status Stage1Table::unmap(VirtAddr va) {
   PhysAddr leaf{};
   LZ_RETURN_IF_ERROR(walk_to_leaf(va, /*create=*/false, &leaf));
-  u64* d = slot(leaf, s1_index(va, kStage1Levels - 1));
+  u64* d = entries(leaf) + s1_index(va, kStage1Levels - 1);
   if (!pte::valid(*d)) return err(Errc::kNotFound, "page not mapped");
   write_desc(leaf, s1_index(va, kStage1Levels - 1), kStage1Levels - 1,
              page_floor(va), 0);
@@ -152,7 +112,7 @@ Status Stage1Table::unmap(VirtAddr va) {
 Status Stage1Table::protect(VirtAddr va, const S1Attrs& attrs) {
   PhysAddr leaf{};
   LZ_RETURN_IF_ERROR(walk_to_leaf(va, /*create=*/false, &leaf));
-  u64* d = slot(leaf, s1_index(va, kStage1Levels - 1));
+  u64* d = entries(leaf) + s1_index(va, kStage1Levels - 1);
   if (!pte::valid(*d)) return err(Errc::kNotFound, "page not mapped");
   write_desc(leaf, s1_index(va, kStage1Levels - 1), kStage1Levels - 1,
              page_floor(va), pte::make_s1_page(pte::addr(*d), attrs));
@@ -160,14 +120,14 @@ Status Stage1Table::protect(VirtAddr va, const S1Attrs& attrs) {
 }
 
 S1Walk Stage1Table::lookup(VirtAddr va) const {
-  if (!frame_ops_.to_pa) return walk_stage1(pm_, root_, va);
+  if (!frame_ops_.fake) return walk_stage1(pm_, root_, va);
   // Descriptors hold IPAs: start the walk from the IPA-space root and
-  // resolve every hop through to_pa, exactly as the hardware walker does
-  // through stage-2. The leaf out_addr stays in IPA space (that is what
-  // this regime maps to).
-  return walk_stage1(pm_, desc_addr(root_), va,
+  // resolve every hop through the fake map, exactly as the hardware walker
+  // does through stage-2. The leaf out_addr stays in IPA space (that is
+  // what this regime maps to).
+  return walk_stage1(pm_, root_desc_, va,
                      [this](u64 ipa) -> std::optional<PhysAddr> {
-                       return frame_ops_.to_pa(ipa);
+                       return frame_of_desc(ipa);
                      });
 }
 
@@ -180,8 +140,9 @@ void Stage1Table::for_each_rec(
     PhysAddr table, unsigned level, VirtAddr va_prefix,
     const std::function<void(VirtAddr, u64)>& fn) const {
   const unsigned shift = 12 + 9 * (kStage1Levels - 1 - level);
+  const u64* t = entries(table);
   for (unsigned i = 0; i < 512; ++i) {
-    const u64 desc = *slot(table, i);
+    const u64 desc = t[i];
     if (!pte::valid(desc)) continue;
     const VirtAddr va = va_prefix | (u64{i} << shift);
     if (level == kStage1Levels - 1) {
@@ -202,8 +163,9 @@ void Stage1Table::collect_frames(PhysAddr table, unsigned level,
                                  std::vector<PhysAddr>* out) const {
   out->push_back(table);
   if (level == kStage1Levels - 1) return;
+  const u64* t = entries(table);
   for (unsigned i = 0; i < 512; ++i) {
-    const u64 desc = *slot(table, i);
+    const u64 desc = t[i];
     if (pte::is_table(desc)) {
       collect_frames(frame_of_desc(pte::addr(desc)), level + 1, out);
     }
@@ -212,8 +174,9 @@ void Stage1Table::collect_frames(PhysAddr table, unsigned level,
 
 void Stage1Table::free_recursive(PhysAddr table, unsigned level) {
   if (level < kStage1Levels - 1) {
+    const u64* t = entries(table);
     for (unsigned i = 0; i < 512; ++i) {
-      const u64 desc = *slot(table, i);
+      const u64 desc = t[i];
       if (pte::is_table(desc)) {
         free_recursive(frame_of_desc(pte::addr(desc)), level + 1);
       }
@@ -237,13 +200,9 @@ Stage2Table::Stage2Table(PhysMem& pm, u16 vmid)
 
 Stage2Table::~Stage2Table() { free_recursive(root_, 0); }
 
-u64* Stage2Table::slot(PhysAddr table, unsigned index) const {
-  return reinterpret_cast<u64*>(pm_.page_ptr(table)) + index;
-}
-
 void Stage2Table::write_desc(PhysAddr table, unsigned index, unsigned level,
                              u64 in_addr, u64 new_desc) {
-  u64* d = slot(table, index);
+  u64* d = entries(table) + index;
   const u64 old_desc = *d;
   *d = new_desc;
   notify_pte_write(PteWrite{/*stage2=*/true, &pm_, table + u64{index} * 8,
@@ -256,7 +215,7 @@ Status Stage2Table::walk_to_leaf(IntermAddr ipa, bool create,
   if (ipa >> kIpaBits) return err(Errc::kInvalidArgument, "IPA too large");
   PhysAddr table = root_;
   for (unsigned level = 0; level + 1 < kStage2Levels; ++level) {
-    u64* d = slot(table, s2_index(ipa, level));
+    u64* d = entries(table) + s2_index(ipa, level);
     if (!pte::valid(*d)) {
       if (!create) return err(Errc::kNotFound, "unmapped");
       write_desc(table, s2_index(ipa, level), level + kStage2StartLevel,
@@ -274,7 +233,7 @@ Status Stage2Table::map(IntermAddr ipa, PhysAddr pa, const S2Attrs& attrs) {
   }
   PhysAddr leaf{};
   LZ_RETURN_IF_ERROR(walk_to_leaf(ipa, /*create=*/true, &leaf));
-  u64* d = slot(leaf, s2_index(ipa, kStage2Levels - 1));
+  u64* d = entries(leaf) + s2_index(ipa, kStage2Levels - 1);
   if (pte::valid(*d)) return err(Errc::kAlreadyExists, "IPA already mapped");
   write_desc(leaf, s2_index(ipa, kStage2Levels - 1), kStage2LeafLevel, ipa,
              pte::make_s2_page(pa, attrs));
@@ -284,7 +243,7 @@ Status Stage2Table::map(IntermAddr ipa, PhysAddr pa, const S2Attrs& attrs) {
 Status Stage2Table::unmap(IntermAddr ipa) {
   PhysAddr leaf{};
   LZ_RETURN_IF_ERROR(walk_to_leaf(ipa, /*create=*/false, &leaf));
-  u64* d = slot(leaf, s2_index(ipa, kStage2Levels - 1));
+  u64* d = entries(leaf) + s2_index(ipa, kStage2Levels - 1);
   if (!pte::valid(*d)) return err(Errc::kNotFound, "IPA not mapped");
   write_desc(leaf, s2_index(ipa, kStage2Levels - 1), kStage2LeafLevel,
              page_floor(ipa), 0);
@@ -294,7 +253,7 @@ Status Stage2Table::unmap(IntermAddr ipa) {
 Status Stage2Table::protect(IntermAddr ipa, const S2Attrs& attrs) {
   PhysAddr leaf{};
   LZ_RETURN_IF_ERROR(walk_to_leaf(ipa, /*create=*/false, &leaf));
-  u64* d = slot(leaf, s2_index(ipa, kStage2Levels - 1));
+  u64* d = entries(leaf) + s2_index(ipa, kStage2Levels - 1);
   if (!pte::valid(*d)) return err(Errc::kNotFound, "IPA not mapped");
   write_desc(leaf, s2_index(ipa, kStage2Levels - 1), kStage2LeafLevel,
              page_floor(ipa), pte::make_s2_page(pte::addr(*d), attrs));
@@ -315,31 +274,23 @@ void Stage2Table::count_frames(PhysAddr table, unsigned level,
                                u64* count) const {
   ++*count;
   if (level == kStage2Levels - 1) return;
+  const u64* t = entries(table);
   for (unsigned i = 0; i < 512; ++i) {
-    const u64 desc = *slot(table, i);
+    const u64 desc = t[i];
     if (pte::is_table(desc)) count_frames(pte::addr(desc), level + 1, count);
   }
 }
 
 void Stage2Table::free_recursive(PhysAddr table, unsigned level) {
   if (level < kStage2Levels - 1) {
+    const u64* t = entries(table);
     for (unsigned i = 0; i < 512; ++i) {
-      const u64 desc = *slot(table, i);
+      const u64 desc = t[i];
       if (pte::is_table(desc)) free_recursive(pte::addr(desc), level + 1);
     }
   }
   notify_table_free(&pm_, table);
   pm_.free_frame(table);
-}
-
-TableAddrMapper Stage2Table::table_mapper() const {
-  const PhysMem* pm = &pm_;
-  const PhysAddr root = root_;
-  return [pm, root](u64 ipa) -> std::optional<PhysAddr> {
-    const S2Walk w = walk_stage2(*pm, root, ipa);
-    if (!w.ok || !w.attrs.read) return std::nullopt;
-    return w.out_addr;
-  };
 }
 
 }  // namespace lz::mem

@@ -13,6 +13,7 @@
 #include <optional>
 #include <vector>
 
+#include "mem/fake_phys.h"
 #include "mem/phys_mem.h"
 #include "mem/pte.h"
 #include "support/status.h"
@@ -52,10 +53,6 @@ constexpr unsigned s2_index(IntermAddr ipa, unsigned level) {
   return static_cast<unsigned>((ipa >> shift) & 0x1ff);
 }
 
-// Translates a table-descriptor output address to a machine physical
-// address (identity when stage-2 is off). Returns nullopt if unmapped.
-using TableAddrMapper = std::function<std::optional<PhysAddr>(u64)>;
-
 struct S1Walk {
   bool ok = false;
   unsigned fault_level = 0;   // architectural fault level when !ok (see above)
@@ -76,27 +73,68 @@ struct S2Walk {
   unsigned mem_accesses = 0;
 };
 
-// Hardware walkers. `root` is the (machine-physical after mapping) table
-// base; for stage-1 with stage-2 active, pass a mapper that routes table
-// addresses through stage-2.
+// Hardware walkers. Each level reads its descriptor through the table
+// frame's page pointer.
+//
+// The one stage-1 walker. `map_table(u64 table_addr)` returns the machine
+// PA of a table address — the table base `root` and every next-level
+// pointer — or nullopt for a stage-2 miss on that table access: the stage-2
+// hop when stage-2 is on, the fake-physical resolver of a kernel-managed
+// table (Stage1Table::lookup), identity otherwise. It is a template
+// parameter, not a std::function, so each hop inlines into the walk.
+template <class MapTable>
 S1Walk walk_stage1(const PhysMem& pm, PhysAddr root, VirtAddr va,
-                   const TableAddrMapper& map_table = nullptr);
+                   MapTable&& map_table) {
+  S1Walk w;
+  u64 table = root;
+  for (unsigned level = 0; level < kStage1Levels; ++level) {
+    const std::optional<PhysAddr> table_pa = map_table(table);
+    if (!table_pa) {
+      w.fault_level = level;
+      w.s2_table_fault = true;
+      w.s2_fault_ipa = table;
+      return w;  // stage-2 fault on a table access
+    }
+    const unsigned index = s1_index(va, level);
+    const u64 desc =
+        reinterpret_cast<const u64*>(pm.page_ptr(*table_pa))[index];
+    ++w.mem_accesses;
+    if (!pte::valid(desc)) {
+      w.fault_level = level;
+      return w;
+    }
+    if (level == kStage1Levels - 1) {
+      w.ok = true;
+      w.out_addr = pte::addr(desc) | page_offset(va);
+      w.attrs = pte::s1_attrs(desc);
+      w.leaf_pa = *table_pa + u64{index} * 8;
+      return w;
+    }
+    LZ_CHECK(pte::is_table(desc));
+    table = pte::addr(desc);
+  }
+  return w;
+}
+// Identity case: table addresses are machine PAs (stage-2 off).
+inline S1Walk walk_stage1(const PhysMem& pm, PhysAddr root, VirtAddr va) {
+  return walk_stage1(pm, root, va,
+                     [](u64 pa) { return std::optional<PhysAddr>(pa); });
+}
 S2Walk walk_stage2(const PhysMem& pm, PhysAddr root, IntermAddr ipa);
 
 // --- Owner classes ----------------------------------------------------------
 
 // Frame allocation hooks so table frames can come from a managing kernel
 // (which e.g. keeps stage-2 identity mappings in sync) instead of the raw
-// machine allocator. `to_ipa`/`to_pa` translate between the machine frame
-// addresses the builder touches and the addresses *written into table
-// descriptors*: under LightZone's fake-physical scheme (§5.1.2) the
-// descriptors hold fake pages that stage-2 resolves, so next-level pointers
-// must be fake too. Identity when unset.
+// machine allocator. `fake` translates between the machine frame addresses
+// the builder touches and the addresses *written into table descriptors*:
+// under LightZone's fake-physical scheme (§5.1.2) the descriptors hold fake
+// pages that stage-2 resolves, so next-level pointers must be fake too.
+// Identity when null.
 struct FrameOps {
   std::function<PhysAddr()> alloc;
   std::function<void(PhysAddr)> free;
-  std::function<u64(PhysAddr)> to_ipa;
-  std::function<PhysAddr(u64)> to_pa;
+  FakePhysMap* fake = nullptr;
 };
 
 // A kernel-managed stage-1 page table (one translation regime / domain).
@@ -133,16 +171,22 @@ class Stage1Table {
   u64 table_pages() const { return table_frames().size(); }
 
  private:
-  u64* slot(PhysAddr table, unsigned index) const;
+  // The 512 descriptors of a table frame: one page_ptr per table visit.
+  u64* entries(PhysAddr table) const {
+    return reinterpret_cast<u64*>(pm_.page_ptr(table));
+  }
   // Every descriptor mutation funnels through here: it performs the store
   // and publishes it to the installed PteWriteObserver (mem/pte_observer.h).
   void write_desc(PhysAddr table, unsigned index, unsigned level,
                   u64 in_addr, u64 new_desc);
   u64 desc_addr(PhysAddr pa) const {
-    return frame_ops_.to_ipa ? frame_ops_.to_ipa(pa) : pa;
+    return frame_ops_.fake ? frame_ops_.fake->fake_of(pa) : pa;
   }
   PhysAddr frame_of_desc(u64 desc_out) const {
-    return frame_ops_.to_pa ? frame_ops_.to_pa(desc_out) : desc_out;
+    if (!frame_ops_.fake) return desc_out;
+    const auto real = frame_ops_.fake->real_of(desc_out);
+    LZ_CHECK(real.has_value());
+    return *real;
   }
   Status walk_to_leaf(VirtAddr va, bool create, PhysAddr* leaf_table);
   void free_recursive(PhysAddr table, unsigned level);
@@ -156,6 +200,7 @@ class Stage1Table {
   PhysMem& pm_;
   FrameOps frame_ops_;
   PhysAddr root_;
+  u64 root_desc_;  // desc_addr(root_): where lookup's walk starts
   u16 asid_;
   u16 vmid_ = 0;
 };
@@ -179,13 +224,11 @@ class Stage2Table {
   S2Walk lookup(IntermAddr ipa) const;
   u64 table_pages() const;
 
-  // Convenience mapper for walk_stage1 over this stage-2 regime.
-  TableAddrMapper table_mapper() const;
-
  private:
-  // Same leaf-slot accessor shape as Stage1Table::slot — both walkers now
-  // share one provenance path into PhysMem::page_ptr.
-  u64* slot(PhysAddr table, unsigned index) const;
+  // Same accessor as Stage1Table::entries: one page_ptr per table visit.
+  u64* entries(PhysAddr table) const {
+    return reinterpret_cast<u64*>(pm_.page_ptr(table));
+  }
   void write_desc(PhysAddr table, unsigned index, unsigned level,
                   u64 in_addr, u64 new_desc);
   Status walk_to_leaf(IntermAddr ipa, bool create, PhysAddr* leaf_table);

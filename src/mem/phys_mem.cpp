@@ -59,18 +59,6 @@ void PhysMem::free_frame(PhysAddr pa) {
   free_list_.push_back(pa);
 }
 
-PhysMem::Page& PhysMem::page(PhysAddr pa) const {
-  const u64 idx = page_index(pa);
-  if (idx < radix_pages_) {
-    Chunk* c = root_[idx / kChunkPages].load(std::memory_order_acquire);
-    if (c != nullptr) {
-      Page* p = c->slots[idx % kChunkPages].load(std::memory_order_acquire);
-      if (p != nullptr) return *p;
-    }
-  }
-  return materialize(idx);
-}
-
 PhysMem::Page& PhysMem::materialize(u64 idx) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (idx >= radix_pages_) {
@@ -131,8 +119,5 @@ void PhysMem::write_bytes(PhysAddr pa, const void* data, u64 len) {
     len -= chunk;
   }
 }
-
-u8* PhysMem::page_ptr(PhysAddr pa) { return page(pa).data(); }
-const u8* PhysMem::page_ptr(PhysAddr pa) const { return page(pa).data(); }
 
 }  // namespace lz::mem

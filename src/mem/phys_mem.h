@@ -56,8 +56,8 @@ class PhysMem {
 
   // Direct pointer to the backing page (created on demand). Valid until the
   // PhysMem is destroyed; pages are never reclaimed, only reused.
-  u8* page_ptr(PhysAddr pa);
-  const u8* page_ptr(PhysAddr pa) const;
+  u8* page_ptr(PhysAddr pa) { return page(pa).data(); }
+  const u8* page_ptr(PhysAddr pa) const { return page(pa).data(); }
 
   bool in_ram(PhysAddr pa) const {
     return pa >= ram_base_ && pa < ram_base_ + ram_size_;
@@ -71,7 +71,19 @@ class PhysMem {
     std::atomic<Page*> slots[kChunkPages] = {};
   };
 
-  Page& page(PhysAddr pa) const;
+  // Lock-free radix lookup, inline: every page-table walk level and
+  // table scan goes through it.
+  Page& page(PhysAddr pa) const {
+    const u64 idx = page_index(pa);
+    if (idx < radix_pages_) {
+      Chunk* c = root_[idx / kChunkPages].load(std::memory_order_acquire);
+      if (c != nullptr) {
+        Page* p = c->slots[idx % kChunkPages].load(std::memory_order_acquire);
+        if (p != nullptr) return *p;
+      }
+    }
+    return materialize(idx);
+  }
   // Slow path: create (or race-lose and reuse) the page under the mutex.
   Page& materialize(u64 idx) const;
 

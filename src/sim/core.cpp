@@ -296,26 +296,25 @@ Core::WalkOutcome Core::walk_translation(VirtAddr va, u64 vpage) const {
   const PhysAddr s2_root = mem::vttbr_base(sysreg(SysReg::kVttbrEl2));
 
   unsigned s2_hop_fault_level = 0;
-  mem::TableAddrMapper mapper;
-  if (s2_on) {
-    mapper = [this, s2_root, &out, &s2_hop_fault_level](u64 ipa)
-        -> std::optional<PhysAddr> {
-      const auto w = mem::walk_stage2(pm_, s2_root, ipa);
-      // Hardware walk caches make repeated table translations cheap; we
-      // charge one level per table hop rather than a full nested walk.
-      out.table_loads += 1;
-      if (!w.ok || !w.attrs.read) {
-        // The abort reports the *stage-2* walk's own fault level, not the
-        // stage-1 hop that triggered it (a readable-leaf denial is a
-        // stage-2 permission problem at the leaf level).
-        s2_hop_fault_level = w.ok ? mem::kStage2LeafLevel : w.fault_level;
-        return std::nullopt;
-      }
-      return w.out_addr;
-    };
-  }
+  const auto s2_hop = [this, s2_root, &out, &s2_hop_fault_level](u64 ipa)
+      -> std::optional<PhysAddr> {
+    const auto w = mem::walk_stage2(pm_, s2_root, ipa);
+    // Hardware walk caches make repeated table translations cheap; we
+    // charge one level per table hop rather than a full nested walk.
+    out.table_loads += 1;
+    if (!w.ok || !w.attrs.read) {
+      // The abort reports the *stage-2* walk's own fault level, not the
+      // stage-1 hop that triggered it (a readable-leaf denial is a
+      // stage-2 permission problem at the leaf level).
+      s2_hop_fault_level = w.ok ? mem::kStage2LeafLevel : w.fault_level;
+      return std::nullopt;
+    }
+    return w.out_addr;
+  };
 
-  const auto s1 = mem::walk_stage1(pm_, mem::ttbr_base(ttbr), va, mapper);
+  const auto s1 =
+      s2_on ? mem::walk_stage1(pm_, mem::ttbr_base(ttbr), va, s2_hop)
+            : mem::walk_stage1(pm_, mem::ttbr_base(ttbr), va);
   out.table_loads += s1.mem_accesses;
   if (!s1.ok) {
     out.fault_level = s1.fault_level;

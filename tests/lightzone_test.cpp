@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <vector>
 
 #include "arch/encode.h"
 #include "lightzone/api.h"
 #include "lightzone/gate.h"
+#include "mem/pte_observer.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 #include "sim/assembler.h"
@@ -650,6 +652,226 @@ TEST_F(LightZoneTest, MemoryOverheadAccounting) {
   const u64 base = lz.ctx().isolation_table_pages();
   for (int i = 1; i <= 16; ++i) lz.lz_alloc().value();
   EXPECT_GT(lz.ctx().isolation_table_pages(), base);
+}
+
+// Folds every page-table event into one FNV-1a hash, forwarding to the
+// observer it displaced (the BBM monitor Env arms) so the protocol oracle
+// keeps watching the same stream.
+class PteStreamHasher : public mem::PteWriteObserver {
+ public:
+  PteStreamHasher() : prev_(mem::set_pte_write_observer(this)) {}
+  ~PteStreamHasher() override { mem::set_pte_write_observer(prev_); }
+
+  void on_pte_write(const mem::PteWrite& w) override {
+    fold(1);
+    fold(w.stage2);
+    fold(w.desc_pa);
+    fold(w.in_addr);
+    fold(w.level);
+    fold(w.old_desc);
+    fold(w.new_desc);
+    fold(w.asid);
+    fold(w.vmid);
+    ++writes;
+    if (prev_ != nullptr) prev_->on_pte_write(w);
+  }
+  void on_tlbi(const mem::TlbiEvent& e) override {
+    fold(2);
+    fold(static_cast<u64>(e.scope));
+    fold(e.vpage);
+    fold(e.asid);
+    fold(e.vmid);
+    ++tlbis;
+    if (prev_ != nullptr) prev_->on_tlbi(e);
+  }
+  void on_dsb() override {
+    fold(3);
+    if (prev_ != nullptr) prev_->on_dsb();
+  }
+  void on_table_free(const mem::PhysMem* pm, PhysAddr table_pa) override {
+    fold(4);
+    fold(table_pa);
+    ++table_frees;
+    if (prev_ != nullptr) prev_->on_table_free(pm, table_pa);
+  }
+  void on_phys_mem_destroyed(const mem::PhysMem* pm) override {
+    if (prev_ != nullptr) prev_->on_phys_mem_destroyed(pm);
+  }
+
+  u64 hash = 0xcbf29ce484222325ull;
+  u64 writes = 0, tlbis = 0, table_frees = 0;
+
+ private:
+  void fold(u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xff;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  mem::PteWriteObserver* prev_;
+};
+
+// The page-table write side (lz_alloc's table build, lz_prot, lz_free,
+// W^X, process exit) may be made faster but never different: every PTE
+// store, TLBI, DSB and table free of a fixed domain-lifecycle script is
+// folded into one pinned hash.
+TEST_F(LightZoneTest, DomainLifecycleObserverStreamIsPinned) {
+  constexpr VirtAddr kJitVa = 0x2000'0000;
+  auto& proc = env.new_process();
+  LZ_CHECK_OK(env.kern().mmap(
+      proc, kJitVa, kPageSize,
+      kernel::kProtRead | kernel::kProtWrite | kernel::kProtExec));
+  PteStreamHasher hasher;
+  {
+    LzProc lz = LzProc::enter(*env.module, proc, true, 1);
+    auto& module = lz.module();
+    auto& ctx = lz.ctx();
+    // Resident shared pages every new domain table copies.
+    LZ_CHECK_OK(module.touch_page(ctx, Env::kCodeVa, false, true));
+    LZ_CHECK_OK(module.touch_page(ctx, Env::kStackTop - kPageSize, true,
+                                  false));
+    for (u64 i = 0; i < 4; ++i) {
+      LZ_CHECK_OK(module.touch_page(ctx, Env::kHeapVa + (32 + i) * kPageSize,
+                                    i % 2 == 0, false));
+    }
+    std::vector<int> live;
+    for (int i = 0; i < 24; ++i) {
+      const int pgt = lz.lz_alloc().value();
+      const VirtAddr va = Env::kHeapVa + (i % 16) * kPageSize;
+      LZ_CHECK_OK(lz.lz_prot(va, kPageSize, pgt, kLzRead | kLzWrite));
+      LZ_CHECK_OK(lz.lz_map_gate_pgt(pgt, 1 + i % 9));
+      LZ_CHECK_OK(module.touch_page(ctx, va, true, false));
+      live.push_back(pgt);
+      if (live.size() > 8) {
+        LZ_CHECK_OK(lz.lz_free(live.front()));
+        live.erase(live.begin());
+      }
+    }
+    // One W^X exec flip on a writable, executable page.
+    LZ_CHECK_OK(module.touch_page(ctx, kJitVa, true, false));
+    LZ_CHECK_OK(module.touch_page(ctx, kJitVa, false, true));
+  }
+  env.kern().destroy(proc);
+  EXPECT_GT(hasher.writes, 0u);
+  EXPECT_GT(hasher.tlbis, 0u);
+  EXPECT_GT(hasher.table_frees, 0u);
+  EXPECT_EQ(hasher.hash, 0xca288c244682e0a3ull) << std::hex << hasher.hash << std::dec
+                                 << " writes=" << hasher.writes
+                                 << " tlbis=" << hasher.tlbis
+                                 << " frees=" << hasher.table_frees;
+}
+
+// lz_alloc copies into the new table exactly pgt 0's unprotected pages
+// (sanitized code, read-only VMA pages, writable and clean heap pages)
+// with identical descriptors. A kPgtAll overlay page is protected, so a
+// new table gets it only on the page's next fault, through fault_in_page.
+TEST_F(LightZoneTest, AllocCopiesExactlyTheUnprotectedPages) {
+  constexpr VirtAddr kRoVa = 0x3000'0000;
+  auto& proc = env.new_process();
+  LZ_CHECK_OK(env.kern().mmap(proc, kRoVa, 2 * kPageSize, kernel::kProtRead));
+  LzProc lz = LzProc::enter(*env.module, proc, true, 1);
+  auto& module = lz.module();
+  auto& ctx = lz.ctx();
+  const VirtAddr heap_rw = Env::kHeapVa;
+  const VirtAddr overlay = Env::kHeapVa + 2 * kPageSize;
+  LZ_CHECK_OK(module.touch_page(ctx, Env::kCodeVa, false, true));
+  LZ_CHECK_OK(module.touch_page(ctx, kRoVa, false, false));
+  LZ_CHECK_OK(module.touch_page(ctx, kRoVa + kPageSize, false, false));
+  LZ_CHECK_OK(module.touch_page(ctx, heap_rw, true, false));
+  LZ_CHECK_OK(module.touch_page(ctx, Env::kHeapVa + kPageSize, false, false));
+  LZ_CHECK_OK(lz.lz_prot(overlay, kPageSize, kPgtAll,
+                         kLzRead | kLzWrite | kLzUser));
+  LZ_CHECK_OK(module.touch_page(ctx, overlay, true, false));
+
+  using Entries = std::map<VirtAddr, u64>;
+  const auto entries = [&](int pgt) {
+    Entries out;
+    ctx.pgts[pgt].tbl->for_each([&](VirtAddr va, u64 desc) { out[va] = desc; });
+    return out;
+  };
+  Entries unprotected = entries(0);
+  ASSERT_TRUE(unprotected.contains(overlay));
+  const u64 overlay_desc = unprotected[overlay];
+  unprotected.erase(overlay);
+  ASSERT_EQ(unprotected.size(), 5u);
+  EXPECT_FALSE(mem::pte::s1_attrs(unprotected.at(Env::kCodeVa)).pxn);
+  EXPECT_TRUE(mem::pte::s1_attrs(unprotected.at(kRoVa)).read_only);
+  EXPECT_FALSE(mem::pte::s1_attrs(unprotected.at(heap_rw)).read_only);
+
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_EQ(lz.lz_alloc().value(), i);
+    EXPECT_EQ(entries(i), unprotected) << "pgt " << i;
+  }
+  LZ_CHECK_OK(module.touch_page(ctx, overlay, false, false));
+  for (int i = 0; i <= 3; ++i) {
+    EXPECT_EQ(entries(i).at(overlay), overlay_desc) << "pgt " << i;
+  }
+}
+
+// A kernel mprotect narrows a VMA without telling LightZone, so the
+// tables keep the page's old read-write descriptor. The next lz_alloc must
+// not copy that stale grant: it finds pgt 0's copy out of date and
+// refaults the page, which tightens every table, including the new one.
+TEST_F(LightZoneTest, AllocAfterKernelMprotectTightensEveryTable) {
+  constexpr VirtAddr kVa = 0x3000'0000;
+  auto& proc = env.new_process();
+  LZ_CHECK_OK(env.kern().mmap(proc, kVa, kPageSize,
+                              kernel::kProtRead | kernel::kProtWrite));
+  LzProc lz = LzProc::enter(*env.module, proc, true, 1);
+  auto& ctx = lz.ctx();
+  LZ_CHECK_OK(lz.module().touch_page(ctx, kVa, true, false));
+  ASSERT_EQ(lz.lz_alloc().value(), 1);
+  const auto desc = [&](int pgt) {
+    const auto w = ctx.pgts[pgt].tbl->lookup(kVa);
+    EXPECT_TRUE(w.ok) << "pgt " << pgt;
+    return w;
+  };
+  ASSERT_FALSE(desc(1).attrs.read_only);
+
+  LZ_CHECK_OK(env.kern().mprotect(proc, kVa, kPageSize, kernel::kProtRead));
+  ASSERT_EQ(lz.lz_alloc().value(), 2);
+  for (int i = 0; i <= 2; ++i) {
+    EXPECT_TRUE(desc(i).attrs.read_only) << "pgt " << i;
+    EXPECT_EQ(desc(i).attrs, desc(0).attrs) << "pgt " << i;
+    EXPECT_EQ(desc(i).out_addr, desc(0).out_addr) << "pgt " << i;
+  }
+}
+
+// lz_prot and the lz_free that dissolves its region cost what is resident
+// in the range, not what it spans: a 2^44-byte grant over three resident
+// pages returns at once, with the results and the page-table event stream
+// of a grant of exactly those three pages.
+TEST_F(LightZoneTest, HugeProtRangeCostsWhatIsResident) {
+  struct Outcome {
+    bool prot_ok, free_ok;
+    u64 hash, writes, tlbis;
+  };
+  const auto run = [](u64 len) {
+    Env e(Env::Options().platform(arch::Platform::cortex_a55()));
+    auto& proc = e.new_process();
+    LzProc lz = LzProc::enter(*e.module, proc, true, 1);
+    for (u64 i = 0; i < 3; ++i) {
+      LZ_CHECK_OK(lz.module().touch_page(lz.ctx(), Env::kHeapVa + i * kPageSize,
+                                         true, false));
+    }
+    const int pgt = lz.lz_alloc().value();
+    PteStreamHasher hasher;
+    Outcome o{};
+    o.prot_ok = lz.lz_prot(Env::kHeapVa, len, pgt, kLzRead | kLzWrite).is_ok();
+    o.free_ok = lz.lz_free(pgt).is_ok();
+    o.hash = hasher.hash;
+    o.writes = hasher.writes;
+    o.tlbis = hasher.tlbis;
+    return o;
+  };
+  const Outcome small = run(3 * kPageSize);
+  const Outcome huge = run(u64{1} << 44);
+  EXPECT_TRUE(small.prot_ok && small.free_ok);
+  EXPECT_TRUE(huge.prot_ok && huge.free_ok);
+  EXPECT_GT(small.writes, 0u);
+  EXPECT_EQ(huge.writes, small.writes);
+  EXPECT_EQ(huge.tlbis, small.tlbis);
+  EXPECT_EQ(huge.hash, small.hash);
 }
 
 }  // namespace

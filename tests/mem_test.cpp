@@ -156,8 +156,7 @@ TEST(Stage1Test, CustomFrameOps) {
                              [&](PhysAddr pa) {
                                ++frees;
                                pm.free_frame(pa);
-                             },
-                             /*to_ipa=*/nullptr, /*to_pa=*/nullptr});
+                             }});
     ASSERT_TRUE(tbl.map(0x1000, 0x9000'0000, S1Attrs{}).is_ok());
     EXPECT_EQ(allocs, 4u);
   }
@@ -203,8 +202,7 @@ TEST(WalkTest, Stage1ThroughStage2TableMapper) {
                            },
                            [&](PhysAddr pa) { pm.free_frame(pa); },
                            // Descriptors hold fake (IPA) pointers.
-                           [&](PhysAddr pa) { return fake.fake_of(pa); },
-                           [&](u64 ipa) { return *fake.real_of(ipa); }});
+                           &fake});
 
   // Data page: real frame 0xb0000000 behind fake address.
   const PhysAddr data_real = 0xb000'0000;
@@ -215,8 +213,13 @@ TEST(WalkTest, Stage1ThroughStage2TableMapper) {
   // Hardware view: TTBR holds the *fake* root; every table hop and the
   // final output go through stage-2.
   const IntermAddr fake_root = fake.fake_of(tbl.root());
-  const auto s1 = walk_stage1(pm, ttbr_base(make_ttbr(fake_root, 0)),
-                              0x400040, s2.table_mapper());
+  const auto s1 = walk_stage1(
+      pm, ttbr_base(make_ttbr(fake_root, 0)), 0x400040,
+      [&](u64 ipa) -> std::optional<PhysAddr> {
+        const S2Walk w = walk_stage2(pm, s2.root(), ipa);
+        if (!w.ok || !w.attrs.read) return std::nullopt;
+        return w.out_addr;
+      });
   ASSERT_TRUE(s1.ok);
   EXPECT_EQ(s1.out_addr, data_fake + 0x40);
   const auto final = walk_stage2(pm, s2.root(), s1.out_addr);
@@ -615,6 +618,47 @@ TEST(FakePhysTest, ReverseLookupAndErase) {
   fake.erase_real(0xb000'0000);
   EXPECT_FALSE(fake.real_of(f).has_value());
   EXPECT_FALSE(fake.lookup_fake(0xb000'0000).has_value());
+}
+
+// The fake -> real direction is a dense vector over the sequential fake
+// pages: everything outside [first, last] and every erased page misses.
+TEST(FakePhysTest, DenseReverseMapBounds) {
+  FakePhysMap fake(0x10000);
+  EXPECT_EQ(fake.fake_of(0xa000'0000), 0x10000u);
+  EXPECT_EQ(fake.fake_of(0xa000'5000), 0x11000u);
+  EXPECT_FALSE(fake.real_of(0).has_value());
+  EXPECT_FALSE(fake.real_of(0xfff8).has_value());  // below the first page
+  EXPECT_FALSE(fake.real_of(0x12000).has_value());  // past the last page
+  EXPECT_FALSE(fake.real_of(u64{1} << 40).has_value());
+  EXPECT_EQ(fake.real_of(0x11ff8).value(), 0xa000'5ff8u);  // offset kept
+  fake.erase_real(0xa000'0000);
+  EXPECT_FALSE(fake.real_of(0x10000).has_value());
+  EXPECT_FALSE(fake.real_of(0x10abc).has_value());
+  EXPECT_EQ(fake.real_of(0x11000).value(), 0xa000'5000u);
+  EXPECT_EQ(fake.size(), 1u);
+}
+
+TEST(FakePhysTest, RefakedPageTakesTheNextSequentialFake) {
+  FakePhysMap fake;
+  EXPECT_EQ(fake.fake_of(0xb000'0000), 0x1000u);
+  EXPECT_EQ(fake.fake_of(0xb000'1000), 0x2000u);
+  fake.erase_real(0xb000'0000);
+  EXPECT_EQ(fake.fake_of(0xb000'0000), 0x3000u);  // fakes are never reused
+  EXPECT_FALSE(fake.real_of(0x1000).has_value());
+  EXPECT_EQ(fake.real_of(0x3000).value(), 0xb000'0000u);
+  EXPECT_EQ(fake.lookup_fake(0xb000'0000).value(), 0x3000u);
+}
+
+// Erased slots hold a sentinel no real frame can equal: a frame at PA 0
+// is a live mapping, not an erased one.
+TEST(FakePhysTest, RealFrameAtZeroIsNotTheErasedSentinel) {
+  FakePhysMap fake;
+  EXPECT_EQ(fake.fake_of(0), 0x1000u);
+  ASSERT_TRUE(fake.real_of(0x1000).has_value());
+  EXPECT_EQ(*fake.real_of(0x1000), 0u);
+  EXPECT_EQ(fake.real_of(0x1abc).value(), 0xabcu);
+  fake.erase_real(0);
+  EXPECT_FALSE(fake.real_of(0x1000).has_value());
 }
 
 }  // namespace
