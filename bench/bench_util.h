@@ -39,7 +39,6 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/cost.h"
-#include "sim/trace_cache.h"
 
 namespace lz::bench {
 
@@ -53,7 +52,6 @@ struct ObsOptions {
   u64 iters = 1;       // --iters K: workload scale factor
   // --backend B: which IsolationBackend the bench evaluates.
   core::BackendKind backend = core::BackendKind::kTtbrPan;
-  bool no_trace_tier = false;  // --no-trace-tier: interpreter-only A/B leg
   // --metrics-out F: arm the metrics plane, write the exposition to F.
   std::string metrics_path;
   bool self_profile = false;  // --self-profile: host.self.* tick brackets
@@ -75,7 +73,6 @@ inline void print_bench_usage(const char* argv0, std::FILE* out) {
       "  --iters <K>            workload scale factor (default 1)\n"
       "  --backend <B>          ttbr_pan (default) | poe | cca | watchpoint "
       "| lwc\n"
-      "  --no-trace-tier        interpreter only (A/B: tier speedup)\n"
       "  --metrics-out <path>   arm the metrics plane; write Prometheus-style\n"
       "                         exposition (live-updated under --ts-period)\n"
       "  --self-profile         host.self.* wall-clock tier attribution\n"
@@ -116,10 +113,6 @@ inline ObsOptions parse_bench_flags(int* argc, char** argv) {
       }
       return false;
     };
-    if (arg == "--no-trace-tier") {
-      opts.no_trace_tier = true;
-      continue;
-    }
     if (arg == "--self-profile") {
       opts.self_profile = true;
       continue;
@@ -177,10 +170,6 @@ class ObsSession {
   ObsSession(std::string bench_name, int* argc, char** argv)
       : opts_(parse_bench_flags(argc, argv)), report_(std::move(bench_name)) {
     obs::reset_all();
-    // Applies to every core constructed after this point — the bench
-    // builds its machines inside the session, so the whole run is A/B
-    // switchable from the command line (LZ_TRACE_TIER=0 works too).
-    if (opts_.no_trace_tier) sim::set_trace_tier_default(false);
     if (!opts_.trace_path.empty()) {
       obs::trace().arm(kTraceCapacity);
       obs::spans().arm(kTraceCapacity);

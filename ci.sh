@@ -317,7 +317,8 @@ test -s "$tsan_expo"
 cmake -B build-asan -G Ninja -DLZ_SANITIZE=address >/dev/null
 cmake --build build-asan --target fuzz_table2 fuzz_a64 check_test bbm_test \
   hotpath_test histogram_test profiler_test pmu_test obs_v3_test \
-  backend_test metrics_test workloads_test mem_test lightzone_test hv_test
+  backend_test metrics_test workloads_test mem_test lightzone_test hv_test \
+  property_test sim_test
 build-asan/tests/check_test
 build-asan/tests/metrics_test
 build-asan/tests/bbm_test
@@ -329,6 +330,10 @@ build-asan/tests/obs_v3_test
 build-asan/tests/backend_test
 build-asan/tests/workloads_test
 build-asan/tests/mem_test
+# Both page-table stages against the reference model (map, unmap, protect,
+# lookup, for_each, post-order teardown) and the core's stage-2 walk paths.
+build-asan/tests/property_test
+build-asan/tests/sim_test
 # Module and hypervisor paths, the 2^16 alloc/free ASID regression included.
 build-asan/tests/lightzone_test
 build-asan/tests/hv_test

@@ -167,7 +167,7 @@ void BbmMonitor::on_tlbi(const mem::TlbiEvent& e) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.tlbis;
   if (pending_ == 0) return;
-  using S = mem::TlbiScope;
+  using S = obs::TlbScope;
   for (auto& [key, loc] : locs_) {
     if (loc.state != LocState::kInvalidUnclean) continue;
     bool covers = false;

@@ -10,6 +10,7 @@
 // no counters, no allocation.
 #pragma once
 
+#include "obs/trace.h"
 #include "support/types.h"
 
 namespace lz::mem {
@@ -32,17 +33,8 @@ struct PteWrite {
   u16 vmid = 0;          // owning translation regime's VMID
 };
 
-// Broadcast TLB-maintenance scopes, mirroring Machine::tlbi_*_is.
-enum class TlbiScope : u8 {
-  kVa,         // TLBI VAE1IS: (vpage, asid, vmid)
-  kVaAllAsid,  // TLBI VAAE1IS: (vpage, vmid), all ASIDs
-  kAsid,       // TLBI ASIDE1IS: (asid, vmid)
-  kVmid,       // TLBI VMALLS12E1IS: (vmid)
-  kAll,        // TLBI ALLE1IS
-};
-
 struct TlbiEvent {
-  TlbiScope scope = TlbiScope::kAll;
+  obs::TlbScope scope = obs::TlbScope::kAll;
   u64 vpage = 0;  // kVa / kVaAllAsid
   u16 asid = 0;   // kVa / kAsid
   u16 vmid = 0;   // every scope except kAll

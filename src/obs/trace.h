@@ -51,9 +51,15 @@ enum class EventKind : u8 {
 
 const char* to_string(EventKind kind);
 
-// TLB invalidation scopes (Event::b1 of kTlbInval). kVa is ASID-scoped
-// (TLBI VAE1, a0 carries the ASID); kVaAllAsid is TLBI VAAE1.
-enum class TlbScope : u8 { kAll, kVmid, kAsid, kVa, kVaAllAsid };
+// TLB invalidation scopes (Event::b1 of kTlbInval, and mem::TlbiEvent's
+// broadcast scope), mirroring Machine::tlbi_*_is.
+enum class TlbScope : u8 {
+  kVa,         // TLBI VAE1IS: (vpage, asid, vmid); a0 carries the ASID
+  kVaAllAsid,  // TLBI VAAE1IS: (vpage, vmid), all ASIDs
+  kAsid,       // TLBI ASIDE1IS: (asid, vmid)
+  kVmid,       // TLBI VMALLS12E1IS: (vmid)
+  kAll,        // TLBI ALLE1IS
+};
 // World-switch flavours (Event::b1 of kWorldSwitch).
 enum class WorldKind : u8 { kVmEntry, kVmExit, kLzEnter, kLzExit };
 

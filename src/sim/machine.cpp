@@ -74,14 +74,14 @@ void Machine::trace_teardown_local() {
 void Machine::tlbi_va_is_nosync(u64 vpage, u16 asid, u16 vmid) {
   charge_dvm_broadcast();
   for (auto& unit : cores_) unit->tlb->invalidate_va(vpage, asid, vmid);
-  mem::notify_tlbi({mem::TlbiScope::kVa, vpage, asid, vmid});
+  mem::notify_tlbi({obs::TlbScope::kVa, vpage, asid, vmid});
   trace_teardown_local();
 }
 
 void Machine::tlbi_va_all_asid_is_nosync(u64 vpage, u16 vmid) {
   charge_dvm_broadcast();
   for (auto& unit : cores_) unit->tlb->invalidate_va_all_asid(vpage, vmid);
-  mem::notify_tlbi({mem::TlbiScope::kVaAllAsid, vpage, /*asid=*/0, vmid});
+  mem::notify_tlbi({obs::TlbScope::kVaAllAsid, vpage, /*asid=*/0, vmid});
   trace_teardown_local();
 }
 
@@ -100,7 +100,7 @@ void Machine::tlbi_va_all_asid_is(u64 vpage, u16 vmid) {
 void Machine::tlbi_asid_is(u16 asid, u16 vmid) {
   charge_dvm_broadcast();
   for (auto& unit : cores_) unit->tlb->invalidate_asid(asid, vmid);
-  mem::notify_tlbi({mem::TlbiScope::kAsid, /*vpage=*/0, asid, vmid});
+  mem::notify_tlbi({obs::TlbScope::kAsid, /*vpage=*/0, asid, vmid});
   trace_teardown_local();
   dsb_ish();
 }
@@ -108,7 +108,7 @@ void Machine::tlbi_asid_is(u16 asid, u16 vmid) {
 void Machine::tlbi_vmid_is(u16 vmid) {
   charge_dvm_broadcast();
   for (auto& unit : cores_) unit->tlb->invalidate_vmid(vmid);
-  mem::notify_tlbi({mem::TlbiScope::kVmid, /*vpage=*/0, /*asid=*/0, vmid});
+  mem::notify_tlbi({obs::TlbScope::kVmid, /*vpage=*/0, /*asid=*/0, vmid});
   trace_teardown_local();
   dsb_ish();
 }
@@ -116,7 +116,7 @@ void Machine::tlbi_vmid_is(u16 vmid) {
 void Machine::tlbi_all_is() {
   charge_dvm_broadcast();
   for (auto& unit : cores_) unit->tlb->invalidate_all();
-  mem::notify_tlbi({mem::TlbiScope::kAll, /*vpage=*/0, /*asid=*/0, /*vmid=*/0});
+  mem::notify_tlbi({obs::TlbScope::kAll, /*vpage=*/0, /*asid=*/0, /*vmid=*/0});
   trace_teardown_local();
   dsb_ish();
 }

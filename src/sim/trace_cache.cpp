@@ -19,7 +19,6 @@
 #include "sim/trace_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -37,11 +36,6 @@ using arch::Insn;
 using arch::Op;
 
 namespace {
-
-std::atomic<bool> g_trace_tier_default{[] {
-  const char* v = std::getenv("LZ_TRACE_TIER");
-  return !(v != nullptr && v[0] == '0' && v[1] == '\0');
-}()};
 
 constexpr bool is_terminal(TraceOpKind k) { return k >= TraceOpKind::kB; }
 
@@ -224,11 +218,11 @@ Cycles trace_cycle_bound(const arch::Platform& plat, const Trace& t) {
 }  // namespace
 
 bool trace_tier_default() {
-  return g_trace_tier_default.load(std::memory_order_relaxed);
-}
-
-void set_trace_tier_default(bool on) {
-  g_trace_tier_default.store(on, std::memory_order_relaxed);
+  static const bool on = [] {
+    const char* v = std::getenv("LZ_TRACE_TIER");
+    return !(v != nullptr && v[0] == '0' && v[1] == '\0');
+  }();
+  return on;
 }
 
 TracePtr make_trace(unsigned cap) {

@@ -35,11 +35,10 @@
 
 namespace lz::sim {
 
-// Process-wide default for new cores (overridable per core afterwards).
-// Initialized once from the LZ_TRACE_TIER environment variable: unset or
-// anything but "0" enables the tier.
+// Process-wide default for new cores (overridable per core afterwards),
+// read once from the LZ_TRACE_TIER environment variable: unset or anything
+// but "0" enables the tier.
 bool trace_tier_default();
-void set_trace_tier_default(bool on);
 
 // Pre-lowered micro-op: operands resolved, immediates precomputed, so the
 // dispatch switch does the minimum work per retired instruction.

@@ -227,6 +227,84 @@ TEST(WalkTest, Stage1ThroughStage2TableMapper) {
   EXPECT_EQ(final.out_addr, data_real + 0x40);
 }
 
+// Where a walk stops, pinned per level: `fault_level` is the architectural
+// (DFSC) level and `mem_accesses` counts the descriptor loads made. Each
+// table maps one page at 0x400000; every probe shares that page's tables
+// down to the level it breaks at.
+TEST(WalkTest, FaultLevelAndAccessesAtEveryLevel) {
+  struct Case {
+    u64 in;
+    bool ok;
+    unsigned fault_level;
+    unsigned mem_accesses;
+  };
+  PhysMem pm;
+
+  Stage1Table s1(pm);
+  ASSERT_TRUE(s1.map(0x400000, 0x9000'0000, S1Attrs{}).is_ok());
+  const Case s1_cases[] = {
+      {u64{1} << 39, false, 0, 1},  // no level-1 table
+      {u64{1} << 30, false, 1, 2},  // no level-2 table
+      {0x600000, false, 2, 3},      // no level-3 table
+      {0x401000, false, 3, 4},      // invalid page descriptor
+      {0x400000, true, 0, 4},
+  };
+  for (const Case& c : s1_cases) {
+    const S1Walk w = s1.lookup(c.in);
+    EXPECT_EQ(w.ok, c.ok) << std::hex << c.in;
+    if (!c.ok) {
+      EXPECT_EQ(w.fault_level, c.fault_level) << std::hex << c.in;
+    }
+    EXPECT_EQ(w.mem_accesses, c.mem_accesses) << std::hex << c.in;
+    EXPECT_FALSE(w.s2_table_fault);
+  }
+
+  Stage2Table s2(pm);
+  ASSERT_TRUE(s2.map(0x400000, 0x9000'0000, S2Attrs{}).is_ok());
+  const Case s2_cases[] = {
+      {u64{1} << kIpaBits, false, 0, 0},  // oversized IPA: no lookup
+      {u64{1} << 30, false, 1, 1},
+      {0x600000, false, 2, 2},
+      {0x401000, false, 3, 3},
+      {0x400000, true, 0, 3},
+  };
+  for (const Case& c : s2_cases) {
+    const S2Walk w = s2.lookup(c.in);
+    EXPECT_EQ(w.ok, c.ok) << std::hex << c.in;
+    if (!c.ok) {
+      EXPECT_EQ(w.fault_level, c.fault_level) << std::hex << c.in;
+    }
+    EXPECT_EQ(w.mem_accesses, c.mem_accesses) << std::hex << c.in;
+  }
+
+  // A stage-1 walk through stage-2 whose hop to the level-`hop` table
+  // misses: the fault is at that stage-1 level, after `hop` loads, and
+  // names the table address that missed.
+  PhysAddr chain[kStage1Levels] = {s1.root()};
+  for (unsigned level = 1; level < kStage1Levels; ++level) {
+    const unsigned shift = 12 + 9 * (kStage1Levels - level);
+    const u64 index = (u64{0x400000} >> shift) & 0x1ff;
+    chain[level] = pte::addr(pm.read(chain[level - 1] + index * 8, 8));
+  }
+  for (unsigned hop = 0; hop < kStage1Levels; ++hop) {
+    Stage2Table hops(pm);
+    for (unsigned level = 0; level < hop; ++level) {
+      ASSERT_TRUE(hops.map(chain[level], chain[level], S2Attrs{}).is_ok());
+    }
+    const S1Walk w = walk_stage1(
+        pm, s1.root(), 0x400000, [&](u64 ipa) -> std::optional<PhysAddr> {
+          const S2Walk t = walk_stage2(pm, hops.root(), ipa);
+          if (!t.ok) return std::nullopt;
+          return t.out_addr;
+        });
+    EXPECT_FALSE(w.ok) << hop;
+    EXPECT_TRUE(w.s2_table_fault) << hop;
+    EXPECT_EQ(w.s2_fault_ipa, chain[hop]) << hop;
+    EXPECT_EQ(w.fault_level, hop);
+    EXPECT_EQ(w.mem_accesses, hop);
+  }
+}
+
 TEST(TlbTest, HitMissAndPromotion) {
   Tlb tlb(2, 8);
   TlbEntry e;

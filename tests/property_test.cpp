@@ -95,61 +95,73 @@ TEST(DecoderProperty, BranchOffsetsRoundTrip) {
 
 // --- Page tables vs a reference map ----------------------------------------------
 
-TEST(PageTableProperty, AgreesWithReferenceModel) {
-  mem::PhysMem pm;
-  mem::Stage1Table tbl(pm, 1);
-  std::map<VirtAddr, std::pair<u64, bool>> reference;  // va -> (pa, read_only)
+// The one attribute bit the check flips, per stage.
+void set_read_only(mem::S1Attrs& a, bool ro) { a.read_only = ro; }
+void set_read_only(mem::S2Attrs& a, bool ro) { a.write = !ro; }
+bool read_only(const mem::S1Attrs& a) { return a.read_only; }
+bool read_only(const mem::S2Attrs& a) { return !a.write; }
+
+// Random map/unmap/protect/lookup on `tbl` against a std::map, then
+// for_each must visit exactly the reference set.
+template <class Table>
+void check_against_reference(Table& tbl) {
+  std::map<u64, std::pair<u64, bool>> reference;  // in -> (out, read_only)
   Rng rng(0x9a9e);
 
   for (int i = 0; i < 20'000; ++i) {
-    // Cluster VAs so map/unmap/protect collide frequently.
-    const VirtAddr va = page_floor(rng.below(1 << 24));
-    const u64 pa = page_floor(0x8000'0000 + rng.below(1 << 26));
+    // Cluster addresses so map/unmap/protect collide frequently.
+    const u64 in = page_floor(rng.below(1 << 24));
+    const u64 out = page_floor(0x8000'0000 + rng.below(1 << 26));
     switch (rng.below(4)) {
       case 0: {
-        mem::S1Attrs attrs;
-        attrs.read_only = rng.chance(0.5);
-        const bool ok = tbl.map(va, pa, attrs).is_ok();
-        EXPECT_EQ(ok, !reference.contains(va));
-        if (ok) reference[va] = {pa, attrs.read_only};
+        typename Table::Attrs attrs;
+        set_read_only(attrs, rng.chance(0.5));
+        const bool ok = tbl.map(in, out, attrs).is_ok();
+        EXPECT_EQ(ok, !reference.contains(in));
+        if (ok) reference[in] = {out, read_only(attrs)};
         break;
       }
       case 1: {
-        const bool ok = tbl.unmap(va).is_ok();
-        EXPECT_EQ(ok, reference.contains(va));
-        reference.erase(va);
+        const bool ok = tbl.unmap(in).is_ok();
+        EXPECT_EQ(ok, reference.contains(in));
+        reference.erase(in);
         break;
       }
       case 2: {
-        mem::S1Attrs attrs;
-        attrs.read_only = rng.chance(0.5);
-        const bool ok = tbl.protect(va, attrs).is_ok();
-        EXPECT_EQ(ok, reference.contains(va));
-        if (ok) reference[va].second = attrs.read_only;
+        typename Table::Attrs attrs;
+        set_read_only(attrs, rng.chance(0.5));
+        const bool ok = tbl.protect(in, attrs).is_ok();
+        EXPECT_EQ(ok, reference.contains(in));
+        if (ok) reference[in].second = read_only(attrs);
         break;
       }
       default: {
-        const auto walk = tbl.lookup(va + rng.below(kPageSize));
-        auto it = reference.find(va);
+        const auto walk = tbl.lookup(in + rng.below(kPageSize));
+        auto it = reference.find(in);
         ASSERT_EQ(walk.ok, it != reference.end());
         if (walk.ok) {
           EXPECT_EQ(page_floor(walk.out_addr), it->second.first);
-          EXPECT_EQ(walk.attrs.read_only, it->second.second);
+          EXPECT_EQ(read_only(walk.attrs), it->second.second);
         }
         break;
       }
     }
   }
-  // for_each must visit exactly the reference set.
-  std::map<VirtAddr, u64> visited;
-  tbl.for_each([&](VirtAddr va, u64 desc) {
-    visited[va] = mem::pte::addr(desc);
-  });
+  std::map<u64, u64> visited;
+  tbl.for_each([&](u64 in, u64 desc) { visited[in] = mem::pte::addr(desc); });
   ASSERT_EQ(visited.size(), reference.size());
-  for (const auto& [va, entry] : reference) {
-    ASSERT_TRUE(visited.contains(va));
-    EXPECT_EQ(visited[va], entry.first);
+  for (const auto& [in, entry] : reference) {
+    ASSERT_TRUE(visited.contains(in));
+    EXPECT_EQ(visited[in], entry.first);
   }
+}
+
+TEST(PageTableProperty, AgreesWithReferenceModel) {
+  mem::PhysMem pm;
+  mem::Stage1Table s1(pm, /*asid=*/1);
+  check_against_reference(s1);
+  mem::Stage2Table s2(pm, /*vmid=*/1);
+  check_against_reference(s2);
 }
 
 // --- TLB-cached translation == uncached walk --------------------------------------
