@@ -303,12 +303,17 @@ LZ_TRACE_TIER=1 build-tsan/bench/fuzz_a64 --seed 3 --cores 4 --streams 200
 build-tsan/bench/throughput --iters 1 --cores 2 >/dev/null
 # Snapshots taken while other cores count: the time-series sampler fires on
 # whichever core thread crosses the period and reads every core's linked
-# counters, and the final exposition sums them.
+# counters, and the final exposition sums them. With --trace armed, every
+# core thread also reads the derived cycle-ledger clock for each event and
+# span while the others charge their accounts.
 tsan_expo=/tmp/fig3.tsan.prom
-rm -f "$tsan_expo"
+tsan_trace=/tmp/fig3.tsan.trace.json
+rm -f "$tsan_expo" "$tsan_trace"
 build-tsan/bench/fig3_nginx --cores 4 --ts-period 200000 \
-  --metrics-out "$tsan_expo" --benchmark_filter=NONE >/dev/null
+  --trace "$tsan_trace" --metrics-out "$tsan_expo" \
+  --benchmark_filter=NONE >/dev/null
 test -s "$tsan_expo"
+test -s "$tsan_trace"
 
 # ASan build: the fuzz driver exercises free/refault paths hard (it is
 # what caught the dangling-region use-after-free in lz_free); keep it

@@ -103,6 +103,72 @@ Registry& registry() {
   return r;
 }
 
+CycleCounts::CycleCounts()
+    : cell_(cycle_ledger().take()),
+      base_total_(cell_.total.load(std::memory_order_relaxed)) {
+  for (std::size_t k = 0; k < base_by_kind_.size(); ++k) {
+    base_by_kind_[k] = cell_.by_kind[k].load(std::memory_order_relaxed);
+  }
+}
+
+CycleCounts::~CycleCounts() { cycle_ledger().give_back(cell_); }
+
+u64 CycleLedger::total() const { return read(0); }
+
+u64 CycleLedger::of(std::size_t kind) const { return read(1 + kind); }
+
+u64 CycleLedger::read(std::size_t f) const {
+  // The reset base first: the cells it was summed from hold at least as
+  // much by the time this thread reads them, so the difference never wraps.
+  const u64 base = base_[f].load(std::memory_order_acquire);
+  return sum(f) - base;
+}
+
+u64 CycleLedger::sum(std::size_t f) const {
+  u64 sum = 0;
+  std::size_t n = used_.load(std::memory_order_acquire);
+  for (const Chunk* c = &head_; n != 0;
+       c = c->next.load(std::memory_order_acquire)) {
+    const std::size_t k = std::min(n, Chunk::kCells);
+    for (std::size_t i = 0; i < k; ++i) {
+      const CycleCell& cell = c->cells[i];
+      sum += (f == 0 ? cell.total : cell.by_kind[f - 1])
+                 .load(std::memory_order_relaxed);
+    }
+    n -= k;
+  }
+  return sum;
+}
+
+CycleCell& CycleLedger::take() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!free_.empty()) {
+    CycleCell& cell = *free_.back();
+    free_.pop_back();
+    return cell;
+  }
+  const std::size_t n = used_.load(std::memory_order_relaxed);
+  if (n != 0 && n % Chunk::kCells == 0) {
+    chunks_.push_back(std::make_unique<Chunk>());
+    tail_->next.store(chunks_.back().get(), std::memory_order_release);
+    tail_ = chunks_.back().get();
+  }
+  used_.store(n + 1, std::memory_order_release);
+  return tail_->cells[n % Chunk::kCells];
+}
+
+void CycleLedger::give_back(CycleCell& cell) {
+  std::lock_guard<std::mutex> lock(mu_);
+  free_.push_back(&cell);
+}
+
+void CycleLedger::reset() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::size_t f = 0; f < base_.size(); ++f) {
+    base_[f].store(sum(f), std::memory_order_release);
+  }
+}
+
 CycleLedger& cycle_ledger() {
   static CycleLedger l;
   return l;

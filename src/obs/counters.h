@@ -2,9 +2,9 @@
 //
 // This header provides the *counter* half: named, hierarchical, cheap
 // monotonic counters with snapshot/delta/reset semantics, plus the global
-// CycleLedger that mirrors every CycleAccount charge so reports (and the
-// event trace's clock) can see simulated time without a reference to any
-// particular Machine.
+// CycleLedger, which sums every cycle account in the process (live or
+// dead) when read, so reports (and the event trace's clock) can see
+// simulated time without a reference to any particular Machine.
 //
 // Naming convention: `subsystem.object.event`, e.g. `mem.tlb.l1_hit`,
 // `sim.core.insn_retired`, `hv.host.hcr_retained`, `lz.module.gate_switch`.
@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -121,48 +122,117 @@ Registry& registry();
 
 namespace detail {
 // Next ledger total at which a time-series sample is due (timeseries.h).
-// Parked at ~0 while the sampler is disarmed so the hook in
-// CycleLedger::charge stays one relaxed load + one never-taken compare.
-inline std::atomic<u64> g_ts_next_due{~u64{0}};
+// Parked at kTsParked while the sampler is disarmed, so the hook in
+// sim::CycleAccount::charge stays one relaxed load + one never-taken branch.
+inline constexpr u64 kTsParked = ~u64{0};
+inline std::atomic<u64> g_ts_next_due{kTsParked};
 }  // namespace detail
 
-// Out-of-line sampling slow path (timeseries.cpp); called only when a
-// charge crosses the due threshold.
-void timeseries_poll_slow(u64 total);
+// Out-of-line sampling slow path (timeseries.cpp): reads the ledger total
+// and polls the sampler. Called after every charge while it is armed.
+void timeseries_poll_slow();
 
-// Mirror of every CycleAccount charge in the process, indexed by the raw
-// CostKind value (obs sits below sim, so the enum itself lives there).
-// Doubles as the deterministic clock for the event trace: `total()` is the
-// total simulated work performed so far across all machines.
-class CycleLedger {
+// Cycle totals indexed by the raw CostKind value (obs sits below sim, so
+// the enum itself lives there). The ledger owns the cells and never frees
+// them, so it can read them without a lock; two never share a cache line.
+// A cell only grows: when its account dies its totals stay in it, and the
+// next account to take the cell counts on from there.
+struct alignas(64) CycleCell {
+  static constexpr std::size_t kMaxKinds = 15;  // the cell is two lines
+
+  std::atomic<u64> total{0};
+  std::array<std::atomic<u64>, kMaxKinds> by_kind{};
+};
+
+// The cycle totals of one account: the base of sim::CycleAccount. It takes
+// a CycleCell from cycle_ledger() when constructed and hands it back when
+// it dies; its totals are what it added to the cell. One writer at a time
+// — the owning core's thread, or the thread bound to that core — so add()
+// is a relaxed load and store per field, with no read-modify-write; any
+// thread may read the totals.
+class CycleCounts {
  public:
-  static constexpr std::size_t kMaxKinds = 32;
+  CycleCounts(const CycleCounts&) = delete;
+  CycleCounts& operator=(const CycleCounts&) = delete;
 
-  void charge(std::size_t kind, u64 cycles) {
-    const u64 total =
-        total_.fetch_add(cycles, std::memory_order_relaxed) + cycles;
-    by_kind_[kind].fetch_add(cycles, std::memory_order_relaxed);
-    if (total >= detail::g_ts_next_due.load(std::memory_order_relaxed))
-      timeseries_poll_slow(total);
+  u64 total() const {
+    return cell_.total.load(std::memory_order_relaxed) - base_total_;
   }
-  u64 total() const { return total_.load(std::memory_order_relaxed); }
   u64 of(std::size_t kind) const {
-    return by_kind_[kind].load(std::memory_order_relaxed);
+    return cell_.by_kind[kind].load(std::memory_order_relaxed) -
+           base_by_kind_[kind];
   }
-  void reset() {
-    total_.store(0, std::memory_order_relaxed);
-    for (auto& k : by_kind_) k.store(0, std::memory_order_relaxed);
+
+ protected:
+  CycleCounts();
+  ~CycleCounts();
+
+  void add(std::size_t kind, u64 cycles) {
+    std::atomic<u64>& k = cell_.by_kind[kind];
+    cell_.total.store(cell_.total.load(std::memory_order_relaxed) + cycles,
+                      std::memory_order_relaxed);
+    k.store(k.load(std::memory_order_relaxed) + cycles,
+            std::memory_order_relaxed);
   }
 
  private:
-  std::atomic<u64> total_{0};
-  std::array<std::atomic<u64>, kMaxKinds> by_kind_{};
+  CycleCell& cell_;
+  // The cell's totals when this account took it.
+  u64 base_total_ = 0;
+  std::array<u64, CycleCell::kMaxKinds> base_by_kind_{};
+};
+
+// Every cycle charged in the process, derived when read: the sum over
+// every cell handed out, live or handed back, minus the sum at the last
+// reset(). A charge writes only its own account's cell, never the ledger,
+// and a dead account's totals stay in its cell. Doubles as the
+// deterministic clock for the event trace: `total()` is the total
+// simulated work performed so far across all machines.
+//
+// Readers take no lock and allocate nothing. Cells only grow and are never
+// freed, so a reader never touches a dead account, and a thread never sees
+// `total()` go backwards while accounts come and go.
+class CycleLedger {
+ public:
+  CycleLedger() = default;
+  CycleLedger(const CycleLedger&) = delete;
+  CycleLedger& operator=(const CycleLedger&) = delete;
+
+  u64 total() const;
+  u64 of(std::size_t kind) const;
+
+  // Rebases: the ledger reads zero afterwards, and the accounts keep their
+  // own totals (nothing is written into them).
+  void reset();
+
+ private:
+  friend class CycleCounts;
+  CycleCell& take();
+  void give_back(CycleCell& cell);
+
+  struct Chunk {
+    static constexpr std::size_t kCells = 32;
+    std::array<CycleCell, kCells> cells;
+    std::atomic<Chunk*> next{nullptr};
+  };
+  // Field 0 is the total, field 1 + k is kind k.
+  u64 read(std::size_t f) const;  // sum(f) minus its value at reset()
+  u64 sum(std::size_t f) const;   // over every cell handed out
+
+  std::mutex mu_;  // serialises take/give_back/reset; guards the members below
+  std::atomic<std::size_t> used_{0};  // cells ever handed out, in order
+  Chunk head_;
+  Chunk* tail_ = &head_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;  // head_'s successors
+  std::vector<CycleCell*> free_;
+  std::array<std::atomic<u64>, 1 + CycleCell::kMaxKinds> base_{};  // at reset
 };
 
 CycleLedger& cycle_ledger();
 
-// Convenience for tests and bench runs: zero the registry, the ledger, the
-// event trace, the histogram registry, the profiler, the span tracer, the
+// Convenience for tests and bench runs: zero the registry and the ledger
+// (both by rebasing their links; owners keep their own counts), the event
+// trace, the histogram registry, the profiler, the span tracer, the
 // time-series sampler, the flight recorder and the tenant labels in one
 // call.
 void reset_all();

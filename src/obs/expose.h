@@ -20,7 +20,7 @@
 //
 // The ExpositionPump provides the *live* view: armed with a path, it
 // rewrites the snapshot file each time the TimeSeries sampler takes a
-// sample (riding the existing CycleLedger due-threshold hook), so a
+// sample (riding the sampler's due-threshold hook in every charge), so a
 // long-running bench can be scraped mid-flight with plain `cat`/`watch`.
 #pragma once
 

@@ -24,7 +24,7 @@ void TimeSeries::arm(u64 period, std::size_t capacity) {
 
 void TimeSeries::disarm() {
   period_.store(0, std::memory_order_relaxed);
-  detail::g_ts_next_due.store(~u64{0}, std::memory_order_relaxed);
+  detail::g_ts_next_due.store(detail::kTsParked, std::memory_order_relaxed);
 }
 
 void TimeSeries::reset() {
@@ -93,6 +93,6 @@ TimeSeries& timeseries() {
   return series;
 }
 
-void timeseries_poll_slow(u64 total) { timeseries().poll(total); }
+void timeseries_poll_slow() { timeseries().poll(cycle_ledger().total()); }
 
 }  // namespace lz::obs

@@ -7,11 +7,14 @@
 // the fleet-scale serving bench plots stand on — emitted as the
 // `timeseries` section of lz.bench.report.v2.
 //
-// The sampler hooks the hottest function in the tree (CycleLedger::charge)
-// so the disabled cost had better be nothing: it is one relaxed load of
-// the next-due threshold (parked at ~0 when disarmed) and one compare.
-// When armed, the thread whose charge crosses the threshold CAS-claims the
-// sample; losers of the race skip. Sampling itself reads counters and
+// The sampler hooks the hottest function in the tree
+// (sim::CycleAccount::charge), so the disabled cost had better be nothing:
+// it is one relaxed load of the next-due threshold (parked at ~0 when
+// disarmed) and one branch. When armed, every charge takes the out-of-line
+// slow path, which derives the ledger total and polls, so on one core the
+// first charge whose total reaches a period boundary takes the sample;
+// under SMP the thread whose charge crosses the threshold CAS-claims it,
+// and losers of the race skip. Sampling itself reads counters and
 // histogram stats — observe-only, zero simulated cycles charged, so cycle
 // totals and golden reports are byte-identical whether or not the sampler
 // runs.
@@ -34,7 +37,7 @@
 namespace lz::obs {
 
 // The due threshold (detail::g_ts_next_due) and the charge-path slow-path
-// declaration live in counters.h next to CycleLedger::charge, the hook
+// declaration live in counters.h, below sim::CycleAccount::charge, the hook
 // site; this header owns the sampler itself.
 
 struct TimeSeriesSample {
@@ -59,8 +62,9 @@ class TimeSeries {
   // Drop samples and disarm (test / session boundary).
   void reset();
 
-  // Called (out of line) by CycleLedger::charge when `total` crossed the
-  // due threshold; CAS-claims the sample slot and snapshots.
+  // Called (out of line) after each charge while armed, with the ledger
+  // total; if it crossed the due threshold, CAS-claims the sample slot and
+  // snapshots.
   void poll(u64 total);
 
   // Force a sample at the current ledger total (end-of-run flush so short

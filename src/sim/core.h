@@ -233,6 +233,17 @@ class Core {
   // core index; standalone cores default to 0).
   void set_obs_core_id(u32 id) { obs_core_id_ = id; }
 
+  // L0 geometry (DESIGN.md §11.1): direct-mapped, one array per access type.
+  static constexpr unsigned kL0FetchSlots = 4;
+  static constexpr unsigned kL0DataSlots = 8;  // read, and write
+  // L0 slot of virtual page `vpage` in an L0 of `slots` (a power of two)
+  // entries. Bits 9+ of the page number are folded in so that pages on
+  // 2 MiB-aligned bases (the gate code, GateTab and TTBRTab pages of
+  // core::UpperLayout) do not share a slot.
+  static constexpr unsigned l0_index(u64 vpage, unsigned slots) {
+    return static_cast<unsigned>((vpage ^ vpage >> 9) & (slots - 1));
+  }
+
  private:
   void execute(const arch::Insn& insn);
   void raise_sync(ExceptionClass ec, u32 iss, u64 far, u64 ipa, bool stage2);
@@ -305,13 +316,14 @@ class Core {
     PhysAddr pa_page = 0;   // post-permission-check output frame
     mem::TlbEntry entry;    // for the lz::check TLB-vs-walk oracle
   };
-  static constexpr unsigned kL0FetchSlots = 4;
-  static constexpr unsigned kL0DataSlots = 8;
   L0Entry* l0_slot(AccessType type, u64 vpage) {
     switch (type) {
-      case AccessType::kFetch: return &l0_fetch_[vpage & (kL0FetchSlots - 1)];
-      case AccessType::kRead: return &l0_read_[vpage & (kL0DataSlots - 1)];
-      case AccessType::kWrite: return &l0_write_[vpage & (kL0DataSlots - 1)];
+      case AccessType::kFetch:
+        return &l0_fetch_[l0_index(vpage, kL0FetchSlots)];
+      case AccessType::kRead:
+        return &l0_read_[l0_index(vpage, kL0DataSlots)];
+      case AccessType::kWrite:
+        return &l0_write_[l0_index(vpage, kL0DataSlots)];
     }
     return &l0_read_[0];
   }
@@ -417,7 +429,7 @@ class Core {
   // like the rest of obs v3: the profiler's per-instruction armed check in
   // step() is one predictable branch on `prof_on_`, while the heavier
   // instruments (flight recorder, span tracer, time-series sampler) ride
-  // the flush_pending() boundaries and CycleLedger::charge and never
+  // the flush_pending() boundaries and CycleAccount::charge and never
   // appear on the per-instruction path at all. The armed period is polled
   // (epoch compare, two relaxed loads) at run() entry and top-level step()
   // exit. The trace tier threads through the same scheme: at block

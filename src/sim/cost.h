@@ -3,7 +3,6 @@
 // (e.g. how much of a trap round-trip is register switching).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -33,41 +32,36 @@ inline constexpr std::size_t kNumCostKinds =
 
 const char* to_string(CostKind kind);
 
-static_assert(kNumCostKinds <= obs::CycleLedger::kMaxKinds,
-              "CostKind no longer fits the obs::CycleLedger mirror");
+static_assert(kNumCostKinds <= obs::CycleCell::kMaxKinds,
+              "CostKind no longer fits obs::CycleCell");
 
-// Per-core cycle account. Charges come only from the owning core's thread;
-// the fields are relaxed atomics so another thread (e.g. the main thread
-// summing Machine::cycles() across cores) can read them without a data
-// race — addition commutes, so totals stay deterministic.
-class CycleAccount {
+// Per-core cycle account: the one store of the cycles charged on its core,
+// by the core itself and by the privileged C++ layers running on it. One
+// writer at a time — the owning core's thread, or the thread bound to that
+// core by Machine::CoreBinding — so charge() is a relaxed load and store
+// per field, with no read-modify-write. Any thread may read the totals
+// (e.g. the main thread summing Machine::cycles() across cores); addition
+// commutes, so totals stay deterministic. The totals live in a cell of
+// obs::cycle_ledger(), which reads them while the account lives and keeps
+// them once it dies.
+class CycleAccount : public obs::CycleCounts {
  public:
   void charge(CostKind kind, Cycles c) {
     assert(static_cast<std::size_t>(kind) <
                static_cast<std::size_t>(CostKind::kCount) &&
            "charge() with an out-of-range CostKind");
-    total_.fetch_add(c, std::memory_order_relaxed);
-    by_kind_[static_cast<std::size_t>(kind)].fetch_add(
-        c, std::memory_order_relaxed);
-    // Mirror into the process-wide ledger: reports aggregate per-kind
-    // spend across every Machine, and the event trace uses the ledger's
-    // running total as its deterministic clock.
-    obs::cycle_ledger().charge(static_cast<std::size_t>(kind), c);
+    add(static_cast<std::size_t>(kind), c);
+    // Time-series hook: disarmed, one relaxed load of the parked threshold
+    // and a branch never taken; armed, the slow path reads the ledger.
+    if (obs::detail::g_ts_next_due.load(std::memory_order_relaxed) !=
+        obs::detail::kTsParked) {
+      obs::timeseries_poll_slow();
+    }
   }
 
-  Cycles total() const { return total_.load(std::memory_order_relaxed); }
   Cycles of(CostKind kind) const {
-    return by_kind_[static_cast<std::size_t>(kind)].load(
-        std::memory_order_relaxed);
+    return CycleCounts::of(static_cast<std::size_t>(kind));
   }
-  void reset() {
-    total_.store(0, std::memory_order_relaxed);
-    for (auto& k : by_kind_) k.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<Cycles> total_{0};
-  std::array<std::atomic<Cycles>, kNumCostKinds> by_kind_{};
 };
 
 }  // namespace lz::sim

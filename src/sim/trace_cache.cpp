@@ -273,7 +273,7 @@ void Core::trace_invalidate_teardown() {
 // slot off and allocates nothing. Returns the built trace, or nullptr.
 Trace* Core::build_trace(TraceCache::Slot& s) {
   const u64 vpage = page_index(pc_);
-  const L0Entry& l0 = l0_fetch_[vpage & (kL0FetchSlots - 1)];
+  const L0Entry& l0 = l0_fetch_[l0_index(vpage, kL0FetchSlots)];
   if (!(l0.valid && l0.vpage == vpage && l0.tlb_gen == tlb_.generation() &&
         l0.ctx_epoch == ctx_epoch_[l0.global] && l0.el == pstate_.el &&
         l0.pan == pstate_.pan)) {

@@ -12,6 +12,7 @@
 
 #include "check/bbm.h"
 #include "check/check.h"
+#include "lightzone/gate.h"
 #include "mem/phys_mem.h"
 #include "mem/tlb.h"
 #include "obs/counters.h"
@@ -173,6 +174,27 @@ TEST(TlbGenerationTest, InvalidationsAndLiveEvictionsAdvanceGeneration) {
   g = tlb.generation();
   tlb.invalidate_all();
   EXPECT_GT(tlb.generation(), g);
+}
+
+// A gate switch reads GateTab and TTBRTab and runs the gate code, all on
+// 2 MiB-aligned pages of the upper layout. Indexed by the low page bits
+// alone, the three shared one slot and evicted each other on every switch;
+// the L0 index keeps them apart in both the read L0 and the fetch L0.
+TEST(L0IndexTest, GatePagesTakeDistinctSlots) {
+  using core::UpperLayout;
+  const u64 code = UpperLayout::kGateCodeVa >> kPageShift;
+  const u64 gatetab = UpperLayout::kGateTabVa >> kPageShift;
+  const u64 ttbrtab = UpperLayout::kTtbrTabVa >> kPageShift;
+  const unsigned c = Core::l0_index(code, Core::kL0DataSlots);
+  const unsigned g = Core::l0_index(gatetab, Core::kL0DataSlots);
+  const unsigned t = Core::l0_index(ttbrtab, Core::kL0DataSlots);
+  EXPECT_NE(c, g);
+  EXPECT_NE(c, t);
+  EXPECT_NE(g, t);
+  for (const unsigned slot : {c, g, t}) EXPECT_LT(slot, Core::kL0DataSlots);
+  // The gate's fetches and the calling code's fetches.
+  EXPECT_NE(Core::l0_index(code, Core::kL0FetchSlots),
+            Core::l0_index(kCodeVa >> kPageShift, Core::kL0FetchSlots));
 }
 
 // Remote DVM broadcast (TLBI VAE1IS from another core) must invalidate this

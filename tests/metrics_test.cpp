@@ -357,19 +357,26 @@ TEST_F(MetricsTest, FlightRecorderToleratesConcurrentWriters) {
   constexpr u64 kEventsPerWriter = 2000;
 
   std::atomic<bool> stop{false};
+  // The writers start once the reader has rendered, so the two overlap
+  // even when the reader thread is scheduled late.
+  std::atomic<bool> rendered{false};
   std::thread reader([&] {
     u64 renders = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       const std::string report = obs::flight().report();
       (void)report;
       ++renders;
+      rendered.store(true, std::memory_order_release);
     }
     EXPECT_GT(renders, 0u);
   });
 
   std::vector<std::thread> writers;
   for (unsigned w = 0; w < kWriters; ++w) {
-    writers.emplace_back([w] {
+    writers.emplace_back([w, &rendered] {
+      while (!rendered.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       const unsigned prev = obs::set_current_core(w + 1);
       for (u64 i = 0; i < kEventsPerWriter; ++i) {
         obs::Event e;

@@ -2,11 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "mem/tlb.h"
 #include "obs/counters.h"
@@ -105,7 +109,7 @@ TEST_F(ObsTest, ResetZeroesValuesButKeepsHandles) {
   EXPECT_EQ(listed("test.reset.me"), 2u);
 }
 
-// --- CycleLedger mirror ------------------------------------------------------
+// --- CycleLedger -------------------------------------------------------------
 
 TEST_F(ObsTest, CycleAccountChargesMirrorIntoLedger) {
   sim::CycleAccount account;
@@ -117,6 +121,133 @@ TEST_F(ObsTest, CycleAccountChargesMirrorIntoLedger) {
   EXPECT_EQ(
       obs::cycle_ledger().of(static_cast<std::size_t>(sim::CostKind::kGate)),
       20u);
+}
+
+// The ledger stores nothing per charge: it is the totals of dead accounts
+// plus those of the live ones, summed when read.
+
+std::size_t kind_index(sim::CostKind k) { return static_cast<std::size_t>(k); }
+
+TEST_F(ObsTest, LedgerIsFoldedTotalsPlusLiveAccountsPerKind) {
+  std::array<u64, sim::kNumCostKinds> folded{};
+  {
+    sim::CycleAccount dead;
+    dead.charge(sim::CostKind::kGate, 7);
+    dead.charge(sim::CostKind::kTlbi, 5);
+    for (std::size_t k = 0; k < sim::kNumCostKinds; ++k) {
+      folded[k] = dead.of(static_cast<sim::CostKind>(k));
+    }
+  }
+  sim::CycleAccount a;
+  sim::CycleAccount b;
+  a.charge(sim::CostKind::kGate, 12);
+  a.charge(sim::CostKind::kMem, 3);
+  b.charge(sim::CostKind::kInsn, 30);
+  b.charge(sim::CostKind::kGate, 8);
+  const auto& ledger = obs::cycle_ledger();
+  for (std::size_t k = 0; k < sim::kNumCostKinds; ++k) {
+    const auto kind = static_cast<sim::CostKind>(k);
+    EXPECT_EQ(ledger.of(k), folded[k] + a.of(kind) + b.of(kind))
+        << sim::to_string(kind);
+  }
+  EXPECT_EQ(ledger.of(kind_index(sim::CostKind::kGate)), 27u);
+  EXPECT_EQ(ledger.total(), 12u + a.total() + b.total());
+  EXPECT_EQ(ledger.total(), 65u);
+}
+
+TEST_F(ObsTest, LedgerTotalsSurviveTheirAccounts) {
+  Cycles machine_cycles = 0;
+  {
+    sim::Machine machine(arch::Platform::cortex_a55(), 42, 2);
+    machine.account(0).charge(sim::CostKind::kWorkload, 100);
+    machine.account(1).charge(sim::CostKind::kExcp, 40);
+    machine_cycles = machine.cycles();
+    EXPECT_EQ(obs::cycle_ledger().total(), machine_cycles);
+  }
+  {
+    sim::CycleAccount account;
+    account.charge(sim::CostKind::kWorkload, 9);
+  }
+  // Both the Machine and the stack account are gone; their cycles stay.
+  const auto& ledger = obs::cycle_ledger();
+  EXPECT_EQ(machine_cycles, 140u);
+  EXPECT_EQ(ledger.total(), 149u);
+  EXPECT_EQ(ledger.of(kind_index(sim::CostKind::kWorkload)), 109u);
+  EXPECT_EQ(ledger.of(kind_index(sim::CostKind::kExcp)), 40u);
+}
+
+TEST_F(ObsTest, ResetAllRebasesTheLedgerNotTheAccounts) {
+  const auto& ledger = obs::cycle_ledger();
+  {
+    sim::CycleAccount gone;
+    gone.charge(sim::CostKind::kInsn, 1000);
+  }
+  sim::CycleAccount account;
+  account.charge(sim::CostKind::kGate, 50);
+  obs::reset_all();
+  EXPECT_EQ(ledger.total(), 0u);
+  EXPECT_EQ(ledger.of(kind_index(sim::CostKind::kGate)), 0u);
+  EXPECT_EQ(ledger.of(kind_index(sim::CostKind::kInsn)), 0u);
+  EXPECT_EQ(account.total(), 50u);  // the account keeps its own count
+  EXPECT_EQ(account.of(sim::CostKind::kGate), 50u);
+  account.charge(sim::CostKind::kGate, 5);
+  EXPECT_EQ(account.total(), 55u);
+  EXPECT_EQ(ledger.total(), 5u);
+  {
+    sim::CycleAccount fresh;
+    fresh.charge(sim::CostKind::kMem, 3);
+    EXPECT_EQ(ledger.total(), 8u);
+  }
+  EXPECT_EQ(ledger.total(), 8u);
+  EXPECT_EQ(ledger.of(kind_index(sim::CostKind::kGate)), 5u);
+  EXPECT_EQ(ledger.of(kind_index(sim::CostKind::kMem)), 3u);
+}
+
+// Readers race accounts that are created, charged and destroyed. Each
+// account's cycles must be counted live or folded, never both or neither,
+// so no reader may ever see the total (or a kind) go backwards.
+TEST_F(ObsTest, LedgerTotalNeverDecreasesWhileAccountsLinkAndUnlink) {
+  constexpr int kAccounts = 50000;
+  constexpr int kLive = 64;
+  const auto& ledger = obs::cycle_ledger();
+  std::array<std::optional<sim::CycleAccount>, kLive> live;
+  std::atomic<bool> done{false};
+  std::array<bool, 2> monotone{};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < monotone.size(); ++r) {
+    readers.emplace_back([&ledger, &done, &monotone, r] {
+      const std::size_t gate = kind_index(sim::CostKind::kGate);
+      bool ok = true;
+      u64 last = 0;
+      u64 last_gate = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        const u64 total = ledger.total();
+        const u64 of_gate = ledger.of(gate);
+        ok &= total >= last && of_gate >= last_gate;
+        last = total;
+        last_gate = of_gate;
+      }
+      monotone[r] = ok;
+    });
+  }
+  u64 expected = 0;
+  for (int i = 0; i < kAccounts; ++i) {
+    auto& slot = live[i % kLive];
+    slot.reset();  // destroys the oldest account: its totals fold in
+    sim::CycleAccount& a = slot.emplace();
+    const Cycles c = 1 + static_cast<Cycles>(i % 13) * 1000;
+    a.charge(sim::CostKind::kGate, c);
+    a.charge(sim::CostKind::kInsn, 1);
+    expected += c + 1;
+  }
+  for (auto& slot : live) slot.reset();
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  for (std::size_t r = 0; r < monotone.size(); ++r) {
+    EXPECT_TRUE(monotone[r]) << "reader " << r;
+  }
+  EXPECT_EQ(ledger.total(), expected);
+  EXPECT_EQ(ledger.of(kind_index(sim::CostKind::kInsn)), u64{kAccounts});
 }
 
 TEST_F(ObsTest, EveryCostKindHasAName) {

@@ -3,6 +3,7 @@
 // multi-threaded scheduler, and the Status-based Table-2 API error paths.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <thread>
 #include <vector>
@@ -257,6 +258,70 @@ TEST(SmpObsTest, PerCoreTlbCountsStayExactUnderConcurrency) {
   EXPECT_EQ(count("mem.tlb.invalidation"), sum.invalidations);
   EXPECT_EQ(sum.invalidations,
             u64{kCores} * kCores * (kRounds / kTlbiEvery));
+}
+
+// Each core's account has one writer, its bound thread, so a charge is a
+// load and a store. Four core threads charge at once, each DVM broadcast
+// charging its initiator, and read the derived ledger as they go: every
+// account must come out exact, each thread's ledger reads must never go
+// backwards, and the ledger must equal the accounts' sum.
+TEST(SmpObsTest, CycleAccountsStayExactUnderConcurrency) {
+  constexpr unsigned kCores = 4;
+  constexpr u64 kRounds = 2000;
+  constexpr u64 kTlbiEvery = 50;
+  const auto kind = [](CostKind k) { return static_cast<std::size_t>(k); };
+  const obs::CycleLedger& ledger = obs::cycle_ledger();
+  Machine machine(arch::Platform::cortex_a55(), /*seed=*/42, kCores);
+  const u64 total_before = ledger.total();
+  std::array<u64, sim::kNumCostKinds> before{};
+  for (std::size_t k = 0; k < sim::kNumCostKinds; ++k) before[k] = ledger.of(k);
+
+  std::array<bool, kCores> monotone{};
+  std::vector<std::thread> threads;
+  for (unsigned c = 0; c < kCores; ++c) {
+    threads.emplace_back([&machine, &ledger, &monotone, c] {
+      Machine::CoreBinding bind(machine, c);
+      bool ok = true;
+      u64 last = ledger.total();
+      for (u64 i = 0; i < kRounds; ++i) {
+        machine.charge(CostKind::kInsn, c + 1);
+        machine.account().charge(CostKind::kMem, 2);
+        if (i % kTlbiEvery == 0) {
+          machine.tlbi_va_is(0x400 + i, static_cast<u16>(c + 1), /*vmid=*/0);
+        }
+        const u64 now = ledger.total();
+        ok &= now >= last;
+        last = now;
+      }
+      monotone[c] = ok;
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  const arch::Platform& plat = machine.platform();
+  const u64 dvm = (kRounds / kTlbiEvery) *
+                  (plat.dvm_bcast_base + (kCores - 1) * plat.dvm_bcast_per_core);
+  u64 sum = 0;
+  std::array<u64, sim::kNumCostKinds> by_kind{};
+  for (unsigned c = 0; c < kCores; ++c) {
+    const sim::CycleAccount& a = machine.account(c);
+    EXPECT_TRUE(monotone[c]) << "core " << c;
+    EXPECT_EQ(a.of(CostKind::kInsn), kRounds * (c + 1)) << "core " << c;
+    EXPECT_EQ(a.of(CostKind::kMem), 2 * kRounds) << "core " << c;
+    EXPECT_EQ(a.of(CostKind::kTlbi), dvm) << "core " << c;
+    EXPECT_EQ(a.total(), kRounds * (c + 1) + 2 * kRounds + dvm) << "core " << c;
+    sum += a.total();
+    for (std::size_t k = 0; k < sim::kNumCostKinds; ++k) {
+      by_kind[k] += a.of(static_cast<CostKind>(k));
+    }
+  }
+  EXPECT_EQ(machine.cycles(), sum);
+  EXPECT_EQ(ledger.total() - total_before, sum);
+  for (std::size_t k = 0; k < sim::kNumCostKinds; ++k) {
+    EXPECT_EQ(ledger.of(k) - before[k], by_kind[k]) << sim::to_string(
+        static_cast<CostKind>(k));
+  }
+  EXPECT_EQ(by_kind[kind(CostKind::kTlbi)], kCores * dvm);
 }
 
 // Back-to-back scenarios in one binary must not bleed counters into each
