@@ -74,6 +74,14 @@ bool system_insn_allowed(const Insn& insn, SanitizeMode mode,
 }  // namespace
 
 bool insn_allowed(u32 word, SanitizeMode mode, std::string* reason) {
+  // Only three encoding classes can be denied: ERET (bits[31:25] ==
+  // 1101011, the branch-register class), the LDTR/STTR class (bits[29:24]
+  // == 111000 with bits[11:10] == 10) and system space. Every other word is
+  // allowed without decoding it.
+  if ((word >> 25) != 0x6b && (word & 0x3f000c00) != 0x38000800 &&
+      !arch::in_system_space(word)) {
+    return true;
+  }
   const Insn insn = arch::decode(word);
 
   switch (insn.op) {

@@ -267,6 +267,16 @@ class Core {
   u64 dispatch_trace(Trace& t, u64 remaining);
   u64 exec_trace(Trace& t, u64 remaining);
   bool trace_ldst(Trace& t, const TraceOp& op, unsigned i);
+  bool trace_sys(Trace& t, const TraceOp& op, unsigned i);
+  void trace_unretire_after(const Trace& t, const TraceOp& op, unsigned i);
+  // The one predicate a block needs to start (try_trace, dispatch_trace)
+  // and to go on past a kSys op: no per-instruction work is due
+  // (needs_step), the tags still match (trace_tags_live) and no profiler
+  // sample can fall inside it (sample_margin_ok). A chained re-entry checks
+  // only the margin: every op that can change the rest ends the block.
+  bool needs_step() const;
+  bool trace_tags_live(const Trace& t) const;
+  bool sample_margin_ok(const Trace& t) const;
   void link_trace_counters();
   void check_tlb_hit(VirtAddr va, const mem::TlbEntry& hit);
   void check_tlb_hit_inner(VirtAddr va, const mem::TlbEntry& hit);
@@ -387,9 +397,10 @@ class Core {
   // totals and TlbStats; trace timestamps (ledger totals) are
   // byte-identical to the unbatched engine. The trace tier pre-sums a
   // whole block's base cycles / retired count / fetch-hit credits into the
-  // same scalars at block entry (rolling back the unexecuted remainder if
-  // a load/store faults mid-block), so every flush boundary above still
-  // observes exact values — traces never span one.
+  // same scalars at block entry and rolls the unexecuted remainder back
+  // before any boundary inside the block (a faulting load/store, or the
+  // exec_system of a system instruction), so every flush boundary above
+  // still observes exact values.
   void flush_pending();
   u64 pending_insn_ = 0;
   Cycles pending_insn_cycles_ = 0;

@@ -1,21 +1,26 @@
 // Superblock trace tier: build, dispatch and invalidation (DESIGN.md §16).
 //
-// Accounting exactness argument, in one place. A trace only dispatches
-// while its Tlb-generation tag still equals the live generation, and the
-// generation advances on *every* mutation that removes or overwrites a
-// live TLB entry (all invalidate flavours, live-evicting refills, L2->L1
-// promotions). So a gen-valid trace implies the fetch translation it was
-// built from is still resident in the micro-TLB — which means the
-// interpreter's per-instruction fetch would have been either an L0 hit or
-// an L1 lookup hit, and both are counted as `l1_hits` at zero cycle cost.
-// Pre-summing `pending_l0_hits_ += n`, `pending_insn_ += n` and
+// Accounting exactness argument, in one place. A trace only runs while its
+// Tlb-generation tag equals the live generation, and the generation
+// advances on *every* mutation that removes or overwrites a live TLB entry
+// (all invalidate flavours, live-evicting refills, L2->L1 promotions). So
+// a gen-valid trace implies the fetch translation it was built from is
+// still resident in the micro-TLB — which means the interpreter's
+// per-instruction fetch would have been either an L0 hit or an L1 lookup
+// hit, and both are counted as `l1_hits` at zero cycle cost. Pre-summing
+// `pending_l0_hits_ += n`, `pending_insn_ += n` and
 // `pending_insn_cycles_ += t.cycles` at block entry is therefore
 // byte-identical to stepping the block, and data accesses go through the
-// very same translate()/PhysMem path the interpreter uses. The only
-// mid-block surprise is a faulting load/store; trace_ldst() rolls the
-// unexecuted remainder back before raising, leaving exactly ops [0, i]
-// counted — the interpreter, too, counts a faulting instruction as
-// retired before execute() runs.
+// very same translate()/PhysMem path the interpreter uses. The generation
+// can only move mid-block in a load/store's refill or a system
+// instruction, and either ends the block right after itself when it did,
+// so the premise holds for every fetch the block pre-sums. A stopping op
+// rolls the unexecuted remainder back (trace_unretire_after), leaving
+// exactly ops [0, i] counted — the interpreter, too, counts an
+// instruction as retired before execute() runs, faulting or not. A system
+// instruction (kSys) rolls back *before* calling exec_system, whose entry
+// flush then charges exactly what the interpreter's would, and re-adds the
+// remainder only if the block goes on (trace_sys).
 #include "sim/trace_cache.h"
 
 #include <algorithm>
@@ -41,9 +46,11 @@ constexpr bool is_terminal(TraceOpKind k) { return k >= TraceOpKind::kB; }
 
 // Lowers one decoded instruction into a trace micro-op, accumulating the
 // platform kInsn cycles (base cost plus barrier extras) into `cyc`.
+// System instructions (MSR/MRS/MSR-imm/SYS) lower to kSys, which runs the
+// interpreter's exec_system; build_trace stores their decoded Insn.
 // Returns false for everything that must stay on the interpreter slow
-// path: the Table-3 sensitive set (MSR/MRS/MSR-imm/SYS), exception
-// generators, ERET, unprivileged LDTR/STTR, and unmodelled encodings.
+// path: exception generators, ERET, unprivileged LDTR/STTR, and
+// unmodelled encodings.
 bool lower(const arch::Platform& plat, const Insn& insn, u64 va, TraceOp* out,
            u32* cyc) {
   TraceOp op;
@@ -193,8 +200,15 @@ bool lower(const arch::Platform& plat, const Insn& insn, u64 va, TraceOp* out,
       }
       break;
 
+    case Op::kMsrReg:
+    case Op::kMrs:
+    case Op::kMsrImm:
+    case Op::kSys:
+      op.kind = TraceOpKind::kSys;
+      break;
+
     default:
-      return false;  // sensitive / exception-generating / unmodelled
+      return false;  // exception-generating / unprivileged / unmodelled
   }
   *cyc += c - static_cast<u32>(plat.insn_base);
   *cyc += static_cast<u32>(plat.insn_base);
@@ -225,18 +239,21 @@ bool trace_tier_default() {
   return on;
 }
 
-TracePtr make_trace(unsigned cap) {
+TracePtr make_trace(unsigned cap, unsigned sys_cap) {
   const std::size_t bytes = sizeof(Trace) +
                             (std::size_t{cap} + 1) * sizeof(TraceOp) +
+                            std::size_t{sys_cap} * sizeof(Insn) +
                             std::size_t{cap} * sizeof(u32);
   auto* t = new (::operator new(bytes)) Trace;
   t->cap = static_cast<u16>(cap);
+  t->sys_cap = static_cast<u16>(sys_cap);
   std::uninitialized_default_construct_n(t->ops(), cap + 1);
+  std::uninitialized_default_construct_n(t->sys(), sys_cap);
   return TracePtr(t);
 }
 
 void TraceDeleter::operator()(Trace* t) const noexcept {
-  t->~Trace();  // TraceOp and u32 storage is trivially destructible
+  t->~Trace();  // TraceOp, Insn and u32 storage is trivially destructible
   ::operator delete(t);
 }
 
@@ -285,11 +302,12 @@ Trace* Core::build_trace(TraceCache::Slot& s) {
   // Decode from a private copy of each word (not through the decoded-page
   // cache): ops and words must come from the same read even if another
   // core races a code write, and decode_count() keeps meaning exactly
-  // "decoded-page cache misses". Lowering goes to the stack first, so the
-  // slot's block is only touched (or sized) once the build has succeeded.
-  std::array<TraceOp, Trace::kMaxOps> ops;
-  std::array<u32, Trace::kMaxOps> words;
+  // "decoded-page cache misses". Lowering goes to the scratch first, so
+  // the slot's block is only touched (or sized) once the build has
+  // succeeded.
+  auto& [ops, sys, words] = tcache_.scratch();
   unsigned n = 0;
+  unsigned sys_n = 0;
   u16 ldst_n = 0;
   u32 cyc = 0;
   while (n < Trace::kMaxOps) {
@@ -297,23 +315,33 @@ Trace* Core::build_trace(TraceCache::Slot& s) {
     if (off + 4 > kPageSize) break;  // traces never cross their code page
     u32 word;
     std::memcpy(&word, host + off, 4);
+    const Insn insn = arch::decode(word);
     TraceOp op;
-    if (!lower(plat_, arch::decode(word), pc_ + u64{n} * 4, &op, &cyc)) break;
+    if (!lower(plat_, insn, pc_ + u64{n} * 4, &op, &cyc)) break;
     words[n] = word;
     if (op.kind == TraceOpKind::kLdSt) ++ldst_n;
+    if (op.kind == TraceOpKind::kSys) {
+      op.aux = sys_n;
+      sys[sys_n++] = insn;
+    }
     ops[n] = op;
     ++n;
     if (is_terminal(op.kind)) break;
   }
-  if (n < 2) {  // a one-op trace costs more than it saves
+  // A one-op trace costs more than it saves, unless that op is a branch:
+  // then the trace stands in for a whole step() (a lone RET ends the gate).
+  if (n == 0 || (n == 1 && !is_terminal(ops[0].kind))) {
     s.back_off();
     return nullptr;
   }
-  if (!s.trace || s.trace->cap < n) s.trace = make_trace(n);
+  if (!s.trace || s.trace->cap < n || s.trace->sys_cap < sys_n) {
+    s.trace = make_trace(n, sys_n);
+  }
   Trace& t = *s.trace;
   std::copy_n(ops.data(), n, t.ops());
   t.ops()[n] = TraceOp{};
   t.ops()[n].kind = TraceOpKind::kEnd;  // dispatch sentinel (fall-off traces)
+  std::copy_n(sys.data(), sys_n, t.sys());
   std::copy_n(words.data(), n, t.words());
   t.start_va = pc_;
   t.tlb_gen = l0.tlb_gen;  // == tlb_.generation(), checked above
@@ -345,20 +373,29 @@ void Core::link_trace_counters() {
   tcount_.invalidated_teardown.link("sim.trace.invalidated_teardown", true);
 }
 
+// Conditions the interpreter checks per instruction that a block cannot:
+// the on_insn hook and armed watchpoints want per-insn work, a deliverable
+// IRQ must be taken before the next instruction. (Only a kSys op can change
+// them mid-block, and it re-checks them: inject_irq() is only called
+// between run() steps or from the on_insn hook, which disables the tier.)
+bool Core::needs_step() const {
+  return on_insn || watchpoints_armed_ || (irq_pending_ && !pstate_.irq_masked);
+}
+
+// The L0 fetch-slot predicate a trace was built under: while it holds, every
+// fetch in the block is a zero-cost micro-TLB hit.
+bool Core::trace_tags_live(const Trace& t) const {
+  return t.tlb_gen == tlb_.generation() &&
+         t.ctx_epoch == ctx_epoch_[t.global] && t.el == pstate_.el &&
+         t.pan == pstate_.pan;
+}
+
 u64 Core::try_trace(u64 remaining) {
-  // Conditions the interpreter checks per instruction that a block cannot:
-  // the on_insn hook and armed watchpoints want per-insn work, a deliverable
-  // IRQ must be taken before the next instruction. (Nothing can assert the
-  // IRQ line mid-block: inject_irq() is only called between run() steps or
-  // from the on_insn hook, which disables the tier.)
-  if (on_insn || watchpoints_armed_) return 0;
-  if (irq_pending_ && !pstate_.irq_masked) return 0;
+  if (needs_step()) return 0;
   TraceCache::Slot& s = tcache_.slot(pc_);
   Trace* t = s.trace.get();
   if (t != nullptr && t->valid && t->start_va == pc_) {
-    if (t->tlb_gen != tlb_.generation() ||
-        t->ctx_epoch != ctx_epoch_[t->global] || t->el != pstate_.el ||
-        t->pan != pstate_.pan) {
+    if (!trace_tags_live(*t)) {
       // The translation may have changed under the trace (TLBI, remote DVM
       // shootdown, TTBR/ASID rewrite over non-global code, EL/PAN change):
       // discard and back off; a later visit rebuilds under the live context.
@@ -399,30 +436,32 @@ u64 Core::dispatch_trace(Trace& t, u64 remaining) {
     const u64 d = *stop_pc_ - t.start_va;
     if (d != 0 && d < u64{t.n} * 4) return 0;
   }
-  if (prof_on_) {
-    const Cycles now =
-        account_.total() + pending_insn_cycles_ + pending_mem_cycles_;
-    if (now + trace_cycle_bound(plat_, t) >= prof_next_) return 0;
-  }
+  if (!sample_margin_ok(t)) return 0;
   return exec_trace(t, remaining);
+}
+
+// Whether no profiler sample can fall inside one more run of `t` from here.
+bool Core::sample_margin_ok(const Trace& t) const {
+  if (!prof_on_) return true;
+  const Cycles now =
+      account_.total() + pending_insn_cycles_ + pending_mem_cycles_;
+  return now + trace_cycle_bound(plat_, t) < prof_next_;
 }
 
 u64 Core::exec_trace(Trace& t, u64 remaining) {
   // Pre-sum the whole block's accounting: base cycles, retired count, and
   // one micro-TLB fetch-hit credit per instruction (see the exactness
-  // argument at the top of this file). A mid-block load/store fault rolls
-  // the unexecuted remainder back in trace_ldst().
+  // argument at the top of this file). A load/store or system instruction
+  // that stops the block mid-way rolls the unexecuted remainder back.
   //
   // Block chaining: a terminal branch that lands back on this trace's own
   // start re-enters the op loop directly — no slot lookup, no live-word
-  // memcmp — as long as the tags that could have moved *inside* the block
-  // still hold: the Tlb generation (a chained load/store can evict live
-  // entries) and t.valid (a store into the own code page clears it, but
-  // that path also exits). Nothing else can change mid-block: EL/PAN and
-  // the context epoch only move through exec_system or exceptions (both
-  // excluded/exiting), IRQ injection needs C++ to run, and cross-core
-  // writes to the code page are caught by the entry memcmp of whichever
-  // block dispatches next — the own-page store check covers this block.
+  // memcmp, no tag check. The tags cannot have moved inside the block: the
+  // only ops that can move them (a load/store's refill or own-page store,
+  // a system instruction) end the block right after themselves when they
+  // did, IRQ injection needs C++ to run, and cross-core writes to the code
+  // page are caught by the entry memcmp of whichever block dispatches
+  // next — the own-page store check covers this block.
   // Threaded-code dispatch (GNU labels-as-values): each handler ends in its
   // own indirect jump to the next op's handler, so the branch predictor
   // learns per-handler successor patterns instead of sharing one switch
@@ -433,8 +472,8 @@ u64 Core::exec_trace(Trace& t, u64 remaining) {
       &&h_nop,    &&h_movpre, &&h_movk,   &&h_addimm,  &&h_subimm,
       &&h_subsimm, &&h_addreg, &&h_subreg, &&h_subsreg, &&h_andreg,
       &&h_orrreg, &&h_eorreg, &&h_andsreg, &&h_lslimm,  &&h_ldst,
-      &&h_b,      &&h_bl,     &&h_bcond,  &&h_cbz,     &&h_cbnz,
-      &&h_br,     &&h_blr,    &&h_ret,    &&h_end};
+      &&h_sys,    &&h_b,      &&h_bl,     &&h_bcond,   &&h_cbz,
+      &&h_cbnz,   &&h_br,     &&h_blr,    &&h_ret,     &&h_end};
   static_assert(sizeof(kJump) / sizeof(kJump[0]) ==
                 static_cast<std::size_t>(TraceOpKind::kEnd) + 1);
 #define LZ_TR_NEXT() \
@@ -447,16 +486,13 @@ u64 Core::exec_trace(Trace& t, u64 remaining) {
   u64* const xr = x_.data();
   const u64 start_va = t.start_va;
   const u64 fallthrough_pc = start_va + u64{n} * 4;
-  // No load/store means nothing inside the block can move the Tlb
-  // generation or clear t.valid, so the chain recheck is register-only.
-  const bool pure_alu = t.ldst_n == 0;
   const u64 chain_limit = remaining - n;  // entry guarantees n <= remaining
   u64 retired = 0;    // completed prior iterations (chaining)
   u64 iters = 0;      // block executions, added to tcount_ on exit
   // Iterations whose accounting pre-sums are not yet materialized into the
   // pending_* scalars. Deferral is exact because no flush boundary can be
   // crossed while it is nonzero: the only C++ entry points inside a block
-  // are in trace_ldst, and h_ldst materializes first.
+  // are trace_ldst and trace_sys, and their handlers materialize first.
   u64 lazy_iters = 0;
   const auto materialize = [&] {
     if (lazy_iters == 0) return;
@@ -466,6 +502,7 @@ u64 Core::exec_trace(Trace& t, u64 remaining) {
     lazy_iters = 0;
   };
   const TraceOp* op;
+  unsigned i;  // the op that stopped the block
   u64 next_pc;
 
 enter_block:
@@ -527,19 +564,20 @@ h_andsreg: {
 h_lslimm:
   xr[op->rd] = xr[op->rn] << op->shift;
   LZ_TR_NEXT();
-h_ldst: {
-  materialize();  // trace_ldst's fault path flushes and rolls back pendings
-  // On a fault the trap handler may run nested code that rebuilds this very
-  // slot (possibly into a new block): nothing below reads the trace again.
-  const unsigned i = static_cast<unsigned>(op - ops);
-  if (!trace_ldst(t, *op, i)) {
-    const u64 done = retired + i + 1;
-    tcount_.executed.add(iters);
-    tcount_.insns.add(done);
-    return done;
-  }
-  LZ_TR_NEXT();
-}
+// Loads/stores and system instructions run C++ that can reach a flush
+// boundary or move the tags, so their handlers materialize first. On a stop
+// the op may have taken a trap whose handler ran nested code that rebuilt
+// this very slot (possibly into a new block): nothing after reads the trace.
+h_ldst:
+  materialize();
+  i = static_cast<unsigned>(op - ops);
+  if (trace_ldst(t, *op, i)) LZ_TR_NEXT();
+  goto stopped;
+h_sys:
+  materialize();
+  i = static_cast<unsigned>(op - ops);
+  if (trace_sys(t, *op, i)) LZ_TR_NEXT();
+  goto stopped;
 h_b:
   next_pc = op->aux;
   goto h_end;
@@ -569,19 +607,51 @@ h_ret:
 h_end:
   retired += n;
   pc_ = next_pc;
-  if (next_pc == start_va && retired <= chain_limit &&
-      (pure_alu || (t.valid && t.tlb_gen == tlb_.generation()))) {
+  if (next_pc == start_va && retired <= chain_limit) {
     if (!prof_on_) goto enter_block;
     materialize();
-    const Cycles now =
-        account_.total() + pending_insn_cycles_ + pending_mem_cycles_;
-    if (now + trace_cycle_bound(plat_, t) < prof_next_) goto enter_block;
+    if (sample_margin_ok(t)) goto enter_block;
   }
   materialize();
   tcount_.executed.add(iters);
   tcount_.insns.add(retired);
   return retired;
+
+stopped:  // ops [0, i] retired, the rest rolled back; pc_ set by the op
+  tcount_.executed.add(iters);
+  tcount_.insns.add(retired + i + 1);
+  return retired + i + 1;
 #undef LZ_TR_NEXT
+}
+
+// Runs op `i`, a system instruction, through the interpreter's own
+// exec_system and says whether the block may go on. The ops after it are
+// rolled out of the pendings first, so exec_system's entry flush charges
+// exactly ops [0, i] in the interpreter's ledger order; they are re-added
+// only if everything the block's dispatch required still holds. Otherwise
+// the block exits as after an own-page store: pc_ is wherever exec_system
+// left it, and the run loop takes it from there.
+bool Core::trace_sys(Trace& t, const TraceOp& op, unsigned i) {
+  const u64 insn_pc = t.start_va + u64{i} * 4;
+  trace_unretire_after(t, op, i);
+  pc_ = insn_pc + 4;
+  pending_elr_ = insn_pc;
+  // Copied by value: a trap taken inside exec_system can run nested code
+  // that rebuilds this very slot.
+  const Insn insn = t.sys()[op.aux];
+  const u64 excp_before = excp_entry_.value();
+  exec_system(insn);
+  // A trap may have rebuilt or freed the trace: test for one before `t`.
+  if (excp_entry_.value() != excp_before || pc_ != insn_pc + 4 ||
+      needs_step() || !t.valid || !trace_tags_live(t) ||
+      !sample_margin_ok(t)) {
+    return false;
+  }
+  const u64 rest = u64{t.n} - i - 1;  // what trace_unretire_after took out
+  pending_insn_ += rest;
+  pending_l0_hits_ += rest;
+  pending_insn_cycles_ += t.cycles - op.cyc;
+  return true;
 }
 
 bool Core::trace_ldst(Trace& t, const TraceOp& op, unsigned i) {
@@ -596,14 +666,9 @@ bool Core::trace_ldst(Trace& t, const TraceOp& op, unsigned i) {
   const auto type = store ? AccessType::kWrite : AccessType::kRead;
   const auto tr = translate(va, type, false);
   if (!tr.ok) {
-    // Roll the pre-sums back to "ops [0, i] retired". The faulting
-    // instruction itself stays counted, exactly as the interpreter counts
-    // an instruction before execute() runs; op.cyc is the cycle pre-sum
-    // through this op, so barrier extras on either side stay exact.
-    const u64 rest = u64{t.n} - i - 1;
-    pending_insn_ -= rest;
-    pending_l0_hits_ -= rest;
-    pending_insn_cycles_ -= t.cycles - op.cyc;
+    // The faulting instruction itself stays counted, exactly as the
+    // interpreter counts an instruction before execute() runs.
+    trace_unretire_after(t, op, i);
     pc_ = insn_pc + 4;
     pending_elr_ = insn_pc;
     const bool lower_el =
@@ -623,24 +688,36 @@ bool Core::trace_ldst(Trace& t, const TraceOp& op, unsigned i) {
       v = static_cast<u64>(sign_extend(v, op.size * 8));
     }
     set_x(op.rd, v);
-    return true;
+  } else {
+    pm_.write(tr.pa, op.size, x(op.rd));
+    if (page_floor(tr.pa) == t.ppage) {
+      // Store into the trace's own code page: the words after it may be
+      // stale now, so the trace dies and the interpreter re-reads them.
+      t.valid = false;
+      tcount_.invalidated_smc.add();
+      tcache_.slot(t.start_va).back_off();
+    }
   }
-  pm_.write(tr.pa, op.size, x(op.rd));
-  if (page_floor(tr.pa) == t.ppage) {
-    // Store into the trace's own code page. This op is complete, but the
-    // words after it may be stale now: roll the remainder back and hand
-    // the rest of the block to the interpreter, which re-reads live words.
-    const u64 rest = u64{t.n} - i - 1;
-    pending_insn_ -= rest;
-    pending_l0_hits_ -= rest;
-    pending_insn_cycles_ -= t.cycles - op.cyc;
-    pc_ = insn_pc + 4;
-    t.valid = false;
-    tcount_.invalidated_smc.add();
-    tcache_.slot(t.start_va).back_off();
-    return false;
-  }
-  return true;
+  // The block goes on only under the generation it was entered with: a
+  // refill that evicted a live entry may have taken the code page's
+  // micro-TLB entry, and then the fetches after this op are no longer
+  // provably free. The interpreter fetches them and pays what the TLB
+  // charges, before any later flush boundary can observe the difference.
+  if (t.valid && t.tlb_gen == tlb_.generation()) return true;
+  trace_unretire_after(t, op, i);
+  pc_ = insn_pc + 4;
+  return false;
+}
+
+// Op `i` of `t` is the last one the block retires: rolls the pre-summed
+// accounting of the ops after it back out of the pendings. op.cyc is the
+// cycle pre-sum through op i, so barrier extras on either side stay exact.
+void Core::trace_unretire_after(const Trace& t, const TraceOp& op,
+                                unsigned i) {
+  const u64 rest = u64{t.n} - i - 1;
+  pending_insn_ -= rest;
+  pending_l0_hits_ -= rest;
+  pending_insn_cycles_ -= t.cycles - op.cyc;
 }
 
 }  // namespace lz::sim

@@ -12,11 +12,12 @@
 // keeps the decode cache honest, so the tier is architecturally invisible.
 //
 // Trace formation stops at branches (the branch itself terminates the
-// trace), at every exec_system-class instruction (MSR/MRS/MSR-imm/SYS —
-// the Table-3 sensitive set must take the interpreter slow path so the
-// sanitizer and secure-gate semantics are untouched), at exception
-// generators (SVC/HVC/SMC/BRK/ERET), at unprivileged LDTR/STTR, at the
-// page boundary, and at kMaxOps.
+// trace), at exception generators (SVC/HVC/SMC/BRK/ERET), at unprivileged
+// LDTR/STTR, at the page boundary, and at kMaxOps. System instructions
+// (MSR/MRS/MSR-imm/SYS) stay inside the block: their op calls the
+// interpreter's own exec_system, so Table-3 semantics, traps and events
+// have one implementation, and the block goes on only while everything its
+// dispatch required still holds.
 //
 // Everything here is owned by the core's thread; cross-core invalidation
 // (remote DVM shootdowns) rides the Tlb generation tag exactly like the
@@ -26,6 +27,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "arch/exception.h"
@@ -51,6 +53,7 @@ enum class TraceOpKind : u8 {
   kAndReg, kOrrReg, kEorReg, kAndsReg,
   kLslImm,
   kLdSt,     // imm/reg-offset load/store (flags below select the variant)
+  kSys,      // MSR/MRS/MSR-imm/SYS through exec_system (aux = sys() index)
   // Terminal kinds: a trace always ends at its branch (if any).
   kB, kBl, kBCond, kCbz, kCbnz, kBr, kBlr, kRet,
   // Dispatch sentinel appended after the last op of a fall-off-the-end
@@ -88,6 +91,7 @@ struct Trace {
   u8 global = 0;         // built from a global fetch entry (epoch class)
   u16 n = 0;             // retired instructions when the trace runs to the end
   u16 cap = 0;           // ops this block has room for (rebuild-in-place bound)
+  u16 sys_cap = 0;       // system instructions it has room for
   u16 ldst_n = 0;        // loads/stores in the trace (profiler margin bound)
   u32 start_off = 0;     // byte offset of start_va's word within the page
   u32 cycles = 0;        // presummed kInsn cycles for the whole trace
@@ -96,21 +100,26 @@ struct Trace {
 
   static constexpr unsigned kMaxOps = 64;
 
-  // The ops and the encodings they were lowered from live in the same
-  // allocation, right after this header, sized to `cap`:
-  //   TraceOp ops[cap + 1]   (+1: kEnd dispatch sentinel)
-  //   u32     words[cap]
+  // The ops, the decoded system instructions and the encodings they were
+  // lowered from live in the same allocation, right after this header:
+  //   TraceOp    ops[cap + 1]   (+1: kEnd dispatch sentinel)
+  //   arch::Insn sys[sys_cap]   (kSys ops' instructions, indexed by aux)
+  //   u32        words[cap]
   TraceOp* ops() { return reinterpret_cast<TraceOp*>(this + 1); }
-  u32* words() { return reinterpret_cast<u32*>(ops() + cap + 1); }
+  arch::Insn* sys() { return reinterpret_cast<arch::Insn*>(ops() + cap + 1); }
+  u32* words() { return reinterpret_cast<u32*>(sys() + sys_cap); }
 };
 static_assert(sizeof(Trace) % alignof(TraceOp) == 0);
+static_assert(sizeof(TraceOp) % alignof(arch::Insn) == 0);
+static_assert(std::is_trivially_destructible_v<arch::Insn>);
 
 struct TraceDeleter {
   void operator()(Trace* t) const noexcept;
 };
 using TracePtr = std::unique_ptr<Trace, TraceDeleter>;
-// One block holding a Trace header and room for `cap` ops.
-TracePtr make_trace(unsigned cap);
+// One block holding a Trace header and room for `cap` ops, `sys_cap` of
+// them system instructions.
+TracePtr make_trace(unsigned cap, unsigned sys_cap);
 
 // Host-side per-core statistics of the trace tier. Like
 // Core::decode_count(), they depend on per-core cache state, so they are
@@ -141,8 +150,8 @@ struct TraceCounters {
 // a build succeeds, one block sized to the trace; a rebuild that fits
 // reuses that block in place, a larger one replaces it. A running
 // exec_trace never sees its block move: the only way back into a build
-// while it runs is a faulting load/store's trap handler, and exec_trace
-// touches nothing of the trace after such a fault.
+// while it runs is the handler of a trap a load/store or system instruction
+// took, and exec_trace touches nothing of the trace after a trap.
 class TraceCache {
  public:
   static constexpr unsigned kSlots = 1024;  // power of two
@@ -157,8 +166,8 @@ class TraceCache {
     // opportunities left in the window before the next build attempt. So a
     // block whose context churns every iteration (e.g. a domain-switch loop
     // rewriting TTBR0 over non-global code) or that cannot form a trace
-    // (it starts at an MSR or a lone RET) stops paying build cost, while a
-    // one-off TLBI/SMC patch only delays the rebuild by a couple of blocks.
+    // (it starts at an SVC) stops paying build cost, while a one-off
+    // TLBI/SMC patch only delays the rebuild by a couple of blocks.
     u16 backoff = 0;
     u16 defer = 0;
     TracePtr trace;
@@ -173,6 +182,15 @@ class TraceCache {
 
   Slot& slot(u64 va) { return slots_[(va >> 2) & (kSlots - 1)]; }
 
+  // Lowering scratch for Core::build_trace, reused by every build so that a
+  // build initializes nothing up front (a build never re-enters itself).
+  struct Scratch {
+    std::array<TraceOp, Trace::kMaxOps> ops;
+    std::array<arch::Insn, Trace::kMaxOps> sys;
+    std::array<u32, Trace::kMaxOps> words;
+  };
+  Scratch& scratch() { return scratch_; }
+
   // Records that `s` just built a valid trace (build_trace calls this).
   void note_built(Slot& s);
   // Drops every valid trace; returns how many died. Visits only the slots
@@ -181,6 +199,7 @@ class TraceCache {
 
  private:
   std::array<Slot, kSlots> slots_;
+  Scratch scratch_;
   // Slots that built a trace since the last invalidate_all(), each listed
   // once (`listed_`). Every valid trace's slot is on it: a trace turns
   // valid only in build_trace, and only invalidate_all() clears the list.

@@ -1,5 +1,7 @@
 #include "workloads/crypto/aes.h"
 
+#include <array>
+#include <bit>
 #include <cstring>
 
 #include "support/status.h"
@@ -35,38 +37,39 @@ constexpr u8 kSbox[256] = {
 constexpr u8 kRcon[11] = {0x00, 0x01, 0x02, 0x04, 0x08, 0x10,
                           0x20, 0x40, 0x80, 0x1b, 0x36};
 
-u8 xtime(u8 x) { return static_cast<u8>((x << 1) ^ ((x >> 7) * 0x1b)); }
-
-void sub_bytes(u8 s[16]) {
-  for (int i = 0; i < 16; ++i) s[i] = kSbox[s[i]];
+constexpr u8 xtime(u8 x) {
+  return static_cast<u8>((x << 1) ^ ((x >> 7) * 0x1b));
 }
 
-// State is column-major: s[col*4 + row].
-void shift_rows(u8 s[16]) {
-  u8 t[16];
-  std::memcpy(t, s, 16);
-  for (int col = 0; col < 4; ++col) {
-    for (int row = 0; row < 4; ++row) {
-      s[col * 4 + row] = t[((col + row) % 4) * 4 + row];
-    }
+// Round tables: kTe[0][x] is the MixColumns column (2·S[x], S[x], S[x],
+// 3·S[x]) packed big-endian (row 0 in the top byte); kTe[k] is kTe[0]
+// rotated right by 8k bits, i.e. the same column entering at row k.
+constexpr std::array<std::array<u32, 256>, 4> make_te() {
+  std::array<std::array<u32, 256>, 4> te{};
+  for (unsigned x = 0; x < 256; ++x) {
+    const u32 s = kSbox[x];
+    const u32 s2 = xtime(static_cast<u8>(s));
+    const u32 w = s2 << 24 | s << 16 | s << 8 | (s2 ^ s);
+    for (unsigned k = 0; k < 4; ++k) te[k][x] = std::rotr(w, 8 * k);
   }
+  return te;
+}
+constexpr auto kTe = make_te();
+
+// The state is column-major (byte s[col*4 + row]); a column is one word with
+// row 0 in the top byte, so loads and stores are byte-order neutral.
+u32 load_col(const u8* p) {
+  return u32{p[0]} << 24 | u32{p[1]} << 16 | u32{p[2]} << 8 | u32{p[3]};
 }
 
-void mix_columns(u8 s[16]) {
-  for (int col = 0; col < 4; ++col) {
-    u8* c = s + col * 4;
-    const u8 a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
-    const u8 x = static_cast<u8>(a0 ^ a1 ^ a2 ^ a3);
-    c[0] = static_cast<u8>(a0 ^ x ^ xtime(static_cast<u8>(a0 ^ a1)));
-    c[1] = static_cast<u8>(a1 ^ x ^ xtime(static_cast<u8>(a1 ^ a2)));
-    c[2] = static_cast<u8>(a2 ^ x ^ xtime(static_cast<u8>(a2 ^ a3)));
-    c[3] = static_cast<u8>(a3 ^ x ^ xtime(static_cast<u8>(a3 ^ a0)));
-  }
+void store_col(u8* p, u32 w) {
+  p[0] = static_cast<u8>(w >> 24);
+  p[1] = static_cast<u8>(w >> 16);
+  p[2] = static_cast<u8>(w >> 8);
+  p[3] = static_cast<u8>(w);
 }
 
-void add_round_key(u8 s[16], const u8* rk) {
-  for (int i = 0; i < 16; ++i) s[i] ^= rk[i];
-}
+u8 byte_of(u32 w, unsigned row) { return static_cast<u8>(w >> (24 - 8 * row)); }
 
 }  // namespace
 
@@ -92,16 +95,32 @@ AesKey aes_expand_key(const u8 key[kAesKeySize]) {
 }
 
 void aes_encrypt_block(const AesKey& key, u8 block[kAesBlockSize]) {
-  add_round_key(block, key.round_keys.data());
-  for (std::size_t round = 1; round < kAesRounds; ++round) {
-    sub_bytes(block);
-    shift_rows(block);
-    mix_columns(block);
-    add_round_key(block, key.round_keys.data() + round * 16);
+  const u8* rk = key.round_keys.data();
+  std::array<u32, 4> s;
+  for (unsigned c = 0; c < 4; ++c) {
+    s[c] = load_col(block + 4 * c) ^ load_col(rk + 4 * c);
   }
-  sub_bytes(block);
-  shift_rows(block);
-  add_round_key(block, key.round_keys.data() + kAesRounds * 16);
+  // Rounds 1..9: SubBytes, ShiftRows (column c takes row r from column
+  // c + r) and MixColumns are one lookup per byte; AddRoundKey is the XOR.
+  for (std::size_t round = 1; round < kAesRounds; ++round) {
+    rk += kAesBlockSize;
+    std::array<u32, 4> t;
+    for (unsigned c = 0; c < 4; ++c) {
+      t[c] = kTe[0][byte_of(s[c], 0)] ^ kTe[1][byte_of(s[(c + 1) % 4], 1)] ^
+             kTe[2][byte_of(s[(c + 2) % 4], 2)] ^
+             kTe[3][byte_of(s[(c + 3) % 4], 3)] ^ load_col(rk + 4 * c);
+    }
+    s = t;
+  }
+  // Last round: no MixColumns, so SubBytes reads kSbox directly.
+  rk += kAesBlockSize;
+  for (unsigned c = 0; c < 4; ++c) {
+    const u32 w = u32{kSbox[byte_of(s[c], 0)]} << 24 |
+                  u32{kSbox[byte_of(s[(c + 1) % 4], 1)]} << 16 |
+                  u32{kSbox[byte_of(s[(c + 2) % 4], 2)]} << 8 |
+                  u32{kSbox[byte_of(s[(c + 3) % 4], 3)]};
+    store_col(block + 4 * c, w ^ load_col(rk + 4 * c));
+  }
 }
 
 void aes_cbc_encrypt(const AesKey& key, const u8 iv[kAesBlockSize], u8* data,

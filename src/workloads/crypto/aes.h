@@ -2,8 +2,12 @@
 // Used by the HTTPS-server workload: session keys live in *simulated
 // protected memory*, are fetched through the core's translation machinery
 // (so PAN/TTBR isolation is genuinely exercised), and then encrypt real
-// buffers. Encryption is byte-correct (verified against FIPS-197 vectors
-// in tests).
+// buffers. Encryption is byte-correct (verified against the FIPS-197 and
+// SP 800-38A vectors and a byte-wise reference in tests).
+//
+// The rounds are T-table lookups whose addresses depend on key and data, so
+// this is not constant-time: it is the model's host-side cipher, not one to
+// protect real secrets with.
 #pragma once
 
 #include <array>

@@ -7,11 +7,16 @@
 // the batched-accounting flush contract, and the lock-free PhysMem radix.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "arch/encode.h"
 #include "check/bbm.h"
 #include "check/check.h"
+#include "lightzone/api.h"
 #include "lightzone/gate.h"
 #include "mem/phys_mem.h"
 #include "mem/tlb.h"
@@ -697,10 +702,9 @@ struct Ttbr0LoopOutcome {
   std::size_t divergences = 0;
 };
 
-// `iters` iterations of: bare TTBR0 rewrite (same root and ASID), an MRS
-// (interpreted, so its fetch re-installs the L0 fetch slot a non-global
-// trace build needs), then a three-op straight-line block — on a fresh
-// machine with the TLB-vs-walk oracle capturing instead of aborting.
+// `iters` iterations of: bare TTBR0 rewrite (same root and ASID), an MRS,
+// then a three-op straight-line block — on a fresh machine with the
+// TLB-vs-walk oracle capturing instead of aborting.
 Ttbr0LoopOutcome RunTtbr0RewriteLoop(bool global_code, bool tier, u16 iters) {
   check::CaptureDivergences caught;
   Machine m(arch::Platform::cortex_a55(), /*seed=*/42);
@@ -751,7 +755,9 @@ TEST(GlobalEpochTest, GlobalCodeTraceSurvivesBareTtbr0Writes) {
   const auto off = RunTtbr0RewriteLoop(/*global_code=*/true, false, kIters);
   EXPECT_EQ(on.iterations, kIters);
   // Built once on the second visit, then dispatched every iteration after:
-  // 1000 TTBR0 writes and not one tag miss.
+  // 1000 TTBR0 writes and not one tag miss. The trace is the whole loop,
+  // MSR and MRS included: the TTBR0 write leaves the global epoch alone, so
+  // the block goes on past it and chains.
   EXPECT_EQ(on.trace.built, 1u);
   EXPECT_EQ(on.trace.invalidated_gen, 0u);
   EXPECT_EQ(on.trace.executed, kIters - 1u);
@@ -765,12 +771,15 @@ TEST(GlobalEpochTest, NonGlobalCodeTraceDiesAndBacksOffGeometrically) {
   EXPECT_EQ(on.iterations, kIters);
   // Every rebuilt trace dies at its next dispatch. The backoff window
   // doubles 2, 4, ..., 256 and then stays there: about log2(256) + N/257
-  // builds per block (10 here), for two blocks — the one at the ADD and,
-  // while that one is deferred, its SUB/CBNZ tail. A window stuck at 2
+  // builds per block (10 or 11 here), for four blocks — the whole loop at
+  // the MSR (which ends itself: its TTBR0 write moves the non-global epoch)
+  // and, while the blocks before them are deferred, the ADD/SUB/CBNZ, the
+  // SUB/CBNZ and the lone CBNZ tails. (An MRS block never builds: the MSR
+  // just staled the L0 fetch slot a build reads.) A window stuck at 2
   // rebuilt every third iteration (~N/3 per block).
   EXPECT_GE(on.trace.invalidated_gen, 1u);
-  EXPECT_GE(on.trace.built, 2u);
-  EXPECT_LE(on.trace.built, 24u);
+  EXPECT_GE(on.trace.built, 4u);
+  EXPECT_LE(on.trace.built, 48u);
   ExpectSameSimulatedOutcome(on, off);
 }
 
@@ -1099,6 +1108,360 @@ TEST_F(TraceTierTest, CleanBbmRemapRebuildsQuietly) {
   EXPECT_EQ(core.x(2), 2 * kIters);
   EXPECT_GE(Stats().built, built0 + 1);  // rebuilt over the remapped page
   check::BbmMonitor::instance().reset();
+}
+
+// --- System instructions inside traces ---------------------------------------
+// MSR/MRS/MSR-imm/SYS lower to a kSys op that runs the interpreter's own
+// exec_system mid-block (DESIGN.md §16.2); the block goes on only while
+// everything its dispatch required still holds. Each case runs the same code
+// with the tier on and off and must leave the same registers, cycles by
+// kind, TLB stats and trap sequence.
+
+struct TrapRecord {
+  ExceptionClass ec = ExceptionClass::kUnknown;
+  ExceptionLevel from = ExceptionLevel::kEl0;
+  u64 pc = 0;
+  u64 esr = 0;
+  bool operator==(const TrapRecord&) const = default;
+};
+
+struct SysBlockOutcome {
+  std::array<u64, 31> regs{};
+  std::array<Cycles, kNumCostKinds> cycles{};
+  mem::TlbStats tlb;
+  std::vector<TrapRecord> traps;
+  TraceStats trace;
+  u64 retired = 0;
+};
+
+void ExpectSameSysBlockOutcome(const SysBlockOutcome& on,
+                               const SysBlockOutcome& off) {
+  EXPECT_EQ(on.regs, off.regs);
+  EXPECT_EQ(on.cycles, off.cycles);
+  EXPECT_EQ(on.tlb.l1_hits, off.tlb.l1_hits);
+  EXPECT_EQ(on.tlb.l2_hits, off.tlb.l2_hits);
+  EXPECT_EQ(on.tlb.misses, off.tlb.misses);
+  EXPECT_EQ(on.tlb.invalidations, off.tlb.invalidations);
+  EXPECT_EQ(on.traps, off.traps);
+  EXPECT_EQ(on.retired, off.retired);
+  EXPECT_EQ(off.trace.built, 0u);
+}
+
+constexpr VirtAddr kUserCodeVa = 0x600000;
+
+// One scenario's machine, its stage-1 table, and a second table the
+// scenario may switch to (both die before the machine).
+struct SysBlockRig {
+  Machine m{arch::Platform::cortex_a55(), /*seed=*/42};
+  mem::Stage1Table tbl{m.mem(), /*asid=*/1};
+  std::unique_ptr<mem::Stage1Table> next;
+  Core& core() { return m.core(0); }
+};
+
+// What a scenario installs: kernel code at kCodeVa (EL1), optional user
+// code at kUserCodeVa (EL0), a user data page at kDataVa, the starting EL
+// and registers, and what the EL1 trap handler does after recording a trap
+// (return kStop to end the run).
+struct SysBlockScenario {
+  Asm kernel;
+  Asm user;
+  S1Attrs kernel_attrs = CodeAttrs();
+  ExceptionLevel start_el = ExceptionLevel::kEl1;
+  VirtAddr start_pc = kCodeVa;
+  std::function<void(SysBlockRig&)> setup;
+  std::function<TrapAction(SysBlockRig&, const TrapInfo&)> on_trap;
+};
+
+SysBlockOutcome RunSysBlock(SysBlockScenario& sc, bool tier) {
+  SysBlockRig rig;
+  const auto install = [&](Asm& a, VirtAddr va, S1Attrs attrs) {
+    const PhysAddr pa = rig.m.mem().alloc_frame();
+    a.install(rig.m.mem(), pa);
+    LZ_CHECK_OK(rig.tbl.map(va, pa, attrs));
+  };
+  install(sc.kernel, kCodeVa, sc.kernel_attrs);
+  if (sc.user.insn_count() != 0) {
+    S1Attrs user = CodeAttrs();
+    user.user = true;
+    user.uxn = false;
+    install(sc.user, kUserCodeVa, user);
+  }
+  LZ_CHECK_OK(
+      rig.tbl.map(kDataVa, rig.m.mem().alloc_frame(), DataAttrs(true)));
+  auto& core = rig.core();
+  core.set_trace_tier(tier);
+  core.set_sysreg(SysReg::kTtbr0El1, rig.tbl.ttbr());
+  core.pstate().el = sc.start_el;
+  core.set_pc(sc.start_pc);
+  if (sc.setup) sc.setup(rig);
+  SysBlockOutcome out;
+  core.set_handler(ExceptionLevel::kEl1, [&](const TrapInfo& info) {
+    out.traps.push_back({info.ec, info.from, info.pc, info.esr});
+    return sc.on_trap(rig, info);
+  });
+  out.retired = core.run(100'000).steps;
+  for (unsigned i = 0; i < 31; ++i) out.regs[i] = core.x(i);
+  for (std::size_t k = 0; k < kNumCostKinds; ++k) {
+    out.cycles[k] = core.account().of(static_cast<CostKind>(k));
+  }
+  out.tlb = rig.m.tlb(0).stats();
+  out.trace = core.trace_stats();
+  return out;
+}
+
+// Resumes at the instruction after the trapping one, back at its EL.
+TrapAction ResumeAfter(SysBlockRig& rig, const TrapInfo& info) {
+  rig.core().set_sysreg(SysReg::kElrEl1, info.pc + 4);
+  rig.core().eret_from(ExceptionLevel::kEl1);
+  return TrapAction::kResume;
+}
+
+// An EL0 MSR to an EL1 register in mid-block raises the UNDEF the
+// interpreter raises, at the same PC, with the same cycles: the ops before
+// it retire, the ones after it do not run in that block.
+TEST(SysInTraceTest, El0MsrMidBlockRaisesSameUndef) {
+  constexpr u16 kIters = 20;
+  const auto make = [] {
+    SysBlockScenario sc;
+    auto loop = sc.user.new_label();
+    sc.user.movz(1, kIters);
+    sc.user.bind(loop);
+    sc.user.add_imm(2, 2, 1);
+    sc.user.msr(SysReg::kTtbr0El1, 5);  // UNDEF at EL0
+    sc.user.add_imm(3, 3, 1);
+    sc.user.sub_imm(1, 1, 1);
+    sc.user.cbnz(1, loop);
+    sc.user.svc(0);
+    sc.kernel.nop();
+    sc.start_el = ExceptionLevel::kEl0;
+    sc.start_pc = kUserCodeVa;
+    sc.on_trap = [](SysBlockRig& rig, const TrapInfo& info) {
+      if (info.ec == ExceptionClass::kSvc64) return TrapAction::kStop;
+      return ResumeAfter(rig, info);
+    };
+    return sc;
+  };
+  auto sc_on = make(), sc_off = make();
+  const auto on = RunSysBlock(sc_on, true);
+  const auto off = RunSysBlock(sc_off, false);
+  ASSERT_EQ(on.traps.size(), kIters + 1u);
+  for (u16 i = 0; i < kIters; ++i) {
+    EXPECT_EQ(on.traps[i].ec, ExceptionClass::kUnknown);
+    EXPECT_EQ(on.traps[i].pc, kUserCodeVa + 8);
+  }
+  EXPECT_EQ(on.regs[2], kIters);
+  EXPECT_EQ(on.regs[3], kIters);
+  EXPECT_GE(on.trace.built, 1u);
+  EXPECT_GT(on.trace.insns, 0u);
+  ExpectSameSysBlockOutcome(on, off);
+}
+
+// MSR DAIFClr with an IRQ pending ends the block: the IRQ is taken before
+// the next instruction, exactly where the interpreter takes it.
+TEST(SysInTraceTest, DaifClrWithIrqPendingTakesIrqBeforeNextInsn) {
+  constexpr u16 kIters = 20;
+  const auto make = [] {
+    SysBlockScenario sc;
+    Asm& a = sc.kernel;
+    auto loop = a.new_label();
+    a.movz(1, kIters);
+    a.bind(loop);
+    a.add_imm(2, 2, 1);
+    a.emit(arch::enc::msr_imm(arch::kPStateDaifClr, 2));
+    a.add_imm(3, 3, 1);  // the IRQ is taken here, every iteration
+    a.emit(arch::enc::msr_imm(arch::kPStateDaifSet, 2));
+    a.sub_imm(1, 1, 1);
+    a.cbnz(1, loop);
+    a.svc(0);
+    sc.setup = [](SysBlockRig& rig) {
+      rig.core().pstate().irq_masked = true;
+      rig.core().inject_irq();
+    };
+    sc.on_trap = [](SysBlockRig& rig, const TrapInfo& info) {
+      if (info.ec == ExceptionClass::kSvc64) return TrapAction::kStop;
+      Core& core = rig.core();
+      // Pend the next IRQ and return masked, so the next DAIFClr unmasks it.
+      core.inject_irq();
+      core.set_sysreg(SysReg::kSpsrEl1,
+                      core.sysreg(SysReg::kSpsrEl1) | (u64{1} << 7));
+      core.eret_from(ExceptionLevel::kEl1);
+      return TrapAction::kResume;
+    };
+    return sc;
+  };
+  auto sc_on = make(), sc_off = make();
+  const auto on = RunSysBlock(sc_on, true);
+  const auto off = RunSysBlock(sc_off, false);
+  ASSERT_EQ(on.traps.size(), kIters + 1u);
+  for (u16 i = 0; i < kIters; ++i) {
+    EXPECT_EQ(on.traps[i].ec, ExceptionClass::kIrq);
+    EXPECT_EQ(on.traps[i].pc, kCodeVa + 12);
+  }
+  EXPECT_EQ(on.regs[3], kIters);
+  EXPECT_GE(on.trace.built, 1u);
+  ExpectSameSysBlockOutcome(on, off);
+}
+
+// An MSR DBGWCR0_EL1 that arms a watchpoint in mid-block ends the block
+// (the rest of it steps with the watchpoint check), and the EL0 load after
+// the kernel's ERET hits the watchpoint. Watchpoints only watch EL0, so the
+// EL1 load in the same block is the one the arming must not skip checking.
+TEST(SysInTraceTest, WatchpointArmedMidBlockIsHitByTheNextLoad) {
+  constexpr int kHits = 20;
+  const auto make = [] {
+    SysBlockScenario sc;
+    Asm& k = sc.kernel;
+    k.msr(SysReg::kDbgwcr0El1, 31);  // disarm (xzr)
+    k.add_imm(2, 2, 1);
+    k.msr(SysReg::kDbgwcr0El1, 6);   // arm, mid-block
+    k.add_imm(3, 3, 1);
+    k.ldr(7, 8);                     // EL1: not watched
+    k.eret();                        // to the user load
+    sc.user.ldr(9, 8);               // EL0: hits the watchpoint
+    sc.user.svc(0);
+    sc.setup = [](SysBlockRig& rig) {
+      Core& core = rig.core();
+      core.set_x(5, kDataVa);
+      core.set_x(6, 1);  // enable, exact address
+      core.set_x(8, kDataVa);
+      core.set_sysreg(SysReg::kDbgwvr0El1, kDataVa);
+      core.set_sysreg(SysReg::kElrEl1, kUserCodeVa);
+      arch::PState user;
+      user.el = ExceptionLevel::kEl0;
+      core.set_sysreg(SysReg::kSpsrEl1, user.to_spsr());
+    };
+    sc.on_trap = [hits = 0](SysBlockRig& rig, const TrapInfo& info) mutable {
+      if (info.ec != ExceptionClass::kBrk64 || ++hits == kHits) {
+        return TrapAction::kStop;
+      }
+      rig.core().set_pc(kCodeVa);  // ELR/SPSR still return to the user load
+      return TrapAction::kResume;
+    };
+    return sc;
+  };
+  auto sc_on = make(), sc_off = make();
+  const auto on = RunSysBlock(sc_on, true);
+  const auto off = RunSysBlock(sc_off, false);
+  ASSERT_EQ(on.traps.size(), static_cast<std::size_t>(kHits));
+  for (const auto& t : on.traps) {
+    EXPECT_EQ(t.ec, ExceptionClass::kBrk64);
+    EXPECT_EQ(t.from, ExceptionLevel::kEl0);
+    EXPECT_EQ(t.pc, kUserCodeVa);
+  }
+  // From the second iteration on, the block at the ADD runs the ADD and the
+  // arming MSR and stops there; the ops after it step with the watchpoint
+  // check (as does the disarming MSR, which starts with it armed).
+  EXPECT_GE(on.trace.built, 1u);
+  EXPECT_LE(on.trace.insns, 2u * kHits);
+  ExpectSameSysBlockOutcome(on, off);
+}
+
+// A TLBI in mid-block moves the Tlb generation, so the block ends there and
+// the next fetch walks the live tables. After the first, interpreted, pass
+// the handler switches TTBR0 to a table (same ASID, no TLB maintenance)
+// that maps the global code page to a copy whose third word differs. The
+// second pass builds its trace from the old frame, still in the TLB, and
+// must fetch the word after the TLBI from the new one.
+TEST(SysInTraceTest, TlbiMidBlockEndsTheBlock) {
+  const auto code = [](u16 third) {
+    Asm a;
+    a.add_imm(2, 2, 1);
+    a.emit(arch::enc::tlbi_vmalle1());
+    a.add_imm(3, 3, third);
+    a.svc(0);
+    return a;
+  };
+  S1Attrs global = CodeAttrs();
+  global.global = true;
+  const auto make = [&] {
+    SysBlockScenario sc;
+    sc.kernel = code(1);
+    sc.kernel_attrs = global;
+    sc.on_trap = [global, code](SysBlockRig& rig, const TrapInfo&) {
+      if (rig.next) return TrapAction::kStop;
+      rig.next = std::make_unique<mem::Stage1Table>(rig.m.mem(), /*asid=*/1);
+      const PhysAddr frame = rig.m.mem().alloc_frame();
+      code(100).install(rig.m.mem(), frame);
+      LZ_CHECK_OK(rig.next->map(kCodeVa, frame, global));
+      rig.core().set_sysreg(SysReg::kTtbr0El1, rig.next->ttbr());
+      rig.core().set_pc(kCodeVa);
+      return TrapAction::kResume;
+    };
+    return sc;
+  };
+  auto sc_on = make(), sc_off = make();
+  const auto on = RunSysBlock(sc_on, true);
+  const auto off = RunSysBlock(sc_off, false);
+  EXPECT_EQ(on.regs[2], 2u);
+  EXPECT_EQ(on.regs[3], 101u);
+  EXPECT_EQ(on.trace.built, 1u);
+  EXPECT_EQ(on.trace.insns, 2u);  // the ADD and the TLBI
+  ExpectSameSysBlockOutcome(on, off);
+}
+
+// A warm call-gate switch runs entirely in traces: the gate's global blocks
+// survive its own MSR TTBR0_EL1, so every instruction of the measured
+// switches retires through a trace (step() never runs one), with the same
+// simulated outcome as the tier off. `retired`, `cycles` and `trace` cover
+// the measured switches only.
+SysBlockOutcome RunWarmGateSwitches(bool tier) {
+  constexpr int kGates = 3;
+  constexpr int kWarm = 30;
+  constexpr int kMeasured = 60;
+  constexpr VirtAddr kEntry = core::Env::kCodeVa + 0x40;
+  core::Env env(core::Env::Options().platform(arch::Platform::cortex_a55()));
+  auto& proc = env.new_process();
+  auto lz = core::LzProc::enter(*env.module, proc, true, 1);
+  for (int g = 0; g < kGates; ++g) {
+    const int pgt = g == 0 ? 0 : lz.lz_alloc().value();
+    EXPECT_TRUE(lz.lz_map_gate_pgt(pgt, g).is_ok());
+    EXPECT_TRUE(lz.lz_set_gate_entry(g, kEntry).is_ok());
+  }
+  auto& core = env.machine->core();
+  core.set_trace_tier(tier);
+  lz.enter_world();
+  core.pstate().el = ExceptionLevel::kEl1;
+  core.set_sysreg(SysReg::kTtbr0El1, lz.module().domain_ttbr(lz.ctx(), 0));
+  core.set_sysreg(SysReg::kTtbr1El1, lz.ctx().ctx.ttbr1);
+  core.set_sysreg(SysReg::kVbarEl1, lz.ctx().ctx.vbar);
+  for (int i = 0; i < kWarm; ++i) {
+    EXPECT_TRUE(lz.lz_switch_to_ttbr_gate(i % kGates).is_ok());
+  }
+  const auto retired = [] {
+    for (const auto& [name, v] : obs::registry().snapshot()) {
+      if (name == "sim.core.insn_retired") return v;
+    }
+    return u64{0};
+  };
+  SysBlockOutcome out;
+  out.retired = retired();
+  out.trace.insns = core.trace_stats().insns;
+  for (std::size_t k = 0; k < kNumCostKinds; ++k) {
+    out.cycles[k] = core.account().of(static_cast<CostKind>(k));
+  }
+  for (int i = 0; i < kMeasured; ++i) {
+    EXPECT_TRUE(lz.lz_switch_to_ttbr_gate(i % kGates).is_ok());
+    EXPECT_EQ(core.pc(), kEntry);
+  }
+  out.retired = retired() - out.retired;
+  out.trace.insns = core.trace_stats().insns - out.trace.insns;
+  for (std::size_t k = 0; k < kNumCostKinds; ++k) {
+    out.cycles[k] = core.account().of(static_cast<CostKind>(k)) - out.cycles[k];
+  }
+  for (unsigned i = 0; i < 31; ++i) out.regs[i] = core.x(i);
+  out.tlb = env.machine->tlb(0).stats();
+  EXPECT_TRUE(proc.alive());
+  lz.exit_world();
+  return out;
+}
+
+TEST(SysInTraceTest, WarmGateSwitchRetiresEveryInstructionInTraces) {
+  const auto on = RunWarmGateSwitches(true);
+  const auto off = RunWarmGateSwitches(false);
+  EXPECT_GT(on.retired, 0u);
+  EXPECT_EQ(on.trace.insns, on.retired);
+  EXPECT_EQ(off.trace.insns, 0u);
+  ExpectSameSysBlockOutcome(on, off);
 }
 
 }  // namespace

@@ -171,6 +171,60 @@ TEST_F(ProfilerTest, DomainSwitchesSplitAttribution) {
   EXPECT_GT(domains[1].samples, 0u);
 }
 
+// System instructions run inside traces (DESIGN.md §16.2), and a block
+// goes on past one only while no sample can fall inside the rest of it: a
+// TTBR0 write's cost must not carry a sample point past the instruction the
+// interpreter would take it at. Global code, so the block survives its own
+// TTBR0 writes; the profile must be the interpreter's with the tier on.
+std::string ProfileOfGlobalTtbr0Loop(bool tier) {
+  obs::profiler().reset();
+  Machine machine(arch::Platform::cortex_a55());
+  auto& pm = machine.mem();
+  const PhysAddr code_pa = pm.alloc_frame();
+  mem::Stage1Table t1(pm, /*asid=*/1), t2(pm, /*asid=*/2);
+  S1Attrs code;
+  code.user = false;
+  code.read_only = true;
+  code.pxn = false;
+  code.global = true;
+  LZ_CHECK_OK(t1.map(kCodeVa, code_pa, code));
+  LZ_CHECK_OK(t2.map(kCodeVa, code_pa, code));
+  Asm a;
+  const auto loop = a.new_label();
+  a.bind(loop);
+  a.msr(arch::SysReg::kTtbr0El1, 5);
+  for (int i = 0; i < 6; ++i) a.add_imm(2, 2, 1);
+  a.msr(arch::SysReg::kTtbr0El1, 6);
+  for (int i = 0; i < 6; ++i) a.add_imm(2, 2, 1);
+  a.sub_imm(0, 0, 1);
+  a.cbnz(0, loop);
+  a.svc(0);
+  a.install(pm, code_pa);
+  auto& core = machine.core();
+  core.set_trace_tier(tier);
+  core.pstate().el = arch::ExceptionLevel::kEl1;
+  core.set_sysreg(SysReg::kTtbr0El1, t1.ttbr());
+  core.set_pc(kCodeVa);
+  core.set_x(0, 2000);
+  core.set_x(5, t1.ttbr());
+  core.set_x(6, t2.ttbr());
+  core.set_handler(arch::ExceptionLevel::kEl1,
+                   [](const TrapInfo&) { return TrapAction::kStop; });
+  EXPECT_EQ(core.run(1'000'000).reason, StopReason::kHandlerStop);
+  if (tier) {
+    EXPECT_GT(core.trace_stats().insns, 0u);
+  }
+  return obs::profiler().collapsed();
+}
+
+TEST_F(ProfilerTest, SamplesMatchWithSystemInstructionsInTraces) {
+  obs::profiler().arm(97);
+  const std::string off = ProfileOfGlobalTtbr0Loop(false);
+  const std::string on = ProfileOfGlobalTtbr0Loop(true);
+  EXPECT_FALSE(off.empty());
+  EXPECT_EQ(on, off);
+}
+
 TEST_F(ProfilerTest, CollapsedLinesCarryTheFullContext) {
   obs::profiler().arm(256);
   Asm a;

@@ -2,8 +2,15 @@
 // to real instruction encodings.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "arch/decode.h"
 #include "arch/encode.h"
 #include "lightzone/sanitizer.h"
+#include "support/rng.h"
 
 namespace lz::core {
 namespace {
@@ -159,6 +166,154 @@ TEST(SanitizerTest, PanModeIsStricter) {
       EXPECT_TRUE(ok_ttbr(w)) << std::hex << w;
     }
   }
+}
+
+// --- Prefilter equivalence ---------------------------------------------------
+// insn_allowed() allows every word outside the three deniable classes
+// without decoding it. The reference below is the decode-per-word verdict it
+// replaced, kept verbatim: decode, deny ERET and (under PAN) LDTR/STTR by
+// op, and judge system space by the Table 3 rules.
+namespace ref {
+
+bool deny(std::string* reason, const char* why) {
+  if (reason != nullptr) *reason = why;
+  return false;
+}
+
+bool system_insn_allowed(const arch::Insn& insn, SanitizeMode mode,
+                         std::string* reason) {
+  const auto& sys = insn.sys;
+  if (sys.op0 == 0b00) {
+    if (sys.crn == 0b0100) {
+      if (sys.op2 == arch::kPStatePan.op2 && sys.op1 == arch::kPStatePan.op1) {
+        return true;
+      }
+      return deny(reason, "MSR(imm) PSTATE field other than PAN");
+    }
+    return true;
+  }
+  if (sys.op0 == 0b01) {
+    if (sys.crn == 7) {
+      return deny(reason, "cache/AT maintenance (op0=01, CRn=7)");
+    }
+    return true;
+  }
+  if (sys.op0 == 0b10) {
+    return deny(reason, "debug-register access (op0=10)");
+  }
+  const auto reg = arch::sysreg_from_encoding(sys);
+  if (sys.crn == 4) {
+    if (reg == SysReg::kNzcv || reg == SysReg::kFpcr || reg == SysReg::kFpsr) {
+      return true;
+    }
+    return deny(reason, "special-purpose register other than NZCV/FPCR/FPSR");
+  }
+  if (sys.op1 == 3) return true;
+  if (reg == SysReg::kTtbr0El1) {
+    return deny(reason, mode == SanitizeMode::kTtbr
+                            ? "TTBR0_EL1 update outside the call gate"
+                            : "TTBR0_EL1 update under PAN mode");
+  }
+  return deny(reason, "privileged system register access");
+}
+
+bool insn_allowed(u32 word, SanitizeMode mode, std::string* reason) {
+  const arch::Insn insn = arch::decode(word);
+  switch (insn.op) {
+    case arch::Op::kEret:
+      return deny(reason, "ERET");
+    case arch::Op::kLdtr:
+    case arch::Op::kSttr:
+      if (mode == SanitizeMode::kPan) {
+        return deny(reason, "unprivileged load/store under PAN mode");
+      }
+      return true;
+    default:
+      break;
+  }
+  if (arch::in_system_space(word)) {
+    return system_insn_allowed(insn, mode, reason);
+  }
+  return true;
+}
+
+}  // namespace ref
+
+// Runs `word_of(i)` for i in [0, n) on four threads and returns how many
+// words differ from the reference in verdict or reason, in either mode,
+// with the first such word in `first`.
+template <typename WordOf>
+u64 mismatches(u32 n, WordOf word_of, u32* first) {
+  constexpr unsigned kThreads = 4;
+  std::array<u64, kThreads> count{};
+  std::array<u32, kThreads> first_of{};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::string got, want;  // reused: no allocation per word
+      for (u32 i = t; i < n; i += kThreads) {
+        const u32 w = word_of(i);
+        for (const auto mode : {SanitizeMode::kTtbr, SanitizeMode::kPan}) {
+          got.clear();
+          want.clear();
+          if (insn_allowed(w, mode, &got) !=
+                  ref::insn_allowed(w, mode, &want) ||
+              got != want) {
+            if (count[t]++ == 0) first_of[t] = w;
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  u64 total = 0;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    if (total == 0 && count[t] != 0) *first = first_of[t];
+    total += count[t];
+  }
+  return total;
+}
+
+// System space: bits[31:22] == 1101010100, all 2^22 words.
+TEST(SanitizerTest, PrefilterMatchesDecodeOverSystemSpace) {
+  u32 first = 0;
+  EXPECT_EQ(mismatches(u32{1} << 22, [](u32 i) { return 0xd5000000 | i; },
+                       &first),
+            0u)
+      << std::hex << "first word 0x" << first;
+}
+
+// The branch-register class holding ERET: bits[31:25] == 1101011, all 2^25.
+TEST(SanitizerTest, PrefilterMatchesDecodeOverBranchRegisterClass) {
+  u32 first = 0;
+  EXPECT_EQ(mismatches(u32{1} << 25, [](u32 i) { return 0xd6000000 | i; },
+                       &first),
+            0u)
+      << std::hex << "first word 0x" << first;
+}
+
+// The LDTR/STTR mask (w & 0x3f000c00) == 0x38000800: its 24 free bits are
+// [31:30], [23:12] and [9:0].
+TEST(SanitizerTest, PrefilterMatchesDecodeOverUnprivilegedLdStClass) {
+  const auto word_of = [](u32 i) {
+    return 0x38000800 | (i & 0x3ff) | ((i >> 10) & 0xfff) << 12 |
+           (i >> 22) << 30;
+  };
+  u32 first = 0;
+  EXPECT_EQ(mismatches(u32{1} << 24, word_of, &first), 0u)
+      << std::hex << "first word 0x" << first;
+}
+
+// Words outside the three classes, where the prefilter skips the decode.
+TEST(SanitizerTest, PrefilterMatchesDecodeOnRandomWords) {
+  std::vector<u32> words(u32{1} << 22);
+  Rng rng(0x5a417e);
+  for (u32& w : words) w = static_cast<u32>(rng.next());
+  u32 first = 0;
+  EXPECT_EQ(mismatches(static_cast<u32>(words.size()),
+                       [&](u32 i) { return words[i]; }, &first),
+            0u)
+      << std::hex << "first word 0x" << first;
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 // (who wins, in what order, and roughly by how much).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <iterator>
 #include <string>
 
+#include "support/rng.h"
 #include "workloads/crypto/aes.h"
 #include "workloads/dbms.h"
 #include "workloads/httpd.h"
@@ -52,6 +54,128 @@ TEST(AesTest, CbcChainsBlocks) {
   crypto::aes_cbc_encrypt(expanded, iv, data, sizeof(data));
   // Identical plaintext blocks must differ under CBC.
   EXPECT_NE(std::memcmp(data, data + 16, 16), 0);
+}
+
+// FIPS-197 Appendix C.1: the AES-128 example vector.
+TEST(AesTest, Fips197AppendixC1) {
+  u8 key[16], block[16];
+  for (unsigned i = 0; i < 16; ++i) {
+    key[i] = static_cast<u8>(i);
+    block[i] = static_cast<u8>(i * 0x11);
+  }
+  const u8 expected[16] = {0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30,
+                           0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4, 0xc5, 0x5a};
+  crypto::aes_encrypt_block(crypto::aes_expand_key(key), block);
+  EXPECT_EQ(std::memcmp(block, expected, 16), 0);
+}
+
+// NIST SP 800-38A F.2.1, CBC-AES128.Encrypt.
+TEST(AesTest, Sp80038aCbcVectors) {
+  const u8 key[16] = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
+                      0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
+  u8 iv[16];
+  for (unsigned i = 0; i < 16; ++i) iv[i] = static_cast<u8>(i);
+  u8 data[64] = {
+      0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f, 0x96, 0xe9, 0x3d, 0x7e,
+      0x11, 0x73, 0x93, 0x17, 0x2a, 0xae, 0x2d, 0x8a, 0x57, 0x1e, 0x03,
+      0xac, 0x9c, 0x9e, 0xb7, 0x6f, 0xac, 0x45, 0xaf, 0x8e, 0x51, 0x30,
+      0xc8, 0x1c, 0x46, 0xa3, 0x5c, 0xe4, 0x11, 0xe5, 0xfb, 0xc1, 0x19,
+      0x1a, 0x0a, 0x52, 0xef, 0xf6, 0x9f, 0x24, 0x45, 0xdf, 0x4f, 0x9b,
+      0x17, 0xad, 0x2b, 0x41, 0x7b, 0xe6, 0x6c, 0x37, 0x10};
+  const u8 expected[64] = {
+      0x76, 0x49, 0xab, 0xac, 0x81, 0x19, 0xb2, 0x46, 0xce, 0xe9, 0x8e,
+      0x9b, 0x12, 0xe9, 0x19, 0x7d, 0x50, 0x86, 0xcb, 0x9b, 0x50, 0x72,
+      0x19, 0xee, 0x95, 0xdb, 0x11, 0x3a, 0x91, 0x76, 0x78, 0xb2, 0x73,
+      0xbe, 0xd6, 0xb8, 0xe3, 0xc1, 0x74, 0x3b, 0x71, 0x16, 0xe6, 0x9e,
+      0x22, 0x22, 0x95, 0x16, 0x3f, 0xf1, 0xca, 0xa1, 0x68, 0x1f, 0xac,
+      0x09, 0x12, 0x0e, 0xca, 0x30, 0x75, 0x86, 0xe1, 0xa7};
+  crypto::aes_cbc_encrypt(crypto::aes_expand_key(key), iv, data,
+                          sizeof(data));
+  EXPECT_EQ(std::memcmp(data, expected, sizeof(data)), 0);
+}
+
+// Byte-wise textbook AES-128 (FIPS-197 §5.1), with its S-box derived from
+// the GF(2^8) inverse and the affine map rather than copied from a table:
+// an independent reference for the table-driven implementation.
+namespace ref {
+
+u8 gmul(u8 a, u8 b) {
+  u8 p = 0;
+  for (int i = 0; i < 8; ++i) {
+    if (b & 1) p ^= a;
+    a = static_cast<u8>((a << 1) ^ ((a >> 7) * 0x1b));
+    b >>= 1;
+  }
+  return p;
+}
+
+std::array<u8, 256> make_sbox() {
+  std::array<u8, 256> sbox{};
+  for (unsigned x = 0; x < 256; ++x) {
+    u8 inv = 0;
+    for (unsigned y = 1; y < 256 && x != 0; ++y) {
+      if (gmul(static_cast<u8>(x), static_cast<u8>(y)) == 1) {
+        inv = static_cast<u8>(y);
+        break;
+      }
+    }
+    u8 s = 0x63;
+    for (int r = 0; r < 5; ++r) {
+      s ^= static_cast<u8>(inv << r | inv >> (8 - r));
+    }
+    sbox[x] = s;
+  }
+  return sbox;
+}
+
+void encrypt_block(const crypto::AesKey& key, u8 s[16]) {
+  static const std::array<u8, 256> sbox = make_sbox();
+  const u8* rk = key.round_keys.data();
+  for (int i = 0; i < 16; ++i) s[i] ^= rk[i];
+  for (std::size_t round = 1; round <= crypto::kAesRounds; ++round) {
+    for (int i = 0; i < 16; ++i) s[i] = sbox[s[i]];
+    u8 t[16];  // ShiftRows: state is column-major, s[col*4 + row]
+    for (int col = 0; col < 4; ++col) {
+      for (int row = 0; row < 4; ++row) {
+        t[col * 4 + row] = s[((col + row) % 4) * 4 + row];
+      }
+    }
+    for (int col = 0; col < 4; ++col) {
+      const u8* a = t + col * 4;
+      for (int row = 0; row < 4; ++row) {
+        s[col * 4 + row] =
+            round == crypto::kAesRounds
+                ? a[row]
+                : static_cast<u8>(gmul(2, a[row]) ^ gmul(3, a[(row + 1) % 4]) ^
+                                  a[(row + 2) % 4] ^ a[(row + 3) % 4]);
+      }
+    }
+    for (int i = 0; i < 16; ++i) s[i] ^= rk[round * 16 + i];
+  }
+}
+
+}  // namespace ref
+
+TEST(AesTest, CbcMatchesByteWiseReference) {
+  Rng rng(20261017);
+  std::array<u8, 1024> data, want;
+  for (int trial = 0; trial < 256; ++trial) {
+    u8 key[16], iv[16];
+    for (u8& b : key) b = static_cast<u8>(rng.next());
+    for (u8& b : iv) b = static_cast<u8>(rng.next());
+    for (u8& b : data) b = static_cast<u8>(rng.next());
+    const auto expanded = crypto::aes_expand_key(key);
+    want = data;
+    u8 chain[16];
+    std::memcpy(chain, iv, 16);
+    for (std::size_t off = 0; off < want.size(); off += 16) {
+      for (int i = 0; i < 16; ++i) want[off + i] ^= chain[i];
+      ref::encrypt_block(expanded, want.data() + off);
+      std::memcpy(chain, want.data() + off, 16);
+    }
+    crypto::aes_cbc_encrypt(expanded, iv, data.data(), data.size());
+    ASSERT_EQ(data, want) << "trial " << trial;
+  }
 }
 
 // --- Shared fixtures -----------------------------------------------------------
