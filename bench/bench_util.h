@@ -181,8 +181,7 @@ class ObsSession {
       // exposition snapshot, so `watch cat FILE` observes the run.
       if (opts_.ts_period > 0) {
         obs::exposition_pump().arm(opts_.metrics_path,
-                                   {/*include_host=*/true,
-                                    /*include_self=*/opts_.self_profile});
+                                   {/*include_self=*/opts_.self_profile});
       }
     }
     if (opts_.self_profile) obs::selfprof().enable();
@@ -252,8 +251,7 @@ class ObsSession {
     if (!opts_.metrics_path.empty()) {
       obs::exposition_pump().disarm();
       if (obs::write_exposition(opts_.metrics_path,
-                                {/*include_host=*/true,
-                                 /*include_self=*/opts_.self_profile})) {
+                                {/*include_self=*/opts_.self_profile})) {
         std::printf("obs: wrote metrics exposition to %s\n",
                     opts_.metrics_path.c_str());
       } else {

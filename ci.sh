@@ -97,6 +97,22 @@ grep -q '"snapshots":\[{' "$fig3_json"
 grep -q '"spans":{' "$fig3_json"
 build/bench/report_check "$fig3_json"
 
+# Trace bytes gate: the Chrome traces of two print phases are pinned by
+# sha256. Every byte (event order, args, span nesting, timestamps) is
+# simulated, so a moved hash is a real change to what the trace records.
+# fig4 overflows the 65,536-event ring (216,754 drops), which pins the
+# overwrite path and dropped_events too. The hashes are the same for
+# Release builds and with the trace tier on or off.
+for pin in \
+    table4_traps:697c916e0246b156b5103d14f2a8ecd66babc6b147f1c5b6dbb39806633c0a8e \
+    fig4_mysql:7ae0c8e08d7b465275fc183ae40fc6d91e1f6b7f92c2ccf75d4e4d4219e05029; do
+  bin=${pin%%:*}
+  pinned_trace=/tmp/$bin.pinned.trace.json
+  rm -f "$pinned_trace"
+  build/bench/$bin --trace "$pinned_trace" --benchmark_filter=NONE >/dev/null
+  echo "${pin#*:}  $pinned_trace" | sha256sum -c --quiet -
+done
+
 # Trace tier on vs off across a real workload: fig3's httpd run registers
 # the sim.trace.* host counters with the tier on and none with it off, so
 # the "host" sections legitimately differ while every simulated section

@@ -43,6 +43,15 @@ Status unmap_if_mapped(mem::Stage1Table& tbl, VirtAddr va) {
   return s;
 }
 
+// Detach `va` from every live domain table of `ctx`; stops at the first
+// failure other than "not mapped".
+Status unmap_from_domains(LzContext& ctx, VirtAddr va) {
+  for (auto& d : ctx.pgts) {
+    if (d.in_use) LZ_RETURN_IF_ERROR(unmap_if_mapped(*d.tbl, va));
+  }
+  return Status::ok();
+}
+
 // Resident pages of [start, end) in ascending VA order, found with one
 // pass over the resident pages: an lz_prot or region over a huge range
 // costs what is resident in it, not what it spans.
@@ -340,9 +349,7 @@ Status LzModule::free_pgt(LzContext& ctx, int pgt) {
       continue;
     }
     for (const VirtAddr va : resident_pages(ctx, region.start, region.end)) {
-      for (auto& d : ctx.pgts) {
-        if (d.in_use) LZ_RETURN_IF_ERROR(unmap_if_mapped(*d.tbl, va));
-      }
+      LZ_RETURN_IF_ERROR(unmap_from_domains(ctx, va));
       refault.push_back(va);
     }
     ctx.regions.erase(ctx.regions.begin() + static_cast<std::ptrdiff_t>(i));
@@ -396,9 +403,7 @@ Status LzModule::prot(LzContext& ctx, VirtAddr addr, u64 len, int pgt,
   // this process), then fault the new attachment in.
   for (const VirtAddr va : resident_pages(ctx, addr, end)) {
     ctx.pages.at(page_index(va)).is_protected = true;
-    for (auto& d : ctx.pgts) {
-      if (d.in_use) LZ_RETURN_IF_ERROR(unmap_if_mapped(*d.tbl, va));
-    }
+    LZ_RETURN_IF_ERROR(unmap_from_domains(ctx, va));
     machine().tlbi_va_all_asid_is(page_index(va), ctx.vmid);
     LZ_RETURN_IF_ERROR(fault_in_page(ctx, va, false, false));
   }
@@ -593,13 +598,7 @@ Status LzModule::fault_in_page(LzContext& ctx, VirtAddr va, bool want_write,
       // remap below re-establishes stage-2 without write. A failed unmap
       // would leave a writable alias live across the verdict, so errors
       // abort the exec transition instead of being discarded.
-      for (auto& d : ctx.pgts) {
-        if (d.in_use) LZ_RETURN_IF_ERROR(unmap_if_mapped(*d.tbl, va));
-      }
-      if (ctx.stage2->lookup(page.ipa).ok) {
-        LZ_CHECK_OK(ctx.stage2->unmap(page.ipa));
-      }
-      machine().tlbi_va_all_asid_is(page_index(va), ctx.vmid);
+      LZ_RETURN_IF_ERROR(retire_page(ctx, va, page.ipa));
       page.writable = false;
     }
     if (!sanitize_page(ctx, page.real)) {
@@ -614,13 +613,7 @@ Status LzModule::fault_in_page(LzContext& ctx, VirtAddr va, bool want_write,
     // in particular the stage-2 entry is retired here rather than having
     // its execute bit stripped in place below, which would leave a stale
     // executable translation live until the TLBI.
-    for (auto& d : ctx.pgts) {
-      if (d.in_use) LZ_RETURN_IF_ERROR(unmap_if_mapped(*d.tbl, va));
-    }
-    if (ctx.stage2->lookup(page.ipa).ok) {
-      LZ_CHECK_OK(ctx.stage2->unmap(page.ipa));
-    }
-    machine().tlbi_va_all_asid_is(page_index(va), ctx.vmid);
+    LZ_RETURN_IF_ERROR(retire_page(ctx, va, page.ipa));
     page.executable = false;
     page.exec_sanitized = false;
     page.writable = true;
@@ -721,19 +714,20 @@ void LzModule::finish_fault(LzContext& ctx, VirtAddr va,
   machine().charge(CostKind::kMem, 8 * machine().platform().mem_access);
 }
 
+Status LzModule::retire_page(LzContext& ctx, VirtAddr va, IntermAddr ipa) {
+  LZ_RETURN_IF_ERROR(unmap_from_domains(ctx, va));
+  if (ctx.stage2->lookup(ipa).ok) LZ_CHECK_OK(ctx.stage2->unmap(ipa));
+  machine().tlbi_va_all_asid_is(page_index(va), ctx.vmid);
+  return Status::ok();
+}
+
 void LzModule::sync_unmap(LzContext& ctx, VirtAddr va) {
   auto it = ctx.pages.find(page_index(va));
   if (it == ctx.pages.end()) return;
-  for (auto& d : ctx.pgts) {
-    if (d.in_use) LZ_CHECK_OK(unmap_if_mapped(*d.tbl, va));
-  }
-  if (ctx.stage2->lookup(it->second.ipa).ok) {
-    LZ_CHECK_OK(ctx.stage2->unmap(it->second.ipa));
-  }
+  LZ_CHECK_OK(retire_page(ctx, va, it->second.ipa));
   if (ctx.fake_phys_on()) {
     ctx.fake.erase_real(it->second.real);
   }
-  machine().tlbi_va_all_asid_is(page_index(va), ctx.vmid);
   ctx.pages.erase(it);
 }
 

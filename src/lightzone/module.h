@@ -236,6 +236,10 @@ class LzModule : public hv::TrapDelegate {
   // written into `tbl` (the new table) alone; otherwise fault_in_page.
   Status copy_unprotected_page(LzContext& ctx, mem::Stage1Table& tbl,
                                VirtAddr va, const LzContext::LzPage& page);
+  // Break-before-make for one resident page: detach `va` from every live
+  // domain table and retire its stage-2 entry, then one VA-scoped TLBI
+  // across every ASID of the VMID.
+  Status retire_page(LzContext& ctx, VirtAddr va, IntermAddr ipa);
   // The tail every fault-in shares: stage-2, the TLBI, the mapping charge.
   void finish_fault(LzContext& ctx, VirtAddr va,
                     const LzContext::LzPage& page);

@@ -140,12 +140,10 @@ std::string render_exposition(const ExpositionOptions& opts) {
 
   // Host-side counters (`sim.trace.*`): deterministic per config, but not
   // across configs that merely execute identical simulated work.
-  if (opts.include_host) {
-    for (const auto& [name, value] : registry().host_snapshot()) {
-      const std::string mname = mangle(name);
-      out += "# TYPE " + mname + " counter\n";
-      line(out, mname, LabelSet{}, "", value);
-    }
+  for (const auto& [name, value] : registry().host_snapshot()) {
+    const std::string mname = mangle(name);
+    out += "# TYPE " + mname + " counter\n";
+    line(out, mname, LabelSet{}, "", value);
   }
 
   // Wall-clock self attribution: never part of the determinism contract.

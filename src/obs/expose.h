@@ -6,7 +6,7 @@
 //   * flat histogram summaries and labeled histogram families as
 //     `{quantile="0.5"|"0.9"|"0.99"}` gauge lines plus
 //     `_count/_sum/_min/_max`,
-//   * optionally the host-counter registry (`sim.trace.*`), and
+//   * the host-counter registry (`sim.trace.*`), and
 //   * optionally the `host.self.*` self-profiler ticks.
 //
 // Format discipline: metric names are the registry names with '.' mangled
@@ -14,9 +14,11 @@
 // sorted by label-set, labels in fixed LabelKey order, values as integers
 // (mean as fixed 3-decimal). Label values pass through sanitize_frame at
 // LabelSet::set time, so nothing here can emit an unescaped '"' or a
-// newline. Every value is derived from simulated work only (host/self
-// sections are opt-in and excluded from the byte-identity contract), so
-// two same-seed runs render byte-identical snapshots.
+// newline. Every value outside the host and self sections is derived from
+// simulated work only; host counters are deterministic for a fixed
+// configuration, and the opt-in self section is excluded from the
+// byte-identity contract, so two same-seed runs render byte-identical
+// snapshots.
 //
 // The ExpositionPump provides the *live* view: armed with a path, it
 // rewrites the snapshot file each time the TimeSeries sampler takes a
@@ -34,11 +36,6 @@
 namespace lz::obs {
 
 struct ExpositionOptions {
-  // Include the host-counter registry (`sim.trace.*`). These are
-  // run-to-run deterministic for a fixed config but may differ between
-  // configurations that execute identical simulated work (e.g. trace tier
-  // on vs off), hence separable.
-  bool include_host = true;
   // Include `host.self.*` wall-clock tick attribution. Never deterministic;
   // off by default so the default exposition stays byte-identical across
   // same-seed runs.

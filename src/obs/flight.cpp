@@ -11,62 +11,6 @@ namespace {
 
 thread_local unsigned t_current_core = 0;
 
-// Decode one recorded slot into the same vocabulary as the trace export,
-// but formatted for a terminal, not Perfetto.
-void format_event(std::string& out, u64 seq, u64 ts, u64 a0, u64 a1,
-                  EventKind kind, u8 b0, u8 b1, u8 b2) {
-  char buf[192];
-  int n = std::snprintf(buf, sizeof buf, "    #%-6" PRIu64 " @%-12" PRIu64
-                        " %-12s ",
-                        seq, ts, to_string(kind));
-  out.append(buf, static_cast<std::size_t>(n));
-  n = 0;
-  switch (kind) {
-    case EventKind::kExcpEntry:
-      n = std::snprintf(buf, sizeof buf,
-                        "ec=0x%x el%u->el%u esr=0x%" PRIx64 "%s", b0, b1, b2,
-                        a0, a1 ? " stage2" : "");
-      break;
-    case EventKind::kExcpReturn:
-      n = std::snprintf(buf, sizeof buf, "el%u->el%u", b1, b2);
-      break;
-    case EventKind::kTtbrSwitch:
-      n = std::snprintf(buf, sizeof buf, "asid=%" PRIu64 " ttbr=0x%" PRIx64,
-                        a1, a0);
-      break;
-    case EventKind::kTlbInval:
-      n = std::snprintf(buf, sizeof buf,
-                        "scope=%s asid=%" PRIu64 " vmid=%" PRIu64,
-                        to_string(static_cast<TlbScope>(b1)), a0, a1);
-      break;
-    case EventKind::kStage2Fault:
-      n = std::snprintf(buf, sizeof buf, "ipa=0x%" PRIx64 " vmid=%" PRIu64,
-                        a0, a1);
-      break;
-    case EventKind::kHvcForward:
-      n = std::snprintf(buf, sizeof buf, "esr=0x%" PRIx64 " ec=0x%x", a0, b0);
-      break;
-    case EventKind::kWorldSwitch:
-      n = std::snprintf(buf, sizeof buf, "%s vmid=%" PRIu64,
-                        to_string(static_cast<WorldKind>(b1)), a0);
-      break;
-    case EventKind::kGateSwitch:
-      n = std::snprintf(buf, sizeof buf, "gate=%" PRIu64 " asid=%" PRIu64, a0,
-                        a1);
-      break;
-    case EventKind::kPanToggle:
-      n = std::snprintf(buf, sizeof buf, "pan=%" PRIu64, a0);
-      break;
-    case EventKind::kIrq:
-      n = std::snprintf(buf, sizeof buf, "target_el=%u", b2);
-      break;
-    case EventKind::kCount:
-      break;
-  }
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-  out += '\n';
-}
-
 using AbortHandler = void (*)(int);
 AbortHandler g_prev_abort_handler = SIG_DFL;
 
@@ -115,15 +59,11 @@ u64 FlightRecorder::recorded() const {
 }
 
 void FlightRecorder::clear() {
+  // A slot is read only while its seq tag matches, and record() rewrites
+  // every field before the tag, so clearing the tags clears the slots.
   for (CoreRing& ring : cores_) {
     ring.next.store(0, std::memory_order_relaxed);
-    for (Slot& slot : ring.slots) {
-      slot.seq.store(0, std::memory_order_relaxed);
-      slot.ts.store(0, std::memory_order_relaxed);
-      slot.a0.store(0, std::memory_order_relaxed);
-      slot.a1.store(0, std::memory_order_relaxed);
-      slot.meta.store(0, std::memory_order_relaxed);
-    }
+    for (Slot& slot : ring.slots) slot.seq.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -145,12 +85,19 @@ std::string FlightRecorder::report() const {
       if (slot.seq.load(std::memory_order_acquire) != seq + 1)
         continue;  // torn / overwritten while dumping
       const u32 meta = slot.meta.load(std::memory_order_relaxed);
-      format_event(out, seq + 1, slot.ts.load(std::memory_order_relaxed),
-                   slot.a0.load(std::memory_order_relaxed),
-                   slot.a1.load(std::memory_order_relaxed),
-                   static_cast<EventKind>(meta & 0xff),
-                   static_cast<u8>(meta >> 8), static_cast<u8>(meta >> 16),
-                   static_cast<u8>(meta >> 24));
+      const Event e{slot.ts.load(std::memory_order_relaxed),
+                    slot.a0.load(std::memory_order_relaxed),
+                    slot.a1.load(std::memory_order_relaxed),
+                    static_cast<EventKind>(meta & 0xff),
+                    static_cast<u8>(meta >> 8), static_cast<u8>(meta >> 16),
+                    static_cast<u8>(meta >> 24)};
+      // The trace export's vocabulary, as key=value words for a terminal.
+      n = std::snprintf(buf, sizeof buf,
+                        "    #%-6" PRIu64 " @%-12" PRIu64 " %-12s ", seq + 1,
+                        e.ts, to_string(e.kind));
+      out.append(buf, static_cast<std::size_t>(n));
+      append_event_args(out, e, /*json=*/false);
+      out += '\n';
     }
   }
   return out;
@@ -161,9 +108,7 @@ FlightRecorder& flight() {
   return recorder;
 }
 
-#ifndef LZ_OBS_NO_TRACE
 void flight_record(const Event& e) { flight().record(e); }
-#endif
 
 void flight_dump(std::FILE* out) {
   FlightRecorder& f = flight();

@@ -14,8 +14,8 @@
 // handful of relaxed atomic stores into a fixed slot claimed with one
 // fetch_add — no locks, no allocation, TSan-clean under the SMP machine.
 // Readers (the crash dump) tolerate torn in-flight slots; slots are
-// tagged with a sequence number so the dump orders events per core.
-// LZ_OBS_NO_TRACE compiles the feed out together with the trace helpers.
+// tagged with a sequence number so the dump orders events per core, and
+// prints each payload from the trace's field table as key=value words.
 #pragma once
 
 #include <array>
@@ -75,13 +75,6 @@ class FlightRecorder {
 
 // The process-wide recorder (always constructed, always recording).
 FlightRecorder& flight();
-
-// Feed hook called by every Trace emit helper (armed or not).
-#ifdef LZ_OBS_NO_TRACE
-inline void flight_record(const Event&) {}
-#else
-void flight_record(const Event& e);
-#endif
 
 // Write the black-box report to `out` (stderr in the crash paths) with a
 // BLACK BOX banner; no-op if nothing was recorded.

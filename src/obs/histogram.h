@@ -26,6 +26,20 @@
 
 namespace lz::obs {
 
+// Relaxed CAS loops lowering / raising `a` to `v`.
+inline void atomic_min(std::atomic<u64>& a, u64 v) {
+  u64 cur = a.load(std::memory_order_relaxed);
+  while (v < cur &&
+         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
+inline void atomic_max(std::atomic<u64>& a, u64 v) {
+  u64 cur = a.load(std::memory_order_relaxed);
+  while (v > cur &&
+         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
+
 class Histogram {
  public:
   // 16 linear sub-buckets per power-of-two major bucket.
@@ -76,19 +90,6 @@ class Histogram {
   static u64 bucket_upper(std::size_t index);
 
  private:
-  static void atomic_min(std::atomic<u64>& a, u64 v) {
-    u64 cur = a.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-  static void atomic_max(std::atomic<u64>& a, u64 v) {
-    u64 cur = a.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
   std::array<std::atomic<u64>, kNumBuckets> buckets_{};
   std::atomic<u64> count_{0};
   std::atomic<u64> sum_{0};

@@ -8,7 +8,6 @@
 
 #include "obs/profiler.h"
 #include "obs/span.h"
-#include "obs/timeseries.h"
 
 namespace lz::obs {
 
@@ -398,13 +397,7 @@ void Report::set_timeseries(const TimeSeries& series) {
   TimeSeriesSection section;
   section.period = series.period();
   section.dropped = series.dropped();
-  for (TimeSeriesSample& sample : series.samples()) {
-    TimeSeriesSection::Snap snap;
-    snap.ts = sample.ts;
-    snap.counters = std::move(sample.counters);
-    snap.histograms = std::move(sample.histograms);
-    section.snapshots.push_back(std::move(snap));
-  }
+  section.snapshots = series.samples();
   timeseries_ = std::move(section);
 }
 

@@ -47,13 +47,13 @@
 
 #include "obs/counters.h"
 #include "obs/histogram.h"
+#include "obs/timeseries.h"
 #include "support/types.h"
 
 namespace lz::obs {
 
 class Profiler;
 class SpanTracer;
-class TimeSeries;
 
 class Json {
  public:
@@ -176,14 +176,9 @@ class Report {
   };
 
   struct TimeSeriesSection {
-    struct Snap {
-      u64 ts = 0;
-      Snapshot counters;
-      std::vector<HistogramStats> histograms;
-    };
     u64 period = 0;
     u64 dropped = 0;
-    std::vector<Snap> snapshots;
+    std::vector<TimeSeriesSample> snapshots;
   };
 
   struct SpanSection {

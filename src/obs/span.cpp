@@ -1,30 +1,23 @@
 #include "obs/span.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <map>
+#include <mutex>
 
 #include "obs/counters.h"
 #include "obs/flight.h"
+#include "obs/histogram.h"
 
 namespace lz::obs {
 namespace {
 
 // Per-thread open-span state. `stack` holds the spans this thread opened
-// and has not yet closed; `ambient` is the cross-thread parent adopted by
-// SpanTracer::Adopt (kernel workers running a submitted task).
-struct OpenSpan {
-  u64 id = 0;
-  u64 parent = 0;
-  u64 arg = 0;
-  Cycles start = 0;
-  u16 vmid = 0, asid = 0;
-  SpanKind kind = SpanKind::kCount;
-};
-
+// and has not yet closed (`end` and `core` are filled in at close);
+// `ambient` is the cross-thread parent adopted by SpanTracer::Adopt
+// (kernel workers running a submitted task).
 struct TlsSpans {
-  std::array<OpenSpan, SpanTracer::kMaxDepth> stack;
+  std::array<SpanEvent, SpanTracer::kMaxDepth> stack;
   std::size_t depth = 0;
   u64 ambient = 0;
 };
@@ -32,13 +25,6 @@ struct TlsSpans {
 thread_local TlsSpans t_spans;
 
 Cycles span_now() { return cycle_ledger().total(); }
-
-void atomic_max(std::atomic<u64>& target, u64 value) {
-  u64 seen = target.load(std::memory_order_relaxed);
-  while (seen < value &&
-         !target.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-}
 
 struct DomainLabels {
   std::mutex mu;
@@ -71,25 +57,21 @@ const char* to_string(SpanKind kind) {
 }
 
 void SpanTracer::arm(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.assign(capacity ? capacity : 1, SpanEvent{});
-  head_ = 0;
-  count_ = 0;
+  // Re-arming keeps the statistics (clear() drops them), so the overwrites
+  // of the ring being replaced move into the drop tally.
+  dropped_.fetch_add(ring_.overwritten(), std::memory_order_relaxed);
+  ring_.reset(capacity ? capacity : 1);
   armed_.store(true, std::memory_order_relaxed);
 }
 
 void SpanTracer::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::fill(ring_.begin(), ring_.end(), SpanEvent{});
-  head_ = 0;
-  count_ = 0;
+  ring_.clear();
   completed_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
   max_depth_.store(0, std::memory_order_relaxed);
   for (auto& k : by_kind_) k.store(0, std::memory_order_relaxed);
 }
 
-#ifndef LZ_OBS_NO_TRACE
 u64 SpanTracer::begin(SpanKind kind, u64 arg, u16 vmid, u16 asid) {
   if (!armed_.load(std::memory_order_relaxed)) return 0;
   TlsSpans& t = t_spans;
@@ -99,7 +81,7 @@ u64 SpanTracer::begin(SpanKind kind, u64 arg, u16 vmid, u16 asid) {
   }
   const u64 parent = t.depth ? t.stack[t.depth - 1].id : t.ambient;
   const u64 id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  t.stack[t.depth++] = {id, parent, arg, span_now(), vmid, asid, kind};
+  t.stack[t.depth++] = {span_now(), 0, id, parent, arg, 0, vmid, asid, kind};
   atomic_max(max_depth_, t.depth);
   return id;
 }
@@ -110,23 +92,18 @@ void SpanTracer::end(u64 id) {
   // Unwind to the matching id; anything above it was abandoned (its scope
   // leaked past its parent's), which RAII makes impossible in practice.
   while (t.depth > 0) {
-    const OpenSpan open = t.stack[--t.depth];
-    if (open.id != id) {
+    SpanEvent e = t.stack[--t.depth];
+    if (e.id != id) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     if (!armed_.load(std::memory_order_relaxed)) return;
-    SpanEvent e;
-    e.start = open.start;
     e.end = span_now();
-    e.id = open.id;
-    e.parent = open.parent;
-    e.arg = open.arg;
     e.core = current_core();
-    e.vmid = open.vmid;
-    e.asid = open.asid;
-    e.kind = open.kind;
-    push(e);
+    completed_.fetch_add(1, std::memory_order_relaxed);
+    by_kind_[static_cast<std::size_t>(e.kind)].fetch_add(
+        1, std::memory_order_relaxed);
+    ring_.push(e);
     return;
   }
 }
@@ -135,7 +112,6 @@ u64 SpanTracer::current() {
   const TlsSpans& t = t_spans;
   return t.depth ? t.stack[t.depth - 1].id : t.ambient;
 }
-#endif  // LZ_OBS_NO_TRACE
 
 SpanTracer::Adopt::Adopt(u64 parent) {
   prev_ = t_spans.ambient;
@@ -143,38 +119,6 @@ SpanTracer::Adopt::Adopt(u64 parent) {
 }
 
 SpanTracer::Adopt::~Adopt() { t_spans.ambient = prev_; }
-
-void SpanTracer::push(const SpanEvent& e) {
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  by_kind_[static_cast<std::size_t>(e.kind)].fetch_add(
-      1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.empty()) return;
-  if (count_ == ring_.size()) dropped_.fetch_add(1, std::memory_order_relaxed);
-  ring_[head_] = e;
-  head_ = (head_ + 1) % ring_.size();
-  if (count_ < ring_.size()) ++count_;
-}
-
-std::size_t SpanTracer::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
-std::size_t SpanTracer::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
-std::vector<SpanEvent> SpanTracer::events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SpanEvent> out;
-  out.reserve(count_);
-  const std::size_t start = (head_ + ring_.size() - count_) % ring_.size();
-  for (std::size_t i = 0; i < count_; ++i)
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  return out;
-}
 
 std::string SpanTracer::chrome_fragment() const {
   std::string out;

@@ -17,8 +17,7 @@
 //
 // Cost model mirrors the event trace: disarmed, `begin` is one relaxed
 // load and `end` is a no-op (id 0); spans never charge simulated cycles,
-// so arming them cannot perturb cycle totals or golden reports. Defining
-// LZ_OBS_NO_TRACE compiles the helpers down to nothing.
+// so arming them cannot perturb cycle totals or golden reports.
 //
 // Export is Chrome trace_event "X" (complete) events: Perfetto nests them
 // by containment per track (tid = simulated core), giving the per-request
@@ -28,11 +27,11 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/ring.h"
 #include "support/types.h"
 
 namespace lz::obs {
@@ -74,11 +73,6 @@ class SpanTracer {
   // Drop recorded spans and statistics; keeps armed state and capacity.
   void clear();
 
-#ifdef LZ_OBS_NO_TRACE
-  u64 begin(SpanKind, u64 = 0, u16 = 0, u16 = 0) { return 0; }
-  void end(u64) {}
-  static u64 current() { return 0; }
-#else
   // Open a span under the current thread's innermost open span (or the
   // adopted ambient parent at depth 0). Returns the span id, or 0 when
   // disarmed / the per-thread stack is full.
@@ -89,7 +83,6 @@ class SpanTracer {
   // Innermost open span id on this thread (the value to propagate across
   // a thread hop), or the ambient parent, or 0.
   static u64 current();
-#endif
 
   // Re-establish `parent` as the ambient parent on this thread for the
   // guard's lifetime (used by kernel workers to adopt the submitter's
@@ -105,10 +98,13 @@ class SpanTracer {
     u64 prev_ = 0;
   };
 
-  std::size_t size() const;
-  std::size_t capacity() const;
+  std::size_t size() const { return ring_.size(); }
+  std::size_t capacity() const { return ring_.capacity(); }
   u64 completed() const { return completed_.load(std::memory_order_relaxed); }
-  u64 dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  // Ring overwrites + depth overflows + spans unwound past their parent.
+  u64 dropped() const {
+    return ring_.overwritten() + dropped_.load(std::memory_order_relaxed);
+  }
   u64 max_depth() const { return max_depth_.load(std::memory_order_relaxed); }
   u64 completed_of(SpanKind kind) const {
     return by_kind_[static_cast<std::size_t>(kind)].load(
@@ -116,7 +112,7 @@ class SpanTracer {
   }
 
   // Completed spans, oldest first (at most `capacity()` of them).
-  std::vector<SpanEvent> events() const;
+  std::vector<SpanEvent> events() const { return ring_.items(); }
 
   // Chrome trace_event fragment: one "ph":"X" object per completed span,
   // comma-separated, no enclosing brackets — ready to splice into
@@ -125,15 +121,10 @@ class SpanTracer {
   std::string chrome_fragment() const;
 
  private:
-  void push(const SpanEvent& e);
-
-  mutable std::mutex mu_;
-  std::vector<SpanEvent> ring_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
+  Ring<SpanEvent> ring_;
   std::atomic<u64> next_id_{1};
   std::atomic<u64> completed_{0};
-  std::atomic<u64> dropped_{0};
+  std::atomic<u64> dropped_{0};  // depth overflows + unwound spans
   std::atomic<u64> max_depth_{0};
   std::array<std::atomic<u64>, static_cast<std::size_t>(SpanKind::kCount)>
       by_kind_{};

@@ -7,15 +7,7 @@
 namespace lz::obs {
 
 void TimeSeries::arm(u64 period, std::size_t capacity) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    capacity_ = capacity ? capacity : 1;
-    ring_.clear();
-    ring_.resize(capacity_);
-    head_ = 0;
-    count_ = 0;
-  }
-  dropped_.store(0, std::memory_order_relaxed);
+  ring_.reset(capacity ? capacity : 1);
   period_.store(period ? period : 1, std::memory_order_relaxed);
   const u64 p = period_.load(std::memory_order_relaxed);
   detail::g_ts_next_due.store(cycle_ledger().total() + p,
@@ -29,11 +21,7 @@ void TimeSeries::disarm() {
 
 void TimeSeries::reset() {
   disarm();
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  head_ = 0;
-  count_ = 0;
-  dropped_.store(0, std::memory_order_relaxed);
+  ring_.reset(0);
 }
 
 void TimeSeries::poll(u64 total) {
@@ -60,32 +48,10 @@ void TimeSeries::take_sample(u64 total) {
   sample.ts = total;
   sample.counters = registry().snapshot();
   sample.histograms = histograms().snapshot();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (ring_.empty()) return;
-    if (count_ == capacity_) dropped_.fetch_add(1, std::memory_order_relaxed);
-    ring_[head_] = std::move(sample);
-    head_ = (head_ + 1) % capacity_;
-    if (count_ < capacity_) ++count_;
-  }
+  ring_.push(std::move(sample));
   // Live-exposition pump rides the same due-threshold: each sample is also
   // a scrape point when a dump file is armed.
   exposition_pump().poll();
-}
-
-std::size_t TimeSeries::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
-std::vector<TimeSeriesSample> TimeSeries::samples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TimeSeriesSample> out;
-  out.reserve(count_);
-  const std::size_t start = (head_ + capacity_ - count_) % capacity_;
-  for (std::size_t i = 0; i < count_; ++i)
-    out.push_back(ring_[(start + i) % capacity_]);
-  return out;
 }
 
 TimeSeries& timeseries() {

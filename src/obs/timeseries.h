@@ -2,7 +2,7 @@
 //
 // A simulated-cycle-driven sampler: every `period` cycles of global
 // simulated work (CycleLedger::total), snapshot the counter registry and
-// the latency-histogram registry into a fixed-size ring of samples. The
+// the latency-histogram registry into an obs::Ring of samples. The
 // result is rps / p99-over-time data for saturation sweeps — the substrate
 // the fleet-scale serving bench plots stand on — emitted as the
 // `timeseries` section of lz.bench.report.v2.
@@ -27,11 +27,11 @@
 
 #include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <vector>
 
 #include "obs/counters.h"
 #include "obs/histogram.h"
+#include "obs/ring.h"
 #include "support/types.h"
 
 namespace lz::obs {
@@ -71,22 +71,17 @@ class TimeSeries {
   // runs still export their final state).
   void sample_now();
 
-  std::size_t size() const;
-  u64 dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  std::size_t size() const { return ring_.size(); }
+  u64 dropped() const { return ring_.overwritten(); }
 
   // Recorded samples, oldest first.
-  std::vector<TimeSeriesSample> samples() const;
+  std::vector<TimeSeriesSample> samples() const { return ring_.items(); }
 
  private:
   void take_sample(u64 total);
 
   std::atomic<u64> period_{0};
-  std::atomic<u64> dropped_{0};
-  mutable std::mutex mu_;
-  std::vector<TimeSeriesSample> ring_;
-  std::size_t capacity_ = kDefaultCapacity;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
+  Ring<TimeSeriesSample> ring_;
 };
 
 TimeSeries& timeseries();

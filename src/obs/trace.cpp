@@ -3,191 +3,105 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 
 #include "obs/counters.h"
 
 namespace lz::obs {
 
-const char* to_string(EventKind kind) {
-  switch (kind) {
-    case EventKind::kExcpEntry: return "excp-entry";
-    case EventKind::kExcpReturn: return "excp-return";
-    case EventKind::kTtbrSwitch: return "ttbr-switch";
-    case EventKind::kTlbInval: return "tlb-inval";
-    case EventKind::kStage2Fault: return "stage2-fault";
-    case EventKind::kHvcForward: return "hvc-forward";
-    case EventKind::kWorldSwitch: return "world-switch";
-    case EventKind::kGateSwitch: return "gate-switch";
-    case EventKind::kPanToggle: return "pan-toggle";
-    case EventKind::kIrq: return "irq";
-    case EventKind::kCount: break;
-  }
-  return "?";
-}
-
-const char* to_string(TlbScope scope) {
-  switch (scope) {
-    case TlbScope::kAll: return "all";
-    case TlbScope::kVmid: return "vmid";
-    case TlbScope::kAsid: return "asid";
-    case TlbScope::kVa: return "va";
-    case TlbScope::kVaAllAsid: return "va-all-asid";
-  }
-  return "?";
-}
-
-const char* to_string(WorldKind kind) {
-  switch (kind) {
-    case WorldKind::kVmEntry: return "vm-entry";
-    case WorldKind::kVmExit: return "vm-exit";
-    case WorldKind::kLzEnter: return "lz-enter";
-    case WorldKind::kLzExit: return "lz-exit";
-  }
-  return "?";
-}
-
 namespace {
 
-const char* tlb_scope_name(u8 scope) {
-  return to_string(static_cast<TlbScope>(scope));
-}
+// The event vocabulary, written once: for each EventKind (in enum order)
+// its name and its payload fields in render order, each with the Event
+// slot it is read from and how it prints.
+enum class Src : u8 { kA0, kA1, kB0, kB1, kB2 };
+enum class Fmt : u8 { kDec, kHex, kScope, kWorld };
+struct Field {
+  const char* key = nullptr;  // nullptr ends the kind's list
+  Src src = Src::kA0;
+  Fmt fmt = Fmt::kDec;
+};
+struct KindRow {
+  const char* name;
+  Field fields[5];
+};
+using S = Src;
+using F = Fmt;
+constexpr KindRow kKinds[] = {
+    {"excp-entry",
+     {{"ec", S::kB0, F::kHex}, {"from_el", S::kB1}, {"target_el", S::kB2},
+      {"esr", S::kA0, F::kHex}, {"stage2", S::kA1}}},
+    {"excp-return", {{"from_el", S::kB1}, {"resumed_el", S::kB2}}},
+    {"ttbr-switch", {{"asid", S::kA1}, {"ttbr", S::kA0, F::kHex}}},
+    {"tlb-inval",
+     {{"scope", S::kB1, F::kScope}, {"asid", S::kA0}, {"vmid", S::kA1}}},
+    {"stage2-fault", {{"ipa", S::kA0, F::kHex}, {"vmid", S::kA1}}},
+    {"hvc-forward",
+     {{"esr", S::kA0, F::kHex}, {"forwarded_ec", S::kB0, F::kHex}}},
+    {"world-switch", {{"kind", S::kB1, F::kWorld}, {"vmid", S::kA0}}},
+    {"gate-switch", {{"gate", S::kA0}, {"asid", S::kA1}}},
+    {"pan-toggle", {{"pan", S::kA0}}},
+    {"irq", {{"target_el", S::kB2}}},
+};
+static_assert(std::size(kKinds) == static_cast<std::size_t>(EventKind::kCount));
 
-const char* world_kind_name(u8 kind) {
-  return to_string(static_cast<WorldKind>(kind));
-}
+// TlbScope and WorldKind names, in enum order.
+constexpr const char* kScopeNames[] = {"va", "va-all-asid", "asid", "vmid",
+                                       "all"};
+constexpr const char* kWorldNames[] = {"vm-entry", "vm-exit", "lz-enter",
+                                       "lz-exit"};
 
-void append_kv_u64(std::string& out, const char* key, u64 v, bool first) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%s\"%s\":%" PRIu64, first ? "" : ",", key,
-                v);
-  out += buf;
-}
-
-void append_kv_hex(std::string& out, const char* key, u64 v, bool first) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%s\"%s\":\"0x%" PRIx64 "\"",
-                first ? "" : ",", key, v);
-  out += buf;
-}
-
-void append_kv_str(std::string& out, const char* key, const char* v,
-                   bool first) {
-  out += first ? "" : ",";
-  out += '"';
-  out += key;
-  out += "\":\"";
-  out += v;  // taxonomy names only; never user data, never needs escaping
-  out += '"';
-}
-
-// Per-kind argument rendering: stable key order, stable formatting.
-void append_args(std::string& out, const Event& e) {
-  switch (e.kind) {
-    case EventKind::kExcpEntry:
-      append_kv_hex(out, "ec", e.b0, true);
-      append_kv_u64(out, "from_el", e.b1, false);
-      append_kv_u64(out, "target_el", e.b2, false);
-      append_kv_hex(out, "esr", e.a0, false);
-      append_kv_u64(out, "stage2", e.a1, false);
-      return;
-    case EventKind::kExcpReturn:
-      append_kv_u64(out, "from_el", e.b1, true);
-      append_kv_u64(out, "resumed_el", e.b2, false);
-      return;
-    case EventKind::kTtbrSwitch:
-      append_kv_u64(out, "asid", e.a1, true);
-      append_kv_hex(out, "ttbr", e.a0, false);
-      return;
-    case EventKind::kTlbInval:
-      append_kv_str(out, "scope", tlb_scope_name(e.b1), true);
-      append_kv_u64(out, "asid", e.a0, false);
-      append_kv_u64(out, "vmid", e.a1, false);
-      return;
-    case EventKind::kStage2Fault:
-      append_kv_hex(out, "ipa", e.a0, true);
-      append_kv_u64(out, "vmid", e.a1, false);
-      return;
-    case EventKind::kHvcForward:
-      append_kv_hex(out, "esr", e.a0, true);
-      append_kv_hex(out, "forwarded_ec", e.b0, false);
-      return;
-    case EventKind::kWorldSwitch:
-      append_kv_str(out, "kind", world_kind_name(e.b1), true);
-      append_kv_u64(out, "vmid", e.a0, false);
-      return;
-    case EventKind::kGateSwitch:
-      append_kv_u64(out, "gate", e.a0, true);
-      append_kv_u64(out, "asid", e.a1, false);
-      return;
-    case EventKind::kPanToggle:
-      append_kv_u64(out, "pan", e.a0, true);
-      return;
-    case EventKind::kIrq:
-      append_kv_u64(out, "target_el", e.b2, true);
-      return;
-    case EventKind::kCount:
-      return;
-  }
+template <std::size_t N>
+const char* name_at(const char* const (&names)[N], std::size_t i) {
+  return i < N ? names[i] : "?";
 }
 
 }  // namespace
 
-void Trace::arm(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.assign(capacity, Event{});
-  head_ = count_ = 0;
-  dropped_ = 0;
-  armed_.store(capacity > 0, std::memory_order_relaxed);
+const char* to_string(EventKind kind) {
+  const auto k = static_cast<std::size_t>(kind);
+  return k < std::size(kKinds) ? kKinds[k].name : "?";
+}
+const char* to_string(TlbScope scope) {
+  return name_at(kScopeNames, static_cast<std::size_t>(scope));
+}
+const char* to_string(WorldKind kind) {
+  return name_at(kWorldNames, static_cast<std::size_t>(kind));
 }
 
-void Trace::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  head_ = count_ = 0;
-  dropped_ = 0;
-}
-
-std::size_t Trace::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
-std::size_t Trace::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
-u64 Trace::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
+void append_event_args(std::string& out, const Event& e, bool json) {
+  const auto kind = static_cast<std::size_t>(e.kind);
+  if (kind >= std::size(kKinds)) return;
+  const u64 slots[] = {e.a0, e.a1, e.b0, e.b1, e.b2};  // indexed by Src
+  const char* q = json ? "\"" : "";
+  for (const Field& f : kKinds[kind].fields) {
+    if (f.key == nullptr) break;
+    const u64 v = slots[static_cast<std::size_t>(f.src)];
+    if (&f != kKinds[kind].fields) out += json ? ',' : ' ';
+    out.append(q).append(f.key).append(q).append(json ? ":" : "=");
+    char buf[32];
+    if (f.fmt == Fmt::kDec) {
+      std::snprintf(buf, sizeof buf, "%" PRIu64, v);
+    } else if (f.fmt == Fmt::kHex) {
+      std::snprintf(buf, sizeof buf, "%s0x%" PRIx64 "%s", q, v, q);
+    } else {  // taxonomy names only: never user data, never needs escaping
+      std::snprintf(buf, sizeof buf, "%s%s%s", q,
+                    f.fmt == Fmt::kScope ? name_at(kScopeNames, v)
+                                         : name_at(kWorldNames, v),
+                    q);
+    }
+    out += buf;
+  }
 }
 
 void Trace::push(const Event& e) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.empty()) return;
-  ring_[head_] = e;
-  head_ = (head_ + 1) % ring_.size();
-  if (count_ < ring_.size()) {
-    ++count_;
-  } else {
-    ++dropped_;  // wraparound: the oldest event was overwritten
-    // Surface silent truncation in the counter registry too, so reports
-    // flag it without the trace file. Registered lazily on the first drop:
-    // drop-free runs keep their counter section (and goldens) unchanged.
-    static Counter& dropped_counter = registry().counter("obs.trace.dropped");
-    dropped_counter.add();
-  }
-}
-
-std::vector<Event> Trace::events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Event> out;
-  out.reserve(count_);
-  const std::size_t start =
-      count_ < ring_.size() ? 0 : head_;  // oldest surviving event
-  for (std::size_t i = 0; i < count_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
+  if (!ring_.push(e)) return;
+  // Wraparound overwrote the oldest event. Surface silent truncation in
+  // the counter registry too, so reports flag it without the trace file.
+  // Registered lazily on the first drop: drop-free runs keep their counter
+  // section (and goldens) unchanged.
+  static Counter& dropped_counter = registry().counter("obs.trace.dropped");
+  dropped_counter.add();
 }
 
 std::string Trace::to_chrome_json(std::string_view extra_events) const {
@@ -195,11 +109,7 @@ std::string Trace::to_chrome_json(std::string_view extra_events) const {
   out.reserve(size() * 128 + 128);
   out += "{\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":"
          "\"simulated-cycles\",\"dropped_events\":";
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, dropped());
-    out += buf;
-  }
+  out += std::to_string(dropped());
   out += "},\"traceEvents\":[";
   bool first = true;
   for (const Event& e : events()) {
@@ -211,7 +121,7 @@ std::string Trace::to_chrome_json(std::string_view extra_events) const {
                   "\"pid\":0,\"tid\":0,\"ts\":%" PRIu64 ",\"args\":{",
                   to_string(e.kind), e.ts);
     out += head;
-    append_args(out, e);
+    append_event_args(out, e, /*json=*/true);
     out += "}}";
   }
   if (!extra_events.empty()) {

@@ -8,10 +8,10 @@
 // faults, HVC forwards, and world switches.
 //
 // Cost model: the trace is disarmed by default, so every emit helper is a
-// single predictable branch; arming allocates the ring once and emission
-// stays allocation-free. Defining LZ_OBS_NO_TRACE at compile time removes
-// even the branch (every helper becomes an empty inline), which is the
-// hard off switch for builds that want zero overhead.
+// single predictable branch after the flight-recorder feed; arming
+// allocates the ring (ring.h) once and emission stays allocation-free.
+// One table in trace.cpp names each kind's payload fields; the Chrome
+// export and the flight recorder's dump both render it.
 //
 // Export is Chrome trace_event JSON: load the file in Perfetto
 // (ui.perfetto.dev) or chrome://tracing; `ts` is in simulated cycles.
@@ -19,21 +19,15 @@
 
 #include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "obs/counters.h"
+#include "obs/ring.h"
 #include "support/types.h"
 
 namespace lz::obs {
-
-struct Event;
-#ifndef LZ_OBS_NO_TRACE
-// Always-on flight-recorder feed (flight.h); called by every emit helper.
-void flight_record(const Event& e);
-#endif
 
 enum class EventKind : u8 {
   kExcpEntry,    // exception entry: EC, from-EL, target-EL, ESR
@@ -73,40 +67,39 @@ struct Event {
   u8 b0 = 0, b1 = 0, b2 = 0;  // narrow payload (ELs, EC, scope, ...)
 };
 
+// Always-on flight-recorder feed (flight.h); called by every emit helper.
+void flight_record(const Event& e);
+
+// Append `e`'s payload fields in table order: `"key":value` pairs joined
+// by ',' (json), or `key=value` words joined by ' ' (the flight dump).
+void append_event_args(std::string& out, const Event& e, bool json);
+
 class Trace {
  public:
-  // Allocate (or resize) the ring and start recording. Re-arming clears.
-  void arm(std::size_t capacity);
+  // Allocate (or resize) the ring and start recording. Re-arming clears;
+  // arm(0) leaves the trace disarmed.
+  void arm(std::size_t capacity) {
+    ring_.reset(capacity);
+    armed_.store(capacity > 0, std::memory_order_relaxed);
+  }
   void disarm() { armed_.store(false, std::memory_order_relaxed); }
   bool armed() const { return armed_.load(std::memory_order_relaxed); }
 
   // Drop recorded events; keeps the armed state and capacity.
-  void clear();
+  void clear() { ring_.clear(); }
 
-  std::size_t size() const;
-  std::size_t capacity() const;
-  u64 dropped() const;  // overwritten by wraparound
+  std::size_t size() const { return ring_.size(); }
+  std::size_t capacity() const { return ring_.capacity(); }
+  u64 dropped() const { return ring_.overwritten(); }
 
   // Recorded events, oldest first (at most `capacity()` of them).
-  std::vector<Event> events() const;
+  std::vector<Event> events() const { return ring_.items(); }
 
   // --- Typed emit helpers (the hot-path API) ---------------------------------
   // Every helper also feeds the always-on flight recorder (flight.h) before
   // checking the armed flag, so the black box sees the last events even in
   // runs where nobody armed a trace. The recorder is lock-free and charges
-  // nothing; LZ_OBS_NO_TRACE removes both the feed and the trace.
-#ifdef LZ_OBS_NO_TRACE
-  void excp_entry(u8, u8, u8, u64, bool) {}
-  void excp_return(u8, u8) {}
-  void ttbr_switch(u16, u64) {}
-  void tlb_inval(TlbScope, u16, u16) {}
-  void stage2_fault(u64, u16) {}
-  void hvc_forward(u32, u8) {}
-  void world_switch(WorldKind, u16) {}
-  void gate_switch(u16, u16) {}
-  void pan_toggle(bool) {}
-  void irq(u8) {}
-#else
+  // nothing.
   void excp_entry(u8 ec, u8 from_el, u8 target_el, u64 esr, bool stage2) {
     emit({now(), esr, stage2, EventKind::kExcpEntry, ec, from_el, target_el});
   }
@@ -140,7 +133,6 @@ class Trace {
   void irq(u8 target_el) {
     emit({now(), 0, 0, EventKind::kIrq, 0, 0, target_el});
   }
-#endif
 
   // --- Export ----------------------------------------------------------------
   // Chrome trace_event JSON; events come out oldest-first as instant
@@ -154,23 +146,16 @@ class Trace {
 
  private:
   static Cycles now() { return cycle_ledger().total(); }
-#ifndef LZ_OBS_NO_TRACE
   void emit(const Event& e) {
     flight_record(e);  // always-on black box, armed or not
     if (!armed_) return;
     push(e);
   }
-#endif
   void push(const Event& e);
 
   // The armed flag is a relaxed atomic so the disarmed fast path stays a
-  // single branch under SMP; the ring itself is mutex-guarded (emission is
-  // rare enough — armed runs only — that contention does not matter).
-  mutable std::mutex mu_;
-  std::vector<Event> ring_;
-  std::size_t head_ = 0;  // next write index
-  std::size_t count_ = 0;
-  u64 dropped_ = 0;
+  // single branch under SMP.
+  Ring<Event> ring_;
   std::atomic<bool> armed_{false};
 };
 

@@ -14,6 +14,7 @@
 
 #include "mem/tlb.h"
 #include "obs/counters.h"
+#include "obs/flight.h"
 #include "obs/histogram.h"
 #include "obs/profiler.h"
 #include "obs/report.h"
@@ -363,14 +364,73 @@ TEST_F(ObsTest, ChromeTraceFileParsesAndValidates) {
 }
 
 TEST_F(ObsTest, TraceEventArgsCarryArchitecturalDetail) {
+  // One event of every EventKind, 10 cycles apart. The Chrome export and
+  // the flight recorder's dump render the same payload fields.
   obs::trace().arm(16);
-  obs::trace().tlb_inval(obs::TlbScope::kAsid, 7, 3);
+  sim::CycleAccount account;
+  const auto tick = [&account] { account.charge(sim::CostKind::kInsn, 10); };
   obs::trace().excp_entry(0x15, 0, 1, 0x56000000, false);
-  const std::string json = obs::trace().to_chrome_json();
-  EXPECT_NE(json.find("\"tlb-inval\""), std::string::npos);
-  EXPECT_NE(json.find("\"asid\":7"), std::string::npos);
-  EXPECT_NE(json.find("\"vmid\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"excp-entry\""), std::string::npos);
+  tick();
+  obs::trace().excp_return(2, 1);
+  tick();
+  obs::trace().ttbr_switch(5, 0x5000000812345000);
+  tick();
+  obs::trace().tlb_inval(obs::TlbScope::kAsid, 7, 3);
+  tick();
+  obs::trace().stage2_fault(0x80042000, 9);
+  tick();
+  obs::trace().hvc_forward(0x5a000001, 0x16);
+  tick();
+  obs::trace().world_switch(obs::WorldKind::kLzExit, 4);
+  tick();
+  obs::trace().gate_switch(2, 6);
+  tick();
+  obs::trace().pan_toggle(true);
+  tick();
+  obs::trace().irq(1);
+  // The whole export, byte for byte: traces are golden files (ci.sh pins
+  // two bench traces by hash).
+  EXPECT_EQ(obs::trace().to_chrome_json(),
+      R"({"displayTimeUnit":"ns","otherData":{"clock":"simulated-cycles",)"
+      R"("dropped_events":0},"traceEvents":[)"
+      R"({"name":"excp-entry","cat":"arch","ph":"i","s":"g","pid":0,)"
+      R"("tid":0,"ts":0,"args":{"ec":"0x15","from_el":0,"target_el":1,)"
+      R"("esr":"0x56000000","stage2":0}})"
+      R"(,{"name":"excp-return","cat":"arch","ph":"i","s":"g","pid":0,)"
+      R"("tid":0,"ts":10,"args":{"from_el":2,"resumed_el":1}})"
+      R"(,{"name":"ttbr-switch","cat":"arch","ph":"i","s":"g","pid":0,)"
+      R"("tid":0,"ts":20,"args":{"asid":5,"ttbr":"0x5000000812345000"}})"
+      R"(,{"name":"tlb-inval","cat":"arch","ph":"i","s":"g","pid":0,)"
+      R"("tid":0,"ts":30,"args":{"scope":"asid","asid":7,"vmid":3}})"
+      R"(,{"name":"stage2-fault","cat":"arch","ph":"i","s":"g","pid":0,)"
+      R"("tid":0,"ts":40,"args":{"ipa":"0x80042000","vmid":9}})"
+      R"(,{"name":"hvc-forward","cat":"arch","ph":"i","s":"g","pid":0,)"
+      R"("tid":0,"ts":50,"args":{"esr":"0x5a000001","forwarded_ec":"0x16"}})"
+      R"(,{"name":"world-switch","cat":"arch","ph":"i","s":"g","pid":0,)"
+      R"("tid":0,"ts":60,"args":{"kind":"lz-exit","vmid":4}})"
+      R"(,{"name":"gate-switch","cat":"arch","ph":"i","s":"g","pid":0,)"
+      R"("tid":0,"ts":70,"args":{"gate":2,"asid":6}})"
+      R"(,{"name":"pan-toggle","cat":"arch","ph":"i","s":"g","pid":0,)"
+      R"("tid":0,"ts":80,"args":{"pan":1}})"
+      R"(,{"name":"irq","cat":"arch","ph":"i","s":"g","pid":0,)"
+      R"("tid":0,"ts":90,"args":{"target_el":1}}]})");
+  // The black box prints the same fields as key=value words after its
+  // `#seq @ts kind` head.
+  EXPECT_EQ(obs::flight().report(),
+      "  core 0: 10 events recorded, last 10:\n"
+      "    #1      @0            excp-entry   ec=0x15 from_el=0 target_el=1 "
+      "esr=0x56000000 stage2=0\n"
+      "    #2      @10           excp-return  from_el=2 resumed_el=1\n"
+      "    #3      @20           ttbr-switch  asid=5 "
+      "ttbr=0x5000000812345000\n"
+      "    #4      @30           tlb-inval    scope=asid asid=7 vmid=3\n"
+      "    #5      @40           stage2-fault ipa=0x80042000 vmid=9\n"
+      "    #6      @50           hvc-forward  esr=0x5a000001 "
+      "forwarded_ec=0x16\n"
+      "    #7      @60           world-switch kind=lz-exit vmid=4\n"
+      "    #8      @70           gate-switch  gate=2 asid=6\n"
+      "    #9      @80           pan-toggle   pan=1\n"
+      "    #10     @90           irq          target_el=1\n");
 }
 
 // --- Json --------------------------------------------------------------------

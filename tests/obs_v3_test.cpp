@@ -130,6 +130,13 @@ TEST_F(ObsV3Test, DepthOverflowDropsInsteadOfCorrupting) {
   for (auto it = ids.rbegin(); it != ids.rend(); ++it) obs::spans().end(*it);
   EXPECT_EQ(obs::spans().size(), obs::SpanTracer::kMaxDepth);
   EXPECT_EQ(obs::spans().max_depth(), obs::SpanTracer::kMaxDepth);
+  // Ring overwrites add to the same tally: 250 more spans into the
+  // 256-slot ring overwrite the 10 oldest (the 16 above closed innermost
+  // first, args 15..0), and the survivors come out oldest-first.
+  for (int i = 0; i < 250; ++i) SpanScope s(SpanKind::kTask);
+  EXPECT_EQ(obs::spans().size(), 256u);
+  EXPECT_EQ(obs::spans().dropped(), 3u + 10u);
+  EXPECT_EQ(obs::spans().events().front().arg, 5u);
 }
 
 TEST_F(ObsV3Test, AdoptEstablishesAmbientParentForRootSpans) {
