@@ -4,150 +4,82 @@
 //               [--backend ttbr_pan|poe|cca|watchpoint|lwc]
 //
 // Runs M seeded streams of Table-2 calls (K ops each, processes pinned
-// round-robin over N cores) three times and applies every lz::check oracle:
-//
-//   run A, run B (same config)      — must be byte-identical: same status
-//                                     streams, same hash, same counters.
-//   run C (same streams, 1 core)    — must produce the same status streams
-//                                     and the same counters modulo the
-//                                     documented SMP-variant set.
-//
-// Each op is also checked against the ShadowTable2 reference model as it
-// executes, and (in LZ_CHECK builds) every TLB hit is re-walked by the
-// sim::Core oracle. Any divergence → nonzero exit.
+// round-robin over N cores) through the three-run replay harness
+// (fuzz_replay.h). Each op is also checked against the ShadowTable2
+// reference model as it executes, and (in LZ_CHECK builds) every TLB hit
+// is re-walked by the sim::Core oracle. Any divergence → nonzero exit.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "check/fuzz.h"
-#include "obs/flight.h"
+#include "fuzz_replay.h"
 
 namespace {
 
-using lz::check::FuzzConfig;
-using lz::check::FuzzResult;
+struct Table2Fuzz {
+  using Config = lz::check::FuzzConfig;
+  using Result = lz::check::FuzzResult;
+  static constexpr const char* kTool = "fuzz_table2";
+  static constexpr const char* kStream = "status";
+  static constexpr const char* kUnit = "ops";
 
-int g_failures = 0;
-
-void expect(bool ok, const std::string& what) {
-  if (ok) {
-    std::printf("  ok: %s\n", what.c_str());
-  } else {
-    std::printf("  FAIL: %s\n", what.c_str());
-    ++g_failures;
+  static Result run(const Config& cfg) {
+    return lz::check::run_table2_fuzz(cfg);
   }
-}
-
-void dump_divergences(const char* run, const FuzzResult& r) {
-  for (const auto& d : r.divergences) {
-    std::printf("  FAIL: run %s divergence [%s] %s\n", run, d.kind.c_str(),
-                d.detail.c_str());
-    ++g_failures;
+  static lz::u64 hash(const Result& r) { return r.status_hash; }
+  static const auto& streams(const Result& r) { return r.status_streams; }
+  static lz::u64 count(const Result& r) { return r.total_ops; }
+  static void summary(const Result& r) {
+    std::printf("run A: %llu ops (%llu skipped), status hash %016llx\n",
+                static_cast<unsigned long long>(r.total_ops),
+                static_cast<unsigned long long>(r.skipped),
+                static_cast<unsigned long long>(r.status_hash));
   }
-}
-
-unsigned long long parse_u64(const char* s) {
-  return std::strtoull(s, nullptr, 0);
-}
+  static void check(const char* run, const Result& r,
+                    lz::bench::ReplayChecks& checks) {
+    for (const auto& d : r.divergences) {
+      checks.expect(false, std::string("run ") + run + " divergence [" +
+                               d.kind + "] " + d.detail);
+    }
+  }
+  // Cross-backend counter sets are rejected, not diffed.
+  static std::vector<std::string> diff(const Result& a, const Result& b,
+                                       const lz::check::IgnoreFn& ignore) {
+    return lz::check::diff_fuzz_counters(a, b, ignore);
+  }
+  static void dump_mismatch(const Result&, const Result&, const char*) {}
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  FuzzConfig cfg;
+  Table2Fuzz::Config cfg;
   cfg.seed = 1;
   cfg.cores = 4;
   cfg.streams = 0;  // = cores
   cfg.ops_per_stream = 2600;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&](const char* flag) -> const char* {
-      if (std::strcmp(argv[i], flag) != 0 || i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (const char* v = next("--seed")) {
-      cfg.seed = parse_u64(v);
-    } else if (const char* v = next("--cores")) {
-      cfg.cores = static_cast<unsigned>(parse_u64(v));
-    } else if (const char* v = next("--streams")) {
-      cfg.streams = static_cast<unsigned>(parse_u64(v));
-    } else if (const char* v = next("--ops")) {
-      cfg.ops_per_stream = static_cast<int>(parse_u64(v));
-    } else if (const char* v = next("--backend")) {
-      const auto kind = lz::core::backend_from_string(v);
-      if (!kind) {
-        std::fprintf(stderr,
-                     "%s: unknown backend '%s' (expected one of ttbr_pan, "
-                     "poe, cca, watchpoint, lwc)\n",
-                     argv[0], v);
-        return 2;
-      }
-      cfg.backend = *kind;
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
-      std::printf(
-          "usage: %s [--seed S] [--cores N] [--streams M] [--ops K] "
-          "[--backend B]\n",
-          argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], argv[i]);
-      std::fprintf(stderr,
-                   "usage: %s [--seed S] [--cores N] [--streams M] [--ops K] "
-                   "[--backend B]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  const unsigned streams = cfg.streams != 0 ? cfg.streams : cfg.cores;
-
-  // A crashed fuzz run (LZ_CHECK, oracle abort) should leave a state trail:
-  // dump the flight recorder's per-core black box on abort.
-  lz::obs::install_flight_abort_handler();
+  const int rc = lz::bench::parse_fuzz_flags(
+      argc, argv, cfg,
+      "[--seed S] [--cores N] [--streams M] [--ops K] [--backend B]",
+      {lz::bench::number_flag("--ops", cfg.ops_per_stream),
+       {"--backend", [&](const char* v) {
+          const auto kind = lz::core::backend_from_string(v);
+          if (!kind) {
+            std::fprintf(stderr,
+                         "%s: unknown backend '%s' (expected one of "
+                         "ttbr_pan, poe, cca, watchpoint, lwc)\n",
+                         argv[0], v);
+            return false;
+          }
+          cfg.backend = *kind;
+          return true;
+        }}});
+  if (rc >= 0) return rc;
 
   std::printf(
       "fuzz_table2: backend=%s seed=%llu cores=%u streams=%u ops/stream=%d\n",
       lz::core::to_string(cfg.backend),
-      static_cast<unsigned long long>(cfg.seed), cfg.cores, streams,
-      cfg.ops_per_stream);
-
-  const FuzzResult a = lz::check::run_table2_fuzz(cfg);
-  std::printf("run A: %llu ops (%llu skipped), status hash %016llx\n",
-              static_cast<unsigned long long>(a.total_ops),
-              static_cast<unsigned long long>(a.skipped),
-              static_cast<unsigned long long>(a.status_hash));
-  dump_divergences("A", a);
-
-  // Replay determinism, same topology: byte-identical.
-  const FuzzResult b = lz::check::run_table2_fuzz(cfg);
-  dump_divergences("B", b);
-  expect(a.status_hash == b.status_hash, "replay A==B: status hash");
-  expect(a.status_streams == b.status_streams, "replay A==B: status streams");
-  const auto replay_diff = lz::check::diff_fuzz_counters(a, b);
-  expect(replay_diff.empty(), "replay A==B: counters byte-identical");
-  for (const auto& line : replay_diff) std::printf("    %s\n", line.c_str());
-
-  // Topology independence: the same streams on a single core.
-  FuzzConfig uni = cfg;
-  uni.cores = 1;
-  uni.streams = streams;
-  const FuzzResult c = lz::check::run_table2_fuzz(uni);
-  dump_divergences("C", c);
-  expect(a.status_streams == c.status_streams,
-         "1-core vs N-core: status streams");
-  const auto smp_diff =
-      lz::check::diff_fuzz_counters(a, c, lz::check::is_smp_variant_counter);
-  expect(smp_diff.empty(),
-         "1-core vs N-core: counters modulo SMP-variant set");
-  for (const auto& line : smp_diff) std::printf("    %s\n", line.c_str());
-
-  if (g_failures != 0) {
-    std::printf("fuzz_table2: %d failure(s)\n", g_failures);
-    // Divergence without a fail-stop abort (captured handler): still dump
-    // the black box so the failing op sequence's tail is on record.
-    lz::obs::flight_dump(stderr);
-    return 1;
-  }
-  std::printf("fuzz_table2: OK (%llu ops x3 runs, zero divergence)\n",
-              static_cast<unsigned long long>(a.total_ops));
-  return 0;
+      static_cast<unsigned long long>(cfg.seed), cfg.cores,
+      cfg.streams != 0 ? cfg.streams : cfg.cores, cfg.ops_per_stream);
+  return lz::bench::run_replay<Table2Fuzz>(cfg);
 }

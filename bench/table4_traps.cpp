@@ -124,7 +124,7 @@ struct BackendPrimitives {
 
 BackendPrimitives measure_backend_primitives(lz::core::BackendKind kind,
                                              const arch::Platform& plat) {
-  lz::core::Env env(lz::core::Env::Options().platform(plat).backend(kind));
+  lz::core::Env env(lz::core::Env::Options().platform(plat));
   auto be = lz::baseline::make_backend(kind, env);
   auto& m = *env.machine;
   const auto delta = [&m](auto&& fn) {

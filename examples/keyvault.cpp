@@ -57,11 +57,7 @@ struct Vault {
     auto& core = env.machine->core();
     LZ_CHECK(module.set_gate_entry(ctx, session, Env::kCodeVa + 0x40).is_ok());
 
-    module.enter_world(ctx);
-    core.pstate().el = arch::ExceptionLevel::kEl1;
-    core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-    core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-    core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
+    module.enter_el1(ctx);
     LZ_CHECK(module.exec_gate_switch(ctx, session).is_ok());
 
     u8 key[16];

@@ -1,5 +1,7 @@
 #include "baselines/backends.h"
 
+#include <string>
+
 #include "baselines/cca.h"
 #include "baselines/poe.h"
 
@@ -11,23 +13,23 @@ using core::Env;
 using sim::CostKind;
 
 namespace {
-// lightzone/module.h's kPgtAll, restated so the models share the shadow
-// oracle's independence from the implementation under test.
-constexpr int kPgtAll = -1;
 // Stand-in arena for the Watchpoint backend's 16 slots (one page each)
 // until an lz_prot names the process's own, away from the standard
 // code/heap/stack layout.
 constexpr VirtAddr kWpArenaBase = 0x40000000;
+
+// The shadow table's verdict on verb `what` as a Status.
+Status verdict(Errc errc, const char* what) {
+  if (errc == Errc::kOk) return Status::ok();
+  return err(errc, std::string("backend: ") + what);
+}
 }  // namespace
 
-ModelBackend::ModelBackend(Env& env, u32 max_gates)
-    : env_(env), max_gates_(max_gates), gates_(max_gates) {
-  pgts_.push_back(1);  // enter allocates pgt 0, the default domain
-}
-
-void ModelBackend::add_vma(VirtAddr start, VirtAddr end, bool write,
-                           bool exec) {
-  vmas_.push_back(Vma{start, end, write, exec});
+ModelBackend::ModelBackend(BackendKind kind, Env& env, u32 max_gates)
+    : env_(env),
+      kind_(kind),
+      table_(max_gates, /*allow_scalable=*/true, core::max_domains(kind)) {
+  add_env_vmas(table_);
 }
 
 void ModelBackend::charge_kernel_roundtrip() {
@@ -42,99 +44,48 @@ void ModelBackend::charge_kernel_roundtrip() {
   m.charge(CostKind::kExcp, p.eret(kernel_el, ExceptionLevel::kEl0));
 }
 
-u64 ModelBackend::domain_pages(int pgt) const {
-  u64 pages = 0;
-  for (const auto& r : regions_) {
-    if (r.pgt == pgt) pages += (r.end - r.start) / kPageSize;
-  }
-  return pages;
-}
-
 Result<int> ModelBackend::alloc() {
   charge_kernel_roundtrip();
-  std::size_t id = pgts_.size();
-  for (std::size_t i = 0; i < pgts_.size(); ++i) {
-    if (!pgts_[i]) {
-      id = i;
-      break;
-    }
-  }
-  if (id >= static_cast<std::size_t>(max_domains())) {
-    return err(Errc::kResourceExhausted, "backend: domain table full");
-  }
-  if (id == pgts_.size()) pgts_.push_back(0);
-  pgts_[id] = 1;
-  const int pgt = static_cast<int>(id);
-  LZ_RETURN_IF_ERROR(on_alloc(pgt));
-  return pgt;
+  const auto out = table_.alloc();
+  LZ_RETURN_IF_ERROR(verdict(out.errc, "lz_alloc"));
+  LZ_RETURN_IF_ERROR(on_alloc(out.pgt));
+  return out.pgt;
 }
 
 Status ModelBackend::free_domain(int pgt) {
   charge_kernel_roundtrip();
-  if (pgt <= 0 || !pgt_live(pgt)) {
-    return err(Errc::kNoPgt, "backend: free of dead pgt");
-  }
-  on_free(pgt);
-  pgts_[pgt] = 0;
-  std::erase_if(regions_, [pgt](const Region& r) { return r.pgt == pgt; });
-  return Status::ok();
+  if (pgt > 0 && table_.pgt_live(pgt)) on_free(pgt);
+  return verdict(table_.free_pgt(pgt), "lz_free");
 }
 
 Status ModelBackend::prot(VirtAddr addr, u64 len, int pgt, u32 perm) {
-  (void)perm;  // overlay permissions never affect the Status
   charge_kernel_roundtrip();
-  if (!page_aligned(addr) || len == 0) {
-    return err(Errc::kBadRange, "backend: unaligned or empty range");
-  }
-  if (pgt != kPgtAll && !pgt_live(pgt)) {
-    return err(Errc::kNoPgt, "backend: prot on dead pgt");
-  }
-  const VirtAddr end = addr + page_ceil(len);
-  for (const auto& region : regions_) {
-    if (addr >= region.end || end <= region.start) continue;
-    if (region.pgt != kPgtAll && pgt != kPgtAll && region.pgt != pgt) {
-      return err(Errc::kBadRange, "backend: range grabbed by another domain");
-    }
-  }
-  regions_.push_back(Region{addr, end, pgt});
-  on_prot(addr, end, pgt);
+  LZ_RETURN_IF_ERROR(verdict(table_.prot(addr, len, pgt, perm), "lz_prot"));
+  on_prot(addr, addr + page_ceil(len), pgt);
   return Status::ok();
 }
 
 Status ModelBackend::map_gate_pgt(int pgt, int gate) {
   charge_kernel_roundtrip();
-  if (!gate_in_range(gate)) {
-    return err(Errc::kBadGate, "backend: gate id out of range");
-  }
-  if (!pgt_live(pgt)) return err(Errc::kNoPgt, "backend: map of dead pgt");
-  gates_[gate].pgt = pgt;
-  return Status::ok();
+  return verdict(table_.map_gate_pgt(pgt, gate), "lz_map_gate_pgt");
 }
 
 Status ModelBackend::set_gate_entry(int gate, VirtAddr entry) {
   charge_kernel_roundtrip();
-  if (!gate_in_range(gate)) {
-    return err(Errc::kBadGate, "backend: gate id out of range");
-  }
-  gates_[gate].entry = entry;
-  return Status::ok();
+  return verdict(table_.set_gate_entry(gate, entry), "lz_set_gate_entry");
 }
 
 Result<Cycles> ModelBackend::switch_to(int gate) {
-  if (!gate_in_range(gate)) {
-    return err(Errc::kBadGate, "backend: switch to gate out of range");
-  }
-  if (gates_[gate].entry == 0 || gates_[gate].pgt < 0) {
-    return err(Errc::kNoGate, "backend: gate not fully registered");
-  }
+  LZ_RETURN_IF_ERROR(verdict(table_.gate_switch(gate), "gate switch"));
   // Same contract as the live module: validation passes for a gate whose
   // table died, but executing the switch is lethal (zeroed TTBRTab slot);
   // drivers consult the shadow's gate_runnable before calling.
-  LZ_CHECK(pgt_live(gates_[gate].pgt));
+  LZ_CHECK(table_.gate_runnable(gate));
+  const int pgt = table_.gate_pgt(gate);
   auto& m = machine();
   const Cycles start = m.account().total();
-  do_switch(gates_[gate].pgt);
-  current_ = gates_[gate].pgt;
+  do_switch(pgt);
+  current_ = pgt;
   return m.account().total() - start;
 }
 
@@ -142,21 +93,8 @@ Status ModelBackend::touch(VirtAddr va, bool want_write, bool want_exec) {
   // Demand fault: exception into the kernel either way, one PTE install on
   // the validated path.
   charge_kernel_roundtrip();
-  va = page_floor(va);
-  const Vma* vma = nullptr;
-  for (const auto& v : vmas_) {
-    if (va >= v.start && va < v.end) {
-      vma = &v;
-      break;
-    }
-  }
-  if (vma == nullptr) return err(Errc::kNotFound, "backend: no VMA");
-  if (want_exec && !vma->exec) {
-    return err(Errc::kPermissionDenied, "backend: VMA not executable");
-  }
-  if (want_write && !vma->write) {
-    return err(Errc::kPermissionDenied, "backend: VMA not writable");
-  }
+  LZ_RETURN_IF_ERROR(
+      verdict(table_.touch(va, want_write, want_exec), "touch"));
   machine().charge(CostKind::kMem, plat().mem_access);
   return Status::ok();
 }
@@ -170,7 +108,8 @@ Cycles ModelBackend::access(VirtAddr va) {
 }
 
 WatchpointBackend::WatchpointBackend(Env& env, u32 max_gates)
-    : ModelBackend(env, max_gates), wp_(*env.host, env.vm.get()) {
+    : ModelBackend(BackendKind::kWatchpoint, env, max_gates),
+      wp_(*env.host, env.vm.get()) {
   LZ_CHECK_OK(wp_.setup_arena(kWpArenaBase, kPageSize,
                               WatchpointIsolation::kMaxDomains));
 }
@@ -199,7 +138,8 @@ void WatchpointBackend::do_switch(int pgt) {
 }
 
 LwcBackend::LwcBackend(Env& env, u32 max_gates)
-    : ModelBackend(env, max_gates), lwc_(*env.host, env.vm.get()) {
+    : ModelBackend(BackendKind::kLwc, env, max_gates),
+      lwc_(*env.host, env.vm.get()) {
   ctx_of_[0] = lwc_.create_context();  // the default domain's context
 }
 
@@ -210,33 +150,31 @@ Status LwcBackend::on_alloc(int pgt) {
   return Status::ok();
 }
 
+void add_env_vmas(check::ShadowTable2& table) {
+  table.add_vma(Env::kCodeVa, Env::kCodeVa + Env::kCodeLen, /*write=*/false,
+                /*exec=*/true);
+  table.add_vma(Env::kHeapVa, Env::kHeapVa + Env::kHeapLen, /*write=*/true,
+                /*exec=*/false);
+  table.add_vma(Env::kStackTop - Env::kStackLen, Env::kStackTop,
+                /*write=*/true, /*exec=*/false);
+}
+
 std::shared_ptr<ModelBackend> make_backend(BackendKind kind, Env& env,
                                            u32 max_gates) {
   LZ_CHECK(kind != BackendKind::kTtbrPan);  // needs a process: see below
-  std::shared_ptr<ModelBackend> be;
   switch (kind) {
     case BackendKind::kPoe:
-      be = std::make_shared<PoeBackend>(env, max_gates);
-      break;
+      return std::make_shared<PoeBackend>(env, max_gates);
     case BackendKind::kCca:
-      be = std::make_shared<CcaBackend>(env, max_gates);
-      break;
+      return std::make_shared<CcaBackend>(env, max_gates);
     case BackendKind::kWatchpoint:
-      be = std::make_shared<WatchpointBackend>(env, max_gates);
-      break;
+      return std::make_shared<WatchpointBackend>(env, max_gates);
     case BackendKind::kLwc:
-      be = std::make_shared<LwcBackend>(env, max_gates);
-      break;
+      return std::make_shared<LwcBackend>(env, max_gates);
     case BackendKind::kTtbrPan:
-      return nullptr;  // unreachable (LZ_CHECK above)
+      break;
   }
-  be->add_vma(Env::kCodeVa, Env::kCodeVa + Env::kCodeLen, /*write=*/false,
-              /*exec=*/true);
-  be->add_vma(Env::kHeapVa, Env::kHeapVa + Env::kHeapLen, /*write=*/true,
-              /*exec=*/false);
-  be->add_vma(Env::kStackTop - Env::kStackLen, Env::kStackTop,
-              /*write=*/true, /*exec=*/false);
-  return be;
+  return nullptr;  // unreachable (LZ_CHECK above)
 }
 
 core::LzProc make_backend_proc(BackendKind kind, Env& env) {

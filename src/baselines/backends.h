@@ -1,9 +1,11 @@
 // Cost-model IsolationBackends (DESIGN.md §14).
 //
-// ModelBackend re-states the Table-2 validation semantics of the live
-// LightZone module (and of check::ShadowTable2) over plain bookkeeping —
-// live pgt slots, a gate table, protection regions, VMAs — and delegates
-// the *mechanism* to subclass hooks that charge the simulated clock:
+// ModelBackend keeps its Table-2 state — live pgt slots, the gate table,
+// protection regions, VMAs — in a check::ShadowTable2 and takes every
+// verdict from it, so each model validates exactly as the fuzz driver's
+// shadow oracle predicts. What the base adds is the kernel round-trip every
+// verb pays; the *mechanism* is subclass hooks that charge the simulated
+// clock:
 //
 //   WatchpointBackend  — the §8 debug-register baseline [23] promoted onto
 //                        the IsolationBackend interface (16-domain cap from
@@ -15,24 +17,25 @@
 //   PoeBackend (poe.h) — FEAT_S1POE / MPK-flavour overlay keys.
 //   CcaBackend (cca.h) — CCA/RME granule protection.
 //
-// Because validation is identical across backends, the fuzz driver's
-// differential oracle runs unchanged against any of them; only the cycles
-// charged differ.
+// The one per-backend validation difference, the domain cap, comes from
+// core::max_domains(kind). Only the cycles charged differ across models.
 #pragma once
 
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "baselines/lwc.h"
 #include "baselines/watchpoint.h"
+#include "check/shadow.h"
 #include "lightzone/api.h"
 
 namespace lz::baseline {
 
 class ModelBackend : public core::IsolationBackend {
  public:
-  ModelBackend(core::Env& env, u32 max_gates);
+  ModelBackend(core::BackendKind kind, core::Env& env, u32 max_gates);
+
+  core::BackendKind kind() const override { return kind_; }
 
   Result<int> alloc() override;
   Status free_domain(int pgt) override;
@@ -44,23 +47,20 @@ class ModelBackend : public core::IsolationBackend {
   Cycles set_pan(bool) override { return 0; }
   Status touch(VirtAddr va, bool want_write, bool want_exec) override;
   Cycles access(VirtAddr va) override;
-  u32 max_gates() const override { return max_gates_; }
+  u32 max_gates() const override { return table_.max_gates(); }
   core::BackendStats stats() const override { return stats_; }
-
-  // Process layout the touch() validation checks against (read permission
-  // is implicit, as in kernel VMAs).
-  void add_vma(VirtAddr start, VirtAddr end, bool write, bool exec);
 
   int current_domain() const { return current_; }
 
  protected:
-  // Mechanism hooks. The base charges the kernel entry/exit every verb
-  // pays (Table-2 calls are syscalls for every modelled mechanism); hooks
-  // add the mechanism-specific work on the validated path.
+  // Mechanism hooks, run on the validated path only. The base charges the
+  // kernel entry/exit every verb pays (Table-2 calls are syscalls for every
+  // modelled mechanism); hooks add the mechanism-specific work.
   virtual Status on_alloc(int pgt) {
     (void)pgt;
     return Status::ok();
   }
+  // Runs while `pgt` and its regions are still in the table.
   virtual void on_free(int pgt) { (void)pgt; }
   virtual void on_prot(VirtAddr start, VirtAddr end, int pgt) {
     (void)start, (void)end, (void)pgt;
@@ -73,57 +73,28 @@ class ModelBackend : public core::IsolationBackend {
   sim::Machine& machine() { return *env_.machine; }
   const arch::Platform& plat() { return machine().platform(); }
   void charge_kernel_roundtrip();
-  // Pages covered by `pgt`'s private protection regions.
-  u64 domain_pages(int pgt) const;
+  const check::ShadowTable2& table() const { return table_; }
 
   core::Env& env_;
   core::BackendStats stats_;
 
  private:
-  struct Region {
-    VirtAddr start = 0, end = 0;
-    int pgt = -1;
-  };
-  struct Gate {
-    VirtAddr entry = 0;
-    int pgt = -1;
-  };
-  struct Vma {
-    VirtAddr start = 0, end = 0;
-    bool write = false, exec = false;
-  };
-
-  bool pgt_live(int pgt) const {
-    return pgt >= 0 && static_cast<std::size_t>(pgt) < pgts_.size() &&
-           pgts_[pgt];
-  }
-  bool gate_in_range(int gate) const {
-    return gate >= 0 && static_cast<u32>(gate) < max_gates_;
-  }
-
-  u32 max_gates_;
+  core::BackendKind kind_;
+  check::ShadowTable2 table_;
   int current_ = 0;
-  std::vector<char> pgts_;  // slot i = pgt id i live? (slot 0: default)
-  std::vector<Gate> gates_;
-  std::vector<Region> regions_;
-  std::vector<Vma> vmas_;
 };
 
 // §8 Watchpoint baseline on the backend interface. The four DBGW pairs
 // watch a 16-slot arena: pgt p owns slot p-1, and the default domain (pgt
 // 0) watches every slot, so alloc() exhausts at id 17 — the one place the
-// shared validation diverges per backend, mirrored by ShadowTable2's
-// backend tag. The arena is the process's own layout: the first private
-// lz_prot that fits the §8 constraint (equal power-of-two slots in an
-// arena aligned to its size, slot p-1 at the region) re-bases it there;
-// until then a private arena at 0x40000000 stands in.
+// shared validation diverges per backend (core::max_domains). The arena
+// is the process's own layout: the first private lz_prot that fits the §8
+// constraint (equal power-of-two slots in an arena aligned to its size,
+// slot p-1 at the region) re-bases it there; until then a private arena
+// at 0x40000000 stands in.
 class WatchpointBackend final : public ModelBackend {
  public:
   WatchpointBackend(core::Env& env, u32 max_gates);
-
-  core::BackendKind kind() const override {
-    return core::BackendKind::kWatchpoint;
-  }
 
  protected:
   void on_prot(VirtAddr start, VirtAddr end, int pgt) override;
@@ -141,8 +112,6 @@ class LwcBackend final : public ModelBackend {
  public:
   LwcBackend(core::Env& env, u32 max_gates);
 
-  core::BackendKind kind() const override { return core::BackendKind::kLwc; }
-
  protected:
   Status on_alloc(int pgt) override;
   void do_switch(int pgt) override { lwc_.switch_to(ctx_of_.at(pgt)); }
@@ -152,10 +121,13 @@ class LwcBackend final : public ModelBackend {
   std::unordered_map<int, int> ctx_of_;  // pgt id -> lwC context id
 };
 
-// Construct a model backend of `kind` over `env`, pre-loaded with the
-// standard Env process layout (code RX, heap RW, stack RW VMAs). Returns
-// the ModelBackend type so callers can extend the VMA map (add_vma).
-// kTtbrPan has no model — it needs a real process (use make_backend_proc).
+// Env::new_process's layout (code RX, heap RW, stack RW) as the VMAs of a
+// Table-2 model: what touch() validates against.
+void add_env_vmas(check::ShadowTable2& table);
+
+// Construct a model backend of `kind` over `env`; its touch() checks the
+// standard Env process layout (add_env_vmas). kTtbrPan has no model — it
+// needs a real process (use make_backend_proc).
 std::shared_ptr<ModelBackend> make_backend(core::BackendKind kind,
                                            core::Env& env,
                                            u32 max_gates = 256);

@@ -7,10 +7,6 @@ using mem::GranuleProtectionTable;
 using sim::CostKind;
 using sim::SysReg;
 
-namespace {
-constexpr int kPgtAll = -1;
-}  // namespace
-
 void CcaBackend::charge_monitor_roundtrip() {
   auto& m = machine();
   const auto& p = plat();
@@ -23,7 +19,7 @@ void CcaBackend::charge_monitor_roundtrip() {
 void CcaBackend::on_prot(VirtAddr start, VirtAddr end, int pgt) {
   // Shared (kPgtAll) ranges stay in the normal PAS — the GPT tracks a
   // single owning domain per granule.
-  if (pgt == kPgtAll) return;
+  if (pgt == check::ShadowTable2::kPgtAll) return;
   auto& m = machine();
   const auto& p = plat();
   charge_monitor_roundtrip();

@@ -24,9 +24,8 @@ namespace lz::baseline {
 
 class CcaBackend final : public ModelBackend {
  public:
-  CcaBackend(core::Env& env, u32 max_gates) : ModelBackend(env, max_gates) {}
-
-  core::BackendKind kind() const override { return core::BackendKind::kCca; }
+  CcaBackend(core::Env& env, u32 max_gates)
+      : ModelBackend(core::BackendKind::kCca, env, max_gates) {}
 
   const mem::GranuleProtectionTable& gpt() const { return gpt_; }
 

@@ -8,7 +8,7 @@ using sim::CostKind;
 using sim::SysReg;
 
 PoeBackend::PoeBackend(core::Env& env, u32 max_gates)
-    : ModelBackend(env, max_gates) {
+    : ModelBackend(core::BackendKind::kPoe, env, max_gates) {
   for (int& o : owner_) o = -1;
   // Key 0 is pinned to the default domain (pgt 0) and never recycled.
   owner_[0] = 0;
@@ -58,7 +58,7 @@ int PoeBackend::assign_key(int pgt) {
   // page), then broadcast-invalidate every TLB entry on every core still
   // carrying the key under its previous owner — the MPK-style shootdown
   // that makes "more domains than keys" expensive.
-  const u64 pages = std::max<u64>(domain_pages(pgt), 1);
+  const u64 pages = std::max<u64>(table().domain_pages(pgt), 1);
   stats_.shootdown_pages += pages;
   m.charge(CostKind::kMem, pages * p.mem_access);
   m.charge(CostKind::kTlbi,

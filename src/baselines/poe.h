@@ -28,8 +28,6 @@ class PoeBackend final : public ModelBackend {
 
   PoeBackend(core::Env& env, u32 max_gates);
 
-  core::BackendKind kind() const override { return core::BackendKind::kPoe; }
-
   // One key is always the calling domain's; the POR value grants it and
   // the default key (shared code/stack stay reachable).
   static u64 por_value(int key) {

@@ -42,26 +42,16 @@ struct Stream {
   u64 skipped = 0;
 };
 
-void fuzz_stream(const FuzzConfig& cfg, Env& env, Stream& st, unsigned s,
-                 unsigned core_id) {
-  auto& machine = *env.machine;
+void fuzz_stream(const FuzzConfig& cfg, Stream& st, unsigned s) {
   auto& lz = *st.lz;
   auto& shadow = *st.shadow;
   const bool live = cfg.backend == core::BackendKind::kTtbrPan;
 
-  if (live) {
-    // The live module executes real gate code at EL1 in the process's own
-    // translation regime; the model backends only charge the clock, so
-    // they need no world entry or register state.
-    auto& module = lz.module();
-    auto& ctx = lz.ctx();
-    auto& core = machine.core(core_id);
-    lz.enter_world();
-    core.pstate().el = arch::ExceptionLevel::kEl1;
-    core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-    core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-    core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
-  }
+  // The live module executes real gate code at EL1 in the process's own
+  // translation regime (on the core this stream is bound to); the model
+  // backends only charge the clock, so they need no world entry or
+  // register state.
+  if (live) lz.module().enter_el1(lz.ctx());
 
   // Stream-indexed seed: the op sequence must not depend on which core (or
   // how many cores) the stream lands on.
@@ -140,9 +130,7 @@ void fuzz_stream(const FuzzConfig& cfg, Env& env, Stream& st, unsigned s,
         const bool want_write = rng.chance(0.5);
         const bool want_exec = rng.chance(0.2);
         record("touch", shadow.touch(va, want_write, want_exec),
-               live ? lz.module().touch_page(lz.ctx(), va, want_write,
-                                             want_exec)
-                    : lz.backend().touch(va, want_write, want_exec));
+               lz.backend().touch(va, want_write, want_exec));
         break;
       }
       case 6: {  // gate switch
@@ -186,20 +174,16 @@ FuzzResult run_table2_fuzz(const FuzzConfig& cfg) {
     // path's table layout is bit-for-bit what it was before backends.
     ss[s].lz.emplace(baseline::make_backend_proc(cfg.backend, env));
     ss[s].shadow.emplace(ss[s].lz->backend().max_gates(),
-                         /*allow_scalable=*/true, cfg.backend);
-    ss[s].shadow->add_vma(Env::kCodeVa, Env::kCodeVa + Env::kCodeLen,
-                          /*write=*/false, /*exec=*/true);
-    ss[s].shadow->add_vma(Env::kHeapVa, Env::kHeapVa + Env::kHeapLen,
-                          /*write=*/true, /*exec=*/false);
-    ss[s].shadow->add_vma(Env::kStackTop - Env::kStackLen, Env::kStackTop,
-                          /*write=*/true, /*exec=*/false);
+                         /*allow_scalable=*/true,
+                         core::max_domains(cfg.backend));
+    baseline::add_env_vmas(*ss[s].shadow);
   }
 
   // Concurrent phase: streams sharing a core queue behind each other on
   // that core's worker; streams on different cores really run in parallel.
   for (unsigned s = 0; s < streams; ++s) {
-    env.kern().run_on(s % cfg.cores, [&cfg, &env, &ss, s](unsigned core_id) {
-      fuzz_stream(cfg, env, ss[s], s, core_id);
+    env.kern().run_on(s % cfg.cores, [&cfg, &ss, s](unsigned) {
+      fuzz_stream(cfg, ss[s], s);
     });
   }
   env.kern().schedule();

@@ -46,8 +46,10 @@ struct FuzzConfig {
   const arch::Platform* platform = nullptr;  // null = Cortex-A55
   // Which IsolationBackend the streams exercise. kTtbrPan fuzzes the live
   // module (plus the in-build TLB oracle); the others fuzz their cost-model
-  // backend through the identical op generator, with the shadow carrying
-  // the matching backend tag.
+  // backend through the identical op generator, with the shadow capped at
+  // the backend's core::max_domains. A model backend keeps its own state
+  // in a ShadowTable2, so for those the differential agrees by
+  // construction; the replay oracles still apply.
   core::BackendKind backend = core::BackendKind::kTtbrPan;
 };
 

@@ -4,17 +4,11 @@
 
 namespace lz::check {
 
-namespace {
-// lightzone/module.h's kPgtAll, restated here so the model stays
-// independent of the implementation it is checking.
-constexpr int kPgtAll = -1;
-}  // namespace
-
 ShadowTable2::ShadowTable2(u32 max_gates, bool allow_scalable,
-                           core::BackendKind backend)
+                           int max_domains)
     : max_gates_(max_gates),
       allow_scalable_(allow_scalable),
-      backend_(backend),
+      max_domains_(max_domains),
       gates_(max_gates) {
   pgts_.push_back(1);  // lz_enter allocates pgt 0, the default domain
 }
@@ -35,12 +29,9 @@ ShadowTable2::AllocOutcome ShadowTable2::alloc() {
       break;
     }
   }
-  // Per-backend domain cap: four DBGW pairs give the Watchpoint baseline
-  // sixteen watched slots on top of the default domain; every other
-  // mechanism scales to the 2^16 id space.
-  const u64 cap =
-      backend_ == core::BackendKind::kWatchpoint ? 17 : (u64{1} << 16);
-  if (id >= cap) return {Errc::kResourceExhausted, -1};
+  if (id >= static_cast<std::size_t>(max_domains_)) {
+    return {Errc::kResourceExhausted, -1};
+  }
   if (id == pgts_.size()) pgts_.push_back(0);
   pgts_[id] = 1;
   return {Errc::kOk, static_cast<int>(id)};
@@ -111,10 +102,12 @@ bool ShadowTable2::gate_runnable(int gate) const {
   return gate_switch(gate) == Errc::kOk && pgt_live(gates_[gate].pgt);
 }
 
-int ShadowTable2::live_pgts() const {
-  int n = 0;
-  for (const char live : pgts_) n += live != 0;
-  return n;
+u64 ShadowTable2::domain_pages(int pgt) const {
+  u64 pages = 0;
+  for (const auto& r : regions_) {
+    if (r.pgt == pgt) pages += (r.end - r.start) / kPageSize;
+  }
+  return pages;
 }
 
 }  // namespace lz::check

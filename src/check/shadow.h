@@ -1,18 +1,25 @@
-// ShadowTable2 — the fuzz harness's reference model of the Table-2 API.
+// ShadowTable2 — the one plain-container model of the Table-2 API.
 //
 // A deliberately boring re-statement of lightzone/module.cpp's validation
 // semantics in plain STL containers: no page tables, no frames, no TLBs —
 // just which pgt ids are live, which gates are registered, and which
-// regions/VMAs exist. The fuzz driver (fuzz.h, bench/fuzz_table2) runs
-// every generated call against both the live module and this model and
-// reports a `shadow.status` divergence when the Status codes disagree.
-// Because the two implementations share no code, a bug has to appear in
-// both independently to slip through.
+// regions/VMAs exist. It has two clients:
+//
+//   * the fuzz driver (fuzz.h, bench/fuzz_table2) runs every generated call
+//     against both the live module and this model and reports a
+//     `shadow.status` divergence when the Status codes disagree. The two
+//     implementations share no code, so a bug has to appear in both
+//     independently to slip through;
+//   * the cost-model backends (baselines/backends.h) keep their Table-2
+//     state here and take every verdict from it, so they validate exactly
+//     as the shadow predicts by construction.
+//
+// Sits in lz_check, below lz_core: the domain cap comes in as a number
+// (core::max_domains of the backend being modelled).
 #pragma once
 
 #include <vector>
 
-#include "lightzone/backend.h"
 #include "support/status.h"
 #include "support/types.h"
 
@@ -20,6 +27,10 @@ namespace lz::check {
 
 class ShadowTable2 {
  public:
+  // lightzone/module.h's kPgtAll (a protection region shared by every
+  // domain), restated so the model stays independent of the module.
+  static constexpr int kPgtAll = -1;
+
   // Mirrors the process layout the predictions depend on (Env::new_process
   // VMAs; read permission is implicit — every VMA here is readable).
   struct Vma {
@@ -27,16 +38,9 @@ class ShadowTable2 {
     bool write = false, exec = false;
   };
 
-  // The backend tag selects the one place validation is backend-specific:
-  // the domain cap lz_alloc exhausts at (17 for the Watchpoint baseline:
-  // its four DBGW pairs watch 16 slots, plus the default domain; 2^16
-  // everywhere else). It also labels fuzz results so counter comparisons
-  // across different backends are rejected instead of reported as
-  // spurious divergence (fuzz.h).
-  ShadowTable2(u32 max_gates, bool allow_scalable,
-               core::BackendKind backend = core::BackendKind::kTtbrPan);
-
-  core::BackendKind backend() const { return backend_; }
+  // `max_domains` is the domain cap lz_alloc exhausts at, counting the
+  // default pgt 0.
+  ShadowTable2(u32 max_gates, bool allow_scalable, int max_domains);
 
   void add_vma(u64 start, u64 end, bool write, bool exec);
 
@@ -64,7 +68,16 @@ class ShadowTable2 {
   // records such ops as skipped instead of running them.
   bool gate_runnable(int gate) const;
 
-  int live_pgts() const;
+  // Read accessors for the cost-model backends' mechanism hooks.
+  bool pgt_live(int pgt) const {
+    return pgt >= 0 && static_cast<std::size_t>(pgt) < pgts_.size() &&
+           pgts_[pgt];
+  }
+  // The pgt `gate` is mapped to (-1 if none); `gate` must be in range.
+  int gate_pgt(int gate) const { return gates_.at(gate).pgt; }
+  // Pages covered by `pgt`'s own protection regions.
+  u64 domain_pages(int pgt) const;
+  u32 max_gates() const { return max_gates_; }
 
  private:
   struct Region {
@@ -76,17 +89,13 @@ class ShadowTable2 {
     int pgt = -1;
   };
 
-  bool pgt_live(int pgt) const {
-    return pgt >= 0 && static_cast<std::size_t>(pgt) < pgts_.size() &&
-           pgts_[pgt];
-  }
   bool gate_in_range(int gate) const {
     return gate >= 0 && static_cast<u32>(gate) < max_gates_;
   }
 
   u32 max_gates_;
   bool allow_scalable_;
-  core::BackendKind backend_;
+  int max_domains_;
   std::vector<char> pgts_;  // slot i = pgt id i live? (slot 0: default table)
   std::vector<Gate> gates_;
   std::vector<Region> regions_;

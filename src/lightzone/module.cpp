@@ -759,6 +759,15 @@ void LzModule::enter_world(LzContext& ctx) {
   w.active = &ctx;
 }
 
+void LzModule::enter_el1(LzContext& ctx) {
+  enter_world(ctx);
+  auto& core = machine().core();
+  core.pstate().el = ExceptionLevel::kEl1;
+  core.set_sysreg(SysReg::kTtbr0El1, domain_ttbr(ctx, 0));
+  core.set_sysreg(SysReg::kTtbr1El1, ctx.ctx.ttbr1);
+  core.set_sysreg(SysReg::kVbarEl1, ctx.ctx.vbar);
+}
+
 void LzModule::exit_world(LzContext& ctx) {
   PerCoreWorld& w = world();
   LZ_CHECK(w.active == &ctx);

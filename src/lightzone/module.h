@@ -195,6 +195,10 @@ class LzModule : public hv::TrapDelegate {
   // per core: each core may have its own LightZone process entered.
   void enter_world(LzContext& ctx);
   void exit_world(LzContext& ctx);
+  // enter_world, then stand at EL1 in the default domain on the calling
+  // core: TTBR0 = domain_ttbr(ctx, 0), TTBR1 and VBAR from the process's
+  // context. PSTATE.PAN is left for the caller to set.
+  void enter_el1(LzContext& ctx);
   LzContext* active() { return world().active; }
 
   // --- TrapDelegate -----------------------------------------------------------

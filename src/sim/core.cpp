@@ -594,6 +594,22 @@ void Core::take_exception(const TrapInfo& info) {
   pc_ = vbar + off;
 }
 
+void Core::raise_abort(const Translation& tr, AccessType type, VirtAddr va) {
+  const bool lower = pstate_.el == ExceptionLevel::kEl0 || tr.stage2_fault;
+  ExceptionClass ec;
+  if (type == AccessType::kFetch) {
+    ec = lower ? ExceptionClass::kInsnAbortLowerEl
+               : ExceptionClass::kInsnAbortSameEl;
+  } else {
+    ec = lower ? ExceptionClass::kDataAbortLowerEl
+               : ExceptionClass::kDataAbortSameEl;
+  }
+  const auto fs = tr.permission ? arch::permission_fault(tr.fault_level)
+                                : arch::translation_fault(tr.fault_level);
+  raise_sync(ec, arch::make_abort_iss(fs, type == AccessType::kWrite), va,
+             tr.fault_ipa, tr.stage2_fault);
+}
+
 void Core::raise_sync(ExceptionClass ec, u32 iss, u64 far, u64 ipa,
                       bool stage2) {
   TrapInfo info;
@@ -723,14 +739,7 @@ void Core::step() {
       stop_unhandled_ = true;
       return;
     }
-    const bool lower = pstate_.el == ExceptionLevel::kEl0 || fetch.stage2_fault;
-    const auto ec = lower ? ExceptionClass::kInsnAbortLowerEl
-                          : ExceptionClass::kInsnAbortSameEl;
-    const auto fs = fetch.permission
-                        ? arch::permission_fault(fetch.fault_level)
-                        : arch::translation_fault(fetch.fault_level);
-    raise_sync(ec, arch::make_abort_iss(fs, false), insn_pc, fetch.fault_ipa,
-               fetch.stage2_fault);
+    raise_abort(fetch, AccessType::kFetch, insn_pc);
     return;
   }
   nested_faults_ = 0;
@@ -963,14 +972,7 @@ void Core::exec_ldst(const Insn& insn) {
   const auto type = insn.is_load() ? AccessType::kRead : AccessType::kWrite;
   const auto tr = translate(va, type, unpriv);
   if (!tr.ok) {
-    const bool lower =
-        pstate_.el == ExceptionLevel::kEl0 || tr.stage2_fault;
-    const auto ec = lower ? ExceptionClass::kDataAbortLowerEl
-                          : ExceptionClass::kDataAbortSameEl;
-    const auto fs = tr.permission ? arch::permission_fault(tr.fault_level)
-                                  : arch::translation_fault(tr.fault_level);
-    raise_sync(ec, arch::make_abort_iss(fs, type == AccessType::kWrite), va,
-               tr.fault_ipa, tr.stage2_fault);
+    raise_abort(tr, type, va);
     return;
   }
 
@@ -1209,14 +1211,8 @@ Core::MemResult Core::mem_read(VirtAddr va, u8 size) {
   MemResult r;
   const auto tr = translate(va, AccessType::kRead, false);
   if (!tr.ok) {
-    const bool lower = pstate_.el == ExceptionLevel::kEl0 || tr.stage2_fault;
-    const auto fs = tr.permission ? arch::permission_fault(tr.fault_level)
-                                  : arch::translation_fault(tr.fault_level);
     pending_elr_ = pc_;
-    raise_sync(lower ? ExceptionClass::kDataAbortLowerEl
-                     : ExceptionClass::kDataAbortSameEl,
-               arch::make_abort_iss(fs, false), va, tr.fault_ipa,
-               tr.stage2_fault);
+    raise_abort(tr, AccessType::kRead, va);
     return r;
   }
   account_.charge(CostKind::kMem, plat_.mem_access);
@@ -1230,14 +1226,8 @@ Core::MemResult Core::mem_write(VirtAddr va, u8 size, u64 value) {
   MemResult r;
   const auto tr = translate(va, AccessType::kWrite, false);
   if (!tr.ok) {
-    const bool lower = pstate_.el == ExceptionLevel::kEl0 || tr.stage2_fault;
-    const auto fs = tr.permission ? arch::permission_fault(tr.fault_level)
-                                  : arch::translation_fault(tr.fault_level);
     pending_elr_ = pc_;
-    raise_sync(lower ? ExceptionClass::kDataAbortLowerEl
-                     : ExceptionClass::kDataAbortSameEl,
-               arch::make_abort_iss(fs, true), va, tr.fault_ipa,
-               tr.stage2_fault);
+    raise_abort(tr, AccessType::kWrite, va);
     return r;
   }
   account_.charge(CostKind::kMem, plat_.mem_access);

@@ -247,6 +247,12 @@ class Core {
  private:
   void execute(const arch::Insn& insn);
   void raise_sync(ExceptionClass ec, u32 iss, u64 far, u64 ipa, bool stage2);
+  // The instruction abort (kFetch) or data abort a failed translation of
+  // `va` raises: lower- or same-EL class, permission or translation DFSC,
+  // WnR for writes, FAR = va and the faulting IPA. Out of line: only the
+  // fault paths call it.
+  [[gnu::noinline, gnu::cold]] void raise_abort(const Translation& tr,
+                                                AccessType type, VirtAddr va);
   ExceptionLevel route_sync_target(ExceptionClass ec, bool stage2) const;
   bool cond_holds(arch::Cond cond) const;
   void exec_system(const arch::Insn& insn);

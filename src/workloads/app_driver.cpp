@@ -171,14 +171,11 @@ void AppDriver::setup_worker(Worker& w) {
   // The LightZone process runs at EL1 in its own VM, starting in the
   // default domain (PAN set: no user-page access).
   auto& core = machine().core();
-  auto& ctx = lz.ctx();
-  lz.enter_world();
-  core.pstate().el = ExceptionLevel::kEl1;
-  if (row.pan) core.pstate().pan = true;
-  core.set_sysreg(sim::SysReg::kTtbr0El1, lz.module().domain_ttbr(ctx, 0));
-  core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-  core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
-  if (row.pan) return;
+  lz.module().enter_el1(lz.ctx());
+  if (row.pan) {
+    core.pstate().pan = true;
+    return;
+  }
   // Warm the call gates and domain pages.
   for (int d = 0; d < domains_; ++d) {
     enter_domain(d);

@@ -19,9 +19,11 @@ using sim::Asm;
 
 namespace {
 
-// A program performing `count` empty syscalls, then exit. Unrolled so the
-// marginal cost of one more syscall is movz+svc plus the round-trip.
-Asm syscall_program(unsigned count) {
+// A new process whose program performs `count` empty syscalls, then
+// exits. Unrolled so the marginal cost of one more syscall is movz+svc plus
+// the round-trip.
+kernel::Process& syscall_process(Env& env, unsigned count) {
+  auto& proc = env.new_process();
   Asm a;
   for (unsigned i = 0; i < count; ++i) {
     a.movz(8, kEmpty);
@@ -29,10 +31,6 @@ Asm syscall_program(unsigned count) {
   }
   a.movz(8, kExit);
   a.svc(0);
-  return a;
-}
-
-void install_code(Env& env, kernel::Process& proc, Asm& a) {
   // Code may span several pages.
   for (u64 off = 0; off < a.size_bytes(); off += kPageSize) {
     LZ_CHECK_OK(env.kern().populate_page(
@@ -40,22 +38,25 @@ void install_code(Env& env, kernel::Process& proc, Asm& a) {
   }
   const auto walk = proc.pgt().lookup(Env::kCodeVa);
   a.install(env.machine->mem(), page_floor(walk.out_addr));
+  return proc;
 }
 
-// Marginal cost per syscall measured by differencing two run lengths (the
-// process setup, demand faults and exit path cancel out).
+// Marginal cost per syscall measured by differencing two run lengths, each
+// in a fresh Env (the process setup, demand faults and exit path cancel
+// out).
 template <typename RunFn>
-Cycles marginal_cost(Env& env1, Env& env2, unsigned n1, unsigned n2,
+Cycles marginal_cost(const arch::Platform& platform, Env::Placement placement,
                      RunFn&& run) {
-  const Cycles c1 = run(env1, n1);
-  const Cycles c2 = run(env2, n2);
-  return (c2 - c1) / (n2 - n1);
+  constexpr unsigned kN1 = 64, kN2 = 192;
+  Env e1(Env::Options().platform(platform).placement(placement)),
+      e2(Env::Options().platform(platform).placement(placement));
+  const Cycles c1 = run(e1, kN1);
+  const Cycles c2 = run(e2, kN2);
+  return (c2 - c1) / (kN2 - kN1);
 }
 
 Cycles run_host_user(Env& env, unsigned syscalls) {
-  auto& proc = env.new_process();
-  Asm a = syscall_program(syscalls);
-  install_code(env, proc, a);
+  auto& proc = syscall_process(env, syscalls);
   const Cycles start = env.machine->cycles();
   env.host->run_user_process(proc);
   LZ_CHECK(!proc.alive() && proc.kill_reason().empty());
@@ -63,9 +64,7 @@ Cycles run_host_user(Env& env, unsigned syscalls) {
 }
 
 Cycles run_guest_user(Env& env, unsigned syscalls) {
-  auto& proc = env.new_process();
-  Asm a = syscall_program(syscalls);
-  install_code(env, proc, a);
+  auto& proc = syscall_process(env, syscalls);
   env.vm->enter_vm();
   const Cycles start = env.machine->cycles();
   env.vm->run_user_process(proc);
@@ -75,11 +74,10 @@ Cycles run_guest_user(Env& env, unsigned syscalls) {
   return total;
 }
 
-Cycles run_lz(Env& env, unsigned syscalls, bool resched_every_trap = false) {
-  auto& proc = env.new_process();
-  Asm a = syscall_program(syscalls);
-  install_code(env, proc, a);
-  LzProc lz = LzProc::enter(*env.module, proc, true, 1);
+Cycles run_lz(Env& env, unsigned syscalls, bool resched_every_trap = false,
+              const core::LzOptions* opts = nullptr) {
+  auto& proc = syscall_process(env, syscalls);
+  LzProc lz = LzProc::enter(*env.module, proc, true, 1, opts);
   if (resched_every_trap) {
     env.kern().register_syscall(
         kEmpty, [&env](kernel::Process&, const kernel::SyscallArgs&) -> u64 {
@@ -96,51 +94,19 @@ Cycles run_lz(Env& env, unsigned syscalls, bool resched_every_trap = false) {
 }  // namespace
 
 TrapCosts measure_trap_costs(const arch::Platform& platform) {
+  using P = Env::Placement;
+  const auto lz_run = [](Env& e, unsigned n) { return run_lz(e, n); };
   TrapCosts costs;
-  constexpr unsigned kN1 = 64, kN2 = 192;
-
+  costs.host_syscall = marginal_cost(platform, P::kHost, run_host_user);
+  costs.guest_syscall = marginal_cost(platform, P::kGuest, run_guest_user);
+  costs.lz_host_trap = marginal_cost(platform, P::kHost, lz_run);
+  costs.lz_guest_trap_min = marginal_cost(platform, P::kGuest, lz_run);
+  costs.lz_guest_trap_max =
+      marginal_cost(platform, P::kGuest, [](Env& e, unsigned n) {
+        return run_lz(e, n, /*resched_every_trap=*/true);
+      });
   {
-    Env e1(Env::Options().platform(platform)),
-        e2(Env::Options().platform(platform));
-    costs.host_syscall =
-        marginal_cost(e1, e2, kN1, kN2, [](Env& e, unsigned n) {
-          return run_host_user(e, n);
-        });
-  }
-  {
-    Env e1(Env::Options().platform(platform).placement(Env::Placement::kGuest)),
-        e2(Env::Options().platform(platform).placement(Env::Placement::kGuest));
-    costs.guest_syscall =
-        marginal_cost(e1, e2, kN1, kN2, [](Env& e, unsigned n) {
-          return run_guest_user(e, n);
-        });
-  }
-  {
-    Env e1(Env::Options().platform(platform)),
-        e2(Env::Options().platform(platform));
-    costs.lz_host_trap =
-        marginal_cost(e1, e2, kN1, kN2, [](Env& e, unsigned n) {
-          return run_lz(e, n);
-        });
-  }
-  {
-    Env e1(Env::Options().platform(platform).placement(Env::Placement::kGuest)),
-        e2(Env::Options().platform(platform).placement(Env::Placement::kGuest));
-    costs.lz_guest_trap_min =
-        marginal_cost(e1, e2, kN1, kN2, [](Env& e, unsigned n) {
-          return run_lz(e, n);
-        });
-  }
-  {
-    Env e1(Env::Options().platform(platform).placement(Env::Placement::kGuest)),
-        e2(Env::Options().platform(platform).placement(Env::Placement::kGuest));
-    costs.lz_guest_trap_max =
-        marginal_cost(e1, e2, kN1, kN2, [](Env& e, unsigned n) {
-          return run_lz(e, n, /*resched_every_trap=*/true);
-        });
-  }
-  {
-    Env env(Env::Options().platform(platform).placement(Env::Placement::kGuest));
+    Env env(Env::Options().platform(platform).placement(P::kGuest));
     env.vm->enter_vm();
     // Average over a few round-trips.
     Cycles total = 0;
@@ -169,33 +135,19 @@ TrapCosts measure_trap_costs(const arch::Platform& platform) {
 
 TrapAblations measure_trap_ablations(const arch::Platform& platform) {
   TrapAblations ab;
-  constexpr unsigned kN1 = 64, kN2 = 192;
-  {
-    Env e1(Env::Options().platform(platform)),
-        e2(Env::Options().platform(platform));
-    e1.host->set_conditional_sysreg_opt(false);
-    e2.host->set_conditional_sysreg_opt(false);
-    ab.lz_host_trap_no_cond_sysreg =
-        marginal_cost(e1, e2, kN1, kN2, [](Env& e, unsigned n) {
-          return run_lz(e, n);
-        });
-  }
+  ab.lz_host_trap_no_cond_sysreg =
+      marginal_cost(platform, Env::Placement::kHost, [](Env& e, unsigned n) {
+        e.host->set_conditional_sysreg_opt(false);
+        return run_lz(e, n);
+      });
   const auto nested_with = [&](bool shared_ptregs, bool deferred) {
-    Env e1(Env::Options().platform(platform).placement(Env::Placement::kGuest)),
-        e2(Env::Options().platform(platform).placement(Env::Placement::kGuest));
-    const auto run = [&](Env& e, unsigned n) {
-      auto& proc = e.new_process();
-      Asm a = syscall_program(n);
-      install_code(e, proc, a);
-      core::LzOptions opts;
-      opts.shared_ptregs = shared_ptregs;
-      opts.deferred_sysregs = deferred;
-      LzProc lz = LzProc::enter(*e.module, proc, true, 1, &opts);
-      const Cycles start = e.machine->cycles();
-      lz.run(100'000'000);
-      return e.machine->cycles() - start;
-    };
-    return marginal_cost(e1, e2, kN1, kN2, run);
+    core::LzOptions opts;
+    opts.shared_ptregs = shared_ptregs;
+    opts.deferred_sysregs = deferred;
+    return marginal_cost(platform, Env::Placement::kGuest,
+                         [&](Env& e, unsigned n) {
+                           return run_lz(e, n, false, &opts);
+                         });
   };
   ab.lz_guest_trap_no_shared_ptregs = nested_with(false, true);
   ab.lz_guest_trap_no_deferred_sysregs = nested_with(true, false);
@@ -204,33 +156,94 @@ TrapAblations measure_trap_ablations(const arch::Platform& platform) {
 
 // --- Table 5 ------------------------------------------------------------------
 
+namespace {
+
+Env::Placement env_placement(Placement placement) {
+  return placement == Placement::kHost ? Env::Placement::kHost
+                                       : Env::Placement::kGuest;
+}
+
+// Domain d's 4 KiB buffer.
+VirtAddr domain_va(int d) {
+  return Env::kHeapVa + static_cast<u64>(d) * kPageSize;
+}
+
+// The Table-5 domain layout over any backend: domain d owns the d-th heap
+// page through its own table (d == 0: the default one) and is reached
+// through gate d. `on_alloc(pgt)` runs after each table exists and before
+// it is used.
+template <typename OnAlloc>
+void setup_domains(core::IsolationBackend& be, int domains,
+                   OnAlloc&& on_alloc) {
+  for (int d = 0; d < domains; ++d) {
+    const int pgt = d == 0 ? 0 : be.alloc().value();
+    LZ_CHECK(pgt >= 0);
+    on_alloc(pgt);
+    LZ_CHECK_OK(be.prot(domain_va(d), kPageSize, pgt,
+                        core::kLzRead | core::kLzWrite));
+    LZ_CHECK_OK(be.map_gate_pgt(pgt, d));
+    LZ_CHECK_OK(be.set_gate_entry(d, Env::kCodeVa + 0x40));
+    LZ_CHECK_OK(be.touch(domain_va(d), /*want_write=*/true,
+                         /*want_exec=*/false));
+  }
+}
+
+struct LoopResult {
+  double avg_cycles = 0;  // per switch-and-access, the calling core's
+  mem::TlbStats tlb;      // the calling core's TLB activity in the loop
+};
+
+// The Table-5 program's measured body on the calling core: switch into
+// every domain once (warm gates and pages), then `iters` rounds of
+// switch-to-a-random-domain and one 8-byte access to its buffer.
+// `after_switch` runs between each measured switch and its access.
+template <typename AfterSwitch>
+LoopResult switch_and_access(core::IsolationBackend& be, sim::Machine& m,
+                             int domains, int iters, u64 seed,
+                             AfterSwitch&& after_switch) {
+  for (int d = 0; d < domains; ++d) {
+    LZ_CHECK(be.switch_to(d).is_ok());
+    (void)be.access(domain_va(d));
+  }
+  Rng rng(seed);
+  const mem::TlbStats before = m.tlb().stats();
+  const Cycles start = m.account().total();
+  for (int i = 0; i < iters; ++i) {
+    const int d = static_cast<int>(rng.below(domains));
+    LZ_CHECK(be.switch_to(d).is_ok());
+    after_switch();
+    (void)be.access(domain_va(d));
+  }
+  LoopResult out;
+  out.avg_cycles = static_cast<double>(m.account().total() - start) / iters;
+  const mem::TlbStats after = m.tlb().stats();
+  out.tlb.l1_hits = after.l1_hits - before.l1_hits;
+  out.tlb.l2_hits = after.l2_hits - before.l2_hits;
+  out.tlb.misses = after.misses - before.misses;
+  return out;
+}
+
+}  // namespace
+
 double lz_switch_avg_cycles(const arch::Platform& platform,
                             Placement placement, int domains, int iters,
                             u64 seed, bool asid_tags) {
   Env env(Env::Options().platform(platform).placement(
-      placement == Placement::kHost ? Env::Placement::kHost
-                                    : Env::Placement::kGuest));
+      env_placement(placement)));
   auto& proc = env.new_process();
   LzProc lz = LzProc::enter(*env.module, proc, true, 1);
   auto& core = env.machine->core();
   auto& module = lz.module();
   auto& ctx = lz.ctx();
-  Rng rng(seed);
-
-  const VirtAddr arena = Env::kHeapVa;
-  const VirtAddr entry = Env::kCodeVa + 0x40;
 
   if (domains <= 1) {
     // PAN mechanism: one protected domain holding every buffer.
+    const VirtAddr arena = Env::kHeapVa;
     LZ_CHECK_OK(module.prot(ctx, arena, kPageSize, core::kPgtAll,
                             core::kLzRead | core::kLzWrite | core::kLzUser));
     LZ_CHECK_OK(module.touch_page(ctx, arena, true, false));
-    lz.enter_world();
-    core.pstate().el = arch::ExceptionLevel::kEl1;
+    module.enter_el1(ctx);
     core.pstate().pan = true;
-    core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-    core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-    core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
     // Warm-up access.
     lz.set_pan(false);
     (void)core.mem_read(arena, 8);
@@ -248,50 +261,21 @@ double lz_switch_avg_cycles(const arch::Platform& platform,
   }
 
   // Scalable mechanism: one 4 KiB domain per stage-1 table, one gate each.
-  std::vector<int> pgts(domains);
-  for (int d = 0; d < domains; ++d) {
-    const VirtAddr va = arena + static_cast<u64>(d) * kPageSize;
-    const int pgt = d == 0 ? 0 : lz.lz_alloc().value();
-    LZ_CHECK(pgt >= 0);
-    pgts[d] = pgt;
-    if (!asid_tags) {
-      // Ablation: all tables share one ASID, forcing TLB invalidation
-      // semantics on every switch (modelled as a flush per switch below).
-      ctx.pgts[pgt].tbl->set_asid(1);
-      // Refresh the published TTBR value.
-    }
-    LZ_CHECK_OK(module.prot(ctx, va, kPageSize, pgt,
-                            core::kLzRead | core::kLzWrite));
-    LZ_CHECK_OK(module.map_gate_pgt(ctx, pgt, d));
-    LZ_CHECK_OK(module.set_gate_entry(ctx, d, entry));
-    LZ_CHECK_OK(module.touch_page(ctx, va, true, false));
-  }
-
-  lz.enter_world();
-  core.pstate().el = arch::ExceptionLevel::kEl1;
-  core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-  core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-  core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
-
-  // Warm up: visit each domain once.
-  for (int d = 0; d < domains; ++d) {
-    LZ_CHECK(module.exec_gate_switch(ctx, d).is_ok());
-    (void)core.mem_read(arena + static_cast<u64>(d) * kPageSize, 8);
-  }
-
-  const Cycles start = env.machine->cycles();
-  for (int i = 0; i < iters; ++i) {
-    const int d = static_cast<int>(rng.below(domains));
-    LZ_CHECK(module.exec_gate_switch(ctx, d).is_ok());
-    if (!asid_tags) {
-      env.machine->tlb().invalidate_vmid(ctx.vmid);
-      env.machine->charge(sim::CostKind::kSysreg, platform.dsb + platform.isb);
-    }
-    (void)core.mem_read(arena + static_cast<u64>(d) * kPageSize, 8);
-    LZ_CHECK(proc.alive());
-  }
+  // The ablation gives every table one ASID, forcing TLB invalidation
+  // semantics on every switch (modelled as a flush per switch).
+  setup_domains(lz.backend(), domains, [&](int pgt) {
+    if (!asid_tags) ctx.pgts[pgt].tbl->set_asid(1);
+  });
+  module.enter_el1(ctx);
   const double avg =
-      static_cast<double>(env.machine->cycles() - start) / iters;
+      switch_and_access(lz.backend(), *env.machine, domains, iters, seed, [&] {
+        if (!asid_tags) {
+          env.machine->tlb().invalidate_vmid(ctx.vmid);
+          env.machine->charge(sim::CostKind::kSysreg,
+                              platform.dsb + platform.isb);
+        }
+        LZ_CHECK(proc.alive());
+      }).avg_cycles;
   lz.exit_world();
   return avg;
 }
@@ -302,14 +286,10 @@ std::vector<SmpSwitchStats> lz_switch_avg_cycles_smp(
   LZ_CHECK(cores >= 1 && domains >= 2);
   Env env(Env::Options()
               .platform(platform)
-              .placement(placement == Placement::kHost
-                             ? Env::Placement::kHost
-                             : Env::Placement::kGuest)
+              .placement(env_placement(placement))
               .cores(cores)
               .seed(seed));
   auto& machine = *env.machine;
-  const VirtAddr arena = Env::kHeapVa;
-  const VirtAddr entry = Env::kCodeVa + 0x40;
 
   // Deterministic setup: one LightZone process per core, prepared
   // sequentially on the main thread so frame-allocation order (and thus
@@ -318,20 +298,8 @@ std::vector<SmpSwitchStats> lz_switch_avg_cycles_smp(
   std::vector<std::optional<LzProc>> lzs(cores);
   for (unsigned w = 0; w < cores; ++w) {
     sim::Machine::CoreBinding bind(machine, w);
-    auto& proc = env.new_process();
-    lzs[w].emplace(LzProc::enter(*env.module, proc, true, 1));
-    auto& lz = *lzs[w];
-    auto& module = lz.module();
-    auto& ctx = lz.ctx();
-    for (int d = 0; d < domains; ++d) {
-      const VirtAddr va = arena + static_cast<u64>(d) * kPageSize;
-      const int pgt = d == 0 ? 0 : module.alloc_pgt(ctx).value();
-      LZ_CHECK_OK(module.prot(ctx, va, kPageSize, pgt,
-                              core::kLzRead | core::kLzWrite));
-      LZ_CHECK_OK(module.map_gate_pgt(ctx, pgt, d));
-      LZ_CHECK_OK(module.set_gate_entry(ctx, d, entry));
-      LZ_CHECK_OK(module.touch_page(ctx, va, true, false));
-    }
+    lzs[w].emplace(LzProc::enter(*env.module, env.new_process(), true, 1));
+    setup_domains(lzs[w]->backend(), domains, [](int) {});
   }
 
   // Concurrent phase: every core runs its own switch-and-access loop.
@@ -341,38 +309,11 @@ std::vector<SmpSwitchStats> lz_switch_avg_cycles_smp(
   for (unsigned w = 0; w < cores; ++w) {
     env.kern().run_on(w, [&, w](unsigned core_id) {
       auto& lz = *lzs[w];
-      auto& module = lz.module();
-      auto& ctx = lz.ctx();
-      auto& core = machine.core(core_id);
-      lz.enter_world();
-      core.pstate().el = arch::ExceptionLevel::kEl1;
-      core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-      core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-      core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
-      Rng rng(seed + core_id);
-      for (int d = 0; d < domains; ++d) {  // warm gates and pages
-        LZ_CHECK(module.exec_gate_switch(ctx, d).is_ok());
-        (void)core.mem_read(arena + static_cast<u64>(d) * kPageSize, 8);
-      }
-      const mem::TlbStats before = machine.tlb(core_id).stats();
-      const Cycles start = machine.account(core_id).total();
-      for (int i = 0; i < iters; ++i) {
-        const int d = static_cast<int>(rng.below(domains));
-        LZ_CHECK(module.exec_gate_switch(ctx, d).is_ok());
-        (void)core.mem_read(arena + static_cast<u64>(d) * kPageSize, 8);
-        LZ_CHECK(lz.proc().alive());
-      }
-      auto& s = stats[core_id];
-      s.avg_cycles = static_cast<double>(machine.account(core_id).total() -
-                                         start) /
-                     iters;
-      const mem::TlbStats after = machine.tlb(core_id).stats();
-      mem::TlbStats d;
-      d.l1_hits = after.l1_hits - before.l1_hits;
-      d.l2_hits = after.l2_hits - before.l2_hits;
-      d.misses = after.misses - before.misses;
-      s.hit_rate = d.hit_rate();
-      s.lookups = d.lookups();
+      lz.module().enter_el1(lz.ctx());
+      const LoopResult r = switch_and_access(
+          lz.backend(), machine, domains, iters, seed + core_id,
+          [&lz] { LZ_CHECK(lz.proc().alive()); });
+      stats[core_id] = {r.avg_cycles, r.tlb.hit_rate(), r.tlb.lookups()};
       lz.exit_world();
     });
   }
@@ -386,8 +327,7 @@ double watchpoint_switch_avg_cycles(const arch::Platform& platform,
   LZ_CHECK(domains >= 1 &&
            domains <= baseline::WatchpointIsolation::kMaxDomains);
   Env env(Env::Options().platform(platform).placement(
-      placement == Placement::kHost ? Env::Placement::kHost
-                                    : Env::Placement::kGuest));
+      env_placement(placement)));
   baseline::WatchpointIsolation wp(*env.host, env.vm.get());
   auto& proc = wp.kern().create_process();
   const VirtAddr arena = 0x40000000;  // 1 GiB-aligned arena
@@ -414,8 +354,7 @@ double lwc_switch_avg_cycles(const arch::Platform& platform,
                              Placement placement, int domains, int iters,
                              u64 seed) {
   Env env(Env::Options().platform(platform).placement(
-      placement == Placement::kHost ? Env::Placement::kHost
-                                    : Env::Placement::kGuest));
+      env_placement(placement)));
   baseline::LwcIsolation lwc(*env.host, env.vm.get());
   for (int d = 0; d < domains; ++d) {
     const int id = lwc.create_context();
@@ -441,39 +380,14 @@ BackendSwitchResult backend_switch_avg_cycles(core::BackendKind kind,
         lz_switch_avg_cycles(platform, placement, domains, iters, seed);
     return out;
   }
-  Env env(Env::Options()
-              .platform(platform)
-              .placement(placement == Placement::kHost
-                             ? Env::Placement::kHost
-                             : Env::Placement::kGuest)
-              .backend(kind));
+  Env env(Env::Options().platform(platform).placement(
+      env_placement(placement)));
   auto be = baseline::make_backend(kind, env);
   LZ_CHECK(domains >= 1 && domains <= be->max_domains());
-
-  const VirtAddr arena = Env::kHeapVa;
-  const VirtAddr entry = Env::kCodeVa + 0x40;
-  for (int d = 0; d < domains; ++d) {
-    const VirtAddr va = arena + static_cast<u64>(d) * kPageSize;
-    const int pgt = d == 0 ? 0 : be->alloc().value();
-    LZ_CHECK(pgt >= 0);
-    LZ_CHECK_OK(be->prot(va, kPageSize, pgt, core::kLzRead | core::kLzWrite));
-    LZ_CHECK_OK(be->map_gate_pgt(pgt, d));
-    LZ_CHECK_OK(be->set_gate_entry(d, entry));
-    LZ_CHECK_OK(be->touch(va, /*want_write=*/true, /*want_exec=*/false));
-  }
-
-  Rng rng(seed);
-  for (int d = 0; d < domains; ++d) {  // warm every domain once
-    LZ_CHECK(be->switch_to(d).is_ok());
-    (void)be->access(arena + static_cast<u64>(d) * kPageSize);
-  }
-  const Cycles start = env.machine->cycles();
-  for (int i = 0; i < iters; ++i) {
-    const int d = static_cast<int>(rng.below(domains));
-    LZ_CHECK(be->switch_to(d).is_ok());
-    (void)be->access(arena + static_cast<u64>(d) * kPageSize);
-  }
-  out.avg_cycles = static_cast<double>(env.machine->cycles() - start) / iters;
+  setup_domains(*be, domains, [](int) {});
+  out.avg_cycles =
+      switch_and_access(*be, *env.machine, domains, iters, seed, [] {})
+          .avg_cycles;
   out.stats = be->stats();
   return out;
 }

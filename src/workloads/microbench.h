@@ -1,6 +1,9 @@
 // Microbenchmark harnesses reproducing the paper's Table 4 (trap costs)
 // and Table 5 (domain-switch costs). Shared by the calibration tests and
-// the bench binaries.
+// the bench binaries. Every gate-switching Table-5 row (LightZone scalable,
+// SMP, any backend) runs one domain setup and one switch-and-access loop
+// over the IsolationBackend verbs; the PAN row and the standalone
+// Watchpoint/lwC rows keep their own loops.
 #pragma once
 
 #include <vector>
@@ -69,9 +72,9 @@ double lwc_switch_avg_cycles(const arch::Platform& platform,
                              Placement placement, int domains,
                              int iters = 10'000, u64 seed = 42);
 
-// The Table-5 program over any IsolationBackend: identical setup
-// (alloc/prot/map_gate_pgt/set_gate_entry/touch per domain) and the same
-// randomly-switch-and-access loop, driven through the backend verbs.
+// The Table-5 program over any IsolationBackend: the same setup
+// (alloc/prot/map_gate_pgt/set_gate_entry/touch per domain) and loop as
+// the LightZone rows, calling the verbs directly (no switch-probe record).
 // kTtbrPan delegates to lz_switch_avg_cycles — the live module run — so
 // the default backend's numbers stay bit-for-bit the published goldens;
 // the model backends charge their mechanism's costs (POR_EL0 writes, GPT

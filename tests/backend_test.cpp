@@ -72,11 +72,56 @@ TEST(TtbrPanBackendTest, ReproducesPreRefactorTable5Exactly) {
   }
 }
 
+// The model backends' Table-5 program, pinned exactly like the TTBR row
+// above: averages and mechanism tallies a build from before the models
+// kept their Table-2 state in check::ShadowTable2 gave (Cortex-A55 host,
+// 300 iterations). POE at 32 domains exercises key recycling.
+TEST(ModelBackendTest, ReproducesPreRefactorTable5Exactly) {
+  constexpr int kIters = 300;
+  const struct {
+    BackendKind kind;
+    int domains;
+    double avg;
+    u64 key_recycles, shootdown_pages, gpt_walks, delegations;
+  } kPins[] = {
+      {BackendKind::kPoe, 1, 30, 0, 0, 0, 0},
+      {BackendKind::kPoe, 2, 30, 0, 0, 0, 0},
+      {BackendKind::kPoe, 3, 30, 0, 0, 0, 0},
+      {BackendKind::kPoe, 16, 30, 0, 0, 0, 0},
+      {BackendKind::kPoe, 32, 52.873333333333335, 162, 162, 0, 0},
+      {BackendKind::kCca, 1, 259, 0, 0, 1, 1},
+      {BackendKind::kCca, 2, 259, 0, 0, 2, 2},
+      {BackendKind::kCca, 3, 259, 0, 0, 3, 3},
+      {BackendKind::kCca, 16, 259, 0, 0, 16, 16},
+      {BackendKind::kWatchpoint, 1, 917, 0, 0, 0, 0},
+      {BackendKind::kWatchpoint, 2, 917, 0, 0, 0, 0},
+      {BackendKind::kWatchpoint, 3, 917, 0, 0, 0, 0},
+      {BackendKind::kWatchpoint, 16, 917, 0, 0, 0, 0},
+      {BackendKind::kLwc, 1, 2499, 0, 0, 0, 0},
+      {BackendKind::kLwc, 2, 2499, 0, 0, 0, 0},
+      {BackendKind::kLwc, 3, 2499, 0, 0, 0, 0},
+      {BackendKind::kLwc, 16, 2499, 0, 0, 0, 0},
+  };
+  for (const auto& pin : kPins) {
+    SCOPED_TRACE(std::string(core::to_string(pin.kind)) +
+                 " domains=" + std::to_string(pin.domains));
+    const auto r = backend_switch_avg_cycles(
+        pin.kind, arch::Platform::cortex_a55(), Placement::kHost, pin.domains,
+        kIters);
+    EXPECT_DOUBLE_EQ(r.avg_cycles, pin.avg);
+    EXPECT_EQ(r.stats.key_recycles, pin.key_recycles);
+    EXPECT_EQ(r.stats.shootdown_pages, pin.shootdown_pages);
+    EXPECT_EQ(r.stats.gpt_walks, pin.gpt_walks);
+    EXPECT_EQ(r.stats.delegations, pin.delegations);
+    EXPECT_EQ(r.stats.undelegations, 0u);
+  }
+}
+
 // kNoGate / kBadRange / kNoPgt / kBadGate parity: every backend must speak
 // the exact same Status vocabulary for the same invalid inputs.
 TEST(BackendParityTest, ErrorStatusesMatchAcrossBackends) {
   for (const BackendKind kind : kAllKinds) {
-    Env env(Env::Options().backend(kind));
+    Env env;
     core::LzProc lz = make_backend_proc(kind, env);
     SCOPED_TRACE(core::to_string(kind));
     // The live module's switch path asserts an active world; the model
@@ -107,7 +152,7 @@ TEST(BackendParityTest, ErrorStatusesMatchAcrossBackends) {
 
 TEST(BackendParityTest, AllocIdsMatchAcrossBackends) {
   for (const BackendKind kind : kAllKinds) {
-    Env env(Env::Options().backend(kind));
+    Env env;
     core::LzProc lz = make_backend_proc(kind, env);
     SCOPED_TRACE(core::to_string(kind));
     // pgt 0 is the default domain made at enter; allocations count up.
@@ -120,7 +165,7 @@ TEST(BackendParityTest, AllocIdsMatchAcrossBackends) {
 }
 
 TEST(WatchpointBackendTest, CapsAtSixteenDomains) {
-  Env env(Env::Options().backend(BackendKind::kWatchpoint));
+  Env env;
   auto be = make_backend(BackendKind::kWatchpoint, env);
   // Domains 1..16 own the 16 watched slots on top of the default domain,
   // then the pairs run out.
@@ -161,7 +206,7 @@ TEST(PoeBackendTest, SwitchIsCheaperThanKernelRoundtrip) {
 }
 
 TEST(CcaBackendTest, ChargesGptWalkOncePerDelegationEpoch) {
-  Env env(Env::Options().backend(BackendKind::kCca));
+  Env env;
   auto be = make_backend(BackendKind::kCca, env);
   const int pgt = be->alloc().value();
   ASSERT_TRUE(

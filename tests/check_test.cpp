@@ -49,7 +49,8 @@ TEST(ShadowTest, ScriptedSequenceMatchesLiveModule) {
   core::Env env;
   auto& proc = env.new_process();
   core::LzProc lz = core::LzProc::enter(*env.module, proc, true, 1);
-  ShadowTable2 shadow(lz.ctx().opts().max_gates, /*allow_scalable=*/true);
+  ShadowTable2 shadow(lz.ctx().opts().max_gates, /*allow_scalable=*/true,
+                      core::max_domains(core::BackendKind::kTtbrPan));
   shadow.add_vma(core::Env::kCodeVa, core::Env::kCodeVa + core::Env::kCodeLen,
                  false, true);
   shadow.add_vma(core::Env::kHeapVa, core::Env::kHeapVa + core::Env::kHeapLen,
@@ -57,12 +58,7 @@ TEST(ShadowTest, ScriptedSequenceMatchesLiveModule) {
 
   // Same discipline as the fuzz driver: Table-2 calls (and in particular
   // gate switches) run inside the process's LightZone world.
-  lz.enter_world();
-  auto& core = env.machine->core();
-  core.pstate().el = arch::ExceptionLevel::kEl1;
-  core.set_sysreg(sim::SysReg::kTtbr0El1, lz.module().domain_ttbr(lz.ctx(), 0));
-  core.set_sysreg(sim::SysReg::kTtbr1El1, lz.ctx().ctx.ttbr1);
-  core.set_sysreg(sim::SysReg::kVbarEl1, lz.ctx().ctx.vbar);
+  lz.module().enter_el1(lz.ctx());
 
   const VirtAddr va = core::Env::kHeapVa;
   const auto alloc = shadow.alloc();
@@ -97,7 +93,8 @@ TEST(ShadowTest, DesynchronizedShadowIsFlagged) {
   core::Env env;
   auto& proc = env.new_process();
   core::LzProc lz = core::LzProc::enter(*env.module, proc, true, 1);
-  ShadowTable2 shadow(lz.ctx().opts().max_gates, /*allow_scalable=*/true);
+  ShadowTable2 shadow(lz.ctx().opts().max_gates, /*allow_scalable=*/true,
+                      core::max_domains(core::BackendKind::kTtbrPan));
   const int pgt = lz.lz_alloc().value();
   (void)shadow.alloc();
   (void)shadow.free_pgt(pgt);  // shadow-only free: the model is now wrong
@@ -109,7 +106,8 @@ TEST(ShadowTest, DesynchronizedShadowIsFlagged) {
 }
 
 TEST(ShadowTest, PanOnlyProcessCannotAlloc) {
-  ShadowTable2 shadow(8, /*allow_scalable=*/false);
+  ShadowTable2 shadow(8, /*allow_scalable=*/false,
+                      core::max_domains(core::BackendKind::kTtbrPan));
   EXPECT_EQ(shadow.alloc().errc, Errc::kFailedPrecondition);
   core::Env env;
   auto& proc = env.new_process();

@@ -1419,11 +1419,7 @@ SysBlockOutcome RunWarmGateSwitches(bool tier) {
   }
   auto& core = env.machine->core();
   core.set_trace_tier(tier);
-  lz.enter_world();
-  core.pstate().el = ExceptionLevel::kEl1;
-  core.set_sysreg(SysReg::kTtbr0El1, lz.module().domain_ttbr(lz.ctx(), 0));
-  core.set_sysreg(SysReg::kTtbr1El1, lz.ctx().ctx.ttbr1);
-  core.set_sysreg(SysReg::kVbarEl1, lz.ctx().ctx.vbar);
+  lz.module().enter_el1(lz.ctx());
   for (int i = 0; i < kWarm; ++i) {
     EXPECT_TRUE(lz.lz_switch_to_ttbr_gate(i % kGates).is_ok());
   }

@@ -332,12 +332,7 @@ TEST_F(LightZoneTest, FastPathGateSwitchCycles) {
   ASSERT_TRUE(lz.lz_map_gate_pgt(pgt1, 0).is_ok());
   ASSERT_TRUE(lz.lz_set_gate_entry(0, Env::kCodeVa + 0x40).is_ok());
 
-  lz.enter_world();
-  env.machine->core().pstate().el = arch::ExceptionLevel::kEl1;
-  env.machine->core().set_sysreg(SysReg::kTtbr0El1,
-                                 lz.module().domain_ttbr(lz.ctx(), 0));
-  env.machine->core().set_sysreg(SysReg::kTtbr1El1, lz.ctx().ctx.ttbr1);
-  env.machine->core().set_sysreg(SysReg::kVbarEl1, lz.ctx().ctx.vbar);
+  lz.module().enter_el1(lz.ctx());
   const Cycles c1 = lz.lz_switch_to_ttbr_gate(0).value();
   const Cycles c2 = lz.lz_switch_to_ttbr_gate(0).value();
   lz.exit_world();
@@ -386,11 +381,7 @@ GateRunRecord RunGateSwitches(GateDrive drive) {
   }
   auto& core = env.machine->core();
   core.set_trace_tier(drive == GateDrive::kModuleTierOn);
-  lz.enter_world();
-  core.pstate().el = arch::ExceptionLevel::kEl1;
-  core.set_sysreg(SysReg::kTtbr0El1, lz.module().domain_ttbr(lz.ctx(), 0));
-  core.set_sysreg(SysReg::kTtbr1El1, lz.ctx().ctx.ttbr1);
-  core.set_sysreg(SysReg::kVbarEl1, lz.ctx().ctx.vbar);
+  lz.module().enter_el1(lz.ctx());
   namespace pmu = arch::pmu;
   core.set_sysreg(SysReg::kPmevtyper0El0, pmu::kEvtLzDomainSwitch);
   core.set_sysreg(SysReg::kPmcntensetEl0, 1);
@@ -483,11 +474,7 @@ TEST_F(LightZoneTest, ForgedLrKillsAndStopsBatchedGateRun) {
   ASSERT_TRUE(lz.lz_set_gate_entry(0, kEntry).is_ok());
   auto& core = env.machine->core();
   core.set_trace_tier(true);
-  lz.enter_world();
-  core.pstate().el = arch::ExceptionLevel::kEl1;
-  core.set_sysreg(SysReg::kTtbr0El1, lz.module().domain_ttbr(lz.ctx(), 0));
-  core.set_sysreg(SysReg::kTtbr1El1, lz.ctx().ctx.ttbr1);
-  core.set_sysreg(SysReg::kVbarEl1, lz.ctx().ctx.vbar);
+  lz.module().enter_el1(lz.ctx());
   // Warm the gate's traces with legal switches first.
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(lz.lz_switch_to_ttbr_gate(0).is_ok());
 
@@ -616,12 +603,8 @@ TEST_F(LightZoneTest, AllocFreeChurnNeverReusesALiveDomainsAsid) {
     ASSERT_TRUE(lz.lz_set_gate_entry(g, Env::kCodeVa + 0x40).is_ok());
   }
   LZ_CHECK_OK(module.touch_page(ctx, dom_va, true, false));
-  lz.enter_world();
+  module.enter_el1(ctx);
   auto& core = env.machine->core();
-  core.pstate().el = arch::ExceptionLevel::kEl1;
-  core.set_sysreg(SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-  core.set_sysreg(SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-  core.set_sysreg(SysReg::kVbarEl1, ctx.ctx.vbar);
   ASSERT_TRUE(lz.lz_switch_to_ttbr_gate(1).is_ok());
   EXPECT_TRUE(core.mem_read(dom_va, 8).ok);
   ASSERT_TRUE(lz.lz_switch_to_ttbr_gate(2).is_ok());

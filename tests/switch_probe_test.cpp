@@ -177,12 +177,6 @@ TEST_F(SwitchProbeTest, EachSwitchMovesExactlyItsOwnInstruments) {
   const int pgt1 = lz.lz_alloc().value();
   ASSERT_TRUE(lz.lz_map_gate_pgt(pgt1, 1).is_ok());
   ASSERT_TRUE(lz.lz_set_gate_entry(1, Env::kCodeVa + 0x40).is_ok());
-  const auto load_el1 = [&] {
-    core.pstate().el = arch::ExceptionLevel::kEl1;
-    core.set_sysreg(SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-    core.set_sysreg(SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-    core.set_sysreg(SysReg::kVbarEl1, ctx.ctx.vbar);
-  };
 
   // A guest VM (its hypervisor world switches) and a 2-core machine (its
   // TLB maintenance broadcasts).
@@ -190,20 +184,18 @@ TEST_F(SwitchProbeTest, EachSwitchMovesExactlyItsOwnInstruments) {
   Env smp_env(Env::Options().cores(2));
 
   // A cost-model backend: its switches record only the backend family.
-  Env poe_env(Env::Options().backend(core::BackendKind::kPoe));
+  Env poe_env;
   LzProc poe(baseline::make_backend(core::BackendKind::kPoe, poe_env));
   const int poe_pgt = poe.lz_alloc().value();
   ASSERT_TRUE(poe.lz_map_gate_pgt(poe_pgt, 1).is_ok());
   ASSERT_TRUE(poe.lz_set_gate_entry(1, Env::kCodeVa + 0x40).is_ok());
 
   const std::vector<Case> cases = {
-      {"lz world enter", [&] { module.enter_world(ctx); },
-       Union({&kLzEnter})},
+      // Entering at EL1 loads TTBR0/TTBR1/VBAR directly: only the world
+      // entry records.
+      {"lz world enter", [&] { module.enter_el1(ctx); }, Union({&kLzEnter})},
       {"lz gate switch",
-       [&] {
-         load_el1();
-         ASSERT_TRUE(module.exec_gate_switch(ctx, 1).is_ok());
-       },
+       [&] { ASSERT_TRUE(module.exec_gate_switch(ctx, 1).is_ok()); },
        Union({&kLzGate})},
       {"lz pan switch", [&] { module.exec_set_pan(ctx, false); },
        Union({&kLzPan})},
@@ -253,8 +245,7 @@ TEST_F(SwitchProbeTest, EachSwitchMovesExactlyItsOwnInstruments) {
 
   // Warm the gate once so the measured switch is the steady-state path,
   // and start the hypercall round trip from inside its VM.
-  module.enter_world(ctx);
-  load_el1();
+  module.enter_el1(ctx);
   ASSERT_TRUE(module.exec_gate_switch(ctx, 1).is_ok());
   module.exit_world(ctx);
   vm_env.vm->enter_vm();
