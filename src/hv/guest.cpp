@@ -35,7 +35,7 @@ GuestVm::GuestVm(Host& host, std::string name)
   kern_->set_tlb_vmid(stage2_->vmid());
 }
 
-GuestVm::~GuestVm() = default;
+GuestVm::~GuestVm() { host_.free_vmid(vmid()); }
 
 void GuestVm::enter_vm() {
   LZ_CHECK(!entered_);

@@ -31,6 +31,7 @@ HostCounters& host_counters() {
 
 Host::Host(sim::Machine& machine)
     : machine_(machine),
+      vmids_(0xffff, [this] { machine_.tlbi_all_is(); }),
       kern_(std::make_unique<kernel::Kernel>(machine, "host")),
       percore_(machine.num_cores()) {
   // The host owns EL2 on every core of the SoC.
@@ -40,6 +41,12 @@ Host::Host(sim::Machine& machine)
         [this](const TrapInfo& info) { return handle_el2(info); });
     machine_.core(id).set_sysreg(sim::SysReg::kHcrEl2, kHostHcr);
   }
+}
+
+u16 Host::alloc_vmid() {
+  const auto vmid = vmids_.alloc();
+  LZ_CHECK(vmid.has_value());
+  return static_cast<u16>(*vmid);
 }
 
 void Host::write_hcr(u64 value) {

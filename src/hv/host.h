@@ -6,15 +6,18 @@
 // SMP: the trap-delegate stack and the current host user process are
 // per-core (each core runs its own world), while VMID allocation and the
 // conditional-write toggle are machine-wide setup state.
+// VMIDs come from one IdAllocator (support/id_allocator.h): VMID 0 stays
+// the host's, a dead VM's VMID returns only after a rollover, and the
+// rollover's covering TLBI (ALLE1IS) retires its cached translations.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "hv/trap_delegate.h"
 #include "kernel/kernel.h"
 #include "sim/machine.h"
+#include "support/id_allocator.h"
 
 namespace lz::hv {
 
@@ -30,9 +33,10 @@ class Host {
   static constexpr u64 kHostHcr =
       arch::hcr::kE2h | arch::hcr::kTge | arch::hcr::kRw;
 
-  u16 alloc_vmid() {
-    return static_cast<u16>(next_vmid_.fetch_add(1, std::memory_order_relaxed));
-  }
+  // A VMID no live VM holds (never 0). Aborts when all 65,535 are live.
+  u16 alloc_vmid();
+  // Called when the VM (guest or LightZone context) holding `vmid` dies.
+  void free_vmid(u16 vmid) { vmids_.free(vmid); }
 
   // --- Conditional system-register switching (§5.2.1) ------------------------
   // Writes are skipped (and cost nothing) when the register already holds
@@ -74,9 +78,11 @@ class Host {
   sim::TrapAction host_process_trap(const sim::TrapInfo& info);
 
   sim::Machine& machine_;
+  // Declared before kern_: the LightZone contexts of the kernel's processes
+  // free their VMIDs when the kernel destroys them.
+  IdAllocator vmids_;
   std::unique_ptr<kernel::Kernel> kern_;
   std::vector<PerCore> percore_;
-  std::atomic<u16> next_vmid_{1};
   bool conditional_sysreg_opt_ = true;
 };
 

@@ -56,7 +56,8 @@ const Vma* Process::find_vma(VirtAddr va) const {
 
 Kernel::Kernel(sim::Machine& machine, std::string name, FrameHook frame_hook)
     : machine_(machine), name_(std::move(name)),
-      frame_hook_(std::move(frame_hook)) {
+      frame_hook_(std::move(frame_hook)),
+      asids_(0xffff, [this] { machine_.tlbi_vmid_is(tlb_vmid_); }) {
   install_default_syscalls();
 }
 
@@ -65,7 +66,9 @@ Kernel::~Kernel() = default;
 Process& Kernel::create_process() {
   std::lock_guard<std::recursive_mutex> lock(mm_mu_);
   const u32 pid = next_pid_++;
-  const u16 asid = next_asid_++;
+  const auto id = asids_.alloc();
+  LZ_CHECK(id.has_value());  // 65,535 live processes
+  const auto asid = static_cast<u16>(*id);
   auto proc = std::make_unique<Process>(*this, pid, asid);
   auto [it, ok] = procs_.emplace(pid, std::move(proc));
   LZ_CHECK(ok);
@@ -98,6 +101,7 @@ void Kernel::destroy(Process& proc) {
   if (!pages.empty()) machine_.tlbi_asid_is(proc.asid(), tlb_vmid_);
   for (const auto& [va, pa] : pages) free_frame(pa);
   pages_mapped_ -= pages.size();
+  asids_.free(proc.asid());
   procs_.erase(proc.pid());
 }
 

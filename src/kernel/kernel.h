@@ -17,6 +17,7 @@
 
 #include "kernel/process.h"
 #include "sim/machine.h"
+#include "support/id_allocator.h"
 
 namespace lz::kernel {
 
@@ -184,8 +185,10 @@ class Kernel {
   // set up single-threaded before schedule() and read-only afterwards.
   mutable std::recursive_mutex mm_mu_;
   u32 next_pid_ = 1;
-  u16 next_asid_ = 1;
   u16 tlb_vmid_ = 0;
+  // Process ASIDs: a dead process's ASID returns only after a rollover,
+  // whose covering TLBI (VMALLE1IS in tlb_vmid_) retires its entries.
+  IdAllocator asids_;
   std::unordered_map<u32, std::unique_ptr<Process>> procs_;
   std::unordered_map<u32, SyscallHandler> syscalls_;
   std::unordered_map<u64, IoctlHandler> ioctl_devices_;

@@ -23,7 +23,11 @@ std::optional<BackendKind> backend_from_string(std::string_view name) {
 }
 
 int max_domains(BackendKind kind) {
-  return kind == BackendKind::kWatchpoint ? 17 : 1 << 16;
+  switch (kind) {
+    case BackendKind::kWatchpoint: return 17;
+    case BackendKind::kTtbrPan: return kMaxDomainTables;
+    default: return 1 << 16;
+  }
 }
 
 Cycles TtbrPanBackend::access(VirtAddr va) {

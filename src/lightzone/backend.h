@@ -46,8 +46,9 @@ const char* to_string(BackendKind kind);
 // "watchpoint", "lwc"); nullopt for anything else.
 std::optional<BackendKind> backend_from_string(std::string_view name);
 // The domain-table cap lz_alloc exhausts at, counting the default pgt 0:
-// the four DBGW pairs give Watchpoint 16 watched slots on top of it; every
-// other mechanism scales to the 2^16 id space.
+// the four DBGW pairs give Watchpoint 16 watched slots on top of it; TTBR
+// tables stop at kMaxDomainTables, where their ASIDs run out; the other
+// mechanisms scale to the 2^16 id space.
 int max_domains(BackendKind kind);
 
 // Mechanism-side tallies a backend may expose for reporting. Plain struct,

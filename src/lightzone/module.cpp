@@ -92,13 +92,15 @@ mem::S1Attrs unprotected_attrs(const LzContext::LzPage& page,
 
 LzContext::LzContext(LzModule& module, kernel::Process& proc,
                      const LzOptions& opts)
-    : module_(module), proc_(proc), opts_(opts) {
-  vmid = module.host().alloc_vmid();
+    : module_(module), host_(module.host()), proc_(proc), opts_(opts) {
+  vmid = host_.alloc_vmid();
   stage2 = std::make_unique<mem::Stage2Table>(module.machine().mem(), vmid);
   gates.resize(opts_.max_gates);
 }
 
-LzContext::~LzContext() = default;
+// The VM's VMID goes back to the host; its TLB entries die at the
+// allocator's next rollover if on_exit() did not already retire them.
+LzContext::~LzContext() { host_.free_vmid(vmid); }
 
 void LzContext::on_exit() {
   // No core has this VM entered, so after one VMID-scoped broadcast — it
@@ -299,7 +301,7 @@ Result<int> LzModule::alloc_pgt(LzContext& ctx) {
   // A table's ASID is its slot id + 1 (ASID 0 tags the upper table), so
   // no two live tables share one, and free_pgt's VMID-wide TLBI retires a
   // slot's entries before the slot and its ASID can be reused.
-  if (id >= 0xffff) {
+  if (id >= static_cast<std::size_t>(kMaxDomainTables)) {
     return err(Errc::kResourceExhausted, "lz_alloc: out of domain tables");
   }
   if (id == ctx.pgts.size()) ctx.pgts.emplace_back();

@@ -31,6 +31,10 @@
 namespace lz::core {
 
 inline constexpr int kPgtAll = -1;  // lz_prot: attach to every page table
+// Domain tables one LightZone process can hold, the default pgt 0
+// included: a table's ASID is its id + 1 (ASID 0 tags the upper table), and
+// ASIDs are 16 bits, so ids run 0..0xfffe.
+inline constexpr int kMaxDomainTables = 0xffff;
 
 // Syscall numbers of the LightZone API (the user-space library issues
 // these; the kernel module serves them — §4.1.1). A process that already
@@ -101,6 +105,7 @@ class LzContext : public kernel::ProcessExtension {
   };
 
   LzModule& module_;
+  hv::Host& host_;  // outlives the context, which frees its VMID there
   kernel::Process& proc_;
   LzOptions opts_;
 

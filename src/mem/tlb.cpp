@@ -10,7 +10,13 @@ namespace lz::mem {
 
 Tlb::Tlb(std::size_t l1_entries, std::size_t l2_entries, u64 seed,
          std::string counter_domain)
-    : l1_(l1_entries), l2_(l2_entries), rng_(seed) {
+    : l1_(l1_entries),
+      l2_(l2_entries),
+      rng_(seed),
+      stamps_(new std::atomic<Tag>[std::max<std::size_t>(l1_entries, 1)]) {
+  for (std::size_t i = 0; i < std::max<std::size_t>(l1_entries, 1); ++i) {
+    stamps_[i].store((Tag{1} << 16) | i, std::memory_order_relaxed);
+  }
   const std::pair<obs::OwnedCounter*, const char*> counters[] = {
       {&l1_hits_, ".l1_hit"},
       {&l2_hits_, ".l2_hit"},
@@ -82,12 +88,6 @@ void Tlb::Level::kill(u16 i) {
   if (next_[i] != kNil) prev_[next_[i]] = prev_[i];
 }
 
-void Tlb::Level::kill_all() {
-  for_each_valid([&](u16 i) { slots_[i].valid = false; });
-  std::fill(head_.begin(), head_.end(), kNil);
-  std::fill(valid_.begin(), valid_.end(), 0);
-}
-
 template <class F>
 void Tlb::Level::for_each_on_chain(u16 vmid, u64 vpage, F&& f) {
   for (u16 i = head_[bucket(vmid, vpage)]; i != kNil;) {
@@ -119,55 +119,55 @@ std::optional<Tlb::Hit> Tlb::lookup(u64 vpage, u16 asid, u16 vmid,
   std::lock_guard<std::mutex> lock(mu_);
   if (const u16 i = l1_.find(vpage, asid, vmid); i != Level::kNil) {
     l1_hits_.add();
-    return Hit{l1_[i], 0, true, gen_.load(std::memory_order_relaxed)};
+    return Hit{l1_[i], 0, true, tag_of(i)};
   }
   if (const u16 i = l2_.find(vpage, asid, vmid); i != Level::kNil) {
     l2_hits_.add();
     const TlbEntry copy = l2_[i];
-    if (place(l1_, copy)) bump_generation();  // promote
-    return Hit{copy, l2_hit_cost, false, gen_.load(std::memory_order_relaxed)};
+    return Hit{copy, l2_hit_cost, false, tag_of(place(l1_, copy))};  // promote
   }
   misses_.add();
   return std::nullopt;
 }
 
-u64 Tlb::insert(const TlbEntry& e) {
+Tlb::Tag Tlb::insert(const TlbEntry& e) {
   std::lock_guard<std::mutex> lock(mu_);
-  const bool l1_evicted = place(l1_, e);
-  const bool l2_evicted = place(l2_, e);
-  if (l1_evicted || l2_evicted) bump_generation();
-  return gen_.load(std::memory_order_relaxed);
+  const u16 slot = place(l1_, e);
+  place(l2_, e);
+  return tag_of(slot);
 }
 
-bool Tlb::place(Level& level, const TlbEntry& e) {
-  if (level.size() == 0) return false;
+void Tlb::kill(Level& level, u16 i) {
+  level.kill(i);
+  if (&level == &l1_) {
+    stamps_[i].fetch_add(Tag{1} << 16, std::memory_order_relaxed);
+  }
+}
+
+u16 Tlb::place(Level& level, const TlbEntry& e) {
+  if (level.size() == 0) return Level::kNil;
   // Evict every entry a lookup for `e`'s page could also match, not just
   // the first: refreshing one slot while a second aliasing copy survives
   // (e.g. a global entry ahead of a per-ASID one) would leave a stale
   // translation that random replacement can later expose. Aliases share
   // `e`'s (vmid, vpage), so they are all on its chain.
-  bool evicted = false;
   level.for_each_on_chain(e.vmid, e.vpage, [&](u16 i) {
-    if (aliases(level[i], e)) {
-      level.kill(i);
-      evicted = true;
-    }
+    if (aliases(level[i], e)) kill(level, i);
   });
   u16 slot = level.first_free();
   if (slot == Level::kNil) {
     slot = static_cast<u16>(rng_.below(level.size()));  // random replacement
-    level.kill(slot);
-    evicted = true;
+    kill(level, slot);
   }
   level.fill(slot, e);
-  return evicted;
+  return slot;
 }
 
 template <class Pred>
 void Tlb::kill_valid_if(Pred&& dead) {
   for (Level* level : {&l1_, &l2_}) {
     level->for_each_valid([&](u16 i) {
-      if (dead((*level)[i])) level->kill(i);
+      if (dead((*level)[i])) kill(*level, i);
     });
   }
 }
@@ -176,7 +176,7 @@ template <class Pred>
 void Tlb::kill_on_chain_if(u16 vmid, u64 vpage, Pred&& dead) {
   for (Level* level : {&l1_, &l2_}) {
     level->for_each_on_chain(vmid, vpage, [&](u16 i) {
-      if (dead((*level)[i])) level->kill(i);
+      if (dead((*level)[i])) kill(*level, i);
     });
   }
 }
@@ -184,16 +184,13 @@ void Tlb::kill_on_chain_if(u16 vmid, u64 vpage, Pred&& dead) {
 void Tlb::invalidate_all() {
   std::lock_guard<std::mutex> lock(mu_);
   invalidations_.add();
-  bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kAll, 0, 0);
-  l1_.kill_all();
-  l2_.kill_all();
+  kill_valid_if([](const TlbEntry&) { return true; });
 }
 
 void Tlb::invalidate_vmid(u16 vmid) {
   std::lock_guard<std::mutex> lock(mu_);
   invalidations_.add();
-  bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kVmid, 0, vmid);
   kill_valid_if([&](const TlbEntry& e) { return e.vmid == vmid; });
 }
@@ -201,7 +198,6 @@ void Tlb::invalidate_vmid(u16 vmid) {
 void Tlb::invalidate_asid(u16 asid, u16 vmid) {
   std::lock_guard<std::mutex> lock(mu_);
   invalidations_.add();
-  bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kAsid, asid, vmid);
   kill_valid_if([&](const TlbEntry& e) {
     return e.vmid == vmid && !e.global && e.asid == asid;
@@ -211,7 +207,6 @@ void Tlb::invalidate_asid(u16 asid, u16 vmid) {
 void Tlb::invalidate_va(u64 vpage, u16 asid, u16 vmid) {
   std::lock_guard<std::mutex> lock(mu_);
   invalidations_.add();
-  bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kVa, asid, vmid);
   // TLBI VAE1: the ASID's own entry for the page, plus any global entry
   // (global translations are not ASID-tagged, so a per-VA invalidate
@@ -224,7 +219,6 @@ void Tlb::invalidate_va(u64 vpage, u16 asid, u16 vmid) {
 void Tlb::invalidate_va_all_asid(u64 vpage, u16 vmid) {
   std::lock_guard<std::mutex> lock(mu_);
   invalidations_.add();
-  bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kVaAllAsid, 0, vmid);
   kill_on_chain_if(vmid, vpage, [&](const TlbEntry& e) {
     return e.vmid == vmid && e.vpage == vpage;

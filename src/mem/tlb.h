@@ -32,11 +32,12 @@
 // find-first-zero per 64 slots — TLB maintenance costs what it matches, not
 // the level's capacity. The index never decides anything the linear scan
 // did not: an entry still lands in the lowest free slot, else in
-// rng.below(size); the same entries die; the generation moves the same way.
+// rng.below(size); the same entries die; the same stamps move.
 // Links are u16 slot numbers, so each level holds fewer than 0xffff entries.
 #pragma once
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -94,23 +95,28 @@ class Tlb {
   Tlb(std::size_t l1_entries, std::size_t l2_entries, u64 seed = 42,
       std::string counter_domain = {});
 
+  // The micro-TLB slot an entry was found in or placed into, and that
+  // slot's stamp at the moment: (stamp count << 16) | slot. See the L0
+  // coherence protocol below. kNoTag (no micro-TLB) is never live.
+  using Tag = u64;
+  static constexpr Tag kNoTag = 0;
+  static constexpr Tag kSlotMask = 0xffff;
+
   struct Hit {
     TlbEntry entry;     // copied out under the lock; stays valid after it
     Cycles extra_cost;  // 0 on micro-TLB hit, tlb_l2_hit on main-TLB hit
     bool from_l1;
-    // generation() observed under the lock *after* any promotion: at the
-    // moment the lock was released, the micro-TLB held `entry` and the
-    // generation was exactly this value. The L0 install tag (see below).
-    u64 gen;
+    // The micro-TLB slot holding `entry` when the lock was released (after
+    // any promotion), with its stamp: the L0 install tag.
+    Tag tag;
   };
 
   // Look up (vpage, asid, vmid). Promotes main-TLB hits into the micro-TLB.
   std::optional<Hit> lookup(u64 vpage, u16 asid, u16 vmid, Cycles l2_hit_cost);
 
-  // Returns the under-lock generation after the insert, with the same
-  // meaning as Hit::gen (the new entry is resident in the micro-TLB at
-  // that generation).
-  u64 insert(const TlbEntry& e);
+  // Returns the tag of the micro-TLB slot the new entry was placed into,
+  // with the same meaning as Hit::tag.
+  Tag insert(const TlbEntry& e);
 
   // Invalidation scopes, one per architectural TLBI flavour:
   //   invalidate_all          TLBI ALLE1   — everything
@@ -126,20 +132,27 @@ class Tlb {
   void invalidate_va_all_asid(u64 vpage, u16 vmid);
 
   // --- L0 coherence protocol --------------------------------------------------
-  // Monotonic generation, bumped by every invalidate_* and by any place()
-  // that removes or overwrites a live entry in the micro-TLB (insert
-  // refills and L2->L1 promotions included). A Core-side L0 entry tagged
-  // with generation G is usable only while generation() == G: an unchanged
-  // generation proves the micro-TLB still holds exactly the entry the L0
-  // memoized, so an L0 hit is observationally identical to the L1 hit the
-  // locked lookup would have produced (same zero cost, same stats line).
+  // Every micro-TLB slot carries a stamp, moved by each kill of that slot:
+  // an invalidation that removes its entry, an alias eviction, a random
+  // replacement. A refill or promotion into a free slot leaves it alone
+  // (the slot's last kill already moved it). A Core-side L0 entry or trace
+  // tagged with slot i at stamp S is usable only while tag_live(): an
+  // unmoved stamp proves slot i still holds exactly the entry the tag was
+  // handed out with, and (at most one entry per level matches a key) the
+  // locked lookup would find it there — so an L0 hit is observationally
+  // identical to that micro-TLB hit (same zero cost, same stats line). A
+  // refill that evicts some other slot leaves every other tag live.
   //
-  // The counter is a relaxed atomic: the owning core reads it locklessly
-  // on every access, and remote DVM shootdowns bump it under the TLB
+  // The stamps are relaxed atomics: the owning core reads them locklessly
+  // on every access, and remote DVM shootdowns move them under the TLB
   // mutex. Cross-core visibility therefore rides on the caller's existing
   // synchronization (the machine models TLBI ...IS + DSB as synchronous),
   // exactly like the entry arrays themselves.
-  u64 generation() const { return gen_.load(std::memory_order_relaxed); }
+  bool tag_live(Tag tag) const {
+    return stamps_[tag & kSlotMask].load(std::memory_order_relaxed) == tag;
+  }
+  // The current stamp of micro-TLB slot i (tests and the reference model).
+  Tag stamp(u16 i) const { return stamps_[i].load(std::memory_order_relaxed); }
 
   // Batched stats path for Core's L0 cache, owning core only (no lock):
   // credit `n` micro-TLB hits, so the l1_hit count matches the unbatched
@@ -184,7 +197,6 @@ class Tlb {
     void fill(u16 i, const TlbEntry& e);
     // Invalidates the valid slot i and drops it from the index.
     void kill(u16 i);
-    void kill_all();
     // Calls f(i) for every valid slot on (vmid, vpage)'s chain; f may kill i.
     template <class F>
     void for_each_on_chain(u16 vmid, u64 vpage, F&& f);
@@ -203,9 +215,12 @@ class Tlb {
     std::size_t mask_ = 0;          // bucket count - 1
   };
 
-  // Returns true when it removed or overwrote a live entry (the L0
-  // generation must advance so no core keeps a memoized copy).
-  bool place(Level& level, const TlbEntry& e);
+  // Stores `e` in `level`, evicting its aliases, and returns the slot.
+  u16 place(Level& level, const TlbEntry& e);
+  // Kills the valid slot i of `level`; a micro-TLB slot's stamp moves.
+  void kill(Level& level, u16 i);
+  // The tag of micro-TLB slot i (kNoTag for Level::kNil).
+  Tag tag_of(u16 i) const { return i == Level::kNil ? kNoTag : stamp(i); }
   // Kills every valid entry of both levels that `dead` selects.
   template <class Pred>
   void kill_valid_if(Pred&& dead);
@@ -213,13 +228,14 @@ class Tlb {
   // selects.
   template <class Pred>
   void kill_on_chain_if(u16 vmid, u64 vpage, Pred&& dead);
-  void bump_generation() { gen_.fetch_add(1, std::memory_order_relaxed); }
 
   mutable std::mutex mu_;
   Level l1_;
   Level l2_;
   Rng rng_;
-  std::atomic<u64> gen_{1};
+  // One stamp per micro-TLB slot (at least one, so kNoTag indexes a stamp
+  // it never equals). Stamp i is (count << 16) | i, count starting at 1.
+  std::unique_ptr<std::atomic<Tag>[]> stamps_;
 
   obs::OwnedCounter l1_hits_, l2_hits_, misses_, invalidations_;
 };

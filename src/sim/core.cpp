@@ -357,7 +357,7 @@ Core::WalkOutcome Core::walk_translation(VirtAddr va, u64 vpage) const {
 
 std::optional<mem::TlbEntry> Core::translate_slow(VirtAddr va, u64 vpage,
                                                   Translation* out,
-                                                  u64* gen_out) {
+                                                  mem::Tlb::Tag* tag_out) {
   const u64 self_t0 = selfprof_on_ ? obs::host_ticks() : 0;
   auto w = walk_translation(va, vpage);
   if (self_t0 != 0) self_ticks_walker_ += obs::host_ticks() - self_t0;
@@ -368,7 +368,7 @@ std::optional<mem::TlbEntry> Core::translate_slow(VirtAddr va, u64 vpage,
     out->fault_ipa = w.fault_ipa;
     return std::nullopt;
   }
-  *gen_out = tlb_.insert(*w.entry);
+  *tag_out = tlb_.insert(*w.entry);
   // PMU event 0x05: the walk succeeded and refilled the TLB. Faulting walks
   // install nothing, so they are not refills.
   if (pmu_active_) pmu_event(arch::pmu::kEvtL1dTlbRefill, pstate_.el);
@@ -385,10 +385,7 @@ Core::Translation Core::translate(VirtAddr va, AccessType type,
   // stats credit is batched; outside run() it lands immediately so direct
   // translate() callers read exact TlbStats.
   L0Entry* l0 = unprivileged ? nullptr : l0_slot(type, vpage);
-  if (l0 != nullptr && l0->valid && l0->vpage == vpage &&
-      l0->tlb_gen == tlb_.generation() &&
-      l0->ctx_epoch == ctx_epoch_[l0->global] &&
-      l0->el == pstate_.el && l0->pan == pstate_.pan) {
+  if (l0 != nullptr && l0_live(*l0, vpage)) {
     if (in_run_) {
       ++pending_l0_hits_;
     } else {
@@ -403,19 +400,19 @@ Core::Translation Core::translate(VirtAddr va, AccessType type,
   }
 
   std::optional<mem::TlbEntry> entry;
-  u64 entry_gen = 0;
+  mem::Tlb::Tag entry_tag = mem::Tlb::kNoTag;
   if (auto hit = tlb_.lookup(vpage, current_asid(), current_vmid(),
                              plat_.tlb_l2_hit)) {
     if (hit->extra_cost != 0) {
       account_.charge(CostKind::kTlb, hit->extra_cost);
     }
     entry = hit->entry;
-    entry_gen = hit->gen;
+    entry_tag = hit->tag;
 #ifdef LZ_CONF_CHECK
     if (check::enabled()) check_tlb_hit(va, *entry);
 #endif
   } else {
-    entry = translate_slow(va, vpage, &out, &entry_gen);
+    entry = translate_slow(va, vpage, &out, &entry_tag);
     if (!entry) return out;  // translation fault recorded in `out`
   }
 
@@ -440,12 +437,13 @@ Core::Translation Core::translate(VirtAddr va, AccessType type,
   out.ok = true;
   out.pa = entry->ppage | page_offset(va);
   if (l0 != nullptr) {
-    // `entry_gen` was read under the Tlb lock at the end of the lookup or
-    // insert, so the micro-TLB held `entry` at exactly that generation; a
-    // later invalidation (local or DVM) bumps past it and the slot dies.
+    // `entry_tag` was read under the Tlb lock at the end of the lookup or
+    // insert, so the micro-TLB slot it names held `entry` at exactly that
+    // stamp; a later kill of that slot (invalidation, local or DVM, or
+    // replacement) moves the stamp and the L0 entry dies.
     l0->valid = true;
     l0->vpage = vpage;
-    l0->tlb_gen = entry_gen;
+    l0->tlb_tag = entry_tag;
     l0->global = entry->global ? 1 : 0;
     l0->ctx_epoch = ctx_epoch_[l0->global];
     l0->el = pstate_.el;

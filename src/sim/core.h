@@ -203,10 +203,6 @@ class Core {
   bool trace_tier_enabled() const { return trace_tier_on_; }
   // Host-side statistics, same report-exclusion rationale as decode_count().
   TraceStats trace_stats() const { return tcount_.stats(); }
-  // Eager drop of every cached trace, attributed to DVM/teardown. Called by
-  // the Machine's tlbi_*_is paths on the *initiating* core (remote cores'
-  // traces die lazily via the Tlb generation tag, like their L0 entries).
-  void trace_invalidate_teardown();
 
   // Event hook consulted on every committed instruction (used by tests and
   // the scheduler model); may be empty.
@@ -263,7 +259,8 @@ class Core {
   bool check_perms(const mem::TlbEntry& e, AccessType type, bool unpriv,
                    ExceptionLevel el) const;
   std::optional<mem::TlbEntry> translate_slow(VirtAddr va, u64 vpage,
-                                              Translation* out, u64* gen_out);
+                                              Translation* out,
+                                              mem::Tlb::Tag* tag_out);
   // Trace tier (sim/trace_cache.cpp). try_trace() executes the trace cached
   // at pc_ — chaining back-to-back re-entries of the same block while its
   // tags stay valid — and returns how many instructions retired (0 = no
@@ -283,6 +280,11 @@ class Core {
   bool needs_step() const;
   bool trace_tags_live(const Trace& t) const;
   bool sample_margin_ok(const Trace& t) const;
+  // A stale trace re-takes its tags from the live L0 fetch slot of its page
+  // when that slot maps the same frame (trace_retag).
+  struct L0Entry;
+  bool trace_retag(Trace& t);
+  void take_fetch_tags(Trace& t, const L0Entry& l0) const;
   void link_trace_counters();
   void check_tlb_hit(VirtAddr va, const mem::TlbEntry& hit);
   void check_tlb_hit_inner(VirtAddr va, const mem::TlbEntry& hit);
@@ -304,13 +306,16 @@ class Core {
   // --- Hot-path state (host-side memoization; zero architectural effect) ----
   // See DESIGN.md §11. Everything below is owned by the core's thread and
   // touched without locks; coherence with the shared Tlb/PhysMem rides on
-  // the Tlb generation counter and the context epoch.
+  // the micro-TLB slot stamps and the context epoch.
 
   // L0 translation cache: direct-mapped per-access-type memoization of
   // fully-checked translate() results. An entry is usable only while
-  //   * tlb_gen   == tlb_.generation()  (no TLB mutation since install:
-  //     the micro-TLB still holds exactly the memoized entry, so a hit is
-  //     observationally an L1 hit with zero extra cost), and
+  //   * tlb_.tag_live(tlb_tag) (the micro-TLB slot the entry was found in
+  //     or placed into has not been killed since: it still holds exactly
+  //     the memoized entry, so a hit is observationally that L1 hit with
+  //     zero extra cost; a refill that evicts another slot, a TLBI that
+  //     misses this page, or a remote DVM shootdown of another page leaves
+  //     it live), and
   //   * ctx_epoch == ctx_epoch_[global] (no context write that could change
   //     what the TLB returns for this entry: a non-global entry dies on any
   //     TTBR0/TTBR1/VTTBR/HCR write, so bare §4.1.2 domain switches miss L0
@@ -320,10 +325,11 @@ class Core {
   //   * el/pan match PSTATE             (permissions were checked under
   //     exactly this privilege; PSTATE is externally mutable by reference,
   //     so it is compared directly rather than epoch-tracked).
-  // Unprivileged (LDTR/STTR) accesses bypass L0 entirely.
+  // Unprivileged (LDTR/STTR) accesses bypass L0 entirely. Traces carry the
+  // fetch slot's predicate (Trace::tlb_tag and friends).
   struct L0Entry {
     u64 vpage = 0;
-    u64 tlb_gen = 0;
+    mem::Tlb::Tag tlb_tag = mem::Tlb::kNoTag;
     u64 ctx_epoch = 0;
     ExceptionLevel el = ExceptionLevel::kEl0;
     bool pan = false;
@@ -332,6 +338,12 @@ class Core {
     PhysAddr pa_page = 0;   // post-permission-check output frame
     mem::TlbEntry entry;    // for the lz::check TLB-vs-walk oracle
   };
+  // Whether `l0` memoizes `vpage` under the live tags (the predicate above).
+  bool l0_live(const L0Entry& l0, u64 vpage) const {
+    return l0.valid && l0.vpage == vpage && tlb_.tag_live(l0.tlb_tag) &&
+           l0.ctx_epoch == ctx_epoch_[l0.global] && l0.el == pstate_.el &&
+           l0.pan == pstate_.pan;
+  }
   L0Entry* l0_slot(AccessType type, u64 vpage) {
     switch (type) {
       case AccessType::kFetch:
@@ -378,8 +390,8 @@ class Core {
   u64 decode_count_ = 0;
 
   // Superblock trace tier state (DESIGN.md §16). Owned by the core's
-  // thread like the L0/decode caches; remote invalidation rides the Tlb
-  // generation tag, local teardown goes through trace_invalidate_teardown().
+  // thread like the L0/decode caches; every invalidation, local or remote,
+  // reaches a trace through the stamp of its code page's micro-TLB slot.
   TraceCache tcache_;
   TraceCounters tcount_;
   bool trace_tier_on_ = true;  // constructor applies trace_tier_default()

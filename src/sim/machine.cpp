@@ -61,28 +61,16 @@ void Machine::charge_dvm_broadcast() {
              static_cast<Cycles>(num_cores() - 1) * plat_.dvm_bcast_per_core);
 }
 
-// Eager superblock-trace drop on the *initiating* core only: the unmap /
-// teardown paths (lz_destroy, BBM remap) funnel through the tlbi_* verbs
-// below, and the core issuing them is about to lose the mapping its traces
-// were built over. Remote cores' traces die passively through the Tlb
-// generation tag at their next dispatch — touching another thread's trace
-// cache here would be a data race.
-void Machine::trace_teardown_local() {
-  cores_[current_core_id()]->core->trace_invalidate_teardown();
-}
-
 void Machine::tlbi_va_is_nosync(u64 vpage, u16 asid, u16 vmid) {
   charge_dvm_broadcast();
   for (auto& unit : cores_) unit->tlb->invalidate_va(vpage, asid, vmid);
   mem::notify_tlbi({obs::TlbScope::kVa, vpage, asid, vmid});
-  trace_teardown_local();
 }
 
 void Machine::tlbi_va_all_asid_is_nosync(u64 vpage, u16 vmid) {
   charge_dvm_broadcast();
   for (auto& unit : cores_) unit->tlb->invalidate_va_all_asid(vpage, vmid);
   mem::notify_tlbi({obs::TlbScope::kVaAllAsid, vpage, /*asid=*/0, vmid});
-  trace_teardown_local();
 }
 
 void Machine::dsb_ish() { mem::notify_dsb(); }
@@ -101,7 +89,6 @@ void Machine::tlbi_asid_is(u16 asid, u16 vmid) {
   charge_dvm_broadcast();
   for (auto& unit : cores_) unit->tlb->invalidate_asid(asid, vmid);
   mem::notify_tlbi({obs::TlbScope::kAsid, /*vpage=*/0, asid, vmid});
-  trace_teardown_local();
   dsb_ish();
 }
 
@@ -109,7 +96,6 @@ void Machine::tlbi_vmid_is(u16 vmid) {
   charge_dvm_broadcast();
   for (auto& unit : cores_) unit->tlb->invalidate_vmid(vmid);
   mem::notify_tlbi({obs::TlbScope::kVmid, /*vpage=*/0, /*asid=*/0, vmid});
-  trace_teardown_local();
   dsb_ish();
 }
 
@@ -117,7 +103,6 @@ void Machine::tlbi_all_is() {
   charge_dvm_broadcast();
   for (auto& unit : cores_) unit->tlb->invalidate_all();
   mem::notify_tlbi({obs::TlbScope::kAll, /*vpage=*/0, /*asid=*/0, /*vmid=*/0});
-  trace_teardown_local();
   dsb_ish();
 }
 

@@ -113,7 +113,6 @@ class Machine {
   static thread_local Binding tls_binding_;
 
   void charge_dvm_broadcast();
-  void trace_teardown_local();
 
   const arch::Platform& plat_;
   std::unique_ptr<mem::PhysMem> pm_;

@@ -1,26 +1,38 @@
 // Superblock trace tier: build, dispatch and invalidation (DESIGN.md §16).
 //
 // Accounting exactness argument, in one place. A trace only runs while its
-// Tlb-generation tag equals the live generation, and the generation
-// advances on *every* mutation that removes or overwrites a live TLB entry
-// (all invalidate flavours, live-evicting refills, L2->L1 promotions). So
-// a gen-valid trace implies the fetch translation it was built from is
-// still resident in the micro-TLB — which means the interpreter's
-// per-instruction fetch would have been either an L0 hit or an L1 lookup
-// hit, and both are counted as `l1_hits` at zero cycle cost. Pre-summing
-// `pending_l0_hits_ += n`, `pending_insn_ += n` and
-// `pending_insn_cycles_ += t.cycles` at block entry is therefore
+// tag is live: the micro-TLB slot its fetch translation was found in still
+// carries the stamp it had then, and the context epoch, EL and PAN are
+// those of the L0 fetch predicate. A slot's stamp moves on *every* kill of
+// that slot (each invalidate flavour that removes it, alias evictions,
+// random replacement by a refill or an L2->L1 promotion), so a live tag
+// implies the fetch translation is still resident in the micro-TLB — which
+// means the interpreter's per-instruction fetch would have been either an
+// L0 hit or an L1 lookup hit, and both are counted as `l1_hits` at zero
+// cycle cost. Pre-summing `pending_l0_hits_ += n`, `pending_insn_ += n`
+// and `pending_insn_cycles_ += t.cycles` at block entry is therefore
 // byte-identical to stepping the block, and data accesses go through the
-// very same translate()/PhysMem path the interpreter uses. The generation
-// can only move mid-block in a load/store's refill or a system
-// instruction, and either ends the block right after itself when it did,
-// so the premise holds for every fetch the block pre-sums. A stopping op
-// rolls the unexecuted remainder back (trace_unretire_after), leaving
-// exactly ops [0, i] counted — the interpreter, too, counts an
-// instruction as retired before execute() runs, faulting or not. A system
-// instruction (kSys) rolls back *before* calling exec_system, whose entry
-// flush then charges exactly what the interpreter's would, and re-adds the
-// remainder only if the block goes on (trace_sys).
+// very same translate()/PhysMem path the interpreter uses. The tag can
+// only die mid-block in a load/store's refill or a system instruction,
+// and either ends the block right after itself when it did, so the premise
+// holds for every fetch the block pre-sums. A stopping op rolls the
+// unexecuted remainder back (trace_unretire_after), leaving exactly ops
+// [0, i] counted — the interpreter, too, counts an instruction as retired
+// before execute() runs, faulting or not. A taken side exit (a conditional
+// branch whose target is not the block start) is such a stopping op: the
+// branch retires, the ops after it are rolled back and pc_ takes the
+// target. A system instruction (kSys) rolls back *before* calling
+// exec_system, whose entry flush then charges exactly what the
+// interpreter's would, and re-adds the remainder only if the block goes on
+// (trace_sys).
+//
+// Re-tagging keeps this exact. A stale trace takes the tag of the live L0
+// fetch slot of its page only when that slot passes the full L0 predicate
+// (so the next fetch would be a zero-cost micro-TLB hit) and maps the
+// trace's own frame (so the words it re-compares and runs are the ones the
+// interpreter would fetch). The slot's EL/PAN/epoch become the trace's:
+// nothing a trace lowered depends on them, the ops that do (loads, stores,
+// system instructions) read them live.
 #include "sim/trace_cache.h"
 
 #include <algorithm>
@@ -30,6 +42,7 @@
 #include <new>
 
 #include "arch/decode.h"
+#include "mem/page_table.h"
 #include "obs/counters.h"
 #include "sim/core.h"
 #include "support/bits.h"
@@ -48,11 +61,13 @@ constexpr bool is_terminal(TraceOpKind k) { return k >= TraceOpKind::kB; }
 // platform kInsn cycles (base cost plus barrier extras) into `cyc`.
 // System instructions (MSR/MRS/MSR-imm/SYS) lower to kSys, which runs the
 // interpreter's exec_system; build_trace stores their decoded Insn.
+// A conditional branch whose target is not `start_va` lowers to a side
+// exit; one back to `start_va` stays terminal so the loop it closes chains.
 // Returns false for everything that must stay on the interpreter slow
 // path: exception generators, ERET, unprivileged LDTR/STTR, and
 // unmodelled encodings.
-bool lower(const arch::Platform& plat, const Insn& insn, u64 va, TraceOp* out,
-           u32* cyc) {
+bool lower(const arch::Platform& plat, const Insn& insn, u64 va, u64 start_va,
+           TraceOp* out, u32* cyc) {
   TraceOp op;
   u32 c = static_cast<u32>(plat.insn_base);
   // ALU writes to register 31 are discarded by set_x(); when the op sets
@@ -155,18 +170,22 @@ bool lower(const arch::Platform& plat, const Insn& insn, u64 va, TraceOp* out,
       op.aux = va + static_cast<u64>(insn.offset);
       break;
     case Op::kBCond:
-      op.kind = TraceOpKind::kBCond;
-      op.cond = insn.cond;
+    case Op::kCbz:
+    case Op::kCbnz: {
       op.aux = va + static_cast<u64>(insn.offset);
       op.imm = va + 4;  // fallthrough
+      const bool exit = op.aux != start_va;
+      if (insn.op == Op::kBCond) {
+        op.kind = exit ? TraceOpKind::kBCondX : TraceOpKind::kBCond;
+        op.cond = insn.cond;
+      } else {
+        op.kind = insn.op == Op::kCbz
+                      ? (exit ? TraceOpKind::kCbzX : TraceOpKind::kCbz)
+                      : (exit ? TraceOpKind::kCbnzX : TraceOpKind::kCbnz);
+        op.rm = insn.rt;
+      }
       break;
-    case Op::kCbz:
-    case Op::kCbnz:
-      op.kind = insn.op == Op::kCbz ? TraceOpKind::kCbz : TraceOpKind::kCbnz;
-      op.rm = insn.rt;
-      op.aux = va + static_cast<u64>(insn.offset);
-      op.imm = va + 4;
-      break;
+    }
     case Op::kBr:
       op.kind = TraceOpKind::kBr;
       op.rn = insn.rn;
@@ -217,16 +236,24 @@ bool lower(const arch::Platform& plat, const Insn& insn, u64 va, TraceOp* out,
   return true;
 }
 
+// Table loads of the longest walk Core::walk_translation charges: every
+// stage-1 level, one stage-2 hop per stage-1 table, and the stage-2 walk
+// of the output address.
+constexpr unsigned kMaxWalkLoads = 2 * mem::kStage1Levels + mem::kStage2Levels;
+
 // Conservative upper bound on the cycles a block could add if stepped by
 // the interpreter: the pre-summed kInsn cycles plus, per load/store, the
-// data access and a maximal two-stage walk. Used only to decide whether a
-// profiler sample could fire inside the block — if even this bound cannot
-// reach the next sample point, skipping the per-instruction checks is
-// exact, and otherwise the block falls back to the interpreter.
+// data access and both a main-TLB hit and a maximal two-stage walk. Used
+// only to decide whether a profiler sample could fire inside the block —
+// if even this bound cannot reach the next sample point, skipping the
+// per-instruction checks is exact, and otherwise the block falls back to
+// the interpreter. The bound must stay well under the profiler's period,
+// or a gate switch (one trace with several loads) never runs as a block
+// while the profiler is armed.
 Cycles trace_cycle_bound(const arch::Platform& plat, const Trace& t) {
   return Cycles{t.cycles} +
-         Cycles{t.ldst_n} *
-             (plat.mem_access + plat.tlb_l2_hit + 64 * plat.tlb_walk_per_level);
+         Cycles{t.ldst_n} * (plat.mem_access + plat.tlb_l2_hit +
+                             kMaxWalkLoads * plat.tlb_walk_per_level);
 }
 
 }  // namespace
@@ -257,45 +284,16 @@ void TraceDeleter::operator()(Trace* t) const noexcept {
   ::operator delete(t);
 }
 
-void TraceCache::note_built(Slot& s) {
-  const auto i = static_cast<u16>(&s - slots_.data());
-  if (listed_[i]) return;
-  listed_[i] = true;
-  built_.push_back(i);
-}
-
-unsigned TraceCache::invalidate_all() {
-  unsigned dropped = 0;
-  for (const u16 i : built_) {
-    listed_[i] = false;
-    Slot& s = slots_[i];
-    if (s.trace && s.trace->valid) {
-      s.trace->valid = false;
-      ++dropped;
-    }
-  }
-  built_.clear();
-  return dropped;
-}
-
-void Core::trace_invalidate_teardown() {
-  tcount_.invalidated_teardown.add(tcache_.invalidate_all());
-}
-
 // Builds a trace starting at pc_ from the L0 fetch slot's memoized
-// translation — a valid slot hands over the physical page and the
-// generation/epoch tags with zero simulated side effects. If the slot is
+// translation — a live slot hands over the physical page and the
+// slot/epoch tags with zero simulated side effects. If the slot is
 // cold the build is skipped; step() will fetch (and install it) first. A
 // block that cannot form a trace (fewer than two lowerable ops) backs the
 // slot off and allocates nothing. Returns the built trace, or nullptr.
 Trace* Core::build_trace(TraceCache::Slot& s) {
   const u64 vpage = page_index(pc_);
   const L0Entry& l0 = l0_fetch_[l0_index(vpage, kL0FetchSlots)];
-  if (!(l0.valid && l0.vpage == vpage && l0.tlb_gen == tlb_.generation() &&
-        l0.ctx_epoch == ctx_epoch_[l0.global] && l0.el == pstate_.el &&
-        l0.pan == pstate_.pan)) {
-    return nullptr;
-  }
+  if (!l0_live(l0, vpage)) return nullptr;
   const PhysAddr ppage = l0.pa_page;
   const u8* host = pm_.page_ptr(ppage);
   const u32 start_off = static_cast<u32>(page_offset(pc_));
@@ -317,7 +315,7 @@ Trace* Core::build_trace(TraceCache::Slot& s) {
     std::memcpy(&word, host + off, 4);
     const Insn insn = arch::decode(word);
     TraceOp op;
-    if (!lower(plat_, insn, pc_ + u64{n} * 4, &op, &cyc)) break;
+    if (!lower(plat_, insn, pc_ + u64{n} * 4, pc_, &op, &cyc)) break;
     words[n] = word;
     if (op.kind == TraceOpKind::kLdSt) ++ldst_n;
     if (op.kind == TraceOpKind::kSys) {
@@ -344,11 +342,7 @@ Trace* Core::build_trace(TraceCache::Slot& s) {
   std::copy_n(sys.data(), sys_n, t.sys());
   std::copy_n(words.data(), n, t.words());
   t.start_va = pc_;
-  t.tlb_gen = l0.tlb_gen;  // == tlb_.generation(), checked above
-  t.global = l0.global;
-  t.ctx_epoch = l0.ctx_epoch;  // == ctx_epoch_[global], checked above
-  t.el = pstate_.el;
-  t.pan = pstate_.pan;
+  take_fetch_tags(t, l0);
   t.n = static_cast<u16>(n);
   t.ldst_n = ldst_n;
   t.start_off = start_off;
@@ -356,7 +350,6 @@ Trace* Core::build_trace(TraceCache::Slot& s) {
   t.ppage = ppage;
   t.host = host;
   t.valid = true;
-  tcache_.note_built(s);
   if (tcount_.built.value() == 0) link_trace_counters();
   tcount_.built.add();
   return &t;
@@ -370,7 +363,6 @@ void Core::link_trace_counters() {
   tcount_.insns.link("sim.trace.insns", true);
   tcount_.invalidated_smc.link("sim.trace.invalidated_smc", true);
   tcount_.invalidated_gen.link("sim.trace.invalidated_gen", true);
-  tcount_.invalidated_teardown.link("sim.trace.invalidated_teardown", true);
 }
 
 // Conditions the interpreter checks per instruction that a block cannot:
@@ -385,9 +377,29 @@ bool Core::needs_step() const {
 // The L0 fetch-slot predicate a trace was built under: while it holds, every
 // fetch in the block is a zero-cost micro-TLB hit.
 bool Core::trace_tags_live(const Trace& t) const {
-  return t.tlb_gen == tlb_.generation() &&
-         t.ctx_epoch == ctx_epoch_[t.global] && t.el == pstate_.el &&
-         t.pan == pstate_.pan;
+  return tlb_.tag_live(t.tlb_tag) && t.ctx_epoch == ctx_epoch_[t.global] &&
+         t.el == pstate_.el && t.pan == pstate_.pan;
+}
+
+// Gives `t` the predicate of the live L0 fetch slot `l0` of its page.
+void Core::take_fetch_tags(Trace& t, const L0Entry& l0) const {
+  t.tlb_tag = l0.tlb_tag;
+  t.global = l0.global;
+  t.ctx_epoch = l0.ctx_epoch;
+  t.el = l0.el;
+  t.pan = l0.pan;
+}
+
+// Re-tags a trace whose tags went stale when the live L0 fetch slot of its
+// page maps the same frame: the code page's micro-TLB slot was refilled
+// (or the context moved and came back), not the code. See the exactness
+// argument at the top of this file.
+bool Core::trace_retag(Trace& t) {
+  const u64 vpage = page_index(t.start_va);
+  const L0Entry& l0 = l0_fetch_[l0_index(vpage, kL0FetchSlots)];
+  if (!l0_live(l0, vpage) || l0.pa_page != t.ppage) return false;
+  take_fetch_tags(t, l0);
+  return true;
 }
 
 u64 Core::try_trace(u64 remaining) {
@@ -395,10 +407,16 @@ u64 Core::try_trace(u64 remaining) {
   TraceCache::Slot& s = tcache_.slot(pc_);
   Trace* t = s.trace.get();
   if (t != nullptr && t->valid && t->start_va == pc_) {
-    if (!trace_tags_live(*t)) {
+    const bool live = trace_tags_live(*t);
+    if (!live && s.defer != 0) {
+      --s.defer;  // it staled itself lately (trace_sys): interpret this visit
+      return 0;
+    }
+    if (!live && !trace_retag(*t)) {
       // The translation may have changed under the trace (TLBI, remote DVM
-      // shootdown, TTBR/ASID rewrite over non-global code, EL/PAN change):
-      // discard and back off; a later visit rebuilds under the live context.
+      // shootdown, TTBR/ASID rewrite over non-global code, EL/PAN change)
+      // and no live fetch slot vouches for the frame: discard and back off;
+      // a later visit rebuilds under the live context.
       t->valid = false;
       tcount_.invalidated_gen.add();
       s.back_off();
@@ -410,7 +428,7 @@ u64 Core::try_trace(u64 remaining) {
       tcount_.invalidated_smc.add();
       s.back_off();
     } else {
-      s.backoff = 0;  // stable again: rebuild eagerly after the next miss
+      if (live) s.backoff = s.defer = 0;  // stable: rebuild eagerly later
       return dispatch_trace(*t, remaining);
     }
   }
@@ -472,8 +490,9 @@ u64 Core::exec_trace(Trace& t, u64 remaining) {
       &&h_nop,    &&h_movpre, &&h_movk,   &&h_addimm,  &&h_subimm,
       &&h_subsimm, &&h_addreg, &&h_subreg, &&h_subsreg, &&h_andreg,
       &&h_orrreg, &&h_eorreg, &&h_andsreg, &&h_lslimm,  &&h_ldst,
-      &&h_sys,    &&h_b,      &&h_bl,     &&h_bcond,   &&h_cbz,
-      &&h_cbnz,   &&h_br,     &&h_blr,    &&h_ret,     &&h_end};
+      &&h_sys,    &&h_bcondx, &&h_cbzx,   &&h_cbnzx,   &&h_b,
+      &&h_bl,     &&h_bcond,  &&h_cbz,    &&h_cbnz,    &&h_br,
+      &&h_blr,    &&h_ret,    &&h_end};
   static_assert(sizeof(kJump) / sizeof(kJump[0]) ==
                 static_cast<std::size_t>(TraceOpKind::kEnd) + 1);
 #define LZ_TR_NEXT() \
@@ -578,6 +597,15 @@ h_sys:
   i = static_cast<unsigned>(op - ops);
   if (trace_sys(t, *op, i)) LZ_TR_NEXT();
   goto stopped;
+h_bcondx:
+  if (!cond_holds(op->cond)) LZ_TR_NEXT();
+  goto side_exit;
+h_cbzx:
+  if (xr[op->rm] != 0) LZ_TR_NEXT();
+  goto side_exit;
+h_cbnzx:
+  if (xr[op->rm] == 0) LZ_TR_NEXT();
+  goto side_exit;
 h_b:
   next_pc = op->aux;
   goto h_end;
@@ -617,6 +645,13 @@ h_end:
   tcount_.insns.add(retired);
   return retired;
 
+side_exit:  // taken: the branch retires, the ops after it do not
+  materialize();
+  i = static_cast<unsigned>(op - ops);
+  trace_unretire_after(t, *op, i);
+  pc_ = op->aux;
+  goto stopped;
+
 stopped:  // ops [0, i] retired, the rest rolled back; pc_ set by the op
   tcount_.executed.add(iters);
   tcount_.insns.add(retired + i + 1);
@@ -643,10 +678,17 @@ bool Core::trace_sys(Trace& t, const TraceOp& op, unsigned i) {
   exec_system(insn);
   // A trap may have rebuilt or freed the trace: test for one before `t`.
   if (excp_entry_.value() != excp_before || pc_ != insn_pc + 4 ||
-      needs_step() || !t.valid || !trace_tags_live(t) ||
-      !sample_margin_ok(t)) {
+      needs_step() || !t.valid) {
     return false;
   }
+  if (!trace_tags_live(t)) {
+    // The block's own system instruction staled its tags (a TLBI, or a
+    // TTBR0 write over non-global code). Back the slot off: re-tagging it
+    // at every visit would pay a dispatch for the few ops before this one.
+    tcache_.slot(t.start_va).back_off();
+    return false;
+  }
+  if (!sample_margin_ok(t)) return false;
   const u64 rest = u64{t.n} - i - 1;  // what trace_unretire_after took out
   pending_insn_ += rest;
   pending_l0_hits_ += rest;
@@ -691,12 +733,12 @@ bool Core::trace_ldst(Trace& t, const TraceOp& op, unsigned i) {
       tcache_.slot(t.start_va).back_off();
     }
   }
-  // The block goes on only under the generation it was entered with: a
-  // refill that evicted a live entry may have taken the code page's
-  // micro-TLB entry, and then the fetches after this op are no longer
-  // provably free. The interpreter fetches them and pays what the TLB
-  // charges, before any later flush boundary can observe the difference.
-  if (t.valid && t.tlb_gen == tlb_.generation()) return true;
+  // The block goes on only while its code page's micro-TLB slot is
+  // unkilled: a refill that replaced that slot took the fetch translation,
+  // and then the fetches after this op are no longer provably free. The
+  // interpreter fetches them and pays what the TLB charges, before any
+  // later flush boundary can observe the difference.
+  if (t.valid && tlb_.tag_live(t.tlb_tag)) return true;
   trace_unretire_after(t, op, i);
   pc_ = insn_pc + 4;
   return false;

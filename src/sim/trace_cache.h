@@ -1,37 +1,45 @@
-// Superblock translation tier (DESIGN.md §16): straight-line runs of
-// decoded instructions within one physical code page, chained into a
-// "trace" and executed as a unit by threaded-code dispatch in the core.
+// Superblock translation tier (DESIGN.md §16): runs of decoded
+// instructions within one physical code page, chained into a "trace" and
+// executed as a unit by threaded-code dispatch in the core.
 //
 // A trace is pure host-side memoization layered *on top of* the
-// decoded-page cache: it carries the Tlb generation, context epoch and
-// EL/PAN it was built under (the exact validity predicate of an L0 fetch
-// slot), the identity of its physical page, and a copy of the encoded
-// words it was decoded from. At dispatch the live words are re-compared
-// (self-modifying code), the tags are re-checked (TLBI/DVM/context
-// switch), and any mismatch discards the trace — the same machinery that
-// keeps the decode cache honest, so the tier is architecturally invisible.
+// decoded-page cache: it carries the tag of the micro-TLB slot its fetch
+// translation lives in, the context epoch and EL/PAN it was built under
+// (the exact validity predicate of an L0 fetch slot), the identity of its
+// physical page, and a copy of the encoded words it was decoded from. At
+// dispatch the live words are re-compared (self-modifying code) and the
+// tags re-checked (TLBI/DVM/context switch/replacement of that slot). A
+// stale tag is re-taken from the live L0 fetch slot when that slot maps
+// the same frame under the current context (re-tagging: the code did not
+// move, only its micro-TLB slot was refilled); any other mismatch discards
+// the trace — the same machinery that keeps the decode cache honest, so
+// the tier is architecturally invisible.
 //
-// Trace formation stops at branches (the branch itself terminates the
-// trace), at exception generators (SVC/HVC/SMC/BRK/ERET), at unprivileged
-// LDTR/STTR, at the page boundary, and at kMaxOps. System instructions
-// (MSR/MRS/MSR-imm/SYS) stay inside the block: their op calls the
-// interpreter's own exec_system, so Table-3 semantics, traps and events
+// Trace formation stops at unconditional branches and at conditional
+// branches back to the trace's start (the branch terminates the trace, so
+// loops chain), at exception generators (SVC/HVC/SMC/BRK/ERET), at
+// unprivileged LDTR/STTR, at the page boundary, and at kMaxOps. Any other
+// conditional branch (B.cond/CBZ/CBNZ) is a side exit: not taken, the
+// block goes on; taken, the block ends there with pc_ at the target. System
+// instructions (MSR/MRS/MSR-imm/SYS) stay inside the block: their op calls
+// the interpreter's own exec_system, so Table-3 semantics, traps and events
 // have one implementation, and the block goes on only while everything its
 // dispatch required still holds.
 //
-// Everything here is owned by the core's thread; cross-core invalidation
-// (remote DVM shootdowns) rides the Tlb generation tag exactly like the
-// L0 cache, so no lock and no atomics appear on the dispatch path.
+// Everything here is owned by the core's thread; every invalidation, local
+// or remote (DVM shootdowns), reaches a trace through its micro-TLB slot
+// stamp exactly like the L0 cache, so no lock and no atomic read-modify-
+// write appears on the dispatch path.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <memory>
 #include <type_traits>
-#include <vector>
 
 #include "arch/exception.h"
 #include "arch/insn.h"
+#include "mem/tlb.h"
 #include "obs/counters.h"
 #include "support/types.h"
 
@@ -54,7 +62,11 @@ enum class TraceOpKind : u8 {
   kLslImm,
   kLdSt,     // imm/reg-offset load/store (flags below select the variant)
   kSys,      // MSR/MRS/MSR-imm/SYS through exec_system (aux = sys() index)
-  // Terminal kinds: a trace always ends at its branch (if any).
+  // Side exits: conditional branches whose target (aux) is not the trace
+  // start. Taken, the block ends at the target; not taken, it goes on.
+  kBCondX, kCbzX, kCbnzX,
+  // Terminal kinds: a trace always ends at its unconditional branch or its
+  // conditional back-edge (if any).
   kB, kBl, kBCond, kCbz, kCbnz, kBr, kBlr, kRet,
   // Dispatch sentinel appended after the last op of a fall-off-the-end
   // trace, so the threaded-code loop needs no per-op bounds check. Never
@@ -83,7 +95,7 @@ struct TraceOp {
 struct Trace {
   // Validity tags: the L0Entry predicate (see core.h) plus page identity.
   u64 start_va = 0;
-  u64 tlb_gen = 0;
+  mem::Tlb::Tag tlb_tag = mem::Tlb::kNoTag;  // the fetch translation's slot
   u64 ctx_epoch = 0;     // value of Core's epoch for `global` at build time
   arch::ExceptionLevel el = arch::ExceptionLevel::kEl0;
   bool pan = false;
@@ -130,19 +142,20 @@ struct TraceStats {
   u64 built = 0;
   u64 executed = 0;
   u64 insns = 0;      // instructions retired through traces
-  u64 invalidated_smc = 0;       // live-word mismatch / store into own page
-  u64 invalidated_gen = 0;       // Tlb generation / context-epoch tag miss
-  u64 invalidated_teardown = 0;  // eager drop from Machine DVM/teardown paths
+  u64 invalidated_smc = 0;  // live-word mismatch / store into own page
+  // Tag miss that re-tagging could not repair: the code page's micro-TLB
+  // slot was killed and the live L0 fetch slot does not (yet) map the same
+  // frame under the current context, or the context epoch moved.
+  u64 invalidated_gen = 0;
 };
 
 struct TraceCounters {
   obs::OwnedCounter built, executed, insns;
-  obs::OwnedCounter invalidated_smc, invalidated_gen, invalidated_teardown;
+  obs::OwnedCounter invalidated_smc, invalidated_gen;
 
   TraceStats stats() const {
-    return {built.value(),           executed.value(),
-            insns.value(),           invalidated_smc.value(),
-            invalidated_gen.value(), invalidated_teardown.value()};
+    return {built.value(), executed.value(), insns.value(),
+            invalidated_smc.value(), invalidated_gen.value()};
   }
 };
 
@@ -161,13 +174,14 @@ class TraceCache {
     u64 hot_va = ~u64{0};  // build-on-second-visit marker
     // Rebuild backoff. `backoff` is the current window: 0 while the slot is
     // stable, else 2, 4, ..., kMaxBackoff, doubling each time this slot's
-    // trace is invalidated or a build here fails, and reset by a dispatch
-    // that survives validation. `defer` counts down the dispatch
-    // opportunities left in the window before the next build attempt. So a
-    // block whose context churns every iteration (e.g. a domain-switch loop
-    // rewriting TTBR0 over non-global code) or that cannot form a trace
-    // (it starts at an SVC) stops paying build cost, while a one-off
-    // TLBI/SMC patch only delays the rebuild by a couple of blocks.
+    // trace is invalidated or stales its own tags (trace_sys) or a build
+    // here fails, and reset by a dispatch whose tags were live. `defer`
+    // counts down the dispatch opportunities left in the window before
+    // the next build or re-tag attempt. So a block whose context churns
+    // every iteration (e.g. a domain-switch loop rewriting TTBR0 over
+    // non-global code) or that cannot form a trace (it starts at an SVC)
+    // stops paying build and re-tag cost, while a one-off TLBI/SMC patch
+    // only delays the rebuild by a couple of blocks.
     u16 backoff = 0;
     u16 defer = 0;
     TracePtr trace;
@@ -180,7 +194,16 @@ class TraceCache {
     }
   };
 
-  Slot& slot(u64 va) { return slots_[(va >> 2) & (kSlots - 1)]; }
+  // Direct-mapped by the word index within the page, XORed with a
+  // Fibonacci hash of the page number: the words of one page keep distinct
+  // slots, and the same offset on neighbouring pages does not collide (call
+  // gates are kGateStride = 128 bytes apart, so gates g, g+32 and g+64 sit
+  // at the same offset of consecutive pages).
+  static constexpr unsigned index(u64 va) {
+    const u64 page_hash = ((va >> 12) * 0x9e3779b97f4a7c15ULL) >> 54;
+    return static_cast<unsigned>(((va >> 2) ^ page_hash) & (kSlots - 1));
+  }
+  Slot& slot(u64 va) { return slots_[index(va)]; }
 
   // Lowering scratch for Core::build_trace, reused by every build so that a
   // build initializes nothing up front (a build never re-enters itself).
@@ -191,20 +214,9 @@ class TraceCache {
   };
   Scratch& scratch() { return scratch_; }
 
-  // Records that `s` just built a valid trace (build_trace calls this).
-  void note_built(Slot& s);
-  // Drops every valid trace; returns how many died. Visits only the slots
-  // noted since the previous call, not all kSlots.
-  unsigned invalidate_all();
-
  private:
   std::array<Slot, kSlots> slots_;
   Scratch scratch_;
-  // Slots that built a trace since the last invalidate_all(), each listed
-  // once (`listed_`). Every valid trace's slot is on it: a trace turns
-  // valid only in build_trace, and only invalidate_all() clears the list.
-  std::vector<u16> built_;
-  std::array<bool, kSlots> listed_{};
 };
 
 }  // namespace lz::sim

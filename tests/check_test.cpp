@@ -105,6 +105,25 @@ TEST(ShadowTest, DesynchronizedShadowIsFlagged) {
   EXPECT_NE(predicted, actual);
 }
 
+// The shadow's domain cap is the module's: lz_alloc hands out pgt ids up
+// to kMaxDomainTables - 1 (ASID id + 1 <= 0xffff) and then returns
+// kResourceExhausted, so the 65,535th table (pgt 0 counted) is the last.
+TEST(ShadowTest, ShadowExhaustsAtTheModuleDomainCap) {
+  const int cap = core::max_domains(core::BackendKind::kTtbrPan);
+  EXPECT_EQ(cap, core::kMaxDomainTables);
+  EXPECT_EQ(cap, 0xffff);
+  ShadowTable2 shadow(8, /*allow_scalable=*/true, cap);
+  for (int id = 1; id < cap; ++id) {
+    const auto a = shadow.alloc();
+    ASSERT_EQ(a.errc, Errc::kOk) << id;
+    ASSERT_EQ(a.pgt, id);
+  }
+  EXPECT_EQ(shadow.alloc().errc, Errc::kResourceExhausted);
+  EXPECT_EQ(shadow.free_pgt(cap - 1), Errc::kOk);
+  EXPECT_EQ(shadow.alloc().pgt, cap - 1);  // a freed id is reusable
+  EXPECT_EQ(shadow.alloc().errc, Errc::kResourceExhausted);
+}
+
 TEST(ShadowTest, PanOnlyProcessCannotAlloc) {
   ShadowTable2 shadow(8, /*allow_scalable=*/false,
                       core::max_domains(core::BackendKind::kTtbrPan));

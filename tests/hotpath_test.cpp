@@ -143,10 +143,10 @@ TEST_F(L0InvalidationTest, TlbiAllReachesL0) {
   ExpectFreshWalkAfterInvalidate();
 }
 
-// The generation substrate itself: every invalidation flavour advances it,
-// and refilling over a live aliasing entry advances it too (some core may
-// have memoized the overwritten entry).
-TEST(TlbGenerationTest, InvalidationsAndLiveEvictionsAdvanceGeneration) {
+// The stamp substrate itself: every invalidation flavour that removes an
+// entry kills the tag it was handed out with, and so does refilling over a
+// live aliasing entry (some core may have memoized the overwritten entry).
+TEST(TlbStampTest, InvalidationsAndLiveEvictionsKillTheTag) {
   mem::Tlb tlb(16, 64, /*seed=*/1);
   TlbEntry e;
   e.valid = true;
@@ -155,30 +155,26 @@ TEST(TlbGenerationTest, InvalidationsAndLiveEvictionsAdvanceGeneration) {
   e.ppage = 0x4000'0000;
   e.s1_root = 0x4000'2000;
 
-  const u64 g0 = tlb.generation();
-  tlb.insert(e);  // fresh fill into empty slots: no live entry disturbed
-  EXPECT_EQ(tlb.generation(), g0);
-
+  const mem::Tlb::Tag t0 = tlb.insert(e);
+  EXPECT_TRUE(tlb.tag_live(t0));
   TlbEntry e2 = e;
   e2.ppage = 0x4000'1000;
-  const u64 g1 = tlb.insert(e2);  // overwrites the live aliasing entry
-  EXPECT_GT(g1, g0);
+  const mem::Tlb::Tag t1 = tlb.insert(e2);  // overwrites the live alias
+  EXPECT_FALSE(tlb.tag_live(t0));
+  EXPECT_TRUE(tlb.tag_live(t1));
 
-  u64 g = tlb.generation();
-  tlb.invalidate_va(0x400, 1, 0);
-  EXPECT_GT(tlb.generation(), g);
-  g = tlb.generation();
-  tlb.invalidate_asid(1, 0);
-  EXPECT_GT(tlb.generation(), g);
-  g = tlb.generation();
-  tlb.invalidate_vmid(0);
-  EXPECT_GT(tlb.generation(), g);
-  g = tlb.generation();
-  tlb.invalidate_va_all_asid(0x400, 0);
-  EXPECT_GT(tlb.generation(), g);
-  g = tlb.generation();
-  tlb.invalidate_all();
-  EXPECT_GT(tlb.generation(), g);
+  const std::function<void()> flavours[] = {
+      [&] { tlb.invalidate_va(0x400, 1, 0); },
+      [&] { tlb.invalidate_asid(1, 0); },
+      [&] { tlb.invalidate_vmid(0); },
+      [&] { tlb.invalidate_va_all_asid(0x400, 0); },
+      [&] { tlb.invalidate_all(); }};
+  for (const auto& invalidate : flavours) {
+    const mem::Tlb::Tag t = tlb.insert(e);
+    ASSERT_TRUE(tlb.tag_live(t));
+    invalidate();
+    EXPECT_FALSE(tlb.tag_live(t));
+  }
 }
 
 // A gate switch reads GateTab and TTBRTab and runs the gate code, all on
@@ -657,18 +653,25 @@ TEST_F(TraceTierTest, OwnPageStoreKillsTraceMidFlight) {
 }
 
 // A bare TTBR0 rewrite (LightZone's §4.1.2 domain switch) bumps the
-// translation-context epoch: the trace built under the old epoch must miss
-// its tags on the next dispatch and be rebuilt, with results unchanged.
+// translation-context epoch: the trace built under the old epoch misses its
+// tags on the next dispatch. When the page still maps the same frame the
+// re-installed L0 fetch slot vouches for it and the trace is re-tagged, not
+// rebuilt; when another table maps the page elsewhere, it dies and the
+// rebuilt trace runs the new code.
 TEST_F(TraceTierTest, BareTtbr0RewriteInvalidatesByEpoch) {
   constexpr u64 kIters = 200;
-  Asm a;
-  auto loop = a.new_label();
-  a.movz(1, kIters);
-  a.bind(loop);
-  a.add_imm(2, 2, 1);
-  a.sub_imm(1, 1, 1);
-  a.cbnz(1, loop);
-  a.svc(0);
+  const auto loop_code = [](u16 step) {
+    Asm a;
+    auto loop = a.new_label();
+    a.movz(1, kIters);
+    a.bind(loop);
+    a.add_imm(2, 2, step);
+    a.sub_imm(1, 1, 1);
+    a.cbnz(1, loop);
+    a.svc(0);
+    return a;
+  };
+  Asm a = loop_code(1);
   InstallCode(a);
 
   auto& core = machine.core(0);
@@ -678,14 +681,32 @@ TEST_F(TraceTierTest, BareTtbr0RewriteInvalidatesByEpoch) {
   EXPECT_GE(Stats().executed, 1u);
   const u64 gen0 = Stats().invalidated_gen;
   const u64 built0 = Stats().built;
+  const u64 executed0 = Stats().executed;
 
   // Same root, same ASID — but any TTBR0 write opens a new context epoch.
   core.set_sysreg(SysReg::kTtbr0El1, tbl->ttbr());
   core.set_pc(kCodeVa);
   EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);
   EXPECT_EQ(core.x(2), 2 * kIters);
-  EXPECT_GE(Stats().invalidated_gen, gen0 + 1);  // old trace died by tag
-  EXPECT_GE(Stats().built, built0 + 1);          // and was rebuilt
+  EXPECT_EQ(Stats().invalidated_gen, gen0);  // re-tagged, not discarded
+  EXPECT_EQ(Stats().built, built0);
+  EXPECT_GE(Stats().executed, executed0 + kIters - 1);
+
+  // Another ASID's table maps the page to code that adds 2 per iteration.
+  mem::Stage1Table other(machine.mem(), /*asid=*/2);
+  const PhysAddr other_pa = machine.mem().alloc_frame();
+  Asm b = loop_code(2);
+  b.install(machine.mem(), other_pa);
+  LZ_CHECK_OK(other.map(kCodeVa, other_pa, CodeAttrs()));
+  core.set_sysreg(SysReg::kTtbr0El1, other.ttbr());
+  core.set_pc(kCodeVa);
+  EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);
+  EXPECT_EQ(core.x(2), 4 * kIters);
+  // The old trace died by tag and was rebuilt; while its slot backed off,
+  // the interpreted ADD let the SUB/CBNZ tail (hot since the first run)
+  // build too.
+  EXPECT_EQ(Stats().invalidated_gen, gen0 + 1);
+  EXPECT_EQ(Stats().built, built0 + 2);
 }
 
 // --- Epoch rule for global entries -------------------------------------------
@@ -764,22 +785,23 @@ TEST(GlobalEpochTest, GlobalCodeTraceSurvivesBareTtbr0Writes) {
   ExpectSameSimulatedOutcome(on, off);
 }
 
-TEST(GlobalEpochTest, NonGlobalCodeTraceDiesAndBacksOffGeometrically) {
+TEST(GlobalEpochTest, NonGlobalCodeTraceIsRetaggedAndBacksOffGeometrically) {
   constexpr u16 kIters = 1000;
   const auto on = RunTtbr0RewriteLoop(/*global_code=*/false, true, kIters);
   const auto off = RunTtbr0RewriteLoop(/*global_code=*/false, false, kIters);
   EXPECT_EQ(on.iterations, kIters);
-  // Every rebuilt trace dies at its next dispatch. The backoff window
-  // doubles 2, 4, ..., 256 and then stays there: about log2(256) + N/257
-  // builds per block (10 or 11 here), for four blocks — the whole loop at
-  // the MSR (which ends itself: its TTBR0 write moves the non-global epoch)
-  // and, while the blocks before them are deferred, the ADD/SUB/CBNZ, the
-  // SUB/CBNZ and the lone CBNZ tails. (An MRS block never builds: the MSR
-  // just staled the L0 fetch slot a build reads.) A window stuck at 2
-  // rebuilt every third iteration (~N/3 per block).
-  EXPECT_GE(on.trace.invalidated_gen, 1u);
-  EXPECT_GE(on.trace.built, 4u);
-  EXPECT_LE(on.trace.built, 48u);
+  // Every TTBR0 write moves the non-global epoch, so each block's tags are
+  // stale at its next dispatch. The code page still maps the same frame,
+  // and the interpreted MRS after the MSR (a build right after the MSR
+  // would read the stale L0 fetch slot) re-installs the fetch slot under
+  // the new epoch: no block is discarded. The block at the MSR stales
+  // itself, so its slot backs off (windows 2, 4, ..., 256: about
+  // log2(256) + N/257 dispatches); the ADD/SUB block with its CBNZ side
+  // exit is staled from outside and re-tagged at every visit.
+  EXPECT_EQ(on.trace.invalidated_gen, 0u);
+  EXPECT_LE(on.trace.built, 4u);
+  EXPECT_GE(on.trace.executed, kIters - 2u);
+  EXPECT_LE(on.trace.executed, kIters + 48u);
   ExpectSameSimulatedOutcome(on, off);
 }
 
@@ -941,8 +963,10 @@ TEST_F(DecodeCacheTest, NestedRunRestoresOuterStopPc) {
   EXPECT_EQ(traps, 1);
 }
 
-// A TLBI issued by the core that owns the traces drops them eagerly via the
-// Machine teardown hook (counted separately from dispatch-time tag misses).
+// A TLBI issued by the core that owns the traces reaches them through the
+// code page's micro-TLB slot stamp; there is no eager teardown hook. With
+// the same frame mapped, the refetched L0 slot re-tags the trace; after a
+// remap to another frame, the trace dies at dispatch and is rebuilt.
 TEST_F(TraceTierTest, LocalTlbiTearsDownTraces) {
   constexpr u64 kIters = 100;
   Asm a;
@@ -958,26 +982,40 @@ TEST_F(TraceTierTest, LocalTlbiTearsDownTraces) {
   auto& core = machine.core(0);
   EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);
   EXPECT_GE(Stats().built, 1u);
+  TraceStats mark = Stats();
 
   machine.tlbi_va_is(page_index(kCodeVa), /*asid=*/1, /*vmid=*/0);
-  EXPECT_GE(Stats().invalidated_teardown, 1u);
-
+  EXPECT_EQ(Stats().invalidated_gen, mark.invalidated_gen);  // nothing eager
   core.set_pc(kCodeVa);
   EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);
   EXPECT_EQ(core.x(2), 2 * kIters);
+  EXPECT_EQ(Stats().invalidated_gen, mark.invalidated_gen);
+  EXPECT_EQ(Stats().built, mark.built);  // re-tagged over the same frame
+  mark = Stats();
+
+  const PhysAddr copy = machine.mem().alloc_frame();
+  a.install(machine.mem(), copy);
+  LZ_CHECK_OK(tbl->unmap(kCodeVa));
+  machine.tlbi_va_is(page_index(kCodeVa), /*asid=*/1, /*vmid=*/0);
+  LZ_CHECK_OK(tbl->map(kCodeVa, copy, CodeAttrs()));
+  core.set_pc(kCodeVa);
+  EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);
+  EXPECT_EQ(core.x(2), 3 * kIters);
+  EXPECT_EQ(Stats().invalidated_gen, mark.invalidated_gen + 1);
+  EXPECT_GE(Stats().built, mark.built + 1);
 }
 
-// The teardown hook counts exactly the traces that were live: N loops in N
-// slots give N, a rebuild followed by another TLBI gives N again, a TLBI
-// with nothing live gives 0, and a slot whose trace died by its generation
-// tag and was rebuilt before the TLBI is counted once, not once per build.
+// A TLBI of the code page reaches exactly the traces built over it: with
+// the page remapped to a copy, each of the N loop heads' traces dies once
+// at its next dispatch and is rebuilt; with the same frame kept, each is
+// re-tagged (none dies, none is rebuilt); a TLBI of another page kills
+// none.
 TEST_F(TraceTierTest, TeardownDropsExactlyTheLiveTraces) {
   constexpr u8 kLoops = 8;
   constexpr u64 kIters = 5;  // enough to rebuild after the 2-visit backoff
   Asm a;
-  // An interpreted MRS first: its fetch re-installs the L0 fetch slot a
-  // build needs after each TLBI, so every loop head can build on its first
-  // visit of a rerun.
+  // An interpreted MRS first: its fetch re-installs the L0 fetch slot that
+  // re-tagging (and a build) needs after each TLBI.
   a.mrs(20, SysReg::kTtbr0El1);
   for (u8 k = 0; k < kLoops; ++k) {  // loop k counts down x(3 + k)
     auto loop = a.new_label();
@@ -988,6 +1026,7 @@ TEST_F(TraceTierTest, TeardownDropsExactlyTheLiveTraces) {
   }
   a.svc(0);
   InstallCode(a);
+  LZ_CHECK_OK(tbl->map(kDataVa, machine.mem().alloc_frame(), DataAttrs()));
 
   auto& core = machine.core(0);
   const auto run_loops = [&] {
@@ -997,41 +1036,40 @@ TEST_F(TraceTierTest, TeardownDropsExactlyTheLiveTraces) {
     EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);
     EXPECT_EQ(core.x(2), kLoops * kIters);
   };
-  // Traces built minus traces that died at dispatch since the last TLBI.
   TraceStats mark = Stats();
-  const auto live = [&] {
-    return (Stats().built - mark.built) -
-           (Stats().invalidated_gen - mark.invalidated_gen) -
-           (Stats().invalidated_smc - mark.invalidated_smc);
-  };
-  const auto tlbi = [&] {
-    machine.tlbi_va_is(page_index(kCodeVa), /*asid=*/1, /*vmid=*/0);
-    const u64 dropped =
-        Stats().invalidated_teardown - mark.invalidated_teardown;
-    mark = Stats();
-    return dropped;
-  };
+  const auto died = [&] { return Stats().invalidated_gen - mark.invalidated_gen; };
+  const auto built = [&] { return Stats().built - mark.built; };
 
   run_loops();
-  EXPECT_EQ(Stats().built, kLoops);
-  EXPECT_EQ(tlbi(), kLoops);
+  EXPECT_EQ(built(), kLoops);
 
-  run_loops();  // every head is hot: each rebuilds on its first visit
-  EXPECT_EQ(Stats().built - mark.built, kLoops);
-  EXPECT_EQ(tlbi(), kLoops);
-  EXPECT_EQ(tlbi(), 0u);  // nothing live
+  // Remapped to a copy: every head's trace dies once and is rebuilt.
+  mark = Stats();
+  const PhysAddr copy = machine.mem().alloc_frame();
+  a.install(machine.mem(), copy);
+  LZ_CHECK_OK(tbl->unmap(kCodeVa));
+  machine.tlbi_va_is(page_index(kCodeVa), /*asid=*/1, /*vmid=*/0);
+  LZ_CHECK_OK(tbl->map(kCodeVa, copy, CodeAttrs()));
+  run_loops();
+  EXPECT_EQ(died(), kLoops);
+  // Each head rebuilds after its backoff, and while it backs off its
+  // interpreted ADD lets the SUB/CBNZ tail (hot since the first run) build.
+  EXPECT_EQ(built(), 2u * kLoops);
 
+  // Same frame: every tag died, every trace is re-tagged.
+  mark = Stats();
+  machine.tlbi_va_is(page_index(kCodeVa), /*asid=*/1, /*vmid=*/0);
   run_loops();
-  // Kill every trace by generation only (no teardown hook), then rerun:
-  // each head's trace dies at dispatch, backs off and is rebuilt, so every
-  // head slot built twice since the last TLBI but holds one live trace.
-  machine.tlb(0).invalidate_all();
+  EXPECT_EQ(died(), 0u);
+  EXPECT_EQ(built(), 0u);
+
+  // Another page: no code tag dies. The MRS head, whose L0 fetch slot now
+  // survives into the run, is the one new trace.
+  mark = Stats();
+  machine.tlbi_va_is(page_index(kDataVa), /*asid=*/1, /*vmid=*/0);
   run_loops();
-  EXPECT_EQ(Stats().invalidated_gen - mark.invalidated_gen, kLoops);
-  EXPECT_GE(Stats().built - mark.built, 2u * kLoops);
-  const u64 expected = live();
-  EXPECT_GE(expected, kLoops);
-  EXPECT_EQ(tlbi(), expected);
+  EXPECT_EQ(died(), 0u);
+  EXPECT_EQ(built(), 1u);
 }
 
 class TraceTierRemoteTest : public TraceTierTest {
@@ -1040,9 +1078,10 @@ class TraceTierRemoteTest : public TraceTierTest {
 };
 
 // A DVM shootdown broadcast from another core must invalidate this core's
-// traces without touching them cross-thread: the initiating core only drops
-// its own, and the victim's trace dies at dispatch by its generation tag.
-TEST_F(TraceTierRemoteTest, RemoteDvmShootdownInvalidatesByGeneration) {
+// traces without touching them cross-thread: the broadcast only moves the
+// stamp of the victim's code-page slot, and the victim's trace dies at its
+// next dispatch (here the page maps a copy by then, so it is rebuilt).
+TEST_F(TraceTierRemoteTest, RemoteDvmShootdownInvalidatesByStamp) {
   constexpr u64 kIters = 150;
   Asm a;
   auto loop = a.new_label();
@@ -1057,27 +1096,33 @@ TEST_F(TraceTierRemoteTest, RemoteDvmShootdownInvalidatesByGeneration) {
   auto& core = machine.core(0);
   EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);
   EXPECT_GE(Stats().built, 1u);
-  const u64 gen0 = Stats().invalidated_gen;
-  const u64 teardown0 = Stats().invalidated_teardown;
+  const TraceStats mark = Stats();
 
+  const PhysAddr copy = machine.mem().alloc_frame();
+  a.install(machine.mem(), copy);
+  LZ_CHECK_OK(tbl->unmap(kCodeVa));
   std::thread([&] {
     Machine::CoreBinding bind(machine, 1);
     machine.tlbi_va_is(page_index(kCodeVa), /*asid=*/1, /*vmid=*/0);
   }).join();
+  LZ_CHECK_OK(tbl->map(kCodeVa, copy, CodeAttrs()));
 
-  // The broadcast must not have reached into core 0's trace store directly —
-  // only core 0 retires its own traces, at its next dispatch.
-  EXPECT_EQ(Stats().invalidated_teardown, teardown0);
+  // The broadcast must not have reached into core 0's trace store: only
+  // core 0 retires its own traces, at its next dispatch.
+  EXPECT_EQ(Stats().invalidated_gen, mark.invalidated_gen);
+  EXPECT_EQ(Stats().built, mark.built);
 
   core.set_pc(kCodeVa);
   EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);
   EXPECT_EQ(core.x(2), 2 * kIters);
-  EXPECT_GE(Stats().invalidated_gen, gen0 + 1);
+  EXPECT_EQ(Stats().invalidated_gen, mark.invalidated_gen + 1);
+  EXPECT_GE(Stats().built, mark.built + 1);
 }
 
 // A clean break-before-make remap of the code page (unmap, scoped TLBI,
-// remap) keeps the BBM monitor quiet and merely rebuilds the trace.
-TEST_F(TraceTierTest, CleanBbmRemapRebuildsQuietly) {
+// remap of the same frame) keeps the BBM monitor quiet and merely re-tags
+// the trace: the refetched L0 fetch slot maps the frame it was built from.
+TEST_F(TraceTierTest, CleanBbmRemapRetagsQuietly) {
   check::BbmMonitor::install();
   check::BbmMonitor::instance().reset();
   constexpr u64 kIters = 120;
@@ -1095,6 +1140,7 @@ TEST_F(TraceTierTest, CleanBbmRemapRebuildsQuietly) {
   EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);
   EXPECT_GE(Stats().built, 1u);
   const u64 built0 = Stats().built;
+  const u64 gen0 = Stats().invalidated_gen;
 
   // Break-before-make: unmap, TLBI scoped to the right ASID (tlbi_va_is
   // completes with a DSB), then map the same frame back.
@@ -1106,7 +1152,8 @@ TEST_F(TraceTierTest, CleanBbmRemapRebuildsQuietly) {
   core.set_pc(kCodeVa);
   EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);
   EXPECT_EQ(core.x(2), 2 * kIters);
-  EXPECT_GE(Stats().built, built0 + 1);  // rebuilt over the remapped page
+  EXPECT_EQ(Stats().built, built0);  // re-tagged over the remapped page
+  EXPECT_EQ(Stats().invalidated_gen, gen0);
   check::BbmMonitor::instance().reset();
 }
 
@@ -1457,6 +1504,295 @@ TEST(SysInTraceTest, WarmGateSwitchRetiresEveryInstructionInTraces) {
   EXPECT_GT(on.retired, 0u);
   EXPECT_EQ(on.trace.insns, on.retired);
   EXPECT_EQ(off.trace.insns, 0u);
+  ExpectSameSysBlockOutcome(on, off);
+}
+
+
+// --- Slot tags, side exits and the slot index ----------------------------------
+// A trace is tagged with its code page's micro-TLB slot, not the whole TLB,
+// runs past conditional branches that do not close its loop, and sits in a
+// slot indexed by page as well as offset. Each case runs with the tier on
+// and off and must leave the same registers, cycles by kind, TLB stats and
+// trap sequence.
+
+enum class MidRunTlbi { kCodeVa, kOtherVa, kOtherAsid };
+
+// A loop whose SVC #1 handler, halfway through, issues `tlbi`. For the
+// code page's VA it first remaps the page (break-before-make) to a copy
+// that adds 3 instead of 2, which only shows if the trace over the old
+// frame dies; the other scopes miss the code page's entry, so its trace
+// must stay live.
+SysBlockOutcome RunMidRunTlbi(MidRunTlbi tlbi, bool tier) {
+  constexpr u16 kIters = 40;
+  const auto code = [](u16 step) {
+    Asm a;
+    auto loop = a.new_label();
+    a.movz(1, kIters);
+    a.bind(loop);
+    a.add_imm(2, 2, 1);
+    a.add_imm(3, 3, step);
+    a.sub_imm(1, 1, 1);
+    a.svc(1);
+    a.cbnz(1, loop);
+    a.svc(0);
+    return a;
+  };
+  SysBlockScenario sc;
+  sc.kernel = code(2);
+  sc.on_trap = [&code, tlbi, n = 0](SysBlockRig& rig,
+                                    const TrapInfo& info) mutable {
+    if (arch::esr_iss(info.esr) == 0) return TrapAction::kStop;
+    if (++n == kIters / 2) {
+      switch (tlbi) {
+        case MidRunTlbi::kCodeVa: {
+          const PhysAddr copy = rig.m.mem().alloc_frame();
+          code(3).install(rig.m.mem(), copy);
+          LZ_CHECK_OK(rig.tbl.unmap(kCodeVa));
+          rig.m.tlbi_va_is(page_index(kCodeVa), /*asid=*/1, /*vmid=*/0);
+          LZ_CHECK_OK(rig.tbl.map(kCodeVa, copy, CodeAttrs()));
+          break;
+        }
+        case MidRunTlbi::kOtherVa:
+          rig.m.tlbi_va_is(page_index(kDataVa), /*asid=*/1, /*vmid=*/0);
+          break;
+        case MidRunTlbi::kOtherAsid:
+          rig.m.tlbi_va_is(page_index(kCodeVa), /*asid=*/2, /*vmid=*/0);
+          break;
+      }
+    }
+    rig.core().eret_from(ExceptionLevel::kEl1);  // ELR: after the SVC
+    return TrapAction::kResume;
+  };
+  return RunSysBlock(sc, tier);
+}
+
+TEST(TraceTagTest, CodePageTlbiKillsTheTraceOtherScopesDoNot) {
+  constexpr u64 kIters = 40;
+  for (const auto tlbi : {MidRunTlbi::kCodeVa, MidRunTlbi::kOtherVa,
+                          MidRunTlbi::kOtherAsid}) {
+    SCOPED_TRACE(static_cast<int>(tlbi));
+    const auto on = RunMidRunTlbi(tlbi, true);
+    const auto off = RunMidRunTlbi(tlbi, false);
+    EXPECT_EQ(on.regs[2], kIters);
+    if (tlbi == MidRunTlbi::kCodeVa) {
+      // The copy runs from the iteration after the TLBI: the trace over the
+      // old frame died at its next dispatch and was rebuilt over the copy
+      // (while it backed off, the ADD/SUB tail built too).
+      EXPECT_EQ(on.regs[3], 2 * (kIters / 2) + 3 * (kIters / 2));
+      EXPECT_EQ(on.trace.invalidated_gen, 1u);
+      EXPECT_EQ(on.trace.built, 3u);
+    } else {
+      EXPECT_EQ(on.regs[3], 2 * kIters);
+      EXPECT_EQ(on.trace.invalidated_gen, 0u);
+      EXPECT_EQ(on.trace.built, 1u);  // not one rebuild
+    }
+    EXPECT_GE(on.trace.executed, kIters - 2);
+    ExpectSameSysBlockOutcome(on, off);
+  }
+}
+
+// Loads over more data pages than the micro-TLB holds: every pass refills
+// it, and each refill replaces one random slot. Only a refill that takes
+// the code page's own slot stops the block after its load (the CBNZ after
+// it then steps), and the next fetch's slot re-tags the trace, so no trace
+// is discarded and all but a few instructions retire in traces.
+TEST(TraceTagTest, DataSideEvictionLeavesCodeTracesAndOtherL0SlotsLive) {
+  constexpr u16 kPasses = 60;
+  constexpr u16 kPages = 17;  // + the code page > 16 micro-TLB slots
+  const auto make = [] {
+    SysBlockScenario sc;
+    Asm& a = sc.kernel;
+    auto pass = a.new_label();
+    auto page = a.new_label();
+    a.movz(1, kPasses);
+    a.movz(9, kPageSize);
+    a.bind(pass);
+    a.mov_imm64(8, kFillVa - kPageSize);
+    a.movz(10, kPages);
+    a.movz(7, 0);
+    a.bind(page);
+    a.add_reg(2, 2, 7);  // the previous page's value
+    a.add_reg(8, 8, 9);
+    a.sub_imm(10, 10, 1);
+    a.ldr(7, 8);  // last but one: a stop here leaves only the CBNZ
+    a.cbnz(10, page);
+    a.add_reg(2, 2, 7);
+    a.sub_imm(1, 1, 1);
+    a.cbnz(1, pass);
+    a.svc(0);
+    sc.setup = [](SysBlockRig& rig) {
+      for (u64 p = 0; p < kPages; ++p) {
+        const PhysAddr pa = rig.m.mem().alloc_frame();
+        rig.m.mem().write(pa, 8, p + 1);
+        LZ_CHECK_OK(rig.tbl.map(kFillVa + p * kPageSize, pa, DataAttrs()));
+      }
+    };
+    sc.on_trap = [](SysBlockRig&, const TrapInfo&) {
+      return TrapAction::kStop;
+    };
+    return sc;
+  };
+  auto sc_on = make(), sc_off = make();
+  const auto on = RunSysBlock(sc_on, true);
+  const auto off = RunSysBlock(sc_off, false);
+  EXPECT_EQ(on.regs[2], u64{kPasses} * kPages * (kPages + 1) / 2);
+  // The micro-TLB churns: some 240 replacements, about 1 in 16 of them
+  // the code page's slot. A tag shared by all slots would stop the block
+  // at every one and leave some 250 instructions to the interpreter.
+  EXPECT_GT(on.tlb.l2_hits, 3u * kPasses);
+  EXPECT_LT(on.retired - on.trace.insns, 80u);
+  EXPECT_EQ(on.trace.invalidated_gen, 0u);
+  EXPECT_LE(on.trace.built, 4u);
+  ExpectSameSysBlockOutcome(on, off);
+}
+
+// Conditional branches that leave the block mid-way: a CBZ right after the
+// load whose value it tests (taken every other pass) and a B.EQ right
+// after an MSR (taken every other pass, out of phase with the CBZ). The
+// loop's own CBNZ back to the block start stays terminal.
+TEST(SideExitTest, TakenSideExitsMatchTheInterpreter) {
+  constexpr u16 kIters = 50;
+  const auto make = [] {
+    SysBlockScenario sc;
+    Asm& a = sc.kernel;
+    auto loop = a.new_label();
+    auto after_load = a.new_label();
+    auto after_msr = a.new_label();
+    a.movz(1, kIters);
+    a.mov_imm64(8, kDataVa);
+    a.movz(9, 1);
+    a.bind(loop);
+    a.ldr(7, 8);
+    a.cbz(7, after_load);  // side exit right after the load
+    a.add_imm(3, 3, 1);
+    a.bind(after_load);
+    a.eor_reg(7, 7, 9);
+    a.str(7, 8);
+    a.and_reg(11, 1, 9);
+    a.cmp_imm(11, 0);
+    a.msr(SysReg::kTpidrEl1, 2);
+    a.b_cond(arch::Cond::kEq, after_msr);  // side exit right after the MSR
+    a.add_imm(4, 4, 1);
+    a.bind(after_msr);
+    a.add_imm(2, 2, 1);
+    a.sub_imm(1, 1, 1);
+    a.cbnz(1, loop);  // back-edge: terminal, chains
+    a.svc(0);
+    sc.on_trap = [](SysBlockRig&, const TrapInfo&) {
+      return TrapAction::kStop;
+    };
+    return sc;
+  };
+  auto sc_on = make(), sc_off = make();
+  const auto on = RunSysBlock(sc_on, true);
+  const auto off = RunSysBlock(sc_off, false);
+  EXPECT_EQ(on.regs[2], kIters);
+  EXPECT_EQ(on.regs[3], kIters / 2);  // the CBZ falls through every other pass
+  EXPECT_EQ(on.regs[4], kIters / 2);  // so does the B.EQ, out of phase
+  EXPECT_GE(on.trace.built, 1u);
+  EXPECT_EQ(on.trace.invalidated_gen, 0u);
+  // Every instruction after warm-up runs in a trace, side exits and all.
+  EXPECT_GE(on.trace.insns, on.retired - 40);
+  ExpectSameSysBlockOutcome(on, off);
+}
+
+// A conditional branch back to the block start closes a loop the block
+// re-enters directly: one build, one execution per iteration.
+TEST(SideExitTest, LoopBackEdgeStillChains) {
+  constexpr u16 kIters = 1000;
+  const auto make = [] {
+    SysBlockScenario sc;
+    Asm& a = sc.kernel;
+    auto loop = a.new_label();
+    auto skip = a.new_label();
+    a.movz(1, kIters);
+    a.movz(9, 1);
+    a.bind(loop);
+    a.and_reg(11, 1, 9);
+    a.cbz(11, skip);  // a side exit inside the chained block
+    a.add_imm(3, 3, 1);
+    a.bind(skip);
+    a.add_imm(2, 2, 1);
+    a.sub_imm(1, 1, 1);
+    a.cbnz(1, loop);
+    a.svc(0);
+    sc.on_trap = [](SysBlockRig&, const TrapInfo&) {
+      return TrapAction::kStop;
+    };
+    return sc;
+  };
+  auto sc_on = make(), sc_off = make();
+  const auto on = RunSysBlock(sc_on, true);
+  const auto off = RunSysBlock(sc_off, false);
+  EXPECT_EQ(on.regs[2], kIters);
+  EXPECT_EQ(on.regs[3], kIters / 2);
+  EXPECT_LE(on.trace.built, 3u);
+  EXPECT_GE(on.trace.executed, 100 * on.trace.built);
+  ExpectSameSysBlockOutcome(on, off);
+}
+
+// Gates g and g+32 sit at the same offset of consecutive gate-code pages
+// (kGateStride is 128 bytes). Indexed by offset alone they shared every
+// trace slot and rebuilt each other on every switch; with the page folded
+// into the index, alternating between them builds each gate's trace once.
+SysBlockOutcome RunAlternatingGates(bool tier) {
+  constexpr int kSwitches = 200;
+  constexpr VirtAddr kEntry = core::Env::kCodeVa + 0x40;
+  constexpr int kGates[] = {1, 33};
+  core::Env env(core::Env::Options().platform(arch::Platform::cortex_a55()));
+  auto& proc = env.new_process();
+  auto lz = core::LzProc::enter(*env.module, proc, true, 1);
+  EXPECT_TRUE(lz.lz_map_gate_pgt(0, 0).is_ok());
+  for (const int g : kGates) {
+    EXPECT_TRUE(lz.lz_map_gate_pgt(lz.lz_alloc().value(), g).is_ok());
+    EXPECT_TRUE(lz.lz_set_gate_entry(g, kEntry).is_ok());
+  }
+  auto& core = env.machine->core();
+  core.set_trace_tier(tier);
+  lz.module().enter_el1(lz.ctx());
+  const auto retired = [] {
+    for (const auto& [name, v] : obs::registry().snapshot()) {
+      if (name == "sim.core.insn_retired") return v;
+    }
+    return u64{0};
+  };
+  SysBlockOutcome out;
+  const u64 retired0 = retired();
+  for (int i = 0; i < kSwitches; ++i) {
+    EXPECT_TRUE(lz.lz_switch_to_ttbr_gate(kGates[i % 2]).is_ok());
+    EXPECT_EQ(core.pc(), kEntry);
+  }
+  out.retired = retired() - retired0;
+  out.trace = core.trace_stats();
+  for (std::size_t k = 0; k < kNumCostKinds; ++k) {
+    out.cycles[k] = core.account().of(static_cast<CostKind>(k));
+  }
+  for (unsigned i = 0; i < 31; ++i) out.regs[i] = core.x(i);
+  out.tlb = env.machine->tlb(0).stats();
+  lz.exit_world();
+  return out;
+}
+
+TEST(TraceSlotTest, AlternatingGates1And33BuildEachTraceOnce) {
+  using core::UpperLayout;
+  EXPECT_NE(TraceCache::index(UpperLayout::gate_va(1)),
+            TraceCache::index(UpperLayout::gate_va(33)));
+  for (u32 g = 0; g < 32; ++g) {
+    const unsigned a = TraceCache::index(UpperLayout::gate_va(g));
+    const unsigned b = TraceCache::index(UpperLayout::gate_va(g + 32));
+    const unsigned c = TraceCache::index(UpperLayout::gate_va(g + 64));
+    EXPECT_NE(a, b) << g;
+    EXPECT_NE(a, c) << g;
+    EXPECT_NE(b, c) << g;
+  }
+  const auto on = RunAlternatingGates(true);
+  const auto off = RunAlternatingGates(false);
+  EXPECT_GT(on.retired, 0u);
+  // One trace per gate: the whole switch, its compare-and-branch checks
+  // being side exits that are never taken.
+  EXPECT_EQ(on.trace.built, 2u);
+  EXPECT_EQ(on.trace.invalidated_gen, 0u);
+  EXPECT_GE(on.trace.insns + 200, on.retired);
   ExpectSameSysBlockOutcome(on, off);
 }
 

@@ -181,6 +181,36 @@ TEST_F(HvTest, VmidAllocationIsUnique) {
   EXPECT_NE(a.vmid(), 0);
 }
 
+// The VMID twin of the kernel's ASID recycling: 65,535 VMIDs later, no
+// allocation has handed out VMID 0 (the host's) or a live VM's VMID, and
+// the allocator's rollover retired what a dead VM left in the TLB before
+// its VMID could come back.
+TEST_F(HvTest, VmidRecyclingNeverHandsOutALiveOrHostVmid) {
+  GuestVm a(host, "a");
+  mem::TlbEntry e;
+  e.valid = true;
+  e.vpage = kHeapVa >> kPageShift;
+  e.asid = 1;
+  e.ppage = machine.mem().alloc_frame();
+  u16 dead = 0;
+  {
+    GuestVm d(host, "d");
+    dead = d.vmid();
+    e.vmid = dead;
+    machine.tlb(0).insert(e);  // cached while d ran
+  }
+  for (int i = 0; i < 0xffff; ++i) {
+    const u16 v = host.alloc_vmid();
+    ASSERT_NE(v, 0) << i;
+    ASSERT_NE(v, a.vmid()) << i;
+    host.free_vmid(v);
+  }
+  EXPECT_FALSE(machine.tlb(0).lookup(e.vpage, 1, dead, 0).has_value());
+  GuestVm b(host, "b");
+  EXPECT_NE(b.vmid(), a.vmid());
+  EXPECT_NE(b.vmid(), 0);
+}
+
 TEST_F(HvTest, FullWorldSwitchIsMuchDearerOnCarmel) {
   sim::Machine carmel(arch::Platform::carmel());
   Host h(carmel);

@@ -190,6 +190,39 @@ TEST_F(KernelTest, CopyToFromUser) {
   EXPECT_STREQ(out, msg);
 }
 
+// ASIDs recycle without aliasing a live process. Process A's heap page is
+// cached in the TLB under A's ASID; 65,535 short-lived processes later, B
+// maps the same VA to its own page. Handed A's ASID (a bare 16-bit counter
+// wraps there), B's read would hit A's entry and return A's 0x5ec7e7.
+TEST_F(KernelTest, AsidRecyclingNeverAliasesALiveProcess) {
+  auto& k = host.kern();
+  auto& core = machine.core();
+  const auto read_heap = [&](Process& proc) {
+    k.load_ctx(proc, core);
+    const auto r = core.mem_read(kHeapVa, 8);
+    EXPECT_TRUE(r.ok);
+    return r.value;
+  };
+  const auto make = [&](u64 value) -> Process& {
+    Process& proc = k.create_process();
+    LZ_CHECK_OK(k.mmap(proc, kHeapVa, kPageSize, kProtRead | kProtWrite));
+    EXPECT_TRUE(k.copy_to_user(proc, kHeapVa, &value, sizeof(value)));
+    return proc;
+  };
+  Process& a = make(0x5ec7e7);
+  EXPECT_EQ(read_heap(a), 0x5ec7e7u);  // A's translation is now cached
+  for (int i = 0; i < 0xffff; ++i) {
+    Process& p = k.create_process();
+    ASSERT_NE(p.asid(), a.asid()) << i;
+    ASSERT_NE(p.asid(), 0) << i;
+    k.destroy(p);
+  }
+  Process& b = make(0x111);
+  EXPECT_NE(b.asid(), a.asid());
+  EXPECT_EQ(read_heap(b), 0x111u);
+  EXPECT_EQ(read_heap(a), 0x5ec7e7u);
+}
+
 TEST_F(KernelTest, SignalDeliveryAndFrameContents) {
   Asm a = ExitProgram(0);
   Process& proc = MakeProcess(a);

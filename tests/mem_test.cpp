@@ -481,47 +481,133 @@ TEST(TlbTest, L2PromotionAfterL1Eviction) {
   EXPECT_TRUE(hit->from_l1);
 }
 
+// The L0/trace tag of a translation is its micro-TLB slot and that slot's
+// stamp. A stamp moves only when its own slot is killed (invalidated,
+// alias-evicted, replaced); fills into free slots, lookups and kills of
+// other slots leave it, so tags on untouched slots stay live.
+TEST(TlbTest, StampsMoveOnlyForTheSlotsAKillOrRefillTouched) {
+  Tlb tlb(4, 16, /*seed=*/3);
+  const auto entry = [](u64 vpage, PhysAddr ppage) {
+    TlbEntry e;
+    e.valid = true;
+    e.vpage = vpage;
+    e.asid = 1;
+    e.ppage = ppage;
+    return e;
+  };
+  const auto stamps = [&] {
+    std::vector<Tlb::Tag> out;
+    for (u16 i = 0; i < 4; ++i) out.push_back(tlb.stamp(i));
+    return out;
+  };
+  // Changed slots between two stamp snapshots.
+  const auto moved = [](const std::vector<Tlb::Tag>& a,
+                        const std::vector<Tlb::Tag>& b) {
+    std::vector<u16> out;
+    for (u16 i = 0; i < a.size(); ++i) {
+      if (a[i] != b[i]) out.push_back(i);
+    }
+    return out;
+  };
+  EXPECT_FALSE(tlb.tag_live(Tlb::kNoTag));
+
+  auto before = stamps();
+  std::vector<Tlb::Tag> tags;
+  for (u64 p = 1; p <= 4; ++p) tags.push_back(tlb.insert(entry(p, p << 12)));
+  EXPECT_TRUE(moved(before, stamps()).empty());  // fills into free slots
+  for (u16 i = 0; i < 4; ++i) {
+    EXPECT_EQ(tags[i] & Tlb::kSlotMask, i);
+    EXPECT_TRUE(tlb.tag_live(tags[i]));
+  }
+  ASSERT_TRUE(tlb.lookup(3, 1, 0, 7).has_value());
+  EXPECT_EQ(tlb.lookup(3, 1, 0, 7)->tag, tags[2]);  // an L1 hit hands it out
+
+  before = stamps();
+  tlb.invalidate_va(2, 1, 0);
+  EXPECT_EQ(moved(before, stamps()), std::vector<u16>{1});
+  EXPECT_FALSE(tlb.tag_live(tags[1]));
+  EXPECT_TRUE(tlb.tag_live(tags[0]));
+  EXPECT_TRUE(tlb.tag_live(tags[2]));
+  EXPECT_TRUE(tlb.tag_live(tags[3]));
+
+  before = stamps();
+  tags[1] = tlb.insert(entry(5, 5 << 12));  // lowest free slot: 1
+  EXPECT_EQ(tags[1] & Tlb::kSlotMask, 1u);
+  EXPECT_TRUE(moved(before, stamps()).empty());
+
+  before = stamps();
+  const Tlb::Tag t6 = tlb.insert(entry(6, 6 << 12));  // full: one replaced
+  const auto replaced = moved(before, stamps());
+  ASSERT_EQ(replaced.size(), 1u);
+  EXPECT_EQ(t6 & Tlb::kSlotMask, replaced[0]);
+  EXPECT_TRUE(tlb.tag_live(t6));
+  for (u16 i = 0; i < 4; ++i) {
+    EXPECT_EQ(tlb.tag_live(tags[i]), i != replaced[0]);
+  }
+  tags[replaced[0]] = t6;
+
+  // A refreshed alias (same page, new frame) kills only the old copy's
+  // slot and refills it.
+  const u16 slot3 = static_cast<u16>(tlb.lookup(3, 1, 0, 7)->tag &
+                                     Tlb::kSlotMask);
+  before = stamps();
+  const Tlb::Tag t3 = tlb.insert(entry(3, 0x77 << 12));
+  EXPECT_EQ(moved(before, stamps()), std::vector<u16>{slot3});
+  EXPECT_EQ(t3 & Tlb::kSlotMask, slot3);
+
+  before = stamps();
+  tlb.invalidate_asid(/*asid=*/9, /*vmid=*/0);  // matches nothing
+  tlb.invalidate_va(0x99, 1, 0);
+  EXPECT_TRUE(moved(before, stamps()).empty());
+
+  before = stamps();
+  tlb.invalidate_all();
+  EXPECT_EQ(moved(before, stamps()), (std::vector<u16>{0, 1, 2, 3}));
+}
+
 // Reference model for the differential test below: the linear-scan TLB
-// algorithm the indexed one replaced, kept verbatim minus the lock and the
-// obs counters. Every lookup/insert/invalidate scans all slots of both
-// levels; place() evicts aliases, then takes the lowest free slot, else
-// rng.below(size).
+// algorithm the indexed one replaced, minus the lock and the obs counters,
+// with the micro-TLB slot stamps kept the plain way. Every
+// lookup/insert/invalidate scans all slots of both levels; place() evicts
+// aliases, then takes the lowest free slot, else rng.below(size); every
+// micro-TLB slot it or an invalidation empties moves its stamp.
 class LinearTlb {
  public:
   LinearTlb(std::size_t l1, std::size_t l2, u64 seed)
-      : l1_(l1), l2_(l2), rng_(seed) {}
+      : l1_(l1), l2_(l2), rng_(seed), stamps_(std::max<std::size_t>(l1, 1)) {
+    for (std::size_t i = 0; i < stamps_.size(); ++i) {
+      stamps_[i] = (u64{1} << 16) | i;
+    }
+  }
 
   std::optional<Tlb::Hit> lookup(u64 vpage, u16 asid, u16 vmid, Cycles l2c) {
-    for (const auto& e : l1_) {
-      if (matches(e, vpage, asid, vmid)) {
+    for (std::size_t i = 0; i < l1_.size(); ++i) {
+      if (matches(l1_[i], vpage, asid, vmid)) {
         ++stats_.l1_hits;
-        return Tlb::Hit{e, 0, true, gen_};
+        return Tlb::Hit{l1_[i], 0, true, stamps_[i]};
       }
     }
     for (const auto& e : l2_) {
       if (matches(e, vpage, asid, vmid)) {
         ++stats_.l2_hits;
         const TlbEntry copy = e;
-        if (place(l1_, copy)) ++gen_;
-        return Tlb::Hit{copy, l2c, false, gen_};
+        return Tlb::Hit{copy, l2c, false, tag_of(place(l1_, copy))};
       }
     }
     ++stats_.misses;
     return std::nullopt;
   }
-  u64 insert(const TlbEntry& e) {
-    const bool a = place(l1_, e);
-    const bool b = place(l2_, e);
-    if (a || b) ++gen_;
-    return gen_;
+  Tlb::Tag insert(const TlbEntry& e) {
+    const int slot = place(l1_, e);
+    place(l2_, e);
+    return tag_of(slot);
   }
   template <class Pred>
   void invalidate_if(Pred dead) {
     ++stats_.invalidations;
-    ++gen_;
     for (auto* level : {&l1_, &l2_}) {
-      for (auto& e : *level) {
-        if (dead(e)) e.valid = false;
+      for (std::size_t i = 0; i < level->size(); ++i) {
+        if ((*level)[i].valid && dead((*level)[i])) kill(*level, i);
       }
     }
   }
@@ -548,7 +634,7 @@ class LinearTlb {
   }
 
   const TlbStats& stats() const { return stats_; }
-  u64 generation() const { return gen_; }
+  const std::vector<u64>& stamps() const { return stamps_; }
   std::size_t valid_entries() const {
     std::size_t n = 0;
     for (const auto& e : l2_) n += e.valid;
@@ -564,29 +650,30 @@ class LinearTlb {
     return a.valid && a.vpage == b.vpage && a.vmid == b.vmid &&
            (a.global || b.global || a.asid == b.asid);
   }
-  bool place(std::vector<TlbEntry>& level, const TlbEntry& e) {
-    if (level.empty()) return false;
-    TlbEntry* free_slot = nullptr;
-    bool evicted = false;
-    for (auto& slot : level) {
-      if (aliases(slot, e)) {
-        slot.valid = false;
-        evicted = true;
-      }
-      if (!slot.valid && free_slot == nullptr) free_slot = &slot;
+  void kill(std::vector<TlbEntry>& level, std::size_t i) {
+    level[i].valid = false;
+    if (&level == &l1_) stamps_[i] += u64{1} << 16;
+  }
+  Tlb::Tag tag_of(int slot) const { return slot < 0 ? Tlb::kNoTag : stamps_[slot]; }
+  int place(std::vector<TlbEntry>& level, const TlbEntry& e) {
+    if (level.empty()) return -1;
+    int free_slot = -1;
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      if (aliases(level[i], e)) kill(level, i);
+      if (!level[i].valid && free_slot < 0) free_slot = static_cast<int>(i);
     }
-    if (free_slot != nullptr) {
-      *free_slot = e;
-      return evicted;
+    if (free_slot < 0) {
+      free_slot = static_cast<int>(rng_.below(level.size()));
+      kill(level, free_slot);
     }
-    level[rng_.below(level.size())] = e;
-    return true;
+    level[free_slot] = e;
+    return free_slot;
   }
 
   std::vector<TlbEntry> l1_, l2_;
   Rng rng_;
   TlbStats stats_;
-  u64 gen_ = 1;
+  std::vector<u64> stamps_;
 };
 
 bool same_stats(const TlbStats& a, const TlbStats& b) {
@@ -597,8 +684,8 @@ bool same_stats(const TlbStats& a, const TlbStats& b) {
 // The hash-indexed Tlb must be observationally identical to the linear scan
 // it replaced: 200k seeded ops per geometry (aliasing global/non-global
 // inserts over a hot and a cold page set, lookups, all five invalidation
-// scopes), with every hit, insert result, stats line, generation and
-// valid-entry count compared after every op. The cold set overflows even
+// scopes), with every hit and its (slot, stamp) tag, insert tag, stats
+// line, micro-TLB stamp and valid-entry count compared after every op. The cold set overflows even
 // the 1024-entry main TLB, so random replacement is exercised too.
 TEST(TlbTest, IndexedMatchesLinearScanReference) {
   constexpr u64 kOps = 200'000;
@@ -627,7 +714,7 @@ TEST(TlbTest, IndexedMatchesLinearScanReference) {
             ASSERT_TRUE(got->entry == want->entry) << "op " << op;
             ASSERT_EQ(got->from_l1, want->from_l1) << "op " << op;
             ASSERT_EQ(got->extra_cost, want->extra_cost) << "op " << op;
-            ASSERT_EQ(got->gen, want->gen) << "op " << op;
+            ASSERT_EQ(got->tag, want->tag) << "op " << op;
           }
         } else if (kind < 8200) {
           TlbEntry e;
@@ -668,7 +755,10 @@ TEST(TlbTest, IndexedMatchesLinearScanReference) {
           ref.invalidate_all();
         }
         ASSERT_TRUE(same_stats(tlb.stats(), ref.stats())) << "op " << op;
-        ASSERT_EQ(tlb.generation(), ref.generation()) << "op " << op;
+        for (std::size_t i = 0; i < l1; ++i) {
+          ASSERT_EQ(tlb.stamp(static_cast<u16>(i)), ref.stamps()[i])
+              << "op " << op << " slot " << i;
+        }
         ASSERT_EQ(tlb.valid_entries(), ref.valid_entries()) << "op " << op;
         peak = std::max(peak, ref.valid_entries());
       }
