@@ -27,29 +27,15 @@
 //                            identical simulated work but different host
 //                            engines (trace tier on vs off)
 //
-// Trend mode (`--trend`, exactly one report file, no baseline):
-//   lz_report --trend <run.json> [--history F] [--trend-window N]
-//             [--trend-max-drift PCT] [--trend-key KEY]...
-// appends the run's summary (seq, bench, cycles.total, results, histogram
-// p99s) as one JSON line to the history file (default
-// bench/history/history.jsonl) and gates the run's cycles.total — plus any
-// --trend-key results — against the median of the last N history entries:
-// |value - median| must stay within PCT% (default window 8, drift 10%).
-// With fewer than 3 prior entries the gate is vacuous (seeding). The gate
-// runs before the append, so a drifting run fails loudly AND is recorded
-// for inspection only when it passes.
-//
 // Every file is parsed with the same obs::Json parser the benches
 // serialise with and schema-checked with obs::Report::validate before any
 // comparison, so a malformed artifact fails loudly instead of producing a
 // vacuous pass. Exit codes: 0 all gates pass, 1 a gate failed, 2 usage /
 // I/O / parse error. This replaces the ad-hoc grep/awk comparisons ci.sh
 // used to carry.
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -83,16 +69,6 @@ struct Gate {
                "  --require-sim-identical  all candidate docs byte-identical "
                "to base after\n"
                "                           stripping the \"host\" section\n"
-               "  --trend                  trend mode: gate one run against "
-               "history medians\n"
-               "  --history FILE           history jsonl (default "
-               "bench/history/history.jsonl)\n"
-               "  --trend-window N         median window, entries (default "
-               "8)\n"
-               "  --trend-max-drift PCT    allowed |drift| from median "
-               "(default 10)\n"
-               "  --trend-key KEY          extra results key to trend-gate "
-               "(repeatable)\n"
                "  --help, -h               this text\n",
                argv0);
   std::exit(code);
@@ -181,175 +157,6 @@ Json without_member(const Json& doc, std::string_view member) {
   return out;
 }
 
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  return n % 2 == 1 ? values[n / 2]
-                    : (values[n / 2 - 1] + values[n / 2]) / 2.0;
-}
-
-// --- Trend mode --------------------------------------------------------------
-//
-// History entries are one JSON object per line:
-//   {"seq":N,"bench":"...","cycles_total":N,
-//    "results":{...},"hist_p99":{"<name>":p99,...}}
-// The file is append-only; seq is monotonic so a truncated or hand-edited
-// history is visible in the diffs. Gating happens before the append, so
-// only passing runs extend the history a later run is judged against.
-
-struct TrendEntry {
-  u64 seq = 0;
-  Json doc;  // the parsed history line
-};
-
-std::vector<TrendEntry> load_history(const std::string& path) {
-  std::vector<TrendEntry> entries;
-  std::ifstream f(path);
-  if (!f) return entries;  // absent history: seeding from scratch
-  std::string line;
-  u64 lineno = 0;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    auto doc = Json::parse(line);
-    if (!doc.has_value() || !doc->is_object()) {
-      std::fprintf(stderr, "lz_report: %s:%llu: malformed history line\n",
-                   path.c_str(), static_cast<unsigned long long>(lineno));
-      std::exit(2);
-    }
-    TrendEntry e;
-    const Json* seq = doc->find("seq");
-    e.seq = (seq != nullptr && seq->is_number()) ? seq->as_u64() : lineno;
-    e.doc = std::move(*doc);
-    entries.push_back(std::move(e));
-  }
-  return entries;
-}
-
-// Pulls the gated value out of a history entry (or the candidate's entry-
-// shaped summary): "cycles.total" maps to the flat "cycles_total" field,
-// anything else indexes "results".
-std::optional<double> trend_value(const Json& entry, const std::string& key) {
-  if (key == "cycles.total") {
-    const Json* v = entry.find("cycles_total");
-    if (v == nullptr || !v->is_number()) return std::nullopt;
-    return v->as_double();
-  }
-  const Json* results = entry.find("results");
-  if (results == nullptr) return std::nullopt;
-  const Json* v = results->find(key);
-  if (v == nullptr || !v->is_number()) return std::nullopt;
-  return v->as_double();
-}
-
-// Reduces a full report document to the entry shape appended to history.
-Json make_trend_entry(const Json& doc, u64 seq) {
-  Json entry = Json::object();
-  entry.set("seq", Json::number(seq));
-  const Json* bench = doc.find("bench");
-  entry.set("bench", Json::string(bench != nullptr && bench->is_string()
-                                      ? bench->as_string()
-                                      : ""));
-  entry.set("cycles_total", Json::number(cycles_total(doc).value_or(0)));
-  Json results = Json::object();
-  const Json* doc_results = doc.find("results");
-  if (doc_results != nullptr && doc_results->is_object()) {
-    for (const auto& [key, value] : doc_results->members()) {
-      if (value.is_number()) results.set(key, value);
-    }
-  }
-  entry.set("results", std::move(results));
-  Json p99s = Json::object();
-  const Json* hists = doc.find("histograms");
-  if (hists != nullptr && hists->is_object()) {
-    for (const auto& [name, h] : hists->members()) {
-      (void)h;
-      const auto p = hist_percentile(doc, name, "p99");
-      if (p.has_value()) p99s.set(name, Json::number(*p));
-    }
-  }
-  entry.set("hist_p99", std::move(p99s));
-  return entry;
-}
-
-int run_trend(const char* path, const std::string& history_path,
-              std::size_t window, double max_drift,
-              const std::vector<std::string>& extra_keys) {
-  const auto doc = load_report(path);
-  if (!doc.has_value()) return 2;
-
-  const auto history = load_history(history_path);
-  const u64 next_seq = history.empty() ? 1 : history.back().seq + 1;
-  const Json entry = make_trend_entry(*doc, next_seq);
-
-  std::vector<std::string> keys = {"cycles.total"};
-  keys.insert(keys.end(), extra_keys.begin(), extra_keys.end());
-
-  int failures = 0;
-  // Fewer than 3 prior entries can't produce a meaningful median — pass
-  // vacuously so fresh checkouts can seed the history.
-  if (history.size() < 3) {
-    std::printf(
-        "lz_report: trend: %zu prior entr%s in %s — seeding, no gate\n",
-        history.size(), history.size() == 1 ? "y" : "ies",
-        history_path.c_str());
-  } else {
-    const std::size_t n = history.size() < window ? history.size() : window;
-    for (const std::string& key : keys) {
-      std::vector<double> values;
-      for (std::size_t i = history.size() - n; i < history.size(); ++i) {
-        const auto v = trend_value(history[i].doc, key);
-        if (v.has_value()) values.push_back(*v);
-      }
-      const auto got = trend_value(entry, key);
-      if (!got.has_value()) {
-        std::fprintf(stderr, "lz_report: %s: no trend value for '%s'\n", path,
-                     key.c_str());
-        return 2;
-      }
-      if (values.size() < 3) {
-        std::printf(
-            "lz_report: trend: %s has %zu historical sample(s) — skipped\n",
-            key.c_str(), values.size());
-        continue;
-      }
-      const double med = median(values);
-      const double drift = pct_delta(med, *got);
-      if (std::fabs(drift) > max_drift) {
-        std::fprintf(stderr,
-                     "lz_report: FAIL trend %s drifted %+.2f%% from median "
-                     "%.3f of last %zu (limit %.3g%%)\n",
-                     key.c_str(), drift, med, values.size(), max_drift);
-        ++failures;
-      } else {
-        std::printf(
-            "lz_report: ok trend %s: %.3f vs median %.3f of last %zu "
-            "(%+.2f%%, limit %.3g%%)\n",
-            key.c_str(), *got, med, values.size(), drift, max_drift);
-      }
-    }
-  }
-
-  if (failures != 0) return 1;
-
-  std::ofstream out(history_path, std::ios::app);
-  if (!out) {
-    std::fprintf(stderr, "lz_report: %s: cannot append\n",
-                 history_path.c_str());
-    return 2;
-  }
-  out << entry.dump() << "\n";
-  if (!out) {
-    std::fprintf(stderr, "lz_report: %s: write failed\n",
-                 history_path.c_str());
-    return 2;
-  }
-  std::printf("lz_report: trend: appended seq %llu to %s\n",
-              static_cast<unsigned long long>(next_seq),
-              history_path.c_str());
-  return 0;
-}
-
 // Human-readable diff of base vs the first candidate: shared result keys,
 // cycle totals, and p50/p90/p99 of every shared histogram.
 void print_diff(const Json& base, const Json& cand) {
@@ -400,13 +207,8 @@ void print_diff(const Json& base, const Json& cand) {
 int main(int argc, char** argv) {
   std::vector<const char*> files;
   std::vector<Gate> result_min, result_floor, hist_max;
-  std::vector<std::string> trend_keys;
-  std::string history_path = "bench/history/history.jsonl";
-  std::size_t trend_window = 8;
-  double trend_max_drift = 10.0;
   bool require_cycles_equal = false;
   bool require_sim_identical = false;
-  bool trend = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto gate_value = [&](const char* flag) -> std::string {
@@ -429,31 +231,6 @@ int main(int argc, char** argv) {
       require_cycles_equal = true;
     } else if (arg == "--require-sim-identical") {
       require_sim_identical = true;
-    } else if (arg == "--trend") {
-      trend = true;
-    } else if (arg == "--history") {
-      history_path = gate_value("--history");
-    } else if (arg == "--trend-window") {
-      const std::string v = gate_value("--trend-window");
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0) {
-        std::fprintf(stderr, "%s: bad --trend-window '%s'\n", argv[0],
-                     v.c_str());
-        return 2;
-      }
-      trend_window = n;
-    } else if (arg == "--trend-max-drift") {
-      const std::string v = gate_value("--trend-max-drift");
-      char* end = nullptr;
-      trend_max_drift = std::strtod(v.c_str(), &end);
-      if (end == nullptr || *end != '\0' || trend_max_drift < 0) {
-        std::fprintf(stderr, "%s: bad --trend-max-drift '%s'\n", argv[0],
-                     v.c_str());
-        return 2;
-      }
-    } else if (arg == "--trend-key") {
-      trend_keys.push_back(gate_value("--trend-key"));
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], arg.c_str());
       usage(argv[0], 2);
@@ -462,15 +239,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (trend) {
-    if (files.size() != 1) {
-      std::fprintf(stderr, "%s: --trend takes exactly one report file\n",
-                   argv[0]);
-      return 2;
-    }
-    return run_trend(files[0], history_path, trend_window, trend_max_drift,
-                     trend_keys);
-  }
   if (files.size() < 2) usage(argv[0], 2);
 
   const auto base = load_report(files[0]);

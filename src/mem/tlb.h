@@ -50,12 +50,19 @@
 
 namespace lz::mem {
 
-struct TlbEntry {
-  bool valid = false;
+// What a lookup matches on (Tlb::matches): the page, the VMID and, unless
+// the entry is global, the ASID.
+struct TlbKey {
   u64 vpage = 0;    // VA >> 12
   u16 asid = 0;
   u16 vmid = 0;
   bool global = false;   // matches any ASID within its VMID
+  bool valid = false;
+
+  friend bool operator==(const TlbKey&, const TlbKey&) = default;
+};
+
+struct TlbEntry : TlbKey {
   bool stage2_on = false;
   u64 ipa_page = 0;      // stage-1 output (== ppage when stage-2 off)
   PhysAddr ppage = 0;    // final machine frame
@@ -111,6 +118,16 @@ class Tlb {
     Tag tag;
   };
 
+  // The one match rule: whether `e` answers a lookup of (vpage, asid, vmid).
+  // A global entry matches every ASID of its VMID. The Core-side memos of
+  // TLB hits (L0 slots, traces) decide their liveness with it too.
+  static bool matches(const TlbKey& e, u64 vpage, u16 asid, u16 vmid) {
+    // One compare for the ASID and VMID, with a global entry's ASID masked
+    // out: the L0 fast path runs this on every access.
+    const u32 asid_diff = (e.asid ^ asid) & (e.global ? 0u : 0xffffu);
+    return e.valid && e.vpage == vpage && ((e.vmid ^ vmid) | asid_diff) == 0;
+  }
+
   // Look up (vpage, asid, vmid). Promotes main-TLB hits into the micro-TLB.
   std::optional<Hit> lookup(u64 vpage, u16 asid, u16 vmid, Cycles l2_hit_cost);
 
@@ -136,12 +153,14 @@ class Tlb {
   // an invalidation that removes its entry, an alias eviction, a random
   // replacement. A refill or promotion into a free slot leaves it alone
   // (the slot's last kill already moved it). A Core-side L0 entry or trace
-  // tagged with slot i at stamp S is usable only while tag_live(): an
-  // unmoved stamp proves slot i still holds exactly the entry the tag was
-  // handed out with, and (at most one entry per level matches a key) the
-  // locked lookup would find it there — so an L0 hit is observationally
-  // identical to that micro-TLB hit (same zero cost, same stats line). A
-  // refill that evicts some other slot leaves every other tag live.
+  // tagged with slot i at stamp S is usable only while tag_live() and
+  // matches(entry, vpage, current ASID, current VMID): an unmoved stamp
+  // proves slot i still holds exactly the entry the tag was handed out
+  // with, and when that entry matches the lookup key (at most one entry per
+  // level does) the locked lookup would find it there — so an L0 hit is
+  // observationally identical to that micro-TLB hit (same zero cost, same
+  // stats line). A refill that evicts some other slot leaves every other
+  // tag live.
   //
   // The stamps are relaxed atomics: the owning core reads them locklessly
   // on every access, and remote DVM shootdowns move them under the TLB
@@ -168,10 +187,6 @@ class Tlb {
   std::size_t valid_entries() const;
 
  private:
-  static bool matches(const TlbEntry& e, u64 vpage, u16 asid, u16 vmid) {
-    return e.valid && e.vpage == vpage && e.vmid == vmid &&
-           (e.global || e.asid == asid);
-  }
   // Two entries alias when some single lookup could match both (same page
   // and VMID, overlapping ASID scope — a global entry overlaps every ASID).
   static bool aliases(const TlbEntry& a, const TlbEntry& b) {

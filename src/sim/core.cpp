@@ -67,15 +67,11 @@ bool Core::has_handler(ExceptionLevel el) const {
   return static_cast<bool>(handlers_[static_cast<int>(el)]);
 }
 
-void Core::refresh_translation_context(bool globals_too) {
+void Core::refresh_translation_context() {
   cached_stage2_ = sysreg(SysReg::kHcrEl2) & arch::hcr::kVm;
   cached_vmid_ =
       cached_stage2_ ? mem::vttbr_vmid(sysreg(SysReg::kVttbrEl2)) : 0;
   cached_asid_ = mem::ttbr_asid(sysreg(SysReg::kTtbr0El1));
-  // Every non-global L0 entry and trace from the old context is now
-  // unusable; global ones too unless only TTBR0 (ASID + lower root) moved.
-  ++ctx_epoch_[0];
-  if (globals_too) ++ctx_epoch_[1];
 }
 
 void Core::refresh_watchpoints() {
@@ -380,12 +376,12 @@ Core::Translation Core::translate(VirtAddr va, AccessType type,
   Translation out;
   const u64 vpage = page_index(va);
 
-  // L0 fast path: a valid slot is a memoized, fully permission-checked L1
-  // hit (zero extra cost) — see the coherence argument in core.h. The
+  // L0 fast path: a live slot is a memoized, fully permission-checked L1
+  // hit (zero extra cost) — see the coherence argument at TlbMemo. The
   // stats credit is batched; outside run() it lands immediately so direct
   // translate() callers read exact TlbStats.
   L0Entry* l0 = unprivileged ? nullptr : l0_slot(type, vpage);
-  if (l0 != nullptr && l0_live(*l0, vpage)) {
+  if (l0 != nullptr && memo_live(l0->memo, vpage)) {
     if (in_run_) {
       ++pending_l0_hits_;
     } else {
@@ -395,7 +391,7 @@ Core::Translation Core::translate(VirtAddr va, AccessType type,
     if (check::enabled()) check_tlb_hit(va, l0->entry);
 #endif
     out.ok = true;
-    out.pa = l0->pa_page | page_offset(va);
+    out.pa = l0->memo.ppage | page_offset(va);
     return out;
   }
 
@@ -441,14 +437,11 @@ Core::Translation Core::translate(VirtAddr va, AccessType type,
     // insert, so the micro-TLB slot it names held `entry` at exactly that
     // stamp; a later kill of that slot (invalidation, local or DVM, or
     // replacement) moves the stamp and the L0 entry dies.
-    l0->valid = true;
-    l0->vpage = vpage;
-    l0->tlb_tag = entry_tag;
-    l0->global = entry->global ? 1 : 0;
-    l0->ctx_epoch = ctx_epoch_[l0->global];
-    l0->el = pstate_.el;
-    l0->pan = pstate_.pan;
-    l0->pa_page = entry->ppage;
+    l0->memo.slot = entry_tag;
+    l0->memo.key = *entry;
+    l0->memo.ppage = entry->ppage;
+    l0->memo.el = pstate_.el;
+    l0->memo.pan = pstate_.pan;
     l0->entry = *entry;
   }
   return out;

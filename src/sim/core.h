@@ -89,17 +89,15 @@ class Core {
   u64 sysreg(SysReg r) const { return sysregs_[static_cast<size_t>(r)]; }
   // Every sysreg write funnels through here (simulated MSR and privileged
   // C++ software alike), which is what lets the hot path cache derived
-  // translation state: writes to TTBR0/TTBR1/VTTBR/HCR refresh the cached
-  // ASID/VMID/stage-2 flags and advance the L0 context epochs (a bare
-  // TTBR0 write only the non-global one); watchpoint register writes
-  // re-arm the watchpoint fast-path flag.
+  // translation state: writes to TTBR0/VTTBR/HCR refresh the cached
+  // ASID/VMID/stage-2 flags, the lookup key every TLB memo is matched
+  // against (a TTBR1 write changes no key, so it refreshes nothing);
+  // watchpoint register writes re-arm the watchpoint fast-path flag.
   void set_sysreg(SysReg r, u64 v) {
     sysregs_[static_cast<size_t>(r)] = v;
-    if (r == SysReg::kTtbr0El1) {
-      refresh_translation_context(/*globals_too=*/false);
-    } else if (r == SysReg::kTtbr1El1 || r == SysReg::kVttbrEl2 ||
-               r == SysReg::kHcrEl2) {
-      refresh_translation_context(/*globals_too=*/true);
+    if (r == SysReg::kTtbr0El1 || r == SysReg::kVttbrEl2 ||
+        r == SysReg::kHcrEl2) {
+      refresh_translation_context();
     } else if (arch::is_watchpoint_reg(r)) {
       refresh_watchpoints();
     } else if (arch::is_pmu_reg(r)) {
@@ -274,22 +272,22 @@ class Core {
   void trace_unretire_after(const Trace& t, const TraceOp& op, unsigned i);
   // The one predicate a block needs to start (try_trace, dispatch_trace)
   // and to go on past a kSys op: no per-instruction work is due
-  // (needs_step), the tags still match (trace_tags_live) and no profiler
+  // (needs_step), its fetch memo is live (trace_tags_live) and no profiler
   // sample can fall inside it (sample_margin_ok). A chained re-entry checks
   // only the margin: every op that can change the rest ends the block.
   bool needs_step() const;
-  bool trace_tags_live(const Trace& t) const;
+  bool trace_tags_live(const Trace& t) const {
+    return memo_live(t.fetch, page_index(t.start_va));
+  }
   bool sample_margin_ok(const Trace& t) const;
-  // A stale trace re-takes its tags from the live L0 fetch slot of its page
+  // A stale trace re-takes its memo from the live L0 fetch slot of its page
   // when that slot maps the same frame (trace_retag).
-  struct L0Entry;
   bool trace_retag(Trace& t);
-  void take_fetch_tags(Trace& t, const L0Entry& l0) const;
   void link_trace_counters();
   void check_tlb_hit(VirtAddr va, const mem::TlbEntry& hit);
   void check_tlb_hit_inner(VirtAddr va, const mem::TlbEntry& hit);
   Cycles sysreg_write_cost(SysReg r) const;
-  void refresh_translation_context(bool globals_too);
+  void refresh_translation_context();
   void refresh_watchpoints();
 
   const arch::Platform& plat_;
@@ -306,44 +304,28 @@ class Core {
   // --- Hot-path state (host-side memoization; zero architectural effect) ----
   // See DESIGN.md §11. Everything below is owned by the core's thread and
   // touched without locks; coherence with the shared Tlb/PhysMem rides on
-  // the micro-TLB slot stamps and the context epoch.
+  // the micro-TLB slot stamps and the lookup key of each memoized entry.
 
-  // L0 translation cache: direct-mapped per-access-type memoization of
-  // fully-checked translate() results. An entry is usable only while
-  //   * tlb_.tag_live(tlb_tag) (the micro-TLB slot the entry was found in
-  //     or placed into has not been killed since: it still holds exactly
-  //     the memoized entry, so a hit is observationally that L1 hit with
-  //     zero extra cost; a refill that evicts another slot, a TLBI that
-  //     misses this page, or a remote DVM shootdown of another page leaves
-  //     it live), and
-  //   * ctx_epoch == ctx_epoch_[global] (no context write that could change
-  //     what the TLB returns for this entry: a non-global entry dies on any
-  //     TTBR0/TTBR1/VTTBR/HCR write, so bare §4.1.2 domain switches miss L0
-  //     and re-consult the real TLB; a global entry matches every ASID and
-  //     the lower-half root plays no part in its lookup, so it survives a
-  //     bare TTBR0 write and dies only on TTBR1/VTTBR/HCR writes),
-  //   * el/pan match PSTATE             (permissions were checked under
-  //     exactly this privilege; PSTATE is externally mutable by reference,
-  //     so it is compared directly rather than epoch-tracked).
-  // Unprivileged (LDTR/STTR) accesses bypass L0 entirely. Traces carry the
-  // fetch slot's predicate (Trace::tlb_tag and friends).
-  struct L0Entry {
-    u64 vpage = 0;
-    mem::Tlb::Tag tlb_tag = mem::Tlb::kNoTag;
-    u64 ctx_epoch = 0;
-    ExceptionLevel el = ExceptionLevel::kEl0;
-    bool pan = false;
-    bool valid = false;
-    u8 global = 0;          // entry.global: indexes ctx_epoch_
-    PhysAddr pa_page = 0;   // post-permission-check output frame
-    mem::TlbEntry entry;    // for the lz::check TLB-vs-walk oracle
-  };
-  // Whether `l0` memoizes `vpage` under the live tags (the predicate above).
-  bool l0_live(const L0Entry& l0, u64 vpage) const {
-    return l0.valid && l0.vpage == vpage && tlb_.tag_live(l0.tlb_tag) &&
-           l0.ctx_epoch == ctx_epoch_[l0.global] && l0.el == pstate_.el &&
-           l0.pan == pstate_.pan;
+  // L0 translation cache: direct-mapped per-access-type memos of
+  // fully-checked translate() results (TlbMemo, trace_cache.h). A slot
+  // serves `vpage` while memo_live() holds: its micro-TLB slot is unkilled
+  // (a refill that evicts another slot, a TLBI that misses this page, or a
+  // remote DVM shootdown of another page leaves it live), its key matches
+  // the lookup of `vpage` under the current ASID and VMID (so a bare TTBR0
+  // write to the same ASID, a TTBR1 write, or a switch away and back keeps
+  // it; a global entry matches every ASID), and EL/PAN equal PSTATE (the
+  // permission check ran under exactly those; PSTATE is externally mutable
+  // by reference, so it is compared directly). Unprivileged (LDTR/STTR)
+  // accesses bypass L0 entirely. Traces hold the same memo of their fetch
+  // translation (Trace::fetch).
+  bool memo_live(const TlbMemo& m, u64 vpage) const {
+    return mem::Tlb::matches(m.key, vpage, cached_asid_, cached_vmid_) &&
+           tlb_.tag_live(m.slot) && m.el == pstate_.el && m.pan == pstate_.pan;
   }
+  struct L0Entry {
+    TlbMemo memo;
+    mem::TlbEntry entry;  // for the lz::check TLB-vs-walk oracle
+  };
   L0Entry* l0_slot(AccessType type, u64 vpage) {
     switch (type) {
       case AccessType::kFetch:
@@ -358,10 +340,6 @@ class Core {
   std::array<L0Entry, kL0FetchSlots> l0_fetch_{};
   std::array<L0Entry, kL0DataSlots> l0_read_{};
   std::array<L0Entry, kL0DataSlots> l0_write_{};
-  // Context epochs indexed by an entry's global bit: [0] is bumped by every
-  // TTBR0/TTBR1/VTTBR/HCR write, [1] by all of those but TTBR0. Indexing
-  // keeps the L0 check a single compare.
-  std::array<u64, 2> ctx_epoch_{1, 1};
 
   // Derived translation context (satellite: no sysreg-file re-derivation
   // per translate() call).

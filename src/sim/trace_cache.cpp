@@ -1,12 +1,14 @@
 // Superblock trace tier: build, dispatch and invalidation (DESIGN.md §16).
 //
 // Accounting exactness argument, in one place. A trace only runs while its
-// tag is live: the micro-TLB slot its fetch translation was found in still
-// carries the stamp it had then, and the context epoch, EL and PAN are
-// those of the L0 fetch predicate. A slot's stamp moves on *every* kill of
-// that slot (each invalidate flavour that removes it, alias evictions,
-// random replacement by a refill or an L2->L1 promotion), so a live tag
-// implies the fetch translation is still resident in the micro-TLB — which
+// fetch memo is live (Core::memo_live, the L0 predicate): the micro-TLB
+// slot its fetch translation was found in still carries the stamp it had
+// then, that entry matches the lookup under the current ASID and VMID, and
+// EL and PAN are unchanged. A slot's stamp moves on *every* kill of that
+// slot (each invalidate flavour that removes it, alias evictions, random
+// replacement by a refill or an L2->L1 promotion), so a live stamp implies
+// the entry is still resident in the micro-TLB, and a matching key that the
+// lookup would return it (a level holds at most one entry per key) — which
 // means the interpreter's per-instruction fetch would have been either an
 // L0 hit or an L1 lookup hit, and both are counted as `l1_hits` at zero
 // cycle cost. Pre-summing `pending_l0_hits_ += n`, `pending_insn_ += n`
@@ -26,13 +28,13 @@
 // interpreter's would, and re-adds the remainder only if the block goes on
 // (trace_sys).
 //
-// Re-tagging keeps this exact. A stale trace takes the tag of the live L0
-// fetch slot of its page only when that slot passes the full L0 predicate
+// Re-tagging keeps this exact. A stale trace takes the memo of the live L0
+// fetch slot of its page only when that slot passes the same predicate
 // (so the next fetch would be a zero-cost micro-TLB hit) and maps the
 // trace's own frame (so the words it re-compares and runs are the ones the
-// interpreter would fetch). The slot's EL/PAN/epoch become the trace's:
-// nothing a trace lowered depends on them, the ops that do (loads, stores,
-// system instructions) read them live.
+// interpreter would fetch). The slot's stamp, entry and EL/PAN become the
+// trace's: nothing a trace lowered depends on them, the ops that do
+// (loads, stores, system instructions) read them live.
 #include "sim/trace_cache.h"
 
 #include <algorithm>
@@ -285,17 +287,17 @@ void TraceDeleter::operator()(Trace* t) const noexcept {
 }
 
 // Builds a trace starting at pc_ from the L0 fetch slot's memoized
-// translation — a live slot hands over the physical page and the
-// slot/epoch tags with zero simulated side effects. If the slot is
-// cold the build is skipped; step() will fetch (and install it) first. A
-// block that cannot form a trace (fewer than two lowerable ops) backs the
-// slot off and allocates nothing. Returns the built trace, or nullptr.
+// translation — a live slot hands over its memo (the physical page with
+// its stamp, key and EL/PAN) with zero simulated side effects. If the slot
+// is cold or stale the build is skipped; step() will fetch (and install
+// it) first. A block that cannot form a trace (fewer than two lowerable
+// ops) backs the slot off and allocates nothing. Returns the built trace,
+// or nullptr.
 Trace* Core::build_trace(TraceCache::Slot& s) {
   const u64 vpage = page_index(pc_);
-  const L0Entry& l0 = l0_fetch_[l0_index(vpage, kL0FetchSlots)];
-  if (!l0_live(l0, vpage)) return nullptr;
-  const PhysAddr ppage = l0.pa_page;
-  const u8* host = pm_.page_ptr(ppage);
+  const TlbMemo& l0 = l0_fetch_[l0_index(vpage, kL0FetchSlots)].memo;
+  if (!memo_live(l0, vpage)) return nullptr;
+  const u8* host = pm_.page_ptr(l0.ppage);
   const u32 start_off = static_cast<u32>(page_offset(pc_));
   // Decode from a private copy of each word (not through the decoded-page
   // cache): ops and words must come from the same read even if another
@@ -342,12 +344,11 @@ Trace* Core::build_trace(TraceCache::Slot& s) {
   std::copy_n(sys.data(), sys_n, t.sys());
   std::copy_n(words.data(), n, t.words());
   t.start_va = pc_;
-  take_fetch_tags(t, l0);
+  t.fetch = l0;
   t.n = static_cast<u16>(n);
   t.ldst_n = ldst_n;
   t.start_off = start_off;
   t.cycles = cyc;
-  t.ppage = ppage;
   t.host = host;
   t.valid = true;
   if (tcount_.built.value() == 0) link_trace_counters();
@@ -374,31 +375,15 @@ bool Core::needs_step() const {
   return on_insn || watchpoints_armed_ || (irq_pending_ && !pstate_.irq_masked);
 }
 
-// The L0 fetch-slot predicate a trace was built under: while it holds, every
-// fetch in the block is a zero-cost micro-TLB hit.
-bool Core::trace_tags_live(const Trace& t) const {
-  return tlb_.tag_live(t.tlb_tag) && t.ctx_epoch == ctx_epoch_[t.global] &&
-         t.el == pstate_.el && t.pan == pstate_.pan;
-}
-
-// Gives `t` the predicate of the live L0 fetch slot `l0` of its page.
-void Core::take_fetch_tags(Trace& t, const L0Entry& l0) const {
-  t.tlb_tag = l0.tlb_tag;
-  t.global = l0.global;
-  t.ctx_epoch = l0.ctx_epoch;
-  t.el = l0.el;
-  t.pan = l0.pan;
-}
-
-// Re-tags a trace whose tags went stale when the live L0 fetch slot of its
-// page maps the same frame: the code page's micro-TLB slot was refilled
-// (or the context moved and came back), not the code. See the exactness
-// argument at the top of this file.
+// Re-tags a trace whose memo went stale when the live L0 fetch slot of its
+// page maps the same frame: the code page's micro-TLB slot was refilled, or
+// the lookup now hits another entry for the page (another ASID's), not
+// other code. See the exactness argument at the top of this file.
 bool Core::trace_retag(Trace& t) {
   const u64 vpage = page_index(t.start_va);
-  const L0Entry& l0 = l0_fetch_[l0_index(vpage, kL0FetchSlots)];
-  if (!l0_live(l0, vpage) || l0.pa_page != t.ppage) return false;
-  take_fetch_tags(t, l0);
+  const TlbMemo& l0 = l0_fetch_[l0_index(vpage, kL0FetchSlots)].memo;
+  if (!memo_live(l0, vpage) || l0.ppage != t.fetch.ppage) return false;
+  t.fetch = l0;
   return true;
 }
 
@@ -414,9 +399,9 @@ u64 Core::try_trace(u64 remaining) {
     }
     if (!live && !trace_retag(*t)) {
       // The translation may have changed under the trace (TLBI, remote DVM
-      // shootdown, TTBR/ASID rewrite over non-global code, EL/PAN change)
-      // and no live fetch slot vouches for the frame: discard and back off;
-      // a later visit rebuilds under the live context.
+      // shootdown, a switch to another ASID or VMID over non-global code,
+      // EL/PAN change) and no live fetch slot vouches for the frame:
+      // discard and back off; a later visit rebuilds under the live context.
       t->valid = false;
       tcount_.invalidated_gen.add();
       s.back_off();
@@ -682,9 +667,10 @@ bool Core::trace_sys(Trace& t, const TraceOp& op, unsigned i) {
     return false;
   }
   if (!trace_tags_live(t)) {
-    // The block's own system instruction staled its tags (a TLBI, or a
-    // TTBR0 write over non-global code). Back the slot off: re-tagging it
-    // at every visit would pay a dispatch for the few ops before this one.
+    // The block's own system instruction staled its memo (a TLBI, or a
+    // TTBR0 write to another ASID over non-global code). Back the slot
+    // off: re-tagging it at every visit would pay a dispatch for the few
+    // ops before this one.
     tcache_.slot(t.start_va).back_off();
     return false;
   }
@@ -725,7 +711,7 @@ bool Core::trace_ldst(Trace& t, const TraceOp& op, unsigned i) {
     set_x(op.rd, v);
   } else {
     pm_.write(tr.pa, op.size, x(op.rd));
-    if (page_floor(tr.pa) == t.ppage) {
+    if (page_floor(tr.pa) == t.fetch.ppage) {
       // Store into the trace's own code page: the words after it may be
       // stale now, so the trace dies and the interpreter re-reads them.
       t.valid = false;
@@ -738,7 +724,7 @@ bool Core::trace_ldst(Trace& t, const TraceOp& op, unsigned i) {
   // and then the fetches after this op are no longer provably free. The
   // interpreter fetches them and pays what the TLB charges, before any
   // later flush boundary can observe the difference.
-  if (t.valid && tlb_.tag_live(t.tlb_tag)) return true;
+  if (t.valid && tlb_.tag_live(t.fetch.slot)) return true;
   trace_unretire_after(t, op, i);
   pc_ = insn_pc + 4;
   return false;

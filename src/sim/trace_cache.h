@@ -3,17 +3,17 @@
 // executed as a unit by threaded-code dispatch in the core.
 //
 // A trace is pure host-side memoization layered *on top of* the
-// decoded-page cache: it carries the tag of the micro-TLB slot its fetch
-// translation lives in, the context epoch and EL/PAN it was built under
-// (the exact validity predicate of an L0 fetch slot), the identity of its
-// physical page, and a copy of the encoded words it was decoded from. At
+// decoded-page cache: it carries the memo of its fetch translation (a
+// TlbMemo, exactly what an L0 fetch slot holds, so both share one liveness
+// predicate) and a copy of the encoded words it was decoded from. At
 // dispatch the live words are re-compared (self-modifying code) and the
-// tags re-checked (TLBI/DVM/context switch/replacement of that slot). A
-// stale tag is re-taken from the live L0 fetch slot when that slot maps
-// the same frame under the current context (re-tagging: the code did not
-// move, only its micro-TLB slot was refilled); any other mismatch discards
-// the trace — the same machinery that keeps the decode cache honest, so
-// the tier is architecturally invisible.
+// memo re-checked (TLBI/DVM/replacement of its micro-TLB slot, a lookup
+// key that no longer matches, EL/PAN). A stale memo is re-taken from the
+// live L0 fetch slot when that slot maps the same frame (re-tagging: the
+// code did not move, only its micro-TLB slot was refilled or the lookup
+// now hits another entry for it); any other mismatch discards the trace —
+// the same machinery that keeps the decode cache honest, so the tier is
+// architecturally invisible.
 //
 // Trace formation stops at unconditional branches and at conditional
 // branches back to the trace's start (the branch terminates the trace, so
@@ -28,8 +28,9 @@
 //
 // Everything here is owned by the core's thread; every invalidation, local
 // or remote (DVM shootdowns), reaches a trace through its micro-TLB slot
-// stamp exactly like the L0 cache, so no lock and no atomic read-modify-
-// write appears on the dispatch path.
+// stamp exactly like the L0 cache, and every translation-context write
+// through the lookup key, so no lock and no atomic read-modify-write
+// appears on the dispatch path.
 #pragma once
 
 #include <algorithm>
@@ -92,22 +93,34 @@ struct TraceOp {
   u64 aux = 0;         // branch target VA / movk insert / link value
 };
 
-struct Trace {
-  // Validity tags: the L0Entry predicate (see core.h) plus page identity.
-  u64 start_va = 0;
-  mem::Tlb::Tag tlb_tag = mem::Tlb::kNoTag;  // the fetch translation's slot
-  u64 ctx_epoch = 0;     // value of Core's epoch for `global` at build time
+// A memoized, fully permission-checked TLB hit: an L0 slot, or the fetch
+// translation of a trace. It is live (Core::memo_live) while
+//   * the micro-TLB slot it was found in or placed into is unkilled
+//     (mem::Tlb::tag_live(slot): the slot still holds exactly the entry),
+//   * `key` matches the current lookup (mem::Tlb::matches with the core's
+//     cached ASID and VMID), and
+//   * EL and PAN equal PSTATE (the permission check's inputs).
+// The first two together mean the locked Tlb::lookup would return this
+// very entry as a zero-cost micro-TLB hit (a level holds at most one entry
+// per key), so using the memo is observationally that hit.
+struct TlbMemo {
+  mem::Tlb::Tag slot = mem::Tlb::kNoTag;
+  mem::TlbKey key;       // the memoized entry's lookup key (invalid until set)
+  PhysAddr ppage = 0;    // the memoized entry's output frame
   arch::ExceptionLevel el = arch::ExceptionLevel::kEl0;
   bool pan = false;
+};
+
+struct Trace {
+  u64 start_va = 0;
+  TlbMemo fetch;         // the code page's translation (page identity too)
   bool valid = false;
-  u8 global = 0;         // built from a global fetch entry (epoch class)
   u16 n = 0;             // retired instructions when the trace runs to the end
   u16 cap = 0;           // ops this block has room for (rebuild-in-place bound)
   u16 sys_cap = 0;       // system instructions it has room for
   u16 ldst_n = 0;        // loads/stores in the trace (profiler margin bound)
   u32 start_off = 0;     // byte offset of start_va's word within the page
   u32 cycles = 0;        // presummed kInsn cycles for the whole trace
-  PhysAddr ppage = 0;
   const u8* host = nullptr;  // live page bytes (self-modifying-code recheck)
 
   static constexpr unsigned kMaxOps = 64;
@@ -143,9 +156,10 @@ struct TraceStats {
   u64 executed = 0;
   u64 insns = 0;      // instructions retired through traces
   u64 invalidated_smc = 0;  // live-word mismatch / store into own page
-  // Tag miss that re-tagging could not repair: the code page's micro-TLB
-  // slot was killed and the live L0 fetch slot does not (yet) map the same
-  // frame under the current context, or the context epoch moved.
+  // Memo miss that re-tagging could not repair: the code page's micro-TLB
+  // slot was killed, or the current lookup key (or EL/PAN) no longer
+  // matches the trace's, and the live L0 fetch slot does not (yet) map the
+  // same frame.
   u64 invalidated_gen = 0;
 };
 

@@ -199,7 +199,7 @@ TEST(L0IndexTest, GatePagesTakeDistinctSlots) {
 }
 
 // Remote DVM broadcast (TLBI VAE1IS from another core) must invalidate this
-// core's L0 as well — the generation counter is the cross-core channel.
+// core's L0 as well — the micro-TLB slot stamps are the cross-core channel.
 class RemoteDvmTest : public HotPathTest {
  protected:
   RemoteDvmTest() : HotPathTest(/*cores=*/2) {}
@@ -231,10 +231,11 @@ TEST_F(RemoteDvmTest, BroadcastShootdownReachesRemoteL0) {
 }
 
 // A bare TTBR0 rewrite (same ASID, no TLBI — the §4.1.2 domain-switch fast
-// path) must miss the L0 (context epoch changed) but may architecturally
-// still hit the main TLB's stale-but-matching entry. After a TLBI ASIDE1
-// the new table takes effect.
-TEST_F(HotPathTest, BareTtbr0RewriteMissesL0ButMayHitMainTlb) {
+// path) leaves the lookup key as it was, so the TLB's stale-but-matching
+// entry keeps serving the page, as it architecturally may: the L0 slot
+// stays live and its hit is the micro-TLB hit the lookup would count.
+// After a TLBI ASIDE1 the new table takes effect.
+TEST_F(HotPathTest, BareTtbr0RewriteServesTheMatchingEntryUntilTlbi) {
   mem::Stage1Table tbl_a(machine.mem(), /*asid=*/1);
   mem::Stage1Table tbl_b(machine.mem(), /*asid=*/1);
   const PhysAddr frame_a = machine.mem().alloc_frame();
@@ -255,7 +256,7 @@ TEST_F(HotPathTest, BareTtbr0RewriteMissesL0ButMayHitMainTlb) {
   const auto stale = machine.tlb(0).stats();
   EXPECT_TRUE(t.ok);
   EXPECT_EQ(t.pa, frame_a);                    // legal stale main-TLB hit
-  EXPECT_EQ(stale.l1_hits, warm.l1_hits + 1);  // served by the real TLB
+  EXPECT_EQ(stale.l1_hits, warm.l1_hits + 1);  // one micro-TLB hit
   EXPECT_EQ(stale.misses, warm.misses);
 
   // The conventional switch (TLBI after rewrite) exposes table B.
@@ -652,13 +653,12 @@ TEST_F(TraceTierTest, OwnPageStoreKillsTraceMidFlight) {
   EXPECT_GE(Stats().invalidated_smc, 1u);
 }
 
-// A bare TTBR0 rewrite (LightZone's §4.1.2 domain switch) bumps the
-// translation-context epoch: the trace built under the old epoch misses its
-// tags on the next dispatch. When the page still maps the same frame the
-// re-installed L0 fetch slot vouches for it and the trace is re-tagged, not
-// rebuilt; when another table maps the page elsewhere, it dies and the
-// rebuilt trace runs the new code.
-TEST_F(TraceTierTest, BareTtbr0RewriteInvalidatesByEpoch) {
+// A bare TTBR0 rewrite (LightZone's §4.1.2 domain switch) to the same ASID
+// leaves a trace's lookup key matching: the trace runs on, neither
+// re-tagged nor rebuilt. When another ASID's table maps the page elsewhere,
+// the key no longer matches, the live L0 fetch slot maps another frame, and
+// the trace dies; the rebuilt trace runs the new code.
+TEST_F(TraceTierTest, BareTtbr0RewriteKeepsTheTraceWhileItsKeyMatches) {
   constexpr u64 kIters = 200;
   const auto loop_code = [](u16 step) {
     Asm a;
@@ -671,6 +671,7 @@ TEST_F(TraceTierTest, BareTtbr0RewriteInvalidatesByEpoch) {
     a.svc(0);
     return a;
   };
+  constexpr VirtAddr kLoopVa = kCodeVa + 4;  // past the MOVZ
   Asm a = loop_code(1);
   InstallCode(a);
 
@@ -683,12 +684,15 @@ TEST_F(TraceTierTest, BareTtbr0RewriteInvalidatesByEpoch) {
   const u64 built0 = Stats().built;
   const u64 executed0 = Stats().executed;
 
-  // Same root, same ASID — but any TTBR0 write opens a new context epoch.
+  // Same root, same ASID. The run re-enters the loop itself, so the one
+  // block it dispatches is the trace built before the rewrite (a start at
+  // the MOVZ would build a block there on that word's second visit).
   core.set_sysreg(SysReg::kTtbr0El1, tbl->ttbr());
-  core.set_pc(kCodeVa);
+  core.set_x(1, kIters);
+  core.set_pc(kLoopVa);
   EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);
   EXPECT_EQ(core.x(2), 2 * kIters);
-  EXPECT_EQ(Stats().invalidated_gen, gen0);  // re-tagged, not discarded
+  EXPECT_EQ(Stats().invalidated_gen, gen0);  // still live, not discarded
   EXPECT_EQ(Stats().built, built0);
   EXPECT_GE(Stats().executed, executed0 + kIters - 1);
 
@@ -702,18 +706,20 @@ TEST_F(TraceTierTest, BareTtbr0RewriteInvalidatesByEpoch) {
   core.set_pc(kCodeVa);
   EXPECT_EQ(core.run(10'000).reason, StopReason::kHandlerStop);
   EXPECT_EQ(core.x(2), 4 * kIters);
-  // The old trace died by tag and was rebuilt; while its slot backed off,
-  // the interpreted ADD let the SUB/CBNZ tail (hot since the first run)
-  // build too.
+  // The old trace died by its key and was rebuilt; while its slot backed
+  // off, the interpreted ADD let the SUB/CBNZ tail (hot since the first
+  // run) build too. The MOVZ block found its L0 fetch slot stale (the
+  // ASID 1 entry) and was not built.
   EXPECT_EQ(Stats().invalidated_gen, gen0 + 1);
   EXPECT_EQ(Stats().built, built0 + 2);
 }
 
-// --- Epoch rule for global entries -------------------------------------------
-// A global TLB entry matches every ASID and its lookup never consults the
-// lower-half root, so L0 slots and traces built from one are keyed to the
-// epoch a bare TTBR0 write leaves alone (DESIGN.md §11): the call gate's
-// own MSR TTBR0_EL1 no longer kills its blocks. Non-global ones still die.
+// --- Fetch key across bare TTBR0 writes -------------------------------------
+// A trace's fetch memo lives while its TLB entry matches the lookup key
+// (DESIGN.md §11.1): a bare TTBR0 write that keeps the ASID, or any TTBR0
+// write under global code, leaves it live, so the call gate's own
+// MSR TTBR0_EL1 does not end its block. A write to another ASID over
+// non-global code does.
 
 struct Ttbr0LoopOutcome {
   TraceStats trace;
@@ -723,17 +729,27 @@ struct Ttbr0LoopOutcome {
   std::size_t divergences = 0;
 };
 
-// `iters` iterations of: bare TTBR0 rewrite (same root and ASID), an MRS,
-// then a three-op straight-line block — on a fresh machine with the
-// TLB-vs-walk oracle capturing instead of aborting.
-Ttbr0LoopOutcome RunTtbr0RewriteLoop(bool global_code, bool tier, u16 iters) {
+// How the loop's code page is mapped and what its TTBR0 write does.
+enum class CodeKey {
+  kGlobal,           // global code, TTBR0 rewritten with the same value
+  kSameAsid,         // non-global code, TTBR0 rewritten with the same value
+  kAlternatingAsid,  // non-global code, TTBR0 toggled between ASIDs 1 and 2
+                     // whose tables map the page to the same frame
+};
+
+// `iters` iterations of: EOR (the TTBR0 value to write next), bare TTBR0
+// write, an MRS, then a three-op straight-line block — on a fresh machine
+// with the TLB-vs-walk oracle capturing instead of aborting.
+Ttbr0LoopOutcome RunTtbr0RewriteLoop(CodeKey key, bool tier, u16 iters) {
   check::CaptureDivergences caught;
   Machine m(arch::Platform::cortex_a55(), /*seed=*/42);
   mem::Stage1Table tbl(m.mem(), /*asid=*/1);
+  mem::Stage1Table other(m.mem(), /*asid=*/2);
   Asm a;
   auto loop = a.new_label();
   a.movz(1, iters);
   a.bind(loop);
+  a.eor_reg(5, 5, 7);
   a.msr(SysReg::kTtbr0El1, 5);
   a.mrs(6, SysReg::kTtbr0El1);
   a.add_imm(2, 2, 1);
@@ -743,13 +759,16 @@ Ttbr0LoopOutcome RunTtbr0RewriteLoop(bool global_code, bool tier, u16 iters) {
   const PhysAddr code = m.mem().alloc_frame();
   a.install(m.mem(), code);
   S1Attrs attrs = CodeAttrs();
-  attrs.global = global_code;
+  attrs.global = key == CodeKey::kGlobal;
   LZ_CHECK_OK(tbl.map(kCodeVa, code, attrs));
+  LZ_CHECK_OK(other.map(kCodeVa, code, attrs));
   auto& core = m.core(0);
   core.set_trace_tier(tier);
   core.set_sysreg(SysReg::kTtbr0El1, tbl.ttbr());
   core.pstate().el = ExceptionLevel::kEl1;
   core.set_x(5, tbl.ttbr());
+  core.set_x(7, key == CodeKey::kAlternatingAsid ? tbl.ttbr() ^ other.ttbr()
+                                                 : 0);
   core.set_pc(kCodeVa);
   core.set_handler(ExceptionLevel::kEl1,
                    [](const TrapInfo&) { return TrapAction::kStop; });
@@ -770,38 +789,52 @@ void ExpectSameSimulatedOutcome(const Ttbr0LoopOutcome& on,
   EXPECT_EQ(off.divergences, 0u);
 }
 
-TEST(GlobalEpochTest, GlobalCodeTraceSurvivesBareTtbr0Writes) {
+TEST(FetchKeyTest, SameKeyCodeTraceSurvivesBareTtbr0Writes) {
   constexpr u16 kIters = 1000;
-  const auto on = RunTtbr0RewriteLoop(/*global_code=*/true, true, kIters);
-  const auto off = RunTtbr0RewriteLoop(/*global_code=*/true, false, kIters);
-  EXPECT_EQ(on.iterations, kIters);
-  // Built once on the second visit, then dispatched every iteration after:
-  // 1000 TTBR0 writes and not one tag miss. The trace is the whole loop,
-  // MSR and MRS included: the TTBR0 write leaves the global epoch alone, so
-  // the block goes on past it and chains.
-  EXPECT_EQ(on.trace.built, 1u);
-  EXPECT_EQ(on.trace.invalidated_gen, 0u);
-  EXPECT_EQ(on.trace.executed, kIters - 1u);
-  ExpectSameSimulatedOutcome(on, off);
+  for (const CodeKey key : {CodeKey::kGlobal, CodeKey::kSameAsid}) {
+    SCOPED_TRACE(key == CodeKey::kGlobal ? "global code" : "same ASID");
+    const auto on = RunTtbr0RewriteLoop(key, true, kIters);
+    const auto off = RunTtbr0RewriteLoop(key, false, kIters);
+    EXPECT_EQ(on.iterations, kIters);
+    // Built once on the second visit, then dispatched every iteration
+    // after: 1000 TTBR0 writes and not one memo miss. The trace is the
+    // whole loop, MSR and MRS included: the write leaves the fetch entry
+    // matching the lookup key, so the block goes on past it and chains.
+    EXPECT_EQ(on.trace.built, 1u);
+    EXPECT_EQ(on.trace.invalidated_gen, 0u);
+    EXPECT_EQ(on.trace.executed, kIters - 1u);
+    ExpectSameSimulatedOutcome(on, off);
+  }
 }
 
-TEST(GlobalEpochTest, NonGlobalCodeTraceIsRetaggedAndBacksOffGeometrically) {
+TEST(FetchKeyTest, AlternatingAsidCodeTraceIsRetaggedAndBacksOff) {
   constexpr u16 kIters = 1000;
-  const auto on = RunTtbr0RewriteLoop(/*global_code=*/false, true, kIters);
-  const auto off = RunTtbr0RewriteLoop(/*global_code=*/false, false, kIters);
+  const auto on = RunTtbr0RewriteLoop(CodeKey::kAlternatingAsid, true, kIters);
+  const auto off =
+      RunTtbr0RewriteLoop(CodeKey::kAlternatingAsid, false, kIters);
   EXPECT_EQ(on.iterations, kIters);
-  // Every TTBR0 write moves the non-global epoch, so each block's tags are
-  // stale at its next dispatch. The code page still maps the same frame,
-  // and the interpreted MRS after the MSR (a build right after the MSR
-  // would read the stale L0 fetch slot) re-installs the fetch slot under
-  // the new epoch: no block is discarded. The block at the MSR stales
-  // itself, so its slot backs off (windows 2, 4, ..., 256: about
-  // log2(256) + N/257 dispatches); the ADD/SUB block with its CBNZ side
-  // exit is staled from outside and re-tagged at every visit.
+  // The TTBR0 write toggles the ASID every iteration, and each ASID's
+  // fetch entry (same frame, distinct keys) stays in the micro-TLB, so no
+  // memo dies by its stamp and none is discarded: each stale one is
+  // re-tagged or deferred. Iteration 1 is interpreted and marks every word
+  // hot; iteration k starts under ASID 2 when k is even, ASID 1 when odd.
+  //   even k: the loop-head block H (built in iteration 2 under ASID 2)
+  //     runs EOR, MSR; its own MSR stales it, so its slot backs off
+  //     (window 2) and the block stops there.
+  //   odd k: H is stale and deferred, EOR is interpreted, and the block M
+  //     at the MSR (built in iteration 3 under ASID 1) runs just its MSR
+  //     and backs off the same way.
+  //   every k >= 2: the interpreted MRS refills the L0 fetch slot under
+  //     the new ASID, and the ADD/SUB/CBNZ block A (built in iteration 2,
+  //     its CBNZ a side exit) is re-tagged from it and runs.
+  // H and M are live on alternate iterations and a live dispatch resets
+  // the window, so it never grows past 2. Three blocks built, two blocks
+  // per iteration from iteration 2 on, retiring 2 + 3 (even k) or 1 + 3
+  // (odd k) instructions.
   EXPECT_EQ(on.trace.invalidated_gen, 0u);
-  EXPECT_LE(on.trace.built, 4u);
-  EXPECT_GE(on.trace.executed, kIters - 2u);
-  EXPECT_LE(on.trace.executed, kIters + 48u);
+  EXPECT_EQ(on.trace.built, 3u);
+  EXPECT_EQ(on.trace.executed, 2u * (kIters - 1u));
+  EXPECT_EQ(on.trace.insns, 5u * (kIters / 2) + 4u * (kIters / 2 - 1u));
   ExpectSameSimulatedOutcome(on, off);
 }
 
@@ -829,6 +862,85 @@ TEST_F(HotPathTest, GlobalDataEntryServesAcrossBareTtbr0Write) {
   EXPECT_EQ(after.l1_hits, warm.l1_hits + 1);
   EXPECT_EQ(after.misses, warm.misses);
   EXPECT_TRUE(caught.items().empty());
+}
+
+// The data-side lookup key: an L0 slot serves only a context whose lookup
+// would return its entry. Each case warms kDataVa to frame a, switches
+// (no TLBI) to a context whose key differs and whose tables map frame b,
+// and switches back: the way out walks, and the way back is one
+// micro-TLB hit on the entry the first context left, with no walk. Cases:
+// bare TTBR0 writes between non-global ASID 1 and 2 tables, VTTBR writes
+// between VMID 1 and 2 with stage 2 on, and HCR.VM off and on again (VMID
+// 1 to 0, where the stage-1 output is the frame).
+TEST(DataKeyTest, EntryServesOnlyItsOwnContext) {
+  enum class Switch { kAsid, kVmid, kHcrVm };
+  for (const Switch sw : {Switch::kAsid, Switch::kVmid, Switch::kHcrVm}) {
+    SCOPED_TRACE(sw == Switch::kAsid   ? "ASID"
+                 : sw == Switch::kVmid ? "VMID"
+                                       : "HCR.VM");
+    check::CaptureDivergences caught;
+    Machine m(arch::Platform::cortex_a55(), /*seed=*/42);
+    auto& core = m.core(0);
+    core.pstate().el = ExceptionLevel::kEl1;
+    const PhysAddr frame_a = m.mem().alloc_frame();
+    const PhysAddr frame_b = m.mem().alloc_frame();
+    mem::Stage1Table tbl_a(m.mem(), /*asid=*/1);
+    mem::Stage1Table tbl_b(m.mem(), /*asid=*/2);
+    mem::Stage2Table s2_a(m.mem(), /*vmid=*/1);
+    mem::Stage2Table s2_b(m.mem(), /*vmid=*/2);
+    // Stage 2 maps every stage-1 table frame flat, and the IPA of kDataVa
+    // (frame b's address) to frame a under VMID 1, to itself under VMID 2.
+    const auto map_flat = [&](mem::Stage2Table& s2) {
+      for (const PhysAddr f : tbl_a.table_frames()) {
+        LZ_CHECK_OK(s2.map(f, f, mem::S2Attrs{}));
+      }
+    };
+    std::function<void()> away, back;
+    if (sw == Switch::kAsid) {
+      LZ_CHECK_OK(tbl_a.map(kDataVa, frame_a, DataAttrs()));
+      LZ_CHECK_OK(tbl_b.map(kDataVa, frame_b, DataAttrs()));
+      core.set_sysreg(SysReg::kTtbr0El1, tbl_a.ttbr());
+      away = [&] { core.set_sysreg(SysReg::kTtbr0El1, tbl_b.ttbr()); };
+      back = [&] { core.set_sysreg(SysReg::kTtbr0El1, tbl_a.ttbr()); };
+    } else {
+      LZ_CHECK_OK(tbl_a.map(kDataVa, frame_b, DataAttrs()));
+      map_flat(s2_a);
+      map_flat(s2_b);
+      LZ_CHECK_OK(s2_a.map(frame_b, frame_a, mem::S2Attrs{}));
+      LZ_CHECK_OK(s2_b.map(frame_b, frame_b, mem::S2Attrs{}));
+      core.set_sysreg(SysReg::kTtbr0El1, tbl_a.ttbr());
+      core.set_sysreg(SysReg::kVttbrEl2, s2_a.vttbr());
+      const u64 hcr_on = arch::hcr::kRw | arch::hcr::kVm;
+      core.set_sysreg(SysReg::kHcrEl2, hcr_on);
+      if (sw == Switch::kVmid) {
+        away = [&] { core.set_sysreg(SysReg::kVttbrEl2, s2_b.vttbr()); };
+        back = [&] { core.set_sysreg(SysReg::kVttbrEl2, s2_a.vttbr()); };
+      } else {
+        away = [&] { core.set_sysreg(SysReg::kHcrEl2, arch::hcr::kRw); };
+        back = [&, hcr_on] { core.set_sysreg(SysReg::kHcrEl2, hcr_on); };
+      }
+    }
+    const auto read_pa = [&] {
+      const auto t = core.translate(kDataVa, AccessType::kRead, false);
+      EXPECT_TRUE(t.ok);
+      return t.pa;
+    };
+    EXPECT_EQ(read_pa(), frame_a);
+    EXPECT_EQ(read_pa(), frame_a);  // the L0 hit
+
+    away();
+    const auto warm = m.tlb(0).stats();
+    EXPECT_EQ(read_pa(), frame_b);
+    const auto out = m.tlb(0).stats();
+    EXPECT_EQ(out.misses, warm.misses + 1);
+
+    back();
+    EXPECT_EQ(read_pa(), frame_a);
+    const auto after = m.tlb(0).stats();
+    EXPECT_EQ(after.l1_hits, out.l1_hits + 1);
+    EXPECT_EQ(after.misses, out.misses);
+    EXPECT_TRUE(caught.items().empty());
+  }
 }
 
 // --- Bounded stop-PC runs ----------------------------------------------------
@@ -1403,7 +1515,7 @@ TEST(SysInTraceTest, WatchpointArmedMidBlockIsHitByTheNextLoad) {
   ExpectSameSysBlockOutcome(on, off);
 }
 
-// A TLBI in mid-block moves the Tlb generation, so the block ends there and
+// A TLBI in mid-block moves the code slot's stamp, so the block ends there and
 // the next fetch walks the live tables. After the first, interpreted, pass
 // the handler switches TTBR0 to a table (same ASID, no TLB maintenance)
 // that maps the global code page to a copy whose third word differs. The
