@@ -239,7 +239,7 @@ class ObsSession {
       }
     }
     if (!opts_.profile_path.empty()) {
-      if (obs::profiler().write_collapsed(opts_.profile_path)) {
+      if (obs::write_text(opts_.profile_path, obs::profiler().collapsed())) {
         std::printf("obs: wrote %llu profile samples to %s\n",
                     static_cast<unsigned long long>(obs::profiler().samples()),
                     opts_.profile_path.c_str());

@@ -82,7 +82,9 @@ struct ReplayChecks {
 template <typename Fuzz>
 int run_replay(const typename Fuzz::Config& cfg) {
   // A crashed fuzz run (LZ_CHECK, oracle abort) should leave a state trail:
-  // dump the flight recorder's per-core black box on abort.
+  // record into the flight recorder and dump its per-core black box on
+  // abort.
+  obs::flight().arm();
   obs::install_flight_abort_handler();
   ReplayChecks checks;
   const std::string stream = Fuzz::kStream;

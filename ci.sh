@@ -321,13 +321,16 @@ build/bench/lz_report BENCH_throughput.json "$tp_off" \
 # both concurrent fuzz drivers must be clean under the thread sanitizer.
 cmake -B build-tsan -G Ninja -DLZ_SANITIZE=thread >/dev/null
 cmake --build build-tsan --target smp_test obs_test obs_v3_test \
-  metrics_test hotpath_test histogram_test profiler_test pmu_test \
-  backend_test bbm_test workloads_test mem_test fuzz_table2 fuzz_a64 \
-  throughput fig3_nginx
+  metrics_test switch_probe_test hotpath_test histogram_test profiler_test \
+  pmu_test backend_test bbm_test workloads_test mem_test fuzz_table2 \
+  fuzz_a64 throughput fig3_nginx
 build-tsan/tests/smp_test
 build-tsan/tests/obs_test
 build-tsan/tests/obs_v3_test
 build-tsan/tests/metrics_test
+# Switch counters and histograms are per-thread shards written with plain
+# loads and stores: four core threads record while a fifth takes snapshots.
+build-tsan/tests/switch_probe_test
 # Tier forced on explicitly: the trace dispatch path and the slot-stamp
 # invalidation by remote DVM shootdowns must be race-free on SMP topologies.
 LZ_TRACE_TIER=1 build-tsan/tests/hotpath_test

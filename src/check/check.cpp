@@ -15,6 +15,16 @@ namespace {
 
 std::atomic<bool> g_enabled{true};
 
+#ifdef LZ_CONF_CHECK
+constexpr bool kHooksCompiledIn = true;
+#else
+constexpr bool kHooksCompiledIn = false;
+#endif
+// report()'s fail-stop path prints the flight recorder's black box, so the
+// recorder is armed whenever the hooks are.
+[[maybe_unused]] const bool g_flight_armed =
+    (obs::flight().arm(kHooksCompiledIn), true);
+
 std::mutex g_handler_mu;
 Handler g_handler;  // guarded by g_handler_mu
 
@@ -26,7 +36,10 @@ obs::Counter& divergence_counter() {
 }  // namespace
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
+void set_enabled(bool on) {
+  g_enabled.store(on, std::memory_order_relaxed);
+  obs::flight().arm(kHooksCompiledIn && on);
+}
 
 Handler set_divergence_handler(Handler h) {
   std::lock_guard<std::mutex> lock(g_handler_mu);

@@ -42,7 +42,8 @@ struct Divergence {
   std::string detail;  // human-readable description of the mismatch
 };
 
-// Runtime switch for the compiled-in hooks (process-wide, default on).
+// Runtime switch for the compiled-in hooks (process-wide, default on). The
+// flight recorder (obs/flight.h) is armed exactly while the hooks are on.
 bool enabled();
 void set_enabled(bool on);
 

@@ -1,6 +1,7 @@
 #include "obs/counters.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "obs/expose.h"
 #include "obs/flight.h"
@@ -13,6 +14,38 @@
 #include "support/status.h"
 
 namespace lz::obs {
+
+namespace {
+
+// Hands the thread's shard back when the thread exits.
+struct ShardLease {
+  ~ShardLease() {
+    shards().give_back(*detail::t_shard);
+    detail::t_shard = nullptr;
+  }
+};
+
+u64 slot_sum(int slot) {
+  u64 sum = 0;
+  shards().for_each([&](const Shard& s) {
+    sum += s.counts[static_cast<std::size_t>(slot)].load(
+        std::memory_order_relaxed);
+  });
+  return sum;
+}
+
+}  // namespace
+
+CellPool<Shard>& shards() {
+  static CellPool<Shard>* pool = new CellPool<Shard>;  // outlives every thread
+  return *pool;
+}
+
+Shard& detail::take_shard() {
+  t_shard = &shards().take();
+  static thread_local ShardLease lease;
+  return *t_shard;
+}
 
 Registry::Entry& Registry::entry(std::string_view name, bool host) {
   auto it = entries_.find(name);
@@ -27,6 +60,16 @@ Registry::Entry& Registry::entry(std::string_view name, bool host) {
 Counter& Registry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   return entry(name, /*host=*/false).own;
+}
+
+ShardedCounter Registry::sharded(std::string_view name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry& e = entry(name, /*host=*/false);
+  if (e.slot < 0) {
+    LZ_CHECK(slots_ < Shard::kSlots);
+    e.slot = static_cast<int>(slots_++);
+  }
+  return ShardedCounter(static_cast<std::size_t>(e.slot));
 }
 
 void Registry::link(std::string_view name, const OwnedCounter& c, bool host) {
@@ -52,6 +95,7 @@ Snapshot Registry::values(bool host) const {
     if (e.host != host) continue;
     u64 v = e.own.value();
     for (const Link& l : e.links) v += l.counter->value() - l.base;
+    if (e.slot >= 0) v += slot_sum(e.slot) - e.slot_base;
     snap.emplace_back(name, v);
   }
   return snap;
@@ -86,6 +130,7 @@ void Registry::reset() {
   for (auto& [name, e] : entries_) {
     e.own.reset();
     for (Link& l : e.links) l.base = l.counter->value();
+    if (e.slot >= 0) e.slot_base = slot_sum(e.slot);
   }
 }
 
@@ -104,14 +149,14 @@ Registry& registry() {
 }
 
 CycleCounts::CycleCounts()
-    : cell_(cycle_ledger().take()),
+    : cell_(cycle_ledger().cells_.take()),
       base_total_(cell_.total.load(std::memory_order_relaxed)) {
   for (std::size_t k = 0; k < base_by_kind_.size(); ++k) {
     base_by_kind_[k] = cell_.by_kind[k].load(std::memory_order_relaxed);
   }
 }
 
-CycleCounts::~CycleCounts() { cycle_ledger().give_back(cell_); }
+CycleCounts::~CycleCounts() { cycle_ledger().cells_.give_back(cell_); }
 
 u64 CycleLedger::total() const { return read(0); }
 
@@ -126,44 +171,14 @@ u64 CycleLedger::read(std::size_t f) const {
 
 u64 CycleLedger::sum(std::size_t f) const {
   u64 sum = 0;
-  std::size_t n = used_.load(std::memory_order_acquire);
-  for (const Chunk* c = &head_; n != 0;
-       c = c->next.load(std::memory_order_acquire)) {
-    const std::size_t k = std::min(n, Chunk::kCells);
-    for (std::size_t i = 0; i < k; ++i) {
-      const CycleCell& cell = c->cells[i];
-      sum += (f == 0 ? cell.total : cell.by_kind[f - 1])
-                 .load(std::memory_order_relaxed);
-    }
-    n -= k;
-  }
+  cells_.for_each([&](const CycleCell& cell) {
+    sum += (f == 0 ? cell.total : cell.by_kind[f - 1])
+               .load(std::memory_order_relaxed);
+  });
   return sum;
 }
 
-CycleCell& CycleLedger::take() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!free_.empty()) {
-    CycleCell& cell = *free_.back();
-    free_.pop_back();
-    return cell;
-  }
-  const std::size_t n = used_.load(std::memory_order_relaxed);
-  if (n != 0 && n % Chunk::kCells == 0) {
-    chunks_.push_back(std::make_unique<Chunk>());
-    tail_->next.store(chunks_.back().get(), std::memory_order_release);
-    tail_ = chunks_.back().get();
-  }
-  used_.store(n + 1, std::memory_order_release);
-  return tail_->cells[n % Chunk::kCells];
-}
-
-void CycleLedger::give_back(CycleCell& cell) {
-  std::lock_guard<std::mutex> lock(mu_);
-  free_.push_back(&cell);
-}
-
 void CycleLedger::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t f = 0; f < base_.size(); ++f) {
     base_[f].store(sum(f), std::memory_order_release);
   }
@@ -172,6 +187,13 @@ void CycleLedger::reset() {
 CycleLedger& cycle_ledger() {
   static CycleLedger l;
   return l;
+}
+
+bool write_text(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && ok;
 }
 
 void reset_all() {

@@ -1,21 +1,15 @@
-// lz::obs — unified observability for the LightZone model.
+// lz::obs — counters and the cycle ledger.
 //
-// This header provides the *counter* half: named, hierarchical, cheap
-// monotonic counters with snapshot/delta/reset semantics, plus the global
-// CycleLedger, which sums every cycle account in the process (live or
-// dead) when read, so reports (and the event trace's clock) can see
-// simulated time without a reference to any particular Machine.
-//
-// Naming convention: `subsystem.object.event`, e.g. `mem.tlb.l1_hit`,
-// `sim.core.insn_retired`, `hv.host.hcr_retained`, `lz.module.gate_switch`.
-// Each event is counted once: in a registry Counter (a stable handle, one
-// relaxed atomic add, any thread), or in an OwnedCounter its owner (a
-// core, a TLB) links under its names, which snapshots read in place.
-//
-// Addition commutes, so totals stay deterministic however the SMP
-// machine's core threads interleave; registration, linking and snapshots
-// take the registry mutex. Snapshots are name-sorted, and values depend
-// only on the executed work.
+// Named monotonic counters (`subsystem.object.event`, e.g. `mem.tlb.l1_hit`,
+// `lz.module.gate_switch`) with snapshot/delta/reset, and the CycleLedger,
+// which sums every cycle account in the process when read, so reports and
+// the event trace's clock see simulated time without a Machine. Each event
+// is counted once: in a registry Counter (one relaxed atomic add, any
+// thread), in an OwnedCounter its owner (a core, a TLB) links under its
+// names, or in a ShardedCounter (the switch rows), which each host thread
+// adds to in its own Shard. Snapshots read owners and sum shards in place,
+// name-sorted; addition commutes, so values depend only on the executed
+// work however the SMP machine's threads interleave.
 #pragma once
 
 #include <array>
@@ -33,12 +27,72 @@
 
 namespace lz::obs {
 
+class Histogram;  // histogram.h
+
+namespace detail {
+// `a += n` by the one writer `a` has: a relaxed load and store, no
+// read-modify-write; any thread may read `a`.
+inline void owned_add(std::atomic<u64>& a, u64 n) {
+  a.store(a.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+}  // namespace detail
+
+// Objects handed to owners and handed back when they die, never freed: the
+// next owner of a handed-back object counts on from its totals, so readers
+// can sum every object handed out so far, without a lock, and never see a
+// total go backwards. take() and give_back() take the pool's mutex.
+template <typename T>
+class CellPool {
+ public:
+  T& take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!free_.empty()) {
+      T& cell = *free_.back();
+      free_.pop_back();
+      return cell;
+    }
+    const std::size_t n = used_.load(std::memory_order_relaxed);
+    if (n != 0 && n % Chunk::kCells == 0) {
+      chunks_.push_back(std::make_unique<Chunk>());
+      tail_->next.store(chunks_.back().get(), std::memory_order_release);
+      tail_ = chunks_.back().get();
+    }
+    used_.store(n + 1, std::memory_order_release);
+    return tail_->cells[n % Chunk::kCells];
+  }
+  void give_back(T& cell) {
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(&cell);
+  }
+  // Calls `f` on every object handed out so far, held or handed back.
+  template <typename F>
+  void for_each(F&& f) const {
+    std::size_t n = used_.load(std::memory_order_acquire);
+    for (const Chunk* c = &head_; n != 0;
+         c = c->next.load(std::memory_order_acquire)) {
+      const std::size_t k = n < Chunk::kCells ? n : Chunk::kCells;
+      for (std::size_t i = 0; i < k; ++i) f(c->cells[i]);
+      n -= k;
+    }
+  }
+
+ private:
+  struct Chunk {
+    static constexpr std::size_t kCells = 32;
+    std::array<T, kCells> cells;
+    std::atomic<Chunk*> next{nullptr};
+  };
+
+  std::mutex mu_;  // taken by take/give_back; used_ is also read without it
+  std::atomic<std::size_t> used_{0};  // objects ever handed out, in order
+  Chunk head_;
+  Chunk* tail_ = &head_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;  // head_'s successors
+  std::vector<T*> free_;
+};
+
 class Counter {
  public:
-  Counter() = default;
-  Counter(const Counter&) = delete;
-  Counter& operator=(const Counter&) = delete;
-
   void add(u64 n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   u64 value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0, std::memory_order_relaxed); }
@@ -55,10 +109,7 @@ class OwnedCounter {
  public:
   ~OwnedCounter();
 
-  void add(u64 n = 1) {
-    value_.store(value_.load(std::memory_order_relaxed) + n,
-                 std::memory_order_relaxed);
-  }
+  void add(u64 n = 1) { detail::owned_add(value_, n); }
   u64 value() const { return value_.load(std::memory_order_relaxed); }
   // registry().link(name, *this, host); the destructor unlinks.
   void link(std::string name, bool host = false);
@@ -66,6 +117,48 @@ class OwnedCounter {
  private:
   std::atomic<u64> value_{0};
   std::vector<std::string> names_;
+};
+
+// One host thread's stores for the instruments written on every domain
+// switch: the Registry's ShardedCounters and every HistogramRegistry
+// histogram, one slot each. Only the thread holding a shard writes it, so an
+// update is relaxed loads and stores with no read-modify-write; readers sum
+// every shard. A thread takes a shard from shards() on its first update and
+// hands it back when it exits, so a one-thread run holds one shard.
+struct alignas(64) Shard {  // two threads' shards never share a line
+  static constexpr std::size_t kSlots = 32;
+
+  std::array<std::atomic<u64>, kSlots> counts{};
+  // Made by the owner on first record into the slot.
+  std::array<std::atomic<Histogram*>, kSlots> histograms{};
+  // The HistogramRegistry reset its histograms count from (histogram.h).
+  std::atomic<u64> histogram_gen{0};
+};
+
+namespace detail {
+inline thread_local Shard* t_shard = nullptr;
+Shard& take_shard();
+}  // namespace detail
+
+// The calling thread's shard; takes one on first use.
+inline Shard& this_thread_shard() {
+  Shard* s = detail::t_shard;
+  return s != nullptr ? *s : detail::take_shard();
+}
+// The pool the threads' shards come from.
+CellPool<Shard>& shards();
+
+// A registry counter that each host thread adds to in its own shard; made
+// by Registry::sharded.
+class ShardedCounter {
+ public:
+  explicit ShardedCounter(std::size_t slot) : slot_(slot) {}
+  void add(u64 n = 1) const {
+    detail::owned_add(this_thread_shard().counts[slot_], n);
+  }
+
+ private:
+  std::size_t slot_;
 };
 
 // One (name, value) pair per registered counter, sorted by name.
@@ -84,6 +177,10 @@ class Registry {
   // may differ between two byte-identical simulations.
   void link(std::string_view name, const OwnedCounter& c, bool host = false);
   void unlink(std::string_view name, const OwnedCounter& c);
+
+  // Registers `name` on first use as a counter summed over every Shard;
+  // subsequent calls return a handle to the same slot.
+  ShardedCounter sharded(std::string_view name);
 
   // Name-sorted values of every counter (std::map iteration order).
   // Host names are deliberately absent.
@@ -108,6 +205,8 @@ class Registry {
     Counter own;
     std::vector<Link> links;
     bool host = false;
+    int slot = -1;        // Shard slot of a sharded counter
+    u64 slot_base = 0;    // the slot's sum at the last reset()
   };
 
   Entry& entry(std::string_view name, bool host);  // registers on first use
@@ -115,6 +214,7 @@ class Registry {
 
   mutable std::mutex mu_;
   std::map<std::string, Entry, std::less<>> entries_;
+  std::size_t slots_ = 0;  // Shard slots handed out
 };
 
 // The process-wide registry all subsystems wire into.
@@ -145,11 +245,11 @@ struct alignas(64) CycleCell {
 };
 
 // The cycle totals of one account: the base of sim::CycleAccount. It takes
-// a CycleCell from cycle_ledger() when constructed and hands it back when
-// it dies; its totals are what it added to the cell. One writer at a time
-// — the owning core's thread, or the thread bound to that core — so add()
-// is a relaxed load and store per field, with no read-modify-write; any
-// thread may read the totals.
+// a CycleCell from the ledger's pool when constructed and hands it back
+// when it dies; its totals are what it added to the cell. One writer at a
+// time — the owning core's thread, or the thread bound to that core — so
+// add() is a relaxed load and store per field, with no read-modify-write;
+// any thread may read the totals.
 class CycleCounts {
  public:
   CycleCounts(const CycleCounts&) = delete;
@@ -168,11 +268,8 @@ class CycleCounts {
   ~CycleCounts();
 
   void add(std::size_t kind, u64 cycles) {
-    std::atomic<u64>& k = cell_.by_kind[kind];
-    cell_.total.store(cell_.total.load(std::memory_order_relaxed) + cycles,
-                      std::memory_order_relaxed);
-    k.store(k.load(std::memory_order_relaxed) + cycles,
-            std::memory_order_relaxed);
+    detail::owned_add(cell_.total, cycles);
+    detail::owned_add(cell_.by_kind[kind], cycles);
   }
 
  private:
@@ -189,15 +286,9 @@ class CycleCounts {
 // deterministic clock for the event trace: `total()` is the total
 // simulated work performed so far across all machines.
 //
-// Readers take no lock and allocate nothing. Cells only grow and are never
-// freed, so a reader never touches a dead account, and a thread never sees
-// `total()` go backwards while accounts come and go.
+// Readers take no lock and allocate nothing (CellPool::for_each).
 class CycleLedger {
  public:
-  CycleLedger() = default;
-  CycleLedger(const CycleLedger&) = delete;
-  CycleLedger& operator=(const CycleLedger&) = delete;
-
   u64 total() const;
   u64 of(std::size_t kind) const;
 
@@ -207,28 +298,19 @@ class CycleLedger {
 
  private:
   friend class CycleCounts;
-  CycleCell& take();
-  void give_back(CycleCell& cell);
-
-  struct Chunk {
-    static constexpr std::size_t kCells = 32;
-    std::array<CycleCell, kCells> cells;
-    std::atomic<Chunk*> next{nullptr};
-  };
   // Field 0 is the total, field 1 + k is kind k.
   u64 read(std::size_t f) const;  // sum(f) minus its value at reset()
   u64 sum(std::size_t f) const;   // over every cell handed out
 
-  std::mutex mu_;  // serialises take/give_back/reset; guards the members below
-  std::atomic<std::size_t> used_{0};  // cells ever handed out, in order
-  Chunk head_;
-  Chunk* tail_ = &head_;
-  std::vector<std::unique_ptr<Chunk>> chunks_;  // head_'s successors
-  std::vector<CycleCell*> free_;
+  CellPool<CycleCell> cells_;
   std::array<std::atomic<u64>, 1 + CycleCell::kMaxKinds> base_{};  // at reset
 };
 
 CycleLedger& cycle_ledger();
+
+// Writes `text` to `path` (truncating); false on an I/O error. The one
+// file writer of the reports, traces, profiles and expositions.
+bool write_text(const std::string& path, std::string_view text);
 
 // Convenience for tests and bench runs: zero the registry and the ledger
 // (both by rebasing their links; owners keep their own counts), the event

@@ -23,18 +23,6 @@ std::string mangle(std::string_view name) {
   return out;
 }
 
-void append_u64(std::string& out, u64 v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-void append_fixed3(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  out += buf;
-}
-
 // One exposition line: `name[labels] value\n`. `extra` is an additional
 // label fragment (e.g. `quantile="0.99"` or `overflow="true"`) merged into
 // the label braces after the LabelSet's own labels.
@@ -52,10 +40,19 @@ void line(std::string& out, const std::string& name, const LabelSet& labels,
     rendered += extra;
     rendered += '}';
   }
+  char text[32];
+  std::snprintf(text, sizeof text, " %" PRIu64 "\n", value);
   out += rendered;
-  out += ' ';
-  append_u64(out, value);
-  out += '\n';
+  out += text;
+}
+
+// A flat counter snapshot, one TYPE line and one value line per name.
+void render_counters(std::string& out, const Snapshot& snapshot) {
+  for (const auto& [name, value] : snapshot) {
+    const std::string mname = mangle(name);
+    out += "# TYPE " + mname + " counter\n";
+    line(out, mname, LabelSet{}, "", value);
+  }
 }
 
 void render_histogram_series(std::string& out, const std::string& name,
@@ -90,11 +87,7 @@ std::string render_exposition(const ExpositionOptions& opts) {
   out += "# lz.obs exposition v1\n";
 
   // Flat simulated counters (already name-sorted by the registry).
-  for (const auto& [name, value] : registry().snapshot()) {
-    const std::string mname = mangle(name);
-    out += "# TYPE " + mname + " counter\n";
-    line(out, mname, LabelSet{}, "", value);
-  }
+  render_counters(out, registry().snapshot());
 
   // Labeled counter families (name-sorted; series label-sorted).
   for (const CounterFamily* fam : metrics().counter_families()) {
@@ -115,9 +108,9 @@ std::string render_exposition(const ExpositionOptions& opts) {
     line(out, mname, LabelSet{}, "quantile=\"0.9\"", st.p90);
     line(out, mname, LabelSet{}, "quantile=\"0.99\"", st.p99);
     line(out, mname + "_count", LabelSet{}, "", st.count);
-    out += mname + "_mean ";
-    append_fixed3(out, st.mean);
-    out += '\n';
+    char mean[64];
+    std::snprintf(mean, sizeof mean, "_mean %.3f\n", st.mean);
+    out += mname + mean;
     line(out, mname + "_min", LabelSet{}, "", st.min);
     line(out, mname + "_max", LabelSet{}, "", st.max);
   }
@@ -140,11 +133,7 @@ std::string render_exposition(const ExpositionOptions& opts) {
 
   // Host-side counters (`sim.trace.*`): deterministic per config, but not
   // across configs that merely execute identical simulated work.
-  for (const auto& [name, value] : registry().host_snapshot()) {
-    const std::string mname = mangle(name);
-    out += "# TYPE " + mname + " counter\n";
-    line(out, mname, LabelSet{}, "", value);
-  }
+  render_counters(out, registry().host_snapshot());
 
   // Wall-clock self attribution: never part of the determinism contract.
   if (opts.include_self) {
@@ -163,10 +152,7 @@ std::string render_exposition(const ExpositionOptions& opts) {
 bool write_exposition(const std::string& path, const ExpositionOptions& opts) {
   const std::string text = render_exposition(opts);
   SelfProfScope prof(SelfTier::kObs);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
+  return write_text(path, text);
 }
 
 void ExpositionPump::arm(std::string path, ExpositionOptions opts) {

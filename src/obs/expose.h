@@ -1,29 +1,17 @@
-// lz::obs v4 — Prometheus-style text exposition of the metrics plane.
+// lz::obs — Prometheus-style text exposition of the metrics plane.
 //
-// `render_exposition` serialises, in one deterministic pass:
-//   * the flat counter registry (`registry().snapshot()`),
-//   * every labeled counter family (`metrics()`), one line per series,
-//   * flat histogram summaries and labeled histogram families as
-//     `{quantile="0.5"|"0.9"|"0.99"}` gauge lines plus
-//     `_count/_sum/_min/_max`,
-//   * the host-counter registry (`sim.trace.*`), and
-//   * optionally the `host.self.*` self-profiler ticks.
+// `render_exposition` serialises, in one deterministic pass, the flat
+// counter registry, every labeled counter family, the flat histograms and
+// labeled histogram families as `{quantile="0.5"|"0.9"|"0.99"}` lines plus
+// count/min/max (mean for flat ones, sum for families), the host counters
+// (`sim.trace.*`) and, optionally, the `host.self.*` ticks. Names are the
+// registry names with '.' mangled to '_', families sort by name and series
+// by label-set, and label values were sanitized by LabelSet::set. Every
+// value outside the host and self sections derives from simulated work, so
+// two same-seed runs render byte-identical snapshots.
 //
-// Format discipline: metric names are the registry names with '.' mangled
-// to '_' (Prometheus charset), families render sorted by name, series
-// sorted by label-set, labels in fixed LabelKey order, values as integers
-// (mean as fixed 3-decimal). Label values pass through sanitize_frame at
-// LabelSet::set time, so nothing here can emit an unescaped '"' or a
-// newline. Every value outside the host and self sections is derived from
-// simulated work only; host counters are deterministic for a fixed
-// configuration, and the opt-in self section is excluded from the
-// byte-identity contract, so two same-seed runs render byte-identical
-// snapshots.
-//
-// The ExpositionPump provides the *live* view: armed with a path, it
-// rewrites the snapshot file each time the TimeSeries sampler takes a
-// sample (riding the sampler's due-threshold hook in every charge), so a
-// long-running bench can be scraped mid-flight with plain `cat`/`watch`.
+// The ExpositionPump rewrites the snapshot file each time the TimeSeries
+// sampler takes a sample, so a long run can be scraped with `cat`/`watch`.
 #pragma once
 
 #include <atomic>

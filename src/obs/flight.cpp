@@ -34,6 +34,10 @@ unsigned set_current_core(unsigned core) {
 
 unsigned current_core() { return t_current_core; }
 
+void FlightRecorder::arm(bool on) { trace().feed_flight(on); }
+
+bool FlightRecorder::armed() const { return trace().feeds_flight(); }
+
 void FlightRecorder::record(const Event& e) {
   const unsigned core = t_current_core < kMaxCores ? t_current_core : 0;
   CoreRing& ring = cores_[core];
@@ -107,8 +111,6 @@ FlightRecorder& flight() {
   static FlightRecorder recorder;
   return recorder;
 }
-
-void flight_record(const Event& e) { flight().record(e); }
 
 void flight_dump(std::FILE* out) {
   FlightRecorder& f = flight();

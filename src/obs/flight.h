@@ -1,21 +1,20 @@
-// lz::obs — always-on crash flight recorder.
+// lz::obs — crash flight recorder, armed by its readers.
 //
-// A per-core, lock-free ring of the last N architectural events
-// (exceptions, TLB invalidations, TTBR/sysreg writes, domain and world
-// switches). Unlike the main trace it is *always on*: every Trace emit
-// helper feeds it even when the trace is disarmed, so when something goes
-// wrong — an lz::check oracle divergence, an unhandled guest fault, a
-// stray std::abort — the black box can print the state trail that led
-// there without anyone having asked for a trace up front.
+// Per-core lock-free rings of the last N architectural events (exceptions,
+// TLB invalidations, TTBR writes, domain and world switches). While it is
+// armed, every Trace emit helper feeds it, armed trace or not, so an
+// lz::check divergence, an unhandled fault or a stray abort can print the
+// state trail that led there. Its readers arm it: lz::check (check.cpp)
+// for as long as its hooks are compiled in and enabled, and the fuzz
+// replay drivers (bench/fuzz_replay.h). Elsewhere it is off and costs the
+// emit helpers nothing, and the abort handler has nothing to print.
 //
-// Cost contract: recording charges zero simulated cycles and bumps no
-// counters (fuzz replay oracles compare counter snapshots, so the
-// recorder must be invisible to them). The host cost per event is a
-// handful of relaxed atomic stores into a fixed slot claimed with one
-// fetch_add — no locks, no allocation, TSan-clean under the SMP machine.
-// Readers (the crash dump) tolerate torn in-flight slots; slots are
-// tagged with a sequence number so the dump orders events per core, and
-// prints each payload from the trace's field table as key=value words.
+// Recording charges no simulated cycle and bumps no counter (the fuzz
+// replay oracles diff counter snapshots). A slot is claimed with one
+// fetch_add and filled with relaxed atomic stores: no lock, no allocation.
+// The dump tolerates torn slots, orders each core's events by their
+// sequence tags, and prints each payload from the trace's field table as
+// key=value words.
 #pragma once
 
 #include <array>
@@ -40,6 +39,10 @@ class FlightRecorder {
  public:
   static constexpr std::size_t kMaxCores = 64;
   static constexpr std::size_t kEventsPerCore = 64;  // power of two
+
+  // Start (or stop) taking the trace's events.
+  void arm(bool on = true);
+  bool armed() const;
 
   // Record one architectural event on `current_core()`.
   void record(const Event& e);
@@ -73,7 +76,7 @@ class FlightRecorder {
   std::array<CoreRing, kMaxCores> cores_;
 };
 
-// The process-wide recorder (always constructed, always recording).
+// The process-wide recorder.
 FlightRecorder& flight();
 
 // Write the black-box report to `out` (stderr in the crash paths) with a

@@ -1,5 +1,7 @@
 #include "obs/histogram.h"
 
+#include "support/status.h"
+
 namespace lz::obs {
 
 u64 Histogram::min() const {
@@ -41,8 +43,14 @@ u64 Histogram::percentile(double p) const {
   return max();
 }
 
+std::size_t Histogram::used_end() const {
+  // Every value recorded since the last reset lies in [min, max], so only
+  // those buckets (a few dozen for one latency) can be nonzero.
+  return count() == 0 ? 0 : bucket_index(max()) + 1;
+}
+
 void Histogram::merge_from(const Histogram& other) {
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
+  for (std::size_t i = bucket_index(other.min()); i < other.used_end(); ++i) {
     const u64 c = other.buckets_[i].load(std::memory_order_relaxed);
     if (c != 0) buckets_[i].fetch_add(c, std::memory_order_relaxed);
   }
@@ -55,33 +63,74 @@ void Histogram::merge_from(const Histogram& other) {
 }
 
 void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  for (std::size_t i = bucket_index(min()); i < used_end(); ++i) {
+    buckets_[i].store(0, std::memory_order_relaxed);
+  }
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
   min_.store(~u64{0}, std::memory_order_relaxed);
   max_.store(0, std::memory_order_relaxed);
 }
 
-Histogram& HistogramRegistry::histogram(std::string_view name) {
+Histogram& detail::fresh_histogram(Shard& shard, std::size_t slot) {
+  const u64 gen = g_histogram_gen.load(std::memory_order_relaxed);
+  if (shard.histogram_gen.load(std::memory_order_relaxed) != gen) {
+    for (auto& copy : shard.histograms) {
+      if (Histogram* h = copy.load(std::memory_order_relaxed)) h->reset();
+    }
+    shard.histogram_gen.store(gen, std::memory_order_release);
+  }
+  Histogram* h = shard.histograms[slot].load(std::memory_order_relaxed);
+  if (h == nullptr) {
+    h = new Histogram;  // lives as long as its shard: forever
+    shard.histograms[slot].store(h, std::memory_order_release);
+  }
+  return *h;
+}
+
+namespace {
+// `slot`'s copy in `shard` when it counts from the current generation.
+const Histogram* current_copy(const Shard& shard, std::size_t slot) {
+  if (shard.histogram_gen.load(std::memory_order_acquire) !=
+      detail::g_histogram_gen.load(std::memory_order_relaxed)) {
+    return nullptr;
+  }
+  return shard.histograms[slot].load(std::memory_order_acquire);
+}
+}  // namespace
+
+void ShardedHistogram::merge_into(Histogram& out) const {
+  out.reset();
+  shards().for_each([&](const Shard& shard) {
+    if (const Histogram* h = current_copy(shard, slot_)) out.merge_from(*h);
+  });
+}
+
+ShardedHistogram& HistogramRegistry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    it = histograms_.try_emplace(std::string(name)).first;
+    LZ_CHECK(histograms_.size() < Shard::kSlots);
+    it = histograms_.try_emplace(std::string(name), histograms_.size()).first;
   }
-  return it->second;
+  return it->second.handle;
 }
 
 const Histogram* HistogramRegistry::find(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
+  if (it == histograms_.end()) return nullptr;
+  it->second.handle.merge_into(it->second.merged);
+  return &it->second.merged;
 }
 
 std::vector<HistogramStats> HistogramRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<HistogramStats> out;
   out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
+  for (auto& [name, e] : histograms_) {
+    e.handle.merge_into(e.merged);
+    const Histogram& h = e.merged;
     if (h.count() == 0) continue;  // unused instruments stay out of reports
     HistogramStats s;
     s.name = name;
@@ -98,13 +147,7 @@ std::vector<HistogramStats> HistogramRegistry::snapshot() const {
 }
 
 void HistogramRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, h] : histograms_) h.reset();
-}
-
-std::size_t HistogramRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return histograms_.size();
+  detail::g_histogram_gen.fetch_add(1, std::memory_order_relaxed);
 }
 
 HistogramRegistry& histograms() {

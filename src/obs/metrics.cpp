@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <chrono>
+#include <iterator>
 
 #include "obs/span.h"
 
@@ -11,19 +12,10 @@
 namespace lz::obs {
 
 const char* to_string(LabelKey key) {
-  switch (key) {
-    case LabelKey::kTenant:
-      return "tenant";
-    case LabelKey::kDomain:
-      return "domain";
-    case LabelKey::kCore:
-      return "core";
-    case LabelKey::kBackend:
-      return "backend";
-    case LabelKey::kCount:
-      break;
-  }
-  return "?";
+  constexpr const char* kNames[] = {"tenant", "domain", "core", "backend"};
+  static_assert(std::size(kNames) == kNumLabelKeys);
+  const auto k = static_cast<std::size_t>(key);
+  return k < std::size(kNames) ? kNames[k] : "?";
 }
 
 LabelSet& LabelSet::set(LabelKey key, std::string_view value) {
@@ -107,21 +99,11 @@ MetricsPlane& metrics() {
 }
 
 const char* to_string(SelfTier tier) {
-  switch (tier) {
-    case SelfTier::kRun:
-      return "run";
-    case SelfTier::kTraceExec:
-      return "trace_exec";
-    case SelfTier::kWalker:
-      return "walker";
-    case SelfTier::kOracle:
-      return "oracle";
-    case SelfTier::kObs:
-      return "obs";
-    case SelfTier::kCount:
-      break;
-  }
-  return "?";
+  constexpr const char* kNames[] = {"run", "trace_exec", "walker", "oracle",
+                                    "obs"};
+  static_assert(std::size(kNames) == kNumSelfTiers);
+  const auto t = static_cast<std::size_t>(tier);
+  return t < std::size(kNames) ? kNames[t] : "?";
 }
 
 u64 host_ticks() {

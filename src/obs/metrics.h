@@ -1,35 +1,19 @@
-// lz::obs v4 — the per-tenant metrics plane.
+// lz::obs — the per-tenant metrics plane and the host self-profiler.
 //
-// Labeled metric families: `name{tenant=,domain=,core=,backend=}` series
-// over the same lock-free primitives the flat registries use (Counter /
-// Histogram — one relaxed atomic add per record). A family maps a bounded
-// set of label combinations to stable series handles; hot paths resolve a
-// handle once (under the family mutex) and then record through the cached
-// pointer with zero locking, exactly the registration discipline of
-// obs::Registry and obs::HistogramRegistry.
+// Labeled metric families: `name{tenant=,domain=,core=,backend=}` series of
+// Counters and Histograms. A family maps a bounded set of label
+// combinations (kMaxSeriesPerFamily; the rest fold into one overflow
+// series rendered with `overflow="true"`) to stable series handles that hot
+// paths resolve once and record through without a lock. The plane is
+// disabled by default and observe-only: every wiring site guards on
+// `metrics().enabled()` (one relaxed load), and enabled series values
+// depend on simulated work only, so same-seed runs render byte-identical
+// expositions (expose.h).
 //
-// Cardinality is bounded per family (kMaxSeries): the first overflowing
-// label-set is folded into a dedicated overflow series (rendered with
-// `overflow="true"`) so a tenant-name explosion can cost memory only up to
-// the bound, never unbounded map growth on the record path.
-//
-// The plane is *disabled by default* and observe-only by construction:
-// recording never charges simulated cycles, and every wiring site guards
-// on `metrics().enabled()` (one relaxed load) so the flagless benches run
-// the exact same instruction/allocation stream as before the plane
-// existed — the v2 golden report stays sim-identical with the plane
-// compiled in (CI-gated). With the plane enabled, series values are fully
-// determined by the executed simulated work, so two same-seed runs render
-// byte-identical expositions (expose.h).
-//
-// This header also carries the host-side self-profiler (`host.self.*`):
-// cheap TSC bracketing of the engine tiers (outer Core::run, trace-tier
-// execute, page-table walker, lz::check oracle) and of the obs stack's own
-// work (sampling, exposition, report assembly), flushed at the existing
-// run-exit flush points. Ticks are wall-clock and therefore never appear
-// in JSON reports or the default exposition — they exist so the obs stack
-// can audit its own host cost (ci.sh gates host.self.obs against the
-// engine total).
+// The self-profiler (`host.self.*`) brackets engine tiers and the obs
+// stack's own work with host ticks, flushed at the run-exit flush points.
+// Ticks are wall clock, so they never appear in JSON reports or the
+// default exposition; ci.sh gates host.self.obs against the engine total.
 #pragma once
 
 #include <array>
@@ -93,8 +77,6 @@ template <typename Instrument>
 class MetricFamily {
  public:
   explicit MetricFamily(std::string name) : name_(std::move(name)) {}
-  MetricFamily(const MetricFamily&) = delete;
-  MetricFamily& operator=(const MetricFamily&) = delete;
 
   const std::string& name() const { return name_; }
 

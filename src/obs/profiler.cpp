@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 
 #include "obs/span.h"
 
@@ -90,14 +89,6 @@ std::string Profiler::collapsed() const {
     out += buf;
   }
   return out;
-}
-
-bool Profiler::write_collapsed(const std::string& path) const {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  const std::string text = collapsed();
-  f.write(text.data(), static_cast<std::streamsize>(text.size()));
-  return static_cast<bool>(f);
 }
 
 void Profiler::reset() {

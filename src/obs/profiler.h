@@ -1,22 +1,16 @@
 // lz::obs — cycle-driven sampling profiler with per-domain attribution.
 //
-// Every N *simulated* cycles of per-core progress the executing core
-// captures (core, PC, EL, domain = VMID/ASID of the current translation
-// context, PSTATE.PAN). Sampling on simulated time makes profiles exactly
-// reproducible: the same workload produces the same samples on every run,
-// independent of host speed or thread scheduling.
-//
-// The profiler is pay-for-what-you-use: cores poll the armed period through
-// two relaxed atomic loads at run()/top-level-step boundaries and keep a
+// Every N *simulated* cycles the executing core records (core, PC, EL,
+// VMID/ASID of its translation context, PSTATE.PAN), so the same workload
+// produces the same samples on every run, whatever the host does. Cores
+// poll the armed period at run()/top-level-step boundaries and keep a
 // plain bool on their hot path, so a disarmed profiler costs nothing per
-// instruction. One sample attributes `period` cycles to its (domain, EL)
-// ledger, so summed attributions equal sampled simulated time by
-// construction.
+// instruction. One sample attributes `period` cycles to its (domain, EL),
+// so attributions sum to sampled simulated time.
 //
-// Exports: a per-PC hotspot table and per-domain/per-EL cycle ledgers for
-// the JSON report, plus a collapsed-stack file (one `frame;frame;... count`
-// line per distinct sample context) consumable by standard flamegraph
-// tooling (e.g. flamegraph.pl or speedscope).
+// Exports: a per-PC hotspot table and per-domain/per-EL ledgers for the
+// JSON report, and collapsed stacks (`frame;frame;... count`) for
+// flamegraph.pl or speedscope.
 #pragma once
 
 #include <array>
@@ -82,7 +76,6 @@ class Profiler {
   // Collapsed-stack export: `core<c>;EL<e>;pan<p>;vmid<v>;asid<a>;0x<pc> N`
   // per distinct context, sorted by key. Feed straight into flamegraph.pl.
   std::string collapsed() const;
-  bool write_collapsed(const std::string& path) const;
 
   // Drops all recorded samples; the armed period is preserved.
   void reset();

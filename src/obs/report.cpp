@@ -1,10 +1,10 @@
 #include "obs/report.h"
 
+#include <array>
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 #include "obs/profiler.h"
 #include "obs/span.h"
@@ -14,51 +14,38 @@ namespace lz::obs {
 // --- Json: constructors -------------------------------------------------------
 
 Json Json::boolean(bool v) {
-  Json j;
-  j.kind_ = Kind::kBool;
+  Json j(Kind::kBool);
   j.bool_ = v;
   return j;
 }
 
 Json Json::number(u64 v) {
-  Json j;
-  j.kind_ = Kind::kUint;
+  Json j(Kind::kUint);
   j.uint_ = v;
   return j;
 }
 
 Json Json::number(i64 v) {
-  Json j;
-  j.kind_ = Kind::kInt;
+  Json j(Kind::kInt);
   j.int_ = v;
   return j;
 }
 
 Json Json::number(double v) {
-  Json j;
-  j.kind_ = Kind::kDouble;
+  Json j(Kind::kDouble);
   j.double_ = v;
   return j;
 }
 
 Json Json::string(std::string v) {
-  Json j;
-  j.kind_ = Kind::kString;
+  Json j(Kind::kString);
   j.string_ = std::move(v);
   return j;
 }
 
-Json Json::array() {
-  Json j;
-  j.kind_ = Kind::kArray;
-  return j;
-}
+Json Json::array() { return Json(Kind::kArray); }
 
-Json Json::object() {
-  Json j;
-  j.kind_ = Kind::kObject;
-  return j;
-}
+Json Json::object() { return Json(Kind::kObject); }
 
 // --- Json: access -------------------------------------------------------------
 
@@ -378,42 +365,97 @@ void Report::add_histograms(std::vector<HistogramStats> stats) {
                      std::make_move_iterator(stats.end()));
 }
 
+namespace {
+
+// A flat object of (name, number) pairs: counters, cycle kinds, samples.
+template <typename Pairs>
+Json numbers(const Pairs& pairs) {
+  Json obj = Json::object();
+  for (const auto& [k, v] : pairs) obj.set(k, Json::number(v));
+  return obj;
+}
+
+// A histogram row; the time-series snapshots carry only the count and
+// percentiles.
+Json histogram_row(const HistogramStats& h, bool full) {
+  Json row = Json::object();
+  row.set("count", Json::number(h.count));
+  if (full) {
+    row.set("min", Json::number(h.min));
+    row.set("max", Json::number(h.max));
+    row.set("mean", Json::number(h.mean));
+  }
+  row.set("p50", Json::number(h.p50));
+  row.set("p90", Json::number(h.p90));
+  row.set("p99", Json::number(h.p99));
+  return row;
+}
+
+}  // namespace
+
 void Report::set_profile(const Profiler& profiler) {
-  ProfileSection p;
-  p.period = profiler.period();
-  p.samples = profiler.samples();
-  p.dropped_keys = profiler.dropped_keys();
+  Json prof = Json::object();
+  prof.set("period", Json::number(profiler.period()));
+  prof.set("samples", Json::number(profiler.samples()));
+  prof.set("dropped_keys", Json::number(profiler.dropped_keys()));
+  Json by_domain = Json::object();
   for (const auto& slice : profiler.by_domain()) {
     char key[32];
     std::snprintf(key, sizeof key, "vmid%u.asid%u", slice.vmid, slice.asid);
-    p.by_domain.emplace_back(key, slice.samples);
+    by_domain.set(key, Json::number(slice.samples));
   }
-  p.by_el = profiler.by_el();
-  p.hotspots = profiler.hotspots(/*top_n=*/32);
-  profile_ = std::move(p);
+  prof.set("by_domain", std::move(by_domain));
+  const std::array<u64, 3> by_el = profiler.by_el();
+  Json els = Json::object();
+  els.set("el0", Json::number(by_el[0]));
+  els.set("el1", Json::number(by_el[1]));
+  els.set("el2", Json::number(by_el[2]));
+  prof.set("by_el", std::move(els));
+  Json hot = Json::object();
+  for (const auto& [pc, n] : profiler.hotspots(/*top_n=*/32)) {
+    char key[24];
+    std::snprintf(key, sizeof key, "0x%" PRIx64, pc);
+    hot.set(key, Json::number(n));
+  }
+  prof.set("hotspots", std::move(hot));
+  profile_ = std::move(prof);
 }
 
 void Report::set_timeseries(const TimeSeries& series) {
-  TimeSeriesSection section;
-  section.period = series.period();
-  section.dropped = series.dropped();
-  section.snapshots = series.samples();
+  Json section = Json::object();
+  section.set("period", Json::number(series.period()));
+  section.set("dropped", Json::number(series.dropped()));
+  Json snaps = Json::array();
+  for (const auto& snap : series.samples()) {
+    Json row = Json::object();
+    row.set("ts", Json::number(snap.ts));
+    row.set("counters", numbers(snap.counters));
+    Json hists = Json::object();
+    for (const auto& h : snap.histograms) {
+      hists.set(h.name, histogram_row(h, false));
+    }
+    row.set("histograms", std::move(hists));
+    snaps.push(std::move(row));
+  }
+  section.set("snapshots", std::move(snaps));
   timeseries_ = std::move(section);
 }
 
 void Report::set_spans(const SpanTracer& tracer) {
-  SpanSection section;
-  section.completed = tracer.completed();
-  section.dropped = tracer.dropped();
-  section.max_depth = tracer.max_depth();
+  Json section = Json::object();
+  section.set("completed", Json::number(tracer.completed()));
+  section.set("dropped", Json::number(tracer.dropped()));
+  section.set("max_depth", Json::number(tracer.max_depth()));
+  Json by_kind = Json::object();
   for (std::size_t k = 0; k < static_cast<std::size_t>(SpanKind::kCount);
        ++k) {
     const SpanKind kind = static_cast<SpanKind>(k);
     // Qualified: the Report::to_string() member hides the namespace-scope
     // overload set inside member definitions.
-    section.by_kind.emplace_back(lz::obs::to_string(kind),
-                                 tracer.completed_of(kind));
+    by_kind.set(lz::obs::to_string(kind),
+                Json::number(tracer.completed_of(kind)));
   }
+  section.set("by_kind", std::move(by_kind));
   spans_ = std::move(section);
 }
 
@@ -428,135 +470,50 @@ Json Report::to_json() const {
 
   Json cycles = Json::object();
   cycles.set("total", Json::number(cycles_total_));
-  Json by_kind = Json::object();
-  for (const auto& [k, v] : cycles_by_kind_) by_kind.set(k, Json::number(v));
-  cycles.set("by_kind", std::move(by_kind));
+  cycles.set("by_kind", numbers(cycles_by_kind_));
   doc.set("cycles", std::move(cycles));
-
-  Json counters = Json::object();
-  for (const auto& [k, v] : counters_) counters.set(k, Json::number(v));
-  doc.set("counters", std::move(counters));
+  doc.set("counters", numbers(counters_));
 
   Json hists = Json::object();
-  for (const auto& h : histograms_) {
-    Json row = Json::object();
-    row.set("count", Json::number(h.count));
-    row.set("min", Json::number(h.min));
-    row.set("max", Json::number(h.max));
-    row.set("mean", Json::number(h.mean));
-    row.set("p50", Json::number(h.p50));
-    row.set("p90", Json::number(h.p90));
-    row.set("p99", Json::number(h.p99));
-    hists.set(h.name, std::move(row));
-  }
+  for (const auto& h : histograms_) hists.set(h.name, histogram_row(h, true));
   doc.set("histograms", std::move(hists));
 
-  if (profile_.has_value()) {
-    const ProfileSection& p = *profile_;
-    Json prof = Json::object();
-    prof.set("period", Json::number(p.period));
-    prof.set("samples", Json::number(p.samples));
-    prof.set("dropped_keys", Json::number(p.dropped_keys));
-    Json by_domain = Json::object();
-    for (const auto& [k, v] : p.by_domain) by_domain.set(k, Json::number(v));
-    prof.set("by_domain", std::move(by_domain));
-    Json by_el = Json::object();
-    by_el.set("el0", Json::number(p.by_el[0]));
-    by_el.set("el1", Json::number(p.by_el[1]));
-    by_el.set("el2", Json::number(p.by_el[2]));
-    prof.set("by_el", std::move(by_el));
-    Json hot = Json::object();
-    for (const auto& [pc, n] : p.hotspots) {
-      char key[24];
-      std::snprintf(key, sizeof key, "0x%" PRIx64, pc);
-      hot.set(key, Json::number(n));
-    }
-    prof.set("hotspots", std::move(hot));
-    doc.set("profile", std::move(prof));
-  }
-
-  if (timeseries_.has_value()) {
-    const TimeSeriesSection& ts = *timeseries_;
-    Json section = Json::object();
-    section.set("period", Json::number(ts.period));
-    section.set("dropped", Json::number(ts.dropped));
-    Json snaps = Json::array();
-    for (const auto& snap : ts.snapshots) {
-      Json row = Json::object();
-      row.set("ts", Json::number(snap.ts));
-      Json counters = Json::object();
-      for (const auto& [k, v] : snap.counters) counters.set(k, Json::number(v));
-      row.set("counters", std::move(counters));
-      Json hists = Json::object();
-      for (const auto& h : snap.histograms) {
-        Json hrow = Json::object();
-        hrow.set("count", Json::number(h.count));
-        hrow.set("p50", Json::number(h.p50));
-        hrow.set("p90", Json::number(h.p90));
-        hrow.set("p99", Json::number(h.p99));
-        hists.set(h.name, std::move(hrow));
-      }
-      row.set("histograms", std::move(hists));
-      snaps.push(std::move(row));
-    }
-    section.set("snapshots", std::move(snaps));
-    doc.set("timeseries", std::move(section));
-  }
-
-  if (spans_.has_value()) {
-    const SpanSection& s = *spans_;
-    Json section = Json::object();
-    section.set("completed", Json::number(s.completed));
-    section.set("dropped", Json::number(s.dropped));
-    section.set("max_depth", Json::number(s.max_depth));
-    Json by_kind = Json::object();
-    for (const auto& [k, v] : s.by_kind) by_kind.set(k, Json::number(v));
-    section.set("by_kind", std::move(by_kind));
-    doc.set("spans", std::move(section));
-  }
+  if (profile_) doc.set("profile", *profile_);
+  if (timeseries_) doc.set("timeseries", *timeseries_);
+  if (spans_) doc.set("spans", *spans_);
 
   // Host-counter section last: its values are outside the simulated-clock
   // determinism contract (see add_host_counters), so tooling that compares
   // simulated work across configs strips exactly this one member.
-  if (!host_counters_.empty()) {
-    Json host = Json::object();
-    for (const auto& [k, v] : host_counters_) host.set(k, Json::number(v));
-    doc.set("host", std::move(host));
-  }
+  if (!host_counters_.empty()) doc.set("host", numbers(host_counters_));
   return doc;
 }
 
 bool Report::write(const std::string& path) const {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  const std::string json = to_string();
-  f.write(json.data(), static_cast<std::streamsize>(json.size()));
-  f.put('\n');
-  return static_cast<bool>(f);
+  return write_text(path, to_string() + '\n');
 }
 
 namespace {
 
-// Every member of `obj` must be an object containing all of `fields`, each
-// a number.
-bool all_rows_have_numbers(const Json& obj,
-                           std::initializer_list<const char*> fields) {
-  for (const auto& [name, row] : obj.members()) {
-    (void)name;
-    if (!row.is_object()) return false;
-    for (const char* f : fields) {
-      const Json* v = row.find(f);
-      if (v == nullptr || !v->is_number()) return false;
-    }
+// `obj` is an object whose `fields` are all present and pass `is`.
+bool has(const Json* obj, std::initializer_list<const char*> fields,
+         bool (Json::*is)() const = &Json::is_number) {
+  if (obj == nullptr || !obj->is_object()) return false;
+  for (const char* f : fields) {
+    const Json* v = obj->find(f);
+    if (v == nullptr || !(v->*is)()) return false;
   }
   return true;
 }
 
-// Every member of `obj` must be a number (counter maps).
-bool all_members_are_numbers(const Json& obj) {
-  for (const auto& [name, v] : obj.members()) {
-    (void)name;
-    if (!v.is_number()) return false;
+// `obj` is an object of rows that each have all of `fields` (an empty
+// list: of numbers).
+bool all_rows(const Json* obj, std::initializer_list<const char*> fields) {
+  if (obj == nullptr || !obj->is_object()) return false;
+  for (const auto& [name, row] : obj->members()) {
+    if (fields.size() == 0 ? !row.is_number() : !has(&row, fields)) {
+      return false;
+    }
   }
   return true;
 }
@@ -565,73 +522,37 @@ bool all_members_are_numbers(const Json& obj) {
 // are optional, and when present they must match the schema exactly
 // (report_check gates on this).
 bool validate_sections(const Json& doc) {
-  const Json* hists = doc.find("histograms");
-  if (hists == nullptr || !hists->is_object() ||
-      !all_rows_have_numbers(
-          *hists, {"count", "min", "max", "mean", "p50", "p90", "p99"})) {
+  if (!all_rows(doc.find("histograms"),
+                {"count", "min", "max", "mean", "p50", "p90", "p99"})) {
     return false;
   }
   const Json* prof = doc.find("profile");
-  if (prof != nullptr) {
-    if (!prof->is_object()) return false;
-    for (const char* f : {"period", "samples", "dropped_keys"}) {
-      const Json* v = prof->find(f);
-      if (v == nullptr || !v->is_number()) return false;
-    }
-    for (const char* f : {"by_domain", "by_el", "hotspots"}) {
-      const Json* v = prof->find(f);
-      if (v == nullptr || !v->is_object()) return false;
-    }
-    for (const char* f : {"el0", "el1", "el2"}) {
-      const Json* v = prof->find("by_el")->find(f);
-      if (v == nullptr || !v->is_number()) return false;
-    }
+  if (prof != nullptr &&
+      !(has(prof, {"period", "samples", "dropped_keys"}) &&
+        has(prof, {"by_domain", "by_el", "hotspots"}, &Json::is_object) &&
+        has(prof->find("by_el"), {"el0", "el1", "el2"}))) {
+    return false;
   }
   const Json* ts = doc.find("timeseries");
   if (ts != nullptr) {
-    if (!ts->is_object()) return false;
-    for (const char* f : {"period", "dropped"}) {
-      const Json* v = ts->find(f);
-      if (v == nullptr || !v->is_number()) return false;
-    }
+    if (!has(ts, {"period", "dropped"})) return false;
     const Json* snaps = ts->find("snapshots");
     if (snaps == nullptr || !snaps->is_array()) return false;
     for (const Json& snap : snaps->elements()) {
-      if (!snap.is_object()) return false;
-      const Json* t = snap.find("ts");
-      if (t == nullptr || !t->is_number()) return false;
-      const Json* counters = snap.find("counters");
-      if (counters == nullptr || !counters->is_object() ||
-          !all_members_are_numbers(*counters)) {
-        return false;
-      }
-      const Json* hists = snap.find("histograms");
-      if (hists == nullptr || !hists->is_object() ||
-          !all_rows_have_numbers(*hists, {"count", "p50", "p90", "p99"})) {
+      if (!has(&snap, {"ts"}) || !all_rows(snap.find("counters"), {}) ||
+          !all_rows(snap.find("histograms"), {"count", "p50", "p90", "p99"})) {
         return false;
       }
     }
   }
   const Json* spans = doc.find("spans");
-  if (spans != nullptr) {
-    if (!spans->is_object()) return false;
-    for (const char* f : {"completed", "dropped", "max_depth"}) {
-      const Json* v = spans->find(f);
-      if (v == nullptr || !v->is_number()) return false;
-    }
-    const Json* by_kind = spans->find("by_kind");
-    if (by_kind == nullptr || !by_kind->is_object() ||
-        !all_members_are_numbers(*by_kind)) {
-      return false;
-    }
+  if (spans != nullptr && !(has(spans, {"completed", "dropped", "max_depth"}) &&
+                            all_rows(spans->find("by_kind"), {}))) {
+    return false;
   }
   // "host": flat map of host-counter values.
   const Json* host = doc.find("host");
-  if (host != nullptr &&
-      (!host->is_object() || !all_members_are_numbers(*host))) {
-    return false;
-  }
-  return true;
+  return host == nullptr || all_rows(host, {});
 }
 
 }  // namespace

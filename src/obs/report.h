@@ -28,17 +28,12 @@
 //                "by_kind": { "request": N, "syscall": N, ... } }
 //   }
 //
-// The simulation-derived sections never contain wall-clock time: cycle
-// totals, counter values, histogram percentiles, and profile attributions
-// are fully determined by the executed work, so a BENCH_*.json trajectory
-// diff across PRs is a real regression signal, not noise. (Host-timing
-// headline results, e.g. throughput MIPS, live in "results" and describe
-// the machine that produced them.)
+// The simulation-derived sections never contain wall-clock time, so a
+// diff of two reports is a real change, not noise. Host-timed headline
+// results (e.g. throughput MIPS) live in "results".
 #pragma once
 
-#include <array>
 #include <cstddef>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -103,6 +98,7 @@ class Json {
   static std::optional<Json> parse(std::string_view text);
 
  private:
+  explicit Json(Kind kind) : kind_(kind) {}
   void dump_to(std::string& out) const;
 
   Kind kind_ = Kind::kNull;
@@ -166,28 +162,6 @@ class Report {
   static bool validate(const Json& doc);
 
  private:
-  struct ProfileSection {
-    u64 period = 0;
-    u64 samples = 0;
-    u64 dropped_keys = 0;
-    std::vector<std::pair<std::string, u64>> by_domain;  // "vmid<v>.asid<a>"
-    std::array<u64, 3> by_el{};
-    std::vector<std::pair<u64, u64>> hotspots;  // (pc, samples)
-  };
-
-  struct TimeSeriesSection {
-    u64 period = 0;
-    u64 dropped = 0;
-    std::vector<TimeSeriesSample> snapshots;
-  };
-
-  struct SpanSection {
-    u64 completed = 0;
-    u64 dropped = 0;
-    u64 max_depth = 0;
-    std::vector<std::pair<std::string, u64>> by_kind;
-  };
-
   std::string bench_;
   std::vector<std::pair<std::string, Json>> results_;
   u64 cycles_total_ = 0;
@@ -195,9 +169,10 @@ class Report {
   Snapshot counters_;
   Snapshot host_counters_;
   std::vector<HistogramStats> histograms_;
-  std::optional<ProfileSection> profile_;
-  std::optional<TimeSeriesSection> timeseries_;
-  std::optional<SpanSection> spans_;
+  // The optional sections, rendered when set.
+  std::optional<Json> profile_;
+  std::optional<Json> timeseries_;
+  std::optional<Json> spans_;
 };
 
 }  // namespace lz::obs

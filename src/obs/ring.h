@@ -49,7 +49,7 @@ class Ring {
     return true;
   }
 
-  // The entries, oldest first (at most capacity() of them).
+  // The entries, oldest first.
   std::vector<T> items() const {
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<T> out;
@@ -63,10 +63,6 @@ class Ring {
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return count_;
-  }
-  std::size_t capacity() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return slots_.size();
   }
   u64 overwritten() const {
     std::lock_guard<std::mutex> lock(mu_);

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <mutex>
 
@@ -43,17 +44,13 @@ constexpr u32 domain_key(u16 vmid, u16 asid) {
 }  // namespace
 
 const char* to_string(SpanKind kind) {
-  switch (kind) {
-    case SpanKind::kRequest: return "request";
-    case SpanKind::kTask: return "task";
-    case SpanKind::kSyscall: return "syscall";
-    case SpanKind::kHvcForward: return "hvc-forward";
-    case SpanKind::kGateSwitch: return "gate-switch";
-    case SpanKind::kPanSwitch: return "pan-switch";
-    case SpanKind::kWorldSwitch: return "world-switch";
-    case SpanKind::kCount: break;
-  }
-  return "unknown";
+  constexpr const char* kNames[] = {"request",     "task",        "syscall",
+                                    "hvc-forward", "gate-switch", "pan-switch",
+                                    "world-switch"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(SpanKind::kCount));
+  const auto k = static_cast<std::size_t>(kind);
+  return k < std::size(kNames) ? kNames[k] : "unknown";
 }
 
 void SpanTracer::arm(std::size_t capacity) {

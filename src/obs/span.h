@@ -1,27 +1,19 @@
 // lz::obs — request-scoped span tracing.
 //
-// Spans are duration events with parent/child causality: a request span
-// opened in a workload client nests the kernel task that executes it, the
-// syscalls that task issues, the HVC forwards those syscalls become, and
-// the gate/PAN/world switches LightZone performs on their behalf. Each
-// completed span records [start, end] in simulated cycles plus the tenant
-// attribution (VMID/ASID) active at open time, so one request can be
-// followed across layers and across simulated cores.
+// Spans are duration events with parent/child causality: a workload
+// request nests the kernel task that runs it, that task's syscalls, their
+// HVC forwards and the switches LightZone makes for them. A completed span
+// records [start, end] in simulated cycles and the VMID/ASID active at
+// open time, so one request can be followed across layers and cores.
 //
-// Causality model: every simulated thread keeps a thread-local stack of
-// open spans; `begin` parents the new span under the top of that stack.
-// When work hops threads (kernel::Kernel::run_on pushes a task onto
-// another core's queue), the *enqueuing* side captures `current()` and the
-// worker re-establishes it with an `Adopt` guard before opening its task
-// span — the ambient parent — so cross-core edges stay connected.
+// Each thread keeps a stack of open spans, and `begin` parents a new span
+// under its top. Where work hops threads (kernel::Kernel::run_on), the
+// enqueuing side captures `current()` and the worker adopts it with an
+// `Adopt` guard before opening its task span.
 //
-// Cost model mirrors the event trace: disarmed, `begin` is one relaxed
-// load and `end` is a no-op (id 0); spans never charge simulated cycles,
-// so arming them cannot perturb cycle totals or golden reports.
-//
-// Export is Chrome trace_event "X" (complete) events: Perfetto nests them
-// by containment per track (tid = simulated core), giving the per-request
-// flame view without B/E pairing.
+// Disarmed, `begin` is one relaxed load and `end(0)` a branch; spans never
+// charge cycles. Export is Chrome trace_event "X" events, which Perfetto
+// nests by containment per track (tid = simulated core).
 #pragma once
 
 #include <array>
@@ -99,7 +91,6 @@ class SpanTracer {
   };
 
   std::size_t size() const { return ring_.size(); }
-  std::size_t capacity() const { return ring_.capacity(); }
   u64 completed() const { return completed_.load(std::memory_order_relaxed); }
   // Ring overwrites + depth overflows + spans unwound past their parent.
   u64 dropped() const {
@@ -111,7 +102,7 @@ class SpanTracer {
         std::memory_order_relaxed);
   }
 
-  // Completed spans, oldest first (at most `capacity()` of them).
+  // Completed spans, oldest first.
   std::vector<SpanEvent> events() const { return ring_.items(); }
 
   // Chrome trace_event fragment: one "ph":"X" object per completed span,

@@ -26,19 +26,28 @@ std::string tenant_label(u16 vmid, u16 asid) {
   return label;
 }
 
-}  // namespace
-
-Counter& bank_counter(std::string_view name) {
-  const std::string_view bank = bank_of(name);
+void register_bank(std::string_view bank) {
   for (const SwitchRow& row : kSwitchRows) {
     if (row.counter != nullptr && bank_of(row.counter) == bank) {
-      registry().counter(row.counter);
+      registry().sharded(row.counter);
     }
   }
   for (const char* companion : kCompanions) {
     if (bank_of(companion) == bank) registry().counter(companion);
   }
+}
+
+}  // namespace
+
+Counter& bank_counter(std::string_view name) {
+  register_bank(bank_of(name));
   return registry().counter(name);
+}
+
+ShardedCounter register_switch_bank(SwitchKind kind) {
+  const char* name = kSwitchRows[static_cast<std::size_t>(kind)].counter;
+  register_bank(bank_of(name));
+  return registry().sharded(name);
 }
 
 void detail::record_switch_family(SwitchKind kind, const SwitchArgs& args,

@@ -10,6 +10,10 @@
 // or not, register together on first use of any. The kind is a template
 // argument, so each call site compiles only its row's instruments. The
 // probe observes and never charges.
+//
+// With nothing armed a switch does no atomic read-modify-write: its counter
+// and histogram are stores into the calling thread's Shard, and its trace
+// event and span stop at one relaxed load each.
 #pragma once
 
 #include <array>
@@ -97,13 +101,11 @@ inline constexpr std::array<SwitchRow,
          "lz.backend.switch_cycles", SwitchLabels::kBackendDomain},
     }};
 
-// A counter of a bank; registers the whole bank (switch rows and the
-// bank's other counters) on first use.
+// A counter of a bank that is not a switch row; registers the whole bank
+// (switch rows and the bank's other counters) on first use.
 Counter& bank_counter(std::string_view name);
-// Registers the bank of `kind`'s counter now.
-inline void register_switch_bank(SwitchKind kind) {
-  bank_counter(kSwitchRows[static_cast<std::size_t>(kind)].counter);
-}
+// Registers the bank of `kind`'s counter now and returns that counter.
+ShardedCounter register_switch_bank(SwitchKind kind);
 
 namespace detail {
 void record_switch_family(SwitchKind kind, const SwitchArgs& args,
@@ -117,7 +119,7 @@ template <SwitchKind K>
 void fire_switch(const SwitchArgs& a) {
   constexpr const SwitchRow& r = row<K>;
   if constexpr (r.counter != nullptr) {
-    static Counter& counter = bank_counter(r.counter);
+    static const ShardedCounter counter = register_switch_bank(K);
     counter.add();
   }
   if constexpr (r.event == EventKind::kGateSwitch) {
@@ -140,7 +142,7 @@ void record_switch(const SwitchArgs& args, Cycles delta) {
   constexpr const SwitchRow& r = detail::row<K>;
   if constexpr (r.fire_at_close) detail::fire_switch<K>(args);
   if constexpr (r.histogram != nullptr) {
-    static Histogram& histogram = histograms().histogram(r.histogram);
+    static ShardedHistogram& histogram = histograms().histogram(r.histogram);
     histogram.record(delta);
   }
   if constexpr (r.family != nullptr) {

@@ -2,27 +2,17 @@
 //
 // A simulated-cycle-driven sampler: every `period` cycles of global
 // simulated work (CycleLedger::total), snapshot the counter registry and
-// the latency-histogram registry into an obs::Ring of samples. The
-// result is rps / p99-over-time data for saturation sweeps — the substrate
-// the fleet-scale serving bench plots stand on — emitted as the
-// `timeseries` section of lz.bench.report.v2.
+// the latency-histogram registry into an obs::Ring of samples, emitted as
+// the `timeseries` section of lz.bench.report.v2 (rps / p99 over time).
 //
-// The sampler hooks the hottest function in the tree
-// (sim::CycleAccount::charge), so the disabled cost had better be nothing:
-// it is one relaxed load of the next-due threshold (parked at ~0 when
-// disarmed) and one branch. When armed, every charge takes the out-of-line
-// slow path, which derives the ledger total and polls, so on one core the
-// first charge whose total reaches a period boundary takes the sample;
-// under SMP the thread whose charge crosses the threshold CAS-claims it,
-// and losers of the race skip. Sampling itself reads counters and
-// histogram stats — observe-only, zero simulated cycles charged, so cycle
-// totals and golden reports are byte-identical whether or not the sampler
-// runs.
-//
-// Samples are timestamped by the ledger total at claim time. Under SMP the
-// claim interleaving (and so exact sample timestamps) may vary run to run;
-// the deterministic-report CI legs simply do not pass --ts-period, and the
-// section is only emitted when armed.
+// The hook sits in sim::CycleAccount::charge, the hottest function in the
+// tree: disarmed, it is one relaxed load of the next-due threshold (parked
+// at ~0) and a branch. Armed, every charge takes the out-of-line slow
+// path, which derives the ledger total and polls; the thread whose charge
+// crosses the threshold CAS-claims the sample. Sampling only reads, so
+// cycle totals and golden reports do not depend on it. Sample timestamps
+// are the ledger total at claim time, which under SMP may vary run to run,
+// so the deterministic-report CI legs do not pass --ts-period.
 #pragma once
 
 #include <atomic>

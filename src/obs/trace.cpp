@@ -2,10 +2,10 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <iterator>
 
 #include "obs/counters.h"
+#include "obs/flight.h"
 
 namespace lz::obs {
 
@@ -94,8 +94,10 @@ void append_event_args(std::string& out, const Event& e, bool json) {
   }
 }
 
-void Trace::push(const Event& e) {
-  if (!ring_.push(e)) return;
+void Trace::record(const Event& e) {
+  const u8 sinks = this->sinks();
+  if ((sinks & kFlightSink) != 0) flight().record(e);
+  if ((sinks & kRingSink) == 0 || !ring_.push(e)) return;
   // Wraparound overwrote the oldest event. Surface silent truncation in
   // the counter registry too, so reports flag it without the trace file.
   // Registered lazily on the first drop: drop-free runs keep their counter
@@ -134,11 +136,7 @@ std::string Trace::to_chrome_json(std::string_view extra_events) const {
 
 bool Trace::write_chrome_json(const std::string& path,
                               std::string_view extra_events) const {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  const std::string json = to_chrome_json(extra_events);
-  f.write(json.data(), static_cast<std::streamsize>(json.size()));
-  return static_cast<bool>(f);
+  return write_text(path, to_chrome_json(extra_events));
 }
 
 Trace& trace() {

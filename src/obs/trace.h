@@ -1,20 +1,17 @@
 // lz::obs — architectural event trace.
 //
-// A bounded ring buffer of fixed-size events timestamped by *simulated
-// cycles* (the global CycleLedger — never wall clock, so traces are
-// byte-identical across runs and usable as golden files). The taxonomy
-// covers the events the paper's numbers hinge on: exception entry/return
-// with EC and target EL, TTBR0/ASID switches, TLB invalidations, stage-2
-// faults, HVC forwards, and world switches.
+// A bounded ring of fixed-size events timestamped by *simulated cycles*
+// (the CycleLedger total, never wall clock, so traces are byte-identical
+// across runs and usable as golden files): exception entry/return, TTBR0
+// switches, TLB invalidations, stage-2 faults, HVC forwards, world, gate
+// and PAN switches, IRQs.
 //
-// Cost model: the trace is disarmed by default, so every emit helper is a
-// single predictable branch after the flight-recorder feed; arming
-// allocates the ring (ring.h) once and emission stays allocation-free.
-// One table in trace.cpp names each kind's payload fields; the Chrome
-// export and the flight recorder's dump both render it.
-//
-// Export is Chrome trace_event JSON: load the file in Perfetto
-// (ui.perfetto.dev) or chrome://tracing; `ts` is in simulated cycles.
+// The emit helpers feed two sinks, this ring and the flight recorder
+// (flight.h), both disarmed by default. One relaxed load of the armed
+// sinks decides a helper: with neither armed it returns before it builds
+// an event or reads the ledger clock. One table in trace.cpp names each
+// kind's payload fields for the Chrome export and the flight dump. Load the
+// export in Perfetto (ui.perfetto.dev) or chrome://tracing.
 #pragma once
 
 #include <atomic>
@@ -67,9 +64,6 @@ struct Event {
   u8 b0 = 0, b1 = 0, b2 = 0;  // narrow payload (ELs, EC, scope, ...)
 };
 
-// Always-on flight-recorder feed (flight.h); called by every emit helper.
-void flight_record(const Event& e);
-
 // Append `e`'s payload fields in table order: `"key":value` pairs joined
 // by ',' (json), or `key=value` words joined by ' ' (the flight dump).
 void append_event_args(std::string& out, const Event& e, bool json);
@@ -80,59 +74,52 @@ class Trace {
   // arm(0) leaves the trace disarmed.
   void arm(std::size_t capacity) {
     ring_.reset(capacity);
-    armed_.store(capacity > 0, std::memory_order_relaxed);
+    set_sink(kRingSink, capacity > 0);
   }
-  void disarm() { armed_.store(false, std::memory_order_relaxed); }
-  bool armed() const { return armed_.load(std::memory_order_relaxed); }
+  void disarm() { set_sink(kRingSink, false); }
+  bool armed() const { return (sinks() & kRingSink) != 0; }
+  // The flight recorder's switch (FlightRecorder::arm).
+  void feed_flight(bool on) { set_sink(kFlightSink, on); }
+  bool feeds_flight() const { return (sinks() & kFlightSink) != 0; }
 
   // Drop recorded events; keeps the armed state and capacity.
   void clear() { ring_.clear(); }
 
   std::size_t size() const { return ring_.size(); }
-  std::size_t capacity() const { return ring_.capacity(); }
   u64 dropped() const { return ring_.overwritten(); }
 
-  // Recorded events, oldest first (at most `capacity()` of them).
+  // Recorded events, oldest first (at most the armed capacity).
   std::vector<Event> events() const { return ring_.items(); }
 
   // --- Typed emit helpers (the hot-path API) ---------------------------------
-  // Every helper also feeds the always-on flight recorder (flight.h) before
-  // checking the armed flag, so the black box sees the last events even in
-  // runs where nobody armed a trace. The recorder is lock-free and charges
-  // nothing.
+  // Each feeds the armed flight recorder first and then the armed ring.
+  // Neither charges a cycle.
   void excp_entry(u8 ec, u8 from_el, u8 target_el, u64 esr, bool stage2) {
-    emit({now(), esr, stage2, EventKind::kExcpEntry, ec, from_el, target_el});
+    emit(EventKind::kExcpEntry, esr, stage2, ec, from_el, target_el);
   }
   void excp_return(u8 from_el, u8 resumed_el) {
-    emit({now(), 0, 0, EventKind::kExcpReturn, 0, from_el, resumed_el});
+    emit(EventKind::kExcpReturn, 0, 0, 0, from_el, resumed_el);
   }
   void ttbr_switch(u16 asid, u64 ttbr) {
-    emit({now(), ttbr, asid, EventKind::kTtbrSwitch, 0, 0, 0});
+    emit(EventKind::kTtbrSwitch, ttbr, asid);
   }
   void tlb_inval(TlbScope scope, u16 asid, u16 vmid) {
-    emit({now(), asid, vmid, EventKind::kTlbInval, 0,
-          static_cast<u8>(scope), 0});
+    emit(EventKind::kTlbInval, asid, vmid, 0, static_cast<u8>(scope));
   }
   void stage2_fault(u64 ipa, u16 vmid) {
-    emit({now(), ipa, vmid, EventKind::kStage2Fault, 0, 0, 0});
+    emit(EventKind::kStage2Fault, ipa, vmid);
   }
   void hvc_forward(u32 forwarded_esr, u8 forwarded_ec) {
-    emit({now(), forwarded_esr, 0, EventKind::kHvcForward, forwarded_ec, 0,
-          0});
+    emit(EventKind::kHvcForward, forwarded_esr, 0, forwarded_ec);
   }
   void world_switch(WorldKind kind, u16 vmid) {
-    emit({now(), vmid, 0, EventKind::kWorldSwitch, 0,
-          static_cast<u8>(kind), 0});
+    emit(EventKind::kWorldSwitch, vmid, 0, 0, static_cast<u8>(kind));
   }
   void gate_switch(u16 gate, u16 asid) {
-    emit({now(), gate, asid, EventKind::kGateSwitch, 0, 0, 0});
+    emit(EventKind::kGateSwitch, gate, asid);
   }
-  void pan_toggle(bool on) {
-    emit({now(), on, 0, EventKind::kPanToggle, 0, 0, 0});
-  }
-  void irq(u8 target_el) {
-    emit({now(), 0, 0, EventKind::kIrq, 0, 0, target_el});
-  }
+  void pan_toggle(bool on) { emit(EventKind::kPanToggle, on); }
+  void irq(u8 target_el) { emit(EventKind::kIrq, 0, 0, 0, 0, target_el); }
 
   // --- Export ----------------------------------------------------------------
   // Chrome trace_event JSON; events come out oldest-first as instant
@@ -145,18 +132,24 @@ class Trace {
                          std::string_view extra_events = {}) const;
 
  private:
-  static Cycles now() { return cycle_ledger().total(); }
-  void emit(const Event& e) {
-    flight_record(e);  // always-on black box, armed or not
-    if (!armed_) return;
-    push(e);
+  enum : u8 { kRingSink = 1, kFlightSink = 2 };
+  u8 sinks() const { return sinks_.load(std::memory_order_relaxed); }
+  void set_sink(u8 sink, bool on) {
+    if (on) {
+      sinks_.fetch_or(sink, std::memory_order_relaxed);
+    } else {
+      sinks_.fetch_and(static_cast<u8>(~sink), std::memory_order_relaxed);
+    }
   }
-  void push(const Event& e);
+  void emit(EventKind kind, u64 a0, u64 a1 = 0, u8 b0 = 0, u8 b1 = 0,
+            u8 b2 = 0) {
+    if (sinks() == 0) return;
+    record({cycle_ledger().total(), a0, a1, kind, b0, b1, b2});
+  }
+  void record(const Event& e);  // feeds each armed sink
 
-  // The armed flag is a relaxed atomic so the disarmed fast path stays a
-  // single branch under SMP.
   Ring<Event> ring_;
-  std::atomic<bool> armed_{false};
+  std::atomic<u8> sinks_{0};  // kRingSink | kFlightSink while armed
 };
 
 // The process-wide trace every subsystem emits into.

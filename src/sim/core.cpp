@@ -442,7 +442,9 @@ Core::Translation Core::translate(VirtAddr va, AccessType type,
     l0->memo.ppage = entry->ppage;
     l0->memo.el = pstate_.el;
     l0->memo.pan = pstate_.pan;
+#ifdef LZ_CONF_CHECK
     l0->entry = *entry;
+#endif
   }
   return out;
 }

@@ -324,7 +324,9 @@ class Core {
   }
   struct L0Entry {
     TlbMemo memo;
+#ifdef LZ_CONF_CHECK
     mem::TlbEntry entry;  // for the lz::check TLB-vs-walk oracle
+#endif
   };
   L0Entry* l0_slot(AccessType type, u64 vpage) {
     switch (type) {

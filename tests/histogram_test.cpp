@@ -156,7 +156,7 @@ TEST_F(HistogramTest, ResetAllResetsRegisteredHistograms) {
   auto& h = obs::histograms().histogram("test.hist.reset");
   h.record(9);
   obs::reset_all();
-  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(obs::histograms().find("test.hist.reset")->count(), 0u);
 }
 
 }  // namespace

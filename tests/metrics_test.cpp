@@ -40,11 +40,18 @@ using workload::Placement;
 
 class MetricsTest : public ::testing::Test {
  protected:
-  void SetUp() override { obs::reset_all(); }
+  // Armed as its readers arm it, for the flight recorder test.
+  void SetUp() override {
+    obs::reset_all();
+    flight_was_armed_ = obs::flight().armed();
+    obs::flight().arm();
+  }
   void TearDown() override {
     obs::timeseries().reset();
+    obs::flight().arm(flight_was_armed_);
     obs::reset_all();
   }
+  bool flight_was_armed_ = false;
 
   static std::string temp_path(const char* name) {
     return ::testing::TempDir() + name;

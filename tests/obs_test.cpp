@@ -42,12 +42,19 @@ std::optional<u64> listed(std::string_view name) {
 class ObsTest : public ::testing::Test {
  protected:
   // Every test starts (and leaves) the process-global observability state
-  // clean so tests stay order-independent.
-  void SetUp() override { obs::reset_all(); }
+  // clean so tests stay order-independent. The flight recorder is armed,
+  // as its readers arm it, for the tests that read the black box.
+  void SetUp() override {
+    obs::reset_all();
+    flight_was_armed_ = obs::flight().armed();
+    obs::flight().arm();
+  }
   void TearDown() override {
     obs::trace().disarm();
+    obs::flight().arm(flight_was_armed_);
     obs::reset_all();
   }
+  bool flight_was_armed_ = false;
 };
 
 // --- Counter registry --------------------------------------------------------

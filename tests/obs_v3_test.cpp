@@ -1,7 +1,7 @@
 // lz::obs v3 — request-scoped span tracing, time-series telemetry, and the
 // crash flight recorder. Covers span causality (same-thread nesting, the
 // cross-core adopt through kernel::Kernel::run_on), the simulated-cycle
-// time-series sampler, the always-on per-core black box (including the
+// time-series sampler, the armed per-core black box (including the
 // lz::check fail-stop dump), the tenant-label sanitization the profiler's
 // collapsed-stack export relies on, and the HVC-forward / DVM-shootdown
 // latency histograms under a 4-core machine.
@@ -46,13 +46,21 @@ using sim::Asm;
 
 class ObsV3Test : public ::testing::Test {
  protected:
-  void SetUp() override { obs::reset_all(); }
+  // The flight tests read the black box, so the recorder is armed here
+  // as its readers arm it.
+  void SetUp() override {
+    obs::reset_all();
+    flight_was_armed_ = obs::flight().armed();
+    obs::flight().arm();
+  }
   void TearDown() override {
     obs::spans().disarm();
     obs::timeseries().reset();
     obs::trace().disarm();
+    obs::flight().arm(flight_was_armed_);
     obs::reset_all();
   }
+  bool flight_was_armed_ = false;
 
   static std::optional<SpanEvent> find_span(SpanKind kind) {
     for (const SpanEvent& e : obs::spans().events()) {

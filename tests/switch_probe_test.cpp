@@ -5,21 +5,31 @@
 // the trace, the span tracer and the metrics plane, drives each switch kind
 // once, and checks that exactly that kind's instruments moved — no more,
 // no fewer — so a switch can neither lose an instrument nor feed a
-// neighbour's.
+// neighbour's. The switches' counters and histograms are per-thread
+// shards merged when read, and the flight recorder is off unless armed, so
+// the last tests check that a disarmed switch records nothing but its
+// counts, and that shards written by several core threads merge into the
+// one-thread values.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/backends.h"
+#include "check/check.h"
 #include "hv/world.h"
 #include "lightzone/api.h"
 #include "lightzone/gate.h"
 #include "obs/counters.h"
+#include "obs/flight.h"
 #include "obs/histogram.h"
+#include "obs/switch_probe.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
@@ -258,6 +268,123 @@ TEST_F(SwitchProbeTest, EachSwitchMovesExactlyItsOwnInstruments) {
   }
   EXPECT_TRUE(proc.alive()) << proc.kill_reason();
   vm_env.vm->exit_vm();
+}
+
+// A switch row's counter and histogram as reports read them.
+struct RowTotals {
+  u64 counter = 0, count = 0, sum = 0, min = 0, max = 0, p50 = 0, p99 = 0;
+  bool operator==(const RowTotals&) const = default;
+};
+
+RowTotals ReadRow(const std::string& counter, const std::string& histogram) {
+  RowTotals t;
+  for (const auto& [name, value] : obs::registry().snapshot()) {
+    if (name == counter) t.counter = value;
+  }
+  if (const obs::Histogram* h = obs::histograms().find(histogram)) {
+    t = {t.counter,         h->count(), h->sum(), h->min(), h->max(),
+         h->percentile(50), h->percentile(99)};
+  }
+  return t;
+}
+
+// `n` gate switches and `n` PAN toggles, alternating, in a fresh process.
+std::array<RowTotals, 2> RunGateAndPanSwitches(int n) {
+  Env env(Env::Options().platform(arch::Platform::cortex_a55()));
+  auto& proc = env.new_process();
+  LzProc lz = LzProc::enter(*env.module, proc, true, 1);
+  const int pgt = lz.lz_alloc().value();
+  EXPECT_TRUE(lz.lz_map_gate_pgt(pgt, 1).is_ok());
+  EXPECT_TRUE(lz.lz_set_gate_entry(1, Env::kCodeVa + 0x40).is_ok());
+  lz.module().enter_el1(lz.ctx());
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(lz.module().exec_gate_switch(lz.ctx(), 1).is_ok());
+    lz.module().exec_set_pan(lz.ctx(), (i & 1) == 0);
+  }
+  lz.module().exit_world(lz.ctx());
+  EXPECT_TRUE(proc.alive()) << proc.kill_reason();
+  return {ReadRow("lz.module.gate_switch", "lz.gate.switch_cycles"),
+          ReadRow("lz.module.pan_toggle", "lz.pan.switch_cycles")};
+}
+
+TEST_F(SwitchProbeTest, DisarmedSwitchesRecordOnlyTheirCountsAndLatencies) {
+  constexpr int kSwitches = 1000;
+  // Nothing armed: no trace, spans or metrics plane, and (through the
+  // check hooks, which arm it in checked builds) no flight recorder.
+  obs::trace().disarm();
+  obs::spans().disarm();
+  obs::metrics().disable();
+  check::set_enabled(false);
+  obs::reset_all();
+  const auto disarmed = RunGateAndPanSwitches(kSwitches);
+  EXPECT_EQ(obs::flight().recorded(), 0u);
+  EXPECT_EQ(obs::trace().size(), 0u);
+  check::set_enabled(true);
+
+  // Everything armed, the flight recorder too.
+  obs::reset_all();
+  obs::trace().arm(1 << 16);
+  obs::spans().arm(1 << 16);
+  obs::metrics().enable();
+  obs::flight().arm();
+  const auto armed = RunGateAndPanSwitches(kSwitches);
+  EXPECT_GE(obs::flight().recorded(), u64{2 * kSwitches});
+  EXPECT_GE(obs::trace().size(), std::size_t{2 * kSwitches});
+
+  for (std::size_t row = 0; row < armed.size(); ++row) {
+    EXPECT_EQ(armed[row].counter, u64{kSwitches}) << row;
+    EXPECT_EQ(armed[row].count, u64{kSwitches}) << row;
+    EXPECT_GT(armed[row].max, 0u) << row;
+    EXPECT_EQ(disarmed[row], armed[row]) << row;
+  }
+}
+
+TEST_F(SwitchProbeTest, CoreThreadShardsMergeIntoTheOneThreadValues) {
+  constexpr unsigned kCores = 4;
+  constexpr u64 kPerCore = 5000;
+  // Spread over many buckets, distinct per core.
+  const auto delta = [](unsigned core, u64 i) {
+    return 1 + (i * 7919 + core * 104729) % 100000;
+  };
+  const auto record = [&](unsigned core) {
+    for (u64 i = 0; i < kPerCore; ++i) {
+      obs::record_switch<obs::SwitchKind::kLzPan>({}, delta(core, i));
+    }
+  };
+  Env env(Env::Options().cores(kCores));
+
+  std::atomic<unsigned> running{kCores};
+  std::thread reader([&] {
+    u64 last = 0;
+    while (running.load(std::memory_order_acquire) != 0) {
+      const RowTotals t =
+          ReadRow("lz.module.pan_toggle", "lz.pan.switch_cycles");
+      EXPECT_GE(t.counter, last);  // counts only grow between resets
+      EXPECT_LE(t.counter, kCores * kPerCore);
+      last = t.counter;
+      obs::histograms().snapshot();
+    }
+  });
+  std::vector<std::thread> cores;
+  for (unsigned c = 0; c < kCores; ++c) {
+    cores.emplace_back([&, c] {
+      sim::Machine::CoreBinding bind(*env.machine, c);
+      record(c);
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (auto& t : cores) t.join();
+  reader.join();
+  const RowTotals merged =
+      ReadRow("lz.module.pan_toggle", "lz.pan.switch_cycles");
+
+  obs::reset_all();
+  for (unsigned c = 0; c < kCores; ++c) record(c);
+  const RowTotals one_thread =
+      ReadRow("lz.module.pan_toggle", "lz.pan.switch_cycles");
+  EXPECT_EQ(one_thread.counter, kCores * kPerCore);
+  EXPECT_EQ(one_thread.count, kCores * kPerCore);
+  EXPECT_EQ(merged, one_thread);
 }
 
 }  // namespace
