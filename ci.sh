@@ -118,14 +118,20 @@ done
 # the "host" sections legitimately differ while every simulated section
 # must stay byte-identical — exactly what --require-sim-identical gates.
 # (No --ts-period here: SMP sample timestamps are host-scheduling
-# dependent, see EXPERIMENTS.md.)
+# dependent, see EXPERIMENTS.md.) The collapsed stacks must match byte for
+# byte too: blocks take the samples that fall inside them at the
+# instructions the interpreter takes them at.
 fig3_on=/tmp/fig3.obs.trace_on.json
 fig3_off=/tmp/fig3.obs.notrace.json
-rm -f "$fig3_on" "$fig3_off"
-build/bench/fig3_nginx --cores 4 --json "$fig3_on" \
+fig3_on_prof=/tmp/fig3.obs.trace_on.prof
+fig3_off_prof=/tmp/fig3.obs.notrace.prof
+rm -f "$fig3_on" "$fig3_off" "$fig3_on_prof" "$fig3_off_prof"
+build/bench/fig3_nginx --cores 4 --json "$fig3_on" --profile "$fig3_on_prof" \
   --benchmark_filter=NONE >/dev/null
 LZ_TRACE_TIER=0 build/bench/fig3_nginx --cores 4 --json "$fig3_off" \
-  --benchmark_filter=NONE >/dev/null
+  --profile "$fig3_off_prof" --benchmark_filter=NONE >/dev/null
+test -s "$fig3_on_prof"
+cmp "$fig3_on_prof" "$fig3_off_prof"
 grep -q '"host":{"sim.trace.' "$fig3_on"
 if grep -q '"host":' "$fig3_off"; then
   echo "ci.sh: tier-off run unexpectedly registered host counters" >&2
@@ -133,6 +139,27 @@ if grep -q '"host":' "$fig3_off"; then
 fi
 build/bench/lz_report "$fig3_on" "$fig3_off" \
   --require-cycles-equal --require-sim-identical >/dev/null
+
+# A profiled run is the unprofiled engine (DESIGN.md section 12.2): arming
+# the profiler at its default period may not change which traces are
+# built, run or discarded, so the "host" section (sim.trace.*) of a --json
+# run must equal that of a --sample-period 0 run.
+for bin in table5_switch fig3_nginx; do
+  sampled=/tmp/$bin.sampled.json
+  unsampled=/tmp/$bin.unsampled.json
+  rm -f "$sampled" "$unsampled"
+  build/bench/$bin --json "$sampled" --benchmark_filter=NONE >/dev/null
+  build/bench/$bin --json "$unsampled" --sample-period 0 \
+    --benchmark_filter=NONE >/dev/null
+  grep -q '"profile":{"period":4096,"samples":[1-9]' "$sampled"
+  host_sampled=$(grep -o '"host":{[^}]*}' "$sampled")
+  host_unsampled=$(grep -o '"host":{[^}]*}' "$unsampled")
+  if [ -z "$host_sampled" ] || [ "$host_sampled" != "$host_unsampled" ]; then
+    echo "ci.sh: $bin host section with the profiler armed" \
+      "($host_sampled) != disarmed ($host_unsampled)" >&2
+    exit 1
+  fi
+done
 
 # Metrics-plane smoke: the per-tenant exposition must carry the per-worker
 # rps and request-latency summaries plus the per-tenant/domain switch-cycle

@@ -99,8 +99,7 @@ MetricsPlane& metrics() {
 }
 
 const char* to_string(SelfTier tier) {
-  constexpr const char* kNames[] = {"run", "trace_exec", "walker", "oracle",
-                                    "obs"};
+  constexpr const char* kNames[] = {"run", "obs"};
   static_assert(std::size(kNames) == kNumSelfTiers);
   const auto t = static_cast<std::size_t>(tier);
   return t < std::size(kNames) ? kNames[t] : "?";

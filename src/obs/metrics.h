@@ -10,8 +10,8 @@
 // depend on simulated work only, so same-seed runs render byte-identical
 // expositions (expose.h).
 //
-// The self-profiler (`host.self.*`) brackets engine tiers and the obs
-// stack's own work with host ticks, flushed at the run-exit flush points.
+// The self-profiler (`host.self.*`) brackets the outer simulation run and
+// the obs stack's own work with host ticks.
 // Ticks are wall clock, so they never appear in JSON reports or the
 // default exposition; ci.sh gates host.self.obs against the engine total.
 #pragma once
@@ -183,12 +183,11 @@ MetricsPlane& metrics();
 
 // --- Host-side self-profiling (`host.self.*`) --------------------------------
 
-// Engine tiers the self-profiler attributes host wall-clock to. kRun is
-// the outer Core::run bracket and *includes* its sub-tiers (trace-tier
-// execute, walker, oracle); kObs is everything the obs stack does on the
+// The tiers the self-profiler attributes host wall-clock to. kRun is the
+// outer Core::run bracket; kObs is everything the obs stack does on the
 // host (time-series sampling, exposition rendering/writing, report
 // assembly) and is disjoint from kRun.
-enum class SelfTier : u8 { kRun, kTraceExec, kWalker, kOracle, kObs, kCount };
+enum class SelfTier : u8 { kRun, kObs, kCount };
 constexpr std::size_t kNumSelfTiers = static_cast<std::size_t>(SelfTier::kCount);
 const char* to_string(SelfTier tier);
 
@@ -204,8 +203,8 @@ class SelfProfiler {
   void disable() { enabled_.store(false, std::memory_order_relaxed); }
 
   // Attribute `ticks` to `tier`. Relaxed fetch_add on a per-tier global;
-  // sim cores batch per-core and flush at their run-exit flush point, so
-  // this is never on a per-instruction path.
+  // sim cores add once per outer run, so this is never on a
+  // per-instruction path.
   void add(SelfTier tier, u64 ticks) {
     ticks_[static_cast<std::size_t>(tier)].fetch_add(ticks,
                                                      std::memory_order_relaxed);

@@ -354,9 +354,7 @@ Core::WalkOutcome Core::walk_translation(VirtAddr va, u64 vpage) const {
 std::optional<mem::TlbEntry> Core::translate_slow(VirtAddr va, u64 vpage,
                                                   Translation* out,
                                                   mem::Tlb::Tag* tag_out) {
-  const u64 self_t0 = selfprof_on_ ? obs::host_ticks() : 0;
   auto w = walk_translation(va, vpage);
-  if (self_t0 != 0) self_ticks_walker_ += obs::host_ticks() - self_t0;
   account_.charge(CostKind::kTlb, w.table_loads * plat_.tlb_walk_per_level);
   if (!w.entry) {
     out->fault_level = w.fault_level;
@@ -455,12 +453,6 @@ Core::Translation Core::translate(VirtAddr va, AccessType type,
 // (or the refill cached the wrong attributes) — exactly the class of bug
 // an ASID/VMID scoping mistake produces.
 void Core::check_tlb_hit(VirtAddr va, const mem::TlbEntry& hit) {
-  const u64 self_t0 = selfprof_on_ ? obs::host_ticks() : 0;
-  check_tlb_hit_inner(va, hit);
-  if (self_t0 != 0) self_ticks_oracle_ += obs::host_ticks() - self_t0;
-}
-
-void Core::check_tlb_hit_inner(VirtAddr va, const mem::TlbEntry& hit) {
   // Only compare within the translation context the entry came from. After
   // software rewrites TTBR/VTTBR (or toggles HCR_EL2.VM) without a TLBI,
   // using a still-matching entry is architecturally allowed — the
@@ -643,11 +635,10 @@ RunResult Core::run(u64 max_steps, std::optional<u64> stop_pc) {
   // only the outermost exit — and every exit back into C++ — flushes.
   const bool outer = !in_run_;
   in_run_ = true;
-  if (outer) {
-    refresh_profiler();  // arm/disarm takes effect at run entry
-    selfprof_on_ = obs::selfprof().enabled();
-  }
-  const u64 self_run_start = (outer && selfprof_on_) ? obs::host_ticks() : 0;
+  if (outer) refresh_profiler();  // arm/disarm takes effect at run entry
+  // The host self-profiler's kRun bracket (DESIGN.md §17.3): the outer run.
+  const u64 self_run_start =
+      (outer && obs::selfprof().enabled()) ? obs::host_ticks() : 0;
   for (u64 i = 0; i < max_steps;) {
     if (stop_pc_ && pc_ == *stop_pc_) {
       result.reason = StopReason::kStopPc;
@@ -657,18 +648,7 @@ RunResult Core::run(u64 max_steps, std::optional<u64> stop_pc) {
     // cached at pc_ (and builds one when the block has proven hot).
     // Returns 0 — interpret one instruction — whenever anything needs the
     // per-instruction path.
-    u64 k;
-    if (trace_tier_on_) {
-      if (selfprof_on_) {
-        const u64 t0 = obs::host_ticks();
-        k = try_trace(max_steps - i);
-        self_ticks_trace_ += obs::host_ticks() - t0;
-      } else {
-        k = try_trace(max_steps - i);
-      }
-    } else {
-      k = 0;
-    }
+    u64 k = trace_tier_on_ ? try_trace(max_steps - i) : 0;
     if (k == 0) {
       step();
       k = 1;
@@ -684,19 +664,10 @@ RunResult Core::run(u64 max_steps, std::optional<u64> stop_pc) {
   stop_pc_ = outer_stop_pc;
   in_run_ = !outer;
   flush_pending();
-  if (self_run_start != 0) selfprof_publish(obs::host_ticks() - self_run_start);
+  if (self_run_start != 0) {
+    obs::selfprof().add(obs::SelfTier::kRun, obs::host_ticks() - self_run_start);
+  }
   return result;
-}
-
-void Core::selfprof_publish(u64 run_ticks) {
-  auto& prof = obs::selfprof();
-  prof.add(obs::SelfTier::kRun, run_ticks);
-  prof.add(obs::SelfTier::kTraceExec, self_ticks_trace_);
-  prof.add(obs::SelfTier::kWalker, self_ticks_walker_);
-  prof.add(obs::SelfTier::kOracle, self_ticks_oracle_);
-  self_ticks_trace_ = 0;
-  self_ticks_walker_ = 0;
-  self_ticks_oracle_ = 0;
 }
 
 void Core::step() {

@@ -270,22 +270,22 @@ class Core {
   bool trace_ldst(Trace& t, const TraceOp& op, unsigned i);
   bool trace_sys(Trace& t, const TraceOp& op, unsigned i);
   void trace_unretire_after(const Trace& t, const TraceOp& op, unsigned i);
-  // The one predicate a block needs to start (try_trace, dispatch_trace)
-  // and to go on past a kSys op: no per-instruction work is due
-  // (needs_step), its fetch memo is live (trace_tags_live) and no profiler
-  // sample can fall inside it (sample_margin_ok). A chained re-entry checks
-  // only the margin: every op that can change the rest ends the block.
+  // With the profiler armed, records the samples that fall at ops up to `i`
+  // of the running block (the ops since its last load/store or system op).
+  void trace_take_samples(Trace& t, unsigned i);
+  // The one predicate a block needs to start (try_trace) and to go on past
+  // a kSys op: no per-instruction work is due (needs_step) and its fetch
+  // memo is live (trace_tags_live). A chained re-entry checks neither:
+  // every op that can change them ends the block.
   bool needs_step() const;
   bool trace_tags_live(const Trace& t) const {
     return memo_live(t.fetch, page_index(t.start_va));
   }
-  bool sample_margin_ok(const Trace& t) const;
   // A stale trace re-takes its memo from the live L0 fetch slot of its page
   // when that slot maps the same frame (trace_retag).
   bool trace_retag(Trace& t);
   void link_trace_counters();
   void check_tlb_hit(VirtAddr va, const mem::TlbEntry& hit);
-  void check_tlb_hit_inner(VirtAddr va, const mem::TlbEntry& hit);
   Cycles sysreg_write_cost(SysReg r) const;
   void refresh_translation_context();
   void refresh_watchpoints();
@@ -441,11 +441,10 @@ class Core {
   // the flush_pending() boundaries and CycleAccount::charge and never
   // appear on the per-instruction path at all. The armed period is polled
   // (epoch compare, two relaxed loads) at run() entry and top-level step()
-  // exit. The trace tier threads through the same scheme: at block
-  // dispatch a conservative cycle bound decides whether a sample could
-  // fire inside the block, and if so the block runs through the
-  // interpreter instead — samples land on identical (cycle, pc) points
-  // with the tier on or off.
+  // exit. The trace tier runs the same blocks armed or not: where a block
+  // enters C++ anyway it locates the samples that fell inside it
+  // (trace_take_samples), so they land on the (cycle, pc) points the
+  // interpreter takes them at.
   void refresh_profiler();
   void prof_take_samples(Cycles now, u64 pc);
   bool prof_on_ = false;
@@ -453,21 +452,6 @@ class Core {
   u64 prof_epoch_ = 0;
   Cycles prof_next_ = 0;
   u32 obs_core_id_ = 0;
-
-  // --- Host-side self-profiling (obs::selfprof(), DESIGN.md §17) ------------
-  // Attributes *host* wall-clock to engine tiers via TSC brackets: the
-  // outer run() (kRun), the trace-tier dispatch (kTraceExec, includes
-  // lookup/build/execute), the page-table walker (kWalker) and the
-  // LZ_CONF_CHECK oracle (kOracle). Armed state is cached at run() entry
-  // like `prof_on_`, so the disabled path pays one predictable branch per
-  // bracket site — never a tick read. Ticks batch in plain per-core
-  // scalars and publish to the global selfprof() atomics once, at outer
-  // run() exit.
-  void selfprof_publish(u64 run_ticks);
-  bool selfprof_on_ = false;
-  u64 self_ticks_trace_ = 0;
-  u64 self_ticks_walker_ = 0;
-  u64 self_ticks_oracle_ = 0;
 
   std::array<TrapHandler, 3> handlers_{};
   bool stop_requested_ = false;

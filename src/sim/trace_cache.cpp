@@ -44,7 +44,6 @@
 #include <new>
 
 #include "arch/decode.h"
-#include "mem/page_table.h"
 #include "obs/counters.h"
 #include "sim/core.h"
 #include "support/bits.h"
@@ -238,26 +237,6 @@ bool lower(const arch::Platform& plat, const Insn& insn, u64 va, u64 start_va,
   return true;
 }
 
-// Table loads of the longest walk Core::walk_translation charges: every
-// stage-1 level, one stage-2 hop per stage-1 table, and the stage-2 walk
-// of the output address.
-constexpr unsigned kMaxWalkLoads = 2 * mem::kStage1Levels + mem::kStage2Levels;
-
-// Conservative upper bound on the cycles a block could add if stepped by
-// the interpreter: the pre-summed kInsn cycles plus, per load/store, the
-// data access and both a main-TLB hit and a maximal two-stage walk. Used
-// only to decide whether a profiler sample could fire inside the block —
-// if even this bound cannot reach the next sample point, skipping the
-// per-instruction checks is exact, and otherwise the block falls back to
-// the interpreter. The bound must stay well under the profiler's period,
-// or a gate switch (one trace with several loads) never runs as a block
-// while the profiler is armed.
-Cycles trace_cycle_bound(const arch::Platform& plat, const Trace& t) {
-  return Cycles{t.cycles} +
-         Cycles{t.ldst_n} * (plat.mem_access + plat.tlb_l2_hit +
-                             kMaxWalkLoads * plat.tlb_walk_per_level);
-}
-
 }  // namespace
 
 bool trace_tier_default() {
@@ -308,7 +287,6 @@ Trace* Core::build_trace(TraceCache::Slot& s) {
   auto& [ops, sys, words] = tcache_.scratch();
   unsigned n = 0;
   unsigned sys_n = 0;
-  u16 ldst_n = 0;
   u32 cyc = 0;
   while (n < Trace::kMaxOps) {
     const u64 off = start_off + u64{n} * 4;
@@ -319,7 +297,6 @@ Trace* Core::build_trace(TraceCache::Slot& s) {
     TraceOp op;
     if (!lower(plat_, insn, pc_ + u64{n} * 4, pc_, &op, &cyc)) break;
     words[n] = word;
-    if (op.kind == TraceOpKind::kLdSt) ++ldst_n;
     if (op.kind == TraceOpKind::kSys) {
       op.aux = sys_n;
       sys[sys_n++] = insn;
@@ -346,7 +323,6 @@ Trace* Core::build_trace(TraceCache::Slot& s) {
   t.start_va = pc_;
   t.fetch = l0;
   t.n = static_cast<u16>(n);
-  t.ldst_n = ldst_n;
   t.start_off = start_off;
   t.cycles = cyc;
   t.host = host;
@@ -439,16 +415,7 @@ u64 Core::dispatch_trace(Trace& t, u64 remaining) {
     const u64 d = *stop_pc_ - t.start_va;
     if (d != 0 && d < u64{t.n} * 4) return 0;
   }
-  if (!sample_margin_ok(t)) return 0;
   return exec_trace(t, remaining);
-}
-
-// Whether no profiler sample can fall inside one more run of `t` from here.
-bool Core::sample_margin_ok(const Trace& t) const {
-  if (!prof_on_) return true;
-  const Cycles now =
-      account_.total() + pending_insn_cycles_ + pending_mem_cycles_;
-  return now + trace_cycle_bound(plat_, t) < prof_next_;
 }
 
 u64 Core::exec_trace(Trace& t, u64 remaining) {
@@ -620,11 +587,11 @@ h_ret:
 h_end:
   retired += n;
   pc_ = next_pc;
-  if (next_pc == start_va && retired <= chain_limit) {
-    if (!prof_on_) goto enter_block;
+  if (prof_on_) {
     materialize();
-    if (sample_margin_ok(t)) goto enter_block;
+    trace_take_samples(t, n - 1);
   }
+  if (next_pc == start_va && retired <= chain_limit) goto enter_block;
   materialize();
   tcount_.executed.add(iters);
   tcount_.insns.add(retired);
@@ -633,6 +600,7 @@ h_end:
 side_exit:  // taken: the branch retires, the ops after it do not
   materialize();
   i = static_cast<unsigned>(op - ops);
+  if (prof_on_) trace_take_samples(t, i);
   trace_unretire_after(t, *op, i);
   pc_ = op->aux;
   goto stopped;
@@ -652,6 +620,7 @@ stopped:  // ops [0, i] retired, the rest rolled back; pc_ set by the op
 // the block exits as after an own-page store: pc_ is wherever exec_system
 // left it, and the run loop takes it from there.
 bool Core::trace_sys(Trace& t, const TraceOp& op, unsigned i) {
+  if (prof_on_) trace_take_samples(t, i);
   const u64 insn_pc = t.start_va + u64{i} * 4;
   trace_unretire_after(t, op, i);
   pc_ = insn_pc + 4;
@@ -674,7 +643,6 @@ bool Core::trace_sys(Trace& t, const TraceOp& op, unsigned i) {
     tcache_.slot(t.start_va).back_off();
     return false;
   }
-  if (!sample_margin_ok(t)) return false;
   const u64 rest = u64{t.n} - i - 1;  // what trace_unretire_after took out
   pending_insn_ += rest;
   pending_l0_hits_ += rest;
@@ -683,6 +651,7 @@ bool Core::trace_sys(Trace& t, const TraceOp& op, unsigned i) {
 }
 
 bool Core::trace_ldst(Trace& t, const TraceOp& op, unsigned i) {
+  if (prof_on_) trace_take_samples(t, i);
   const u64 insn_pc = t.start_va + u64{i} * 4;
   u64 va = reg_or_sp(op.rn);
   if (op.flags & kTrRegOff) {
@@ -739,6 +708,37 @@ void Core::trace_unretire_after(const Trace& t, const TraceOp& op,
   pending_insn_ -= rest;
   pending_l0_hits_ -= rest;
   pending_insn_cycles_ -= t.cycles - op.cyc;
+}
+
+// Takes the profiler samples that fall at ops up to `i` of the running
+// block, each at the op step() would take it at. Called with the block's
+// pre-sums materialized, at each point where the block enters C++ anyway:
+// before a load/store's translate, before a system op's exec_system, at a
+// taken side exit and at the block's end. step() checks after charging an
+// op's base cycles and before execute(), so op k's clock is the block's
+// start clock plus ops[k - 1].cyc plus insn_base; a barrier's extra cycles
+// (folded into its own cyc) count from the next op on. Only loads, stores
+// and system ops charge beyond the pre-sums, and each is such a point, so
+// the ledger now is the ledger at every op since the last one of them,
+// which located the ops up to itself. The same ops change EL, PAN, VMID
+// and ASID, so prof_take_samples reads the context of op k too.
+void Core::trace_take_samples(Trace& t, unsigned i) {
+  const TraceOp* const ops = t.ops();
+  const Cycles start = account_.total() + pending_insn_cycles_ +
+                       pending_mem_cycles_ - t.cycles + plat_.insn_base;
+  const auto clock = [&](unsigned k) {
+    return start + (k == 0 ? 0 : ops[k - 1].cyc);
+  };
+  if (clock(i) < prof_next_) return;
+  unsigned k = i;  // the clock grows with k: back up to the first crossing
+  while (k > 0 && ops[k - 1].kind != TraceOpKind::kLdSt &&
+         ops[k - 1].kind != TraceOpKind::kSys && clock(k - 1) >= prof_next_) {
+    --k;
+  }
+  for (; k <= i; ++k) {
+    const Cycles now = clock(k);
+    if (now >= prof_next_) prof_take_samples(now, t.start_va + u64{k} * 4);
+  }
 }
 
 }  // namespace lz::sim

@@ -118,7 +118,6 @@ struct Trace {
   u16 n = 0;             // retired instructions when the trace runs to the end
   u16 cap = 0;           // ops this block has room for (rebuild-in-place bound)
   u16 sys_cap = 0;       // system instructions it has room for
-  u16 ldst_n = 0;        // loads/stores in the trace (profiler margin bound)
   u32 start_off = 0;     // byte offset of start_va's word within the page
   u32 cycles = 0;        // presummed kInsn cycles for the whole trace
   const u8* host = nullptr;  // live page bytes (self-modifying-code recheck)

@@ -1758,6 +1758,70 @@ TEST(TraceTagTest, DataSideEvictionLeavesCodeTracesAndOtherL0SlotsLive) {
   ExpectSameSysBlockOutcome(on, off);
 }
 
+// The profiler does not steer the engine: armed at a period shorter than
+// one block, it takes its samples inside the blocks, which run, build and
+// re-tag exactly as with it disarmed. The loop invalidates the TLB each
+// pass and loads from more pages than the micro-TLB holds, so the blocks
+// walk, refill and lose their code page's slot along the way.
+SysBlockOutcome RunWalkingLoads(u64 sample_period) {
+  constexpr u16 kPasses = 20;
+  constexpr u16 kPages = 17;
+  SysBlockScenario sc;
+  Asm& a = sc.kernel;
+  auto pass = a.new_label();
+  auto page = a.new_label();
+  a.movz(1, kPasses);
+  a.movz(9, kPageSize);
+  a.bind(pass);
+  a.emit(arch::enc::tlbi_vmalle1());
+  a.mov_imm64(8, kFillVa);
+  a.movz(10, kPages);
+  a.bind(page);
+  a.ldr(7, 8);
+  a.add_reg(2, 2, 7);
+  a.add_reg(8, 8, 9);
+  a.sub_imm(10, 10, 1);
+  a.cbnz(10, page);
+  a.sub_imm(1, 1, 1);
+  a.cbnz(1, pass);
+  a.svc(0);
+  sc.setup = [](SysBlockRig& rig) {
+    for (u64 p = 0; p < kPages; ++p) {
+      const PhysAddr pa = rig.m.mem().alloc_frame();
+      rig.m.mem().write(pa, 8, p + 1);
+      LZ_CHECK_OK(rig.tbl.map(kFillVa + p * kPageSize, pa, DataAttrs()));
+    }
+  };
+  sc.on_trap = [](SysBlockRig&, const TrapInfo&) {
+    return TrapAction::kStop;
+  };
+  obs::profiler().reset();
+  if (sample_period != 0) obs::profiler().arm(sample_period);
+  const auto out = RunSysBlock(sc, true);
+  EXPECT_EQ(obs::profiler().samples() != 0, sample_period != 0);
+  obs::profiler().disarm();
+  obs::profiler().reset();
+  return out;
+}
+
+TEST(ProfiledTraceTest, ArmingTheProfilerLeavesTheTraceTierAlone) {
+  const auto armed = RunWalkingLoads(3);
+  const auto disarmed = RunWalkingLoads(0);
+  EXPECT_EQ(armed.regs, disarmed.regs);
+  EXPECT_EQ(armed.cycles, disarmed.cycles);
+  EXPECT_EQ(armed.tlb.l1_hits, disarmed.tlb.l1_hits);
+  EXPECT_EQ(armed.tlb.l2_hits, disarmed.tlb.l2_hits);
+  EXPECT_EQ(armed.tlb.misses, disarmed.tlb.misses);
+  EXPECT_EQ(armed.tlb.invalidations, disarmed.tlb.invalidations);
+  EXPECT_GT(disarmed.tlb.misses, 20u * 17);
+  EXPECT_GT(disarmed.trace.insns, disarmed.retired / 2);
+  EXPECT_EQ(armed.trace.built, disarmed.trace.built);
+  EXPECT_EQ(armed.trace.executed, disarmed.trace.executed);
+  EXPECT_EQ(armed.trace.insns, disarmed.trace.insns);
+  EXPECT_EQ(armed.trace.invalidated_smc, disarmed.trace.invalidated_smc);
+  EXPECT_EQ(armed.trace.invalidated_gen, disarmed.trace.invalidated_gen);
+}
+
 // Conditional branches that leave the block mid-way: a CBZ right after the
 // load whose value it tests (taken every other pass) and a B.EQ right
 // after an MSR (taken every other pass, out of phase with the CBZ). The

@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "arch/encode.h"
 #include "obs/counters.h"
 #include "obs/profiler.h"
 #include "sim/assembler.h"
@@ -171,12 +172,20 @@ TEST_F(ProfilerTest, DomainSwitchesSplitAttribution) {
   EXPECT_GT(domains[1].samples, 0u);
 }
 
-// System instructions run inside traces (DESIGN.md §16.2), and a block
-// goes on past one only while no sample can fall inside the rest of it: a
-// TTBR0 write's cost must not carry a sample point past the instruction the
-// interpreter would take it at. Global code, so the block survives its own
-// TTBR0 writes; the profile must be the interpreter's with the tier on.
-std::string ProfileOfGlobalTtbr0Loop(bool tier) {
+// A loop program for ProfileOfLoop: its code, at kCodeVa (global, mapped
+// in both tables) and run at EL1 with x0 = iterations, x5/x6 = the TTBR0
+// values of ASIDs 1 and 2, ending in SVC #0; and what it maps in the
+// ASID 1 table first. A data abort resumes after the faulting load.
+struct LoopProgram {
+  void (*emit)(Asm&);
+  void (*map)(mem::PhysMem&, mem::Stage1Table&) = nullptr;
+  u64 iters = 300;
+};
+
+// A block runs whether or not a sample falls inside it, and takes the
+// samples that do at the ops the interpreter takes them at (DESIGN.md
+// §12.2): the profile must be the interpreter's with the tier on.
+std::string ProfileOfLoop(const LoopProgram& prog, bool tier) {
   obs::profiler().reset();
   Machine machine(arch::Platform::cortex_a55());
   auto& pm = machine.mem();
@@ -189,27 +198,24 @@ std::string ProfileOfGlobalTtbr0Loop(bool tier) {
   code.global = true;
   LZ_CHECK_OK(t1.map(kCodeVa, code_pa, code));
   LZ_CHECK_OK(t2.map(kCodeVa, code_pa, code));
+  if (prog.map != nullptr) prog.map(pm, t1);
   Asm a;
-  const auto loop = a.new_label();
-  a.bind(loop);
-  a.msr(arch::SysReg::kTtbr0El1, 5);
-  for (int i = 0; i < 6; ++i) a.add_imm(2, 2, 1);
-  a.msr(arch::SysReg::kTtbr0El1, 6);
-  for (int i = 0; i < 6; ++i) a.add_imm(2, 2, 1);
-  a.sub_imm(0, 0, 1);
-  a.cbnz(0, loop);
-  a.svc(0);
+  prog.emit(a);
   a.install(pm, code_pa);
   auto& core = machine.core();
   core.set_trace_tier(tier);
   core.pstate().el = arch::ExceptionLevel::kEl1;
   core.set_sysreg(SysReg::kTtbr0El1, t1.ttbr());
   core.set_pc(kCodeVa);
-  core.set_x(0, 2000);
+  core.set_x(0, prog.iters);
   core.set_x(5, t1.ttbr());
   core.set_x(6, t2.ttbr());
-  core.set_handler(arch::ExceptionLevel::kEl1,
-                   [](const TrapInfo&) { return TrapAction::kStop; });
+  core.set_handler(arch::ExceptionLevel::kEl1, [&core](const TrapInfo& info) {
+    if (info.ec == arch::ExceptionClass::kSvc64) return TrapAction::kStop;
+    core.set_sysreg(SysReg::kElrEl1, info.pc + 4);
+    core.eret_from(arch::ExceptionLevel::kEl1);
+    return TrapAction::kResume;
+  });
   EXPECT_EQ(core.run(1'000'000).reason, StopReason::kHandlerStop);
   if (tier) {
     EXPECT_GT(core.trace_stats().insns, 0u);
@@ -217,12 +223,124 @@ std::string ProfileOfGlobalTtbr0Loop(bool tier) {
   return obs::profiler().collapsed();
 }
 
+// Period 1 puts several sample points inside one op, 7 a few inside each
+// block, 97 one every few blocks.
+void ExpectSameProfileWithTheTierOnAndOff(const LoopProgram& prog) {
+  for (const u64 period : {1, 7, 97}) {
+    SCOPED_TRACE(period);
+    obs::profiler().arm(period);
+    const std::string off = ProfileOfLoop(prog, false);
+    const std::string on = ProfileOfLoop(prog, true);
+    EXPECT_FALSE(off.empty());
+    EXPECT_EQ(on, off);
+  }
+}
+
+// TTBR0 writes mid-block: the block survives them (global code), and each
+// write's cost lands in the ops after it, in the other ASID's context.
 TEST_F(ProfilerTest, SamplesMatchWithSystemInstructionsInTraces) {
-  obs::profiler().arm(97);
-  const std::string off = ProfileOfGlobalTtbr0Loop(false);
-  const std::string on = ProfileOfGlobalTtbr0Loop(true);
-  EXPECT_FALSE(off.empty());
-  EXPECT_EQ(on, off);
+  ExpectSameProfileWithTheTierOnAndOff({[](Asm& a) {
+    const auto loop = a.new_label();
+    a.bind(loop);
+    a.msr(arch::SysReg::kTtbr0El1, 5);
+    for (int i = 0; i < 6; ++i) a.add_imm(2, 2, 1);
+    a.msr(arch::SysReg::kTtbr0El1, 6);
+    for (int i = 0; i < 6; ++i) a.add_imm(2, 2, 1);
+    a.sub_imm(0, 0, 1);
+    a.cbnz(0, loop);
+    a.svc(0);
+  }});
+}
+
+// Barriers charge their extra cycles after step()'s sample check, so a
+// sample that falls inside an ISB or DSB belongs to the barrier itself.
+TEST_F(ProfilerTest, SamplesMatchWithBarriersInTraces) {
+  ExpectSameProfileWithTheTierOnAndOff({[](Asm& a) {
+    const auto loop = a.new_label();
+    a.bind(loop);
+    a.add_imm(2, 2, 1);
+    a.isb();
+    a.isb();
+    a.add_imm(3, 3, 1);
+    a.dsb();
+    a.add_imm(2, 2, 1);
+    a.sub_imm(0, 0, 1);
+    a.cbnz(0, loop);
+    a.svc(0);
+  }});
+}
+
+// Loads that walk: each pass invalidates the TLB and then loads from 24
+// pages, more than the micro-TLB holds, so the walks' cycles and the code
+// page's own refills fall between the blocks' sample points.
+constexpr VirtAddr kDataVa = 0x800000;
+constexpr u64 kDataPages = 24;
+
+TEST_F(ProfilerTest, SamplesMatchWithWalkingLoadsInTraces) {
+  LoopProgram prog;
+  prog.iters = 12;
+  prog.map = [](mem::PhysMem& pm, mem::Stage1Table& tbl) {
+    for (u64 p = 0; p < kDataPages; ++p) {
+      LZ_CHECK_OK(tbl.map(kDataVa + p * kPageSize, pm.alloc_frame(), {}));
+    }
+  };
+  prog.emit = [](Asm& a) {
+    const auto pass = a.new_label();
+    const auto page = a.new_label();
+    a.movz(9, kPageSize);
+    a.bind(pass);
+    a.emit(arch::enc::tlbi_vmalle1());
+    a.mov_imm64(8, kDataVa);
+    a.movz(10, kDataPages);
+    a.bind(page);
+    a.ldr(7, 8);
+    a.add_reg(2, 2, 7);
+    a.add_reg(8, 8, 9);
+    a.sub_imm(10, 10, 1);
+    a.cbnz(10, page);
+    a.sub_imm(0, 0, 1);
+    a.cbnz(0, pass);
+    a.svc(0);
+  };
+  ExpectSameProfileWithTheTierOnAndOff(prog);
+}
+
+// A CBZ that leaves the block every other iteration: the ops after it are
+// rolled back and never located.
+TEST_F(ProfilerTest, SamplesMatchAcrossTakenSideExits) {
+  ExpectSameProfileWithTheTierOnAndOff({[](Asm& a) {
+    const auto loop = a.new_label();
+    const auto skip = a.new_label();
+    a.movz(9, 1);
+    a.bind(loop);
+    a.and_reg(11, 0, 9);
+    a.add_imm(2, 2, 1);
+    a.cbz(11, skip);
+    a.add_imm(3, 3, 1);
+    a.add_imm(3, 3, 1);
+    a.bind(skip);
+    a.add_imm(2, 2, 1);
+    a.sub_imm(0, 0, 1);
+    a.cbnz(0, loop);
+    a.svc(0);
+  }});
+}
+
+// A load from an unmapped page in mid-block: the walk faults, the handler
+// skips the load, and the block's ops after it run in the next one.
+TEST_F(ProfilerTest, SamplesMatchAroundSkippedFaultingLoads) {
+  ExpectSameProfileWithTheTierOnAndOff({[](Asm& a) {
+    const auto loop = a.new_label();
+    a.mov_imm64(8, kDataVa);  // nothing mapped there
+    a.bind(loop);
+    a.add_imm(2, 2, 1);
+    a.add_imm(2, 2, 1);
+    a.ldr(7, 8);
+    a.add_imm(3, 3, 1);
+    a.sub_imm(0, 0, 1);
+    a.cbnz(0, loop);
+    a.svc(0);
+  }});
 }
 
 TEST_F(ProfilerTest, CollapsedLinesCarryTheFullContext) {
