@@ -222,11 +222,27 @@ cmp "$smp_a" "$smp_b"
 grep -q '"sim.core3.tlb.l1_hit"' "$smp_a"
 build/bench/report_check "$smp_a"
 
+# Runs a fuzz driver and requires a line of its output to end in <want>
+# ("status hash H" or "outcome hash H"). A status hash folds every Table-2
+# verdict of a run and an outcome hash every stream's result, so a hash
+# that moves means the simulated machine did something else.
+pinned_fuzz() {  # <want> <driver> <args>...
+  local want=$1 out
+  shift
+  out=$("$@")
+  echo "$out"
+  if ! grep -q "$want\$" <<<"$out"; then
+    echo "ci.sh: $* moved (want $want)" >&2
+    exit 1
+  fi
+}
+
 # Differential fuzz gate (DESIGN.md section 10): >=10k seeded Table-2 ops
 # across 4 cores through live module + shadow model. The binary exits
 # non-zero on any status divergence, TLB-vs-walk divergence, non-byte-
 # identical replay, or 1-vs-4-core counter drift.
-build/bench/fuzz_table2 --seed 1 --cores 4 --ops 2600
+pinned_fuzz "status hash 87e875a48ba42b36" \
+  build/bench/fuzz_table2 --seed 1 --cores 4 --ops 2600
 build/bench/fuzz_table2 --seed 20260805 --cores 2 --ops 1500
 
 # Encoded-A64 stream fuzz gate (DESIGN.md section 15): >=10k seeded
@@ -235,8 +251,10 @@ build/bench/fuzz_table2 --seed 20260805 --cores 2 --ops 1500
 # its streams twice on the requested topology (byte-identical replay) and
 # once on 1 core (same outcomes, counters modulo the SMP-variant set); any
 # oracle divergence aborts with a flight-recorder dump.
-build/bench/fuzz_a64 --seed 1 --cores 4 --streams 2000
-build/bench/fuzz_a64 --seed 20260808 --cores 2 --streams 1500
+pinned_fuzz "outcome hash 641d42d702a2f674" \
+  build/bench/fuzz_a64 --seed 1 --cores 4 --streams 2000
+pinned_fuzz "outcome hash c9f358fb051ea026" \
+  build/bench/fuzz_a64 --seed 20260808 --cores 2 --streams 1500
 
 # Trace tier on vs off over guest code: the streams' guest kernels run
 # MSR/MRS/SYS, which the tier executes inside its blocks through the same
@@ -277,14 +295,8 @@ for backend in ttbr_pan poe cca watchpoint lwc; do
   build/bench/table5_switch --backend "$backend" --json "$bk" \
     --benchmark_filter=NONE >/dev/null
   build/bench/report_check "$bk"
-  fz=$(build/bench/fuzz_table2 --backend "$backend" --seed 7 --cores 2 \
-    --ops 800)
-  echo "$fz"
-  if ! grep -q "status hash ${fuzz_hash[$backend]}\$" <<<"$fz"; then
-    echo "ci.sh: fuzz_table2 --backend $backend status hash moved" \
-      "(want ${fuzz_hash[$backend]})" >&2
-    exit 1
-  fi
+  pinned_fuzz "status hash ${fuzz_hash[$backend]}" \
+    build/bench/fuzz_table2 --backend "$backend" --seed 7 --cores 2 --ops 800
   f3=/tmp/fig3.backend.$backend.json
   rm -f "$f3"
   build/bench/fig3_nginx --backend "$backend" --cores 2 --json "$f3" \

@@ -1,5 +1,9 @@
 #include "lightzone/gate.h"
 
+#include <algorithm>
+#include <map>
+#include <mutex>
+
 #include "arch/sysreg.h"
 
 namespace lz::core {
@@ -58,6 +62,29 @@ sim::Asm build_gate_code(u32 gate_id, u32 max_gates) {
 
   LZ_CHECK(a.size_bytes() <= UpperLayout::kGateStride);
   return a;
+}
+
+const std::vector<u32>& stub_page_words() {
+  static const std::vector<u32> words = build_stub_page().resolve();
+  return words;
+}
+
+const std::vector<u32>& gate_code_words(u32 max_gates) {
+  static std::mutex mu;
+  static std::map<u32, std::vector<u32>> images;  // nodes never move
+  std::lock_guard<std::mutex> lock(mu);
+  auto [it, fresh] = images.try_emplace(max_gates);
+  std::vector<u32>& image = it->second;
+  if (fresh) {
+    constexpr u64 kStrideWords = UpperLayout::kGateStride / 4;
+    image.resize(u64{max_gates} * kStrideWords);
+    for (u32 g = 0; g < max_gates; ++g) {
+      sim::Asm code = build_gate_code(g, max_gates);
+      const std::vector<u32>& words = code.resolve();
+      std::copy(words.begin(), words.end(), image.begin() + g * kStrideWords);
+    }
+  }
+  return image;
 }
 
 }  // namespace lz::core

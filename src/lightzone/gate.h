@@ -21,6 +21,8 @@
 // registers is caught before control returns to attacker code.
 #pragma once
 
+#include <vector>
+
 #include "sim/assembler.h"
 #include "support/types.h"
 
@@ -56,5 +58,13 @@ sim::Asm build_stub_page();
 
 // One call gate's code (fits in kGateStride bytes).
 sim::Asm build_gate_code(u32 gate_id, u32 max_gates);
+
+// The resolved words every process's stub and gate pages hold, assembled
+// once per host process (thread-safe; the vectors live until exit). Each VM
+// copies them into frames of its own, so frames, IPAs and stage-2 mappings
+// stay per VM (§5.1.2). gate_code_words puts gate g's words at word
+// g * kGateStride / 4 and zeros between gates.
+const std::vector<u32>& stub_page_words();
+const std::vector<u32>& gate_code_words(u32 max_gates);
 
 }  // namespace lz::core

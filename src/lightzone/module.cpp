@@ -455,28 +455,25 @@ void LzModule::build_upper_half(LzContext& ctx) {
   {
     const PhysAddr frame = kern().alloc_frame();
     ctx.code_pages.push_back(frame);
-    build_stub_page().install(pm, frame);
+    const std::vector<u32>& stub = stub_page_words();
+    pm.write_bytes(frame, stub.data(), stub.size() * 4);
     LZ_CHECK_OK(ctx.upper->map(UpperLayout::kStubVa, ctx.ipa_of(frame),
                                code_attrs));
     LZ_CHECK_OK(ctx.stage2->map(ctx.ipa_of(frame), frame, s2_code));
   }
 
-  // Call-gate code pages.
-  const u64 gate_bytes = u64{ctx.opts().max_gates} * UpperLayout::kGateStride;
-  const u64 gate_pages = page_ceil(gate_bytes) / kPageSize;
-  std::vector<PhysAddr> gate_frames(gate_pages);
-  for (u64 i = 0; i < gate_pages; ++i) {
-    gate_frames[i] = kern().alloc_frame();
-    ctx.code_pages.push_back(gate_frames[i]);
-    LZ_CHECK_OK(ctx.upper->map(UpperLayout::kGateCodeVa + i * kPageSize,
-                               ctx.ipa_of(gate_frames[i]), code_attrs));
-    LZ_CHECK_OK(ctx.stage2->map(ctx.ipa_of(gate_frames[i]), gate_frames[i],
-                                s2_code));
-  }
-  for (u32 g = 0; g < ctx.opts().max_gates; ++g) {
-    auto code = build_gate_code(g, ctx.opts().max_gates);
-    const u64 off = u64{g} * UpperLayout::kGateStride;
-    code.install(pm, gate_frames[off / kPageSize] + page_offset(off));
+  // Call-gate code pages: this VM's own frames, filled from the image
+  // every process with this max_gates shares.
+  const std::vector<u32>& gate_words = gate_code_words(ctx.opts().max_gates);
+  const u64 gate_bytes = gate_words.size() * 4;
+  const auto* image = reinterpret_cast<const u8*>(gate_words.data());
+  for (u64 off = 0; off < gate_bytes; off += kPageSize) {
+    const PhysAddr frame = kern().alloc_frame();
+    ctx.code_pages.push_back(frame);
+    pm.write_bytes(frame, image + off, std::min(kPageSize, gate_bytes - off));
+    LZ_CHECK_OK(ctx.upper->map(UpperLayout::kGateCodeVa + off,
+                               ctx.ipa_of(frame), code_attrs));
+    LZ_CHECK_OK(ctx.stage2->map(ctx.ipa_of(frame), frame, s2_code));
   }
 
   // GateTab (one frame holds 256 {ENTRY, PGTID} pairs).
@@ -811,8 +808,9 @@ sim::RunResult LzModule::run(LzContext& ctx, u64 max_steps) {
 }
 
 Result<Cycles> LzModule::exec_gate_switch(LzContext& ctx, int gate) {
-  LZ_CHECK(active() == &ctx);
-  auto& core = machine().core();
+  const unsigned core_id = machine().current_core_id();  // resolved once
+  LZ_CHECK(world_[core_id].active == &ctx);
+  auto& core = machine().core(core_id);
   if (gate < 0 || static_cast<u32>(gate) >= ctx.opts().max_gates) {
     return err(Errc::kBadGate, "gate switch: bad gate id");
   }
@@ -831,7 +829,7 @@ Result<Cycles> LzModule::exec_gate_switch(LzContext& ctx, int gate) {
   // Measure on the calling core's own ledger: machine().cycles() sums every
   // core and would fold concurrent work into this switch.
   auto probe = obs::switch_scope<obs::SwitchKind::kLzGate>(
-      machine().account(),
+      core.account(),
       {.arg = static_cast<u64>(gate), .vmid = ctx.vmid, .asid = asid});
   core.set_x(30, entry);
   core.set_pc(UpperLayout::gate_va(static_cast<u32>(gate)));
@@ -842,13 +840,15 @@ Result<Cycles> LzModule::exec_gate_switch(LzContext& ctx, int gate) {
 }
 
 Cycles LzModule::exec_set_pan(LzContext& ctx, bool pan) {
-  LZ_CHECK(active() == &ctx);
-  auto& core = machine().core();
+  const unsigned core_id = machine().current_core_id();  // resolved once
+  LZ_CHECK(world_[core_id].active == &ctx);
+  auto& core = machine().core(core_id);
+  auto& account = core.account();
   auto probe = obs::switch_scope<obs::SwitchKind::kLzPan>(
-      machine().account(), {.arg = pan, .vmid = ctx.vmid});
+      account, {.arg = pan, .vmid = ctx.vmid});
   core.pstate().pan = pan;
-  machine().charge(CostKind::kInsn, machine().platform().insn_base);
-  machine().charge(CostKind::kSysreg, machine().platform().pan_toggle);
+  account.charge(CostKind::kInsn, machine().platform().insn_base);
+  account.charge(CostKind::kSysreg, machine().platform().pan_toggle);
   return probe.close();
 }
 

@@ -47,7 +47,9 @@ PhysAddr PhysMem::alloc_frame() {
     ++frames_in_use_;
     frames_peak_ = std::max(frames_peak_, frames_in_use_);
   }
-  std::memset(page_ptr(pa), 0, kPageSize);
+  // A frame that never materialized reads as zero once it does; zeroing it
+  // here would only create it early and fill it twice.
+  if (Page* p = peek(page_index(pa))) std::memset(p->data(), 0, kPageSize);
   return pa;
 }
 

@@ -1,7 +1,8 @@
 // Sparse physical memory with a frame allocator. Pages materialise on
-// first touch; the allocator hands out zeroed frames for page tables,
-// kernel structures and process memory. Allocation counts feed the
-// memory-overhead numbers reported in §9.
+// first touch, zero-filled; the allocator hands out zeroed frames for page
+// tables, kernel structures and process memory, zeroing only a frame that
+// has materialized (a recycled frame, or one written before allocation).
+// Allocation counts feed the memory-overhead numbers reported in §9.
 //
 // Thread-safety: one PhysMem is shared by every core of the SMP machine.
 // The page index is a two-level radix of std::atomic<Page*>: readers walk
@@ -72,16 +73,17 @@ class PhysMem {
   };
 
   // Lock-free radix lookup, inline: every page-table walk level and
-  // table scan goes through it.
+  // table scan goes through it. nullptr: not materialized yet (or outside
+  // the radix).
+  Page* peek(u64 idx) const {
+    if (idx >= radix_pages_) return nullptr;
+    Chunk* c = root_[idx / kChunkPages].load(std::memory_order_acquire);
+    if (c == nullptr) return nullptr;
+    return c->slots[idx % kChunkPages].load(std::memory_order_acquire);
+  }
   Page& page(PhysAddr pa) const {
     const u64 idx = page_index(pa);
-    if (idx < radix_pages_) {
-      Chunk* c = root_[idx / kChunkPages].load(std::memory_order_acquire);
-      if (c != nullptr) {
-        Page* p = c->slots[idx % kChunkPages].load(std::memory_order_acquire);
-        if (p != nullptr) return *p;
-      }
-    }
+    if (Page* p = peek(idx)) return *p;
     return materialize(idx);
   }
   // Slow path: create (or race-lose and reuse) the page under the mutex.

@@ -69,8 +69,7 @@ void SpanTracer::clear() {
   for (auto& k : by_kind_) k.store(0, std::memory_order_relaxed);
 }
 
-u64 SpanTracer::begin(SpanKind kind, u64 arg, u16 vmid, u16 asid) {
-  if (!armed_.load(std::memory_order_relaxed)) return 0;
+u64 SpanTracer::begin_armed(SpanKind kind, u64 arg, u16 vmid, u16 asid) {
   TlsSpans& t = t_spans;
   if (t.depth >= kMaxDepth) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -83,8 +82,7 @@ u64 SpanTracer::begin(SpanKind kind, u64 arg, u16 vmid, u16 asid) {
   return id;
 }
 
-void SpanTracer::end(u64 id) {
-  if (id == 0) return;
+void SpanTracer::end_open(u64 id) {
   TlsSpans& t = t_spans;
   // Unwind to the matching id; anything above it was abandoned (its scope
   // leaked past its parent's), which RAII makes impossible in practice.
@@ -147,11 +145,6 @@ SpanScope::SpanScope(SpanKind kind, u64 arg, u16 vmid, u16 asid)
     : id_(spans().begin(kind, arg, vmid, asid)) {}
 
 SpanScope::~SpanScope() { spans().end(id_); }
-
-SpanTracer& spans() {
-  static SpanTracer tracer;
-  return tracer;
-}
 
 void set_domain_label(u16 vmid, u16 asid, std::string_view label) {
   DomainLabels& dl = domain_labels();

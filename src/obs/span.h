@@ -11,9 +11,10 @@
 // enqueuing side captures `current()` and the worker adopts it with an
 // `Adopt` guard before opening its task span.
 //
-// Disarmed, `begin` is one relaxed load and `end(0)` a branch; spans never
-// charge cycles. Export is Chrome trace_event "X" events, which Perfetto
-// nests by containment per track (tid = simulated core).
+// Disarmed, `begin` is one inline relaxed load and `end(0)` an inline
+// branch; spans never charge cycles. Export is Chrome trace_event "X"
+// events, which Perfetto nests by containment per track (tid = simulated
+// core).
 #pragma once
 
 #include <array>
@@ -68,10 +69,14 @@ class SpanTracer {
   // Open a span under the current thread's innermost open span (or the
   // adopted ambient parent at depth 0). Returns the span id, or 0 when
   // disarmed / the per-thread stack is full.
-  u64 begin(SpanKind kind, u64 arg = 0, u16 vmid = 0, u16 asid = 0);
+  u64 begin(SpanKind kind, u64 arg = 0, u16 vmid = 0, u16 asid = 0) {
+    return armed() ? begin_armed(kind, arg, vmid, asid) : 0;
+  }
   // Close the span; ids are closed innermost-first (RAII enforces this).
-  // end(0) is a no-op, so disarmed begin/end pairs cost two branches.
-  void end(u64 id);
+  // end(0) is a no-op, so disarmed begin/end pairs cost two inline branches.
+  void end(u64 id) {
+    if (id != 0) end_open(id);
+  }
   // Innermost open span id on this thread (the value to propagate across
   // a thread hop), or the ambient parent, or 0.
   static u64 current();
@@ -112,6 +117,9 @@ class SpanTracer {
   std::string chrome_fragment() const;
 
  private:
+  u64 begin_armed(SpanKind kind, u64 arg, u16 vmid, u16 asid);
+  void end_open(u64 id);
+
   Ring<SpanEvent> ring_;
   std::atomic<u64> next_id_{1};
   std::atomic<u64> completed_{0};
@@ -136,8 +144,12 @@ class SpanScope {
   u64 id_ = 0;
 };
 
-// The process-wide span tracer every subsystem emits into.
-SpanTracer& spans();
+// The process-wide span tracer every subsystem emits into; inline, so a
+// disarmed span costs no call.
+inline SpanTracer& spans() {
+  static SpanTracer tracer;
+  return tracer;
+}
 
 // --- Tenant labels -----------------------------------------------------------
 // Human-readable names for (VMID, ASID) tenants, attached to span args in

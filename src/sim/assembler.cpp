@@ -26,7 +26,7 @@ void Asm::emit_branch(BranchKind kind, Label l, arch::Cond c, u8 rt) {
   emit(0);  // placeholder
 }
 
-void Asm::resolve() {
+const std::vector<u32>& Asm::resolve() {
   for (const auto& f : fixups_) {
     LZ_CHECK(label_pos_[f.label] >= 0);  // all labels bound
     const i64 offset =
@@ -46,7 +46,7 @@ void Asm::resolve() {
     }
   }
   fixups_.clear();
-  resolved_ = true;
+  return words_;
 }
 
 void Asm::install(mem::PhysMem& pm, PhysAddr base) {

@@ -92,6 +92,8 @@ class Asm {
   // executes at virtual address `va_base` (labels are position-relative so
   // only branch offsets matter; they are VA-agnostic).
   void install(mem::PhysMem& pm, PhysAddr base);
+  // Resolve all label fixups and return the final words.
+  const std::vector<u32>& resolve();
 
  private:
   enum class BranchKind : u8 { kB, kBl, kBCond, kCbz, kCbnz };
@@ -104,12 +106,10 @@ class Asm {
   };
   void emit_branch(BranchKind kind, Label l, arch::Cond c = arch::Cond::kAl,
                    u8 rt = 0);
-  void resolve();
 
   std::vector<u32> words_;
   std::vector<i64> label_pos_;  // -1 while unbound
   std::vector<Fixup> fixups_;
-  bool resolved_ = false;
 };
 
 }  // namespace lz::sim

@@ -1163,12 +1163,12 @@ const Insn& Core::decode_at(PhysAddr pa) {
   std::memcpy(&word, dp->host + off, 4);
   const unsigned widx = static_cast<unsigned>(off >> 2);
   if (!dp->filled[widx] || dp->words[widx] != word) {
-    dp->insns[widx] = arch::decode(word);
+    std::construct_at(&dp->insns[widx].insn, arch::decode(word));
     dp->words[widx] = word;
     dp->filled[widx] = true;
     ++decode_count_;
   }
-  return dp->insns[widx];
+  return dp->insns[widx].insn;
 }
 
 Core::MemResult Core::mem_read(VirtAddr va, u8 size) {

@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "arch/decode.h"
 #include "arch/exception.h"
@@ -355,12 +356,23 @@ class Core {
   // code re-decodes exactly as the old value-keyed cache did, but a hot
   // loop costs pointer arithmetic — no lock, no hash, and no clear-all
   // eviction cliff (a conflicting page only evicts its own slot).
+  // A new page leaves `words` and `insns` (~52 KB) uninitialized: `filled`
+  // guards every read, and dpage_slot clears it whenever a slot is first
+  // used or retargeted.
   struct DecodedPage {
+    DecodedPage() {}  // user-provided, so make_unique does not zero the page
+    // An Insn slot that construction leaves alone (Insn's member
+    // initializers would otherwise run 1,024 times per page).
+    union Decoded {
+      Decoded() {}
+      arch::Insn insn;
+    };
+    static_assert(std::is_trivially_destructible_v<arch::Insn>);
     PhysAddr ppage = ~PhysAddr{0};
     const u8* host = nullptr;
-    std::array<u32, kPageSize / 4> words{};
-    std::array<arch::Insn, kPageSize / 4> insns{};
-    std::array<bool, kPageSize / 4> filled{};
+    std::array<u32, kPageSize / 4> words;
+    std::array<Decoded, kPageSize / 4> insns;
+    std::array<bool, kPageSize / 4> filled;
   };
   static constexpr unsigned kDecodedPages = 512;  // power of two
   const arch::Insn& decode_at(PhysAddr pa);

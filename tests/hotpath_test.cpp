@@ -430,6 +430,89 @@ TEST_F(DecodeCacheTest, HotPageSurvives64KDistinctWords) {
   EXPECT_EQ(core.decode_count(), after_filler);
 }
 
+// A decoded page is allocated uninitialized; only `filled`, cleared when a
+// slot is first used or retargeted, says which words hold a decode. Two code
+// pages whose frames share one direct-mapped slot (page index equal modulo
+// the 512 slots) run A -> B -> A: each switch retargets the slot, so the
+// words run after it decode afresh even where the other page left the same
+// word at the same offset.
+
+struct CollidingPagesOutcome {
+  std::array<u64, 31> x{};
+  Cycles cycles = 0;
+  u64 decodes = 0;
+  u64 built = 0;
+  u64 words = 0;  // on both pages, each of which runs
+};
+
+// Page A: ADD x2; CBNZ x5 -> done; x9 = B; BR x9; done: SVC.
+// Page B: ADD x2 (A's first word, at the same offset); MOVZ x5, 1;
+// x9 = A; BR x9. So A runs all but its SVC, B runs all of its words, and
+// A runs ADD and CBNZ again, then the SVC.
+CollidingPagesOutcome RunAThenBThenA(bool collide, bool tier) {
+  Machine m(arch::Platform::cortex_a55(), /*seed=*/42);
+  mem::Stage1Table tbl(m.mem(), /*asid=*/1);
+  Asm a, b;
+  auto done = a.new_label();
+  a.add_imm(2, 2, 1);
+  a.cbnz(5, done);
+  a.mov_imm64(9, kFillVa);
+  a.br(9);
+  a.bind(done);
+  a.svc(0);
+  b.add_imm(2, 2, 1);
+  b.movz(5, 1);
+  b.mov_imm64(9, kCodeVa);
+  b.br(9);
+
+  const PhysAddr pa_a = m.mem().alloc_frame();
+  PhysAddr pa_b = m.mem().alloc_frame();
+  while (collide && page_index(pa_b) % 512 != page_index(pa_a) % 512) {
+    pa_b = m.mem().alloc_frame();
+  }
+  a.install(m.mem(), pa_a);
+  b.install(m.mem(), pa_b);
+  LZ_CHECK_OK(tbl.map(kCodeVa, pa_a, CodeAttrs()));
+  LZ_CHECK_OK(tbl.map(kFillVa, pa_b, CodeAttrs()));
+  auto& core = m.core(0);
+  core.set_trace_tier(tier);
+  core.set_sysreg(SysReg::kTtbr0El1, tbl.ttbr());
+  core.pstate().el = ExceptionLevel::kEl1;
+  core.set_pc(kCodeVa);
+  core.set_handler(ExceptionLevel::kEl1,
+                   [](const TrapInfo&) { return TrapAction::kStop; });
+  EXPECT_EQ(core.run(1'000).reason, StopReason::kHandlerStop);
+  CollidingPagesOutcome out;
+  for (unsigned i = 0; i < 31; ++i) out.x[i] = core.x(i);
+  out.cycles = core.account().total();
+  out.decodes = core.decode_count();
+  out.built = core.trace_stats().built;
+  out.words = a.insn_count() + b.insn_count();
+  return out;
+}
+
+TEST_F(DecodeCacheTest, CollidingPagesRedecodeAfterEachRetarget) {
+  for (const bool tier : {false, true}) {
+    SCOPED_TRACE(tier ? "tier on" : "tier off");
+    const auto fresh = RunAThenBThenA(/*collide=*/false, tier);
+    const auto hit = RunAThenBThenA(/*collide=*/true, tier);
+    EXPECT_EQ(hit.x, fresh.x);
+    EXPECT_EQ(hit.x[2], 3u);
+    EXPECT_EQ(hit.cycles, fresh.cycles);
+    EXPECT_EQ(hit.built, tier ? 1u : 0u);  // A's head, on its second visit
+    EXPECT_EQ(fresh.built, hit.built);
+    // Apart, the slots decode each word of both pages once.
+    EXPECT_EQ(fresh.decodes, fresh.words);
+    // Sharing a slot, every word run after a retarget decodes afresh. B's
+    // ADD counts although A's identical decode sat at its offset (a slot
+    // that kept it would read one fewer), and A's ADD and CBNZ decode again
+    // on the way back, unless that head runs as the trace its second visit
+    // builds, which decodes its words privately.
+    const u64 back = tier ? 0 : 2;
+    EXPECT_EQ(hit.decodes, fresh.decodes + back);
+  }
+}
+
 // --- Batched accounting ------------------------------------------------------
 // After run() returns (a flush boundary), counters, cycle totals and
 // TlbStats must be exact — identical to charging every instruction

@@ -40,6 +40,28 @@ TEST(PhysMemTest, AllocatedFramesAreZeroed) {
   EXPECT_EQ(pm.read(b + 8, 8), 0u);
 }
 
+// alloc_frame zeroes only a frame that has materialized; one that has not
+// reads as zero when it first does. Both kinds must come out all-zero.
+TEST(PhysMemTest, FreshFramesAreZeroedWhetherTouchedOrNot) {
+  constexpr PhysAddr kBase = 0x4000'0000;
+  PhysMem pm(kBase, 64 * kPageSize);
+  const std::vector<u8> zeros(kPageSize, 0);
+  std::vector<u8> page(kPageSize);
+
+  // Written before the allocator ever handed it out (a stray device write).
+  pm.write(kBase + kPageSize + 16, 8, 0x0123456789abcdefull);
+  pm.write(kBase + 2 * kPageSize - 8, 8, ~u64{0});
+  const PhysAddr never = pm.alloc_frame();  // never touched at all
+  const PhysAddr touched = pm.alloc_frame();
+  ASSERT_EQ(never, kBase);
+  ASSERT_EQ(touched, kBase + kPageSize);
+
+  pm.read_bytes(never, page.data(), kPageSize);
+  EXPECT_EQ(page, zeros);
+  pm.read_bytes(touched, page.data(), kPageSize);
+  EXPECT_EQ(page, zeros);
+}
+
 TEST(PhysMemTest, ReadWriteSizes) {
   PhysMem pm;
   const PhysAddr a = pm.alloc_frame();

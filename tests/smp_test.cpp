@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <latch>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "lightzone/api.h"
+#include "lightzone/gate.h"
 #include "sim/machine.h"
 #include "workloads/microbench.h"
 
@@ -360,6 +363,59 @@ TEST(SmpObsTest, CountersDeltaIsScopedPerEnv) {
   // And e1's delta now includes e2's work (shared global registry), which
   // is exactly why scenarios must read their own Env's delta.
   EXPECT_GE(tlb_lookups(e1.counters_delta()), 2 * n1);
+}
+
+// The gate-code image is assembled once per max_gates per host process and
+// shared by every VM: four threads, each driving its own Env, enter
+// processes at once over three gate counts, so the first use of an image
+// races other threads asking for it. Every VM's gate pages must hold
+// exactly what build_gate_code assembles.
+TEST(SmpLightZoneTest, ConcurrentEntersShareTheGateCodeImage) {
+  constexpr unsigned kThreads = 4;
+  constexpr std::array<u32, 3> kMaxGates = {24, 256, 8};
+  constexpr unsigned kProcsPerThread = 6;
+  std::vector<std::unique_ptr<Env>> envs;
+  for (unsigned k = 0; k < kThreads; ++k) {
+    envs.push_back(std::make_unique<Env>(
+        Env::Options().platform(arch::Platform::cortex_a55())));
+  }
+  std::vector<std::vector<LzProc>> procs(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (unsigned k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      start.arrive_and_wait();
+      for (unsigned i = 0; i < kProcsPerThread; ++i) {
+        LzOptions opts;
+        opts.max_gates = kMaxGates[(k + i) % kMaxGates.size()];
+        procs[k].push_back(LzProc::enter(*envs[k]->module,
+                                         envs[k]->new_process(), true, 1,
+                                         &opts));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  for (unsigned k = 0; k < kThreads; ++k) {
+    auto& pm = envs[k]->machine->mem();
+    for (LzProc& lz : procs[k]) {
+      const u32 max_gates = lz.ctx().opts().max_gates;
+      for (u32 g = 0; g < max_gates; ++g) {
+        const VirtAddr va = UpperLayout::gate_va(g);
+        const auto walk = lz.ctx().upper->lookup(page_floor(va));
+        ASSERT_TRUE(walk.ok);
+        std::vector<u32> got(UpperLayout::kGateStride / 4);
+        pm.read_bytes(
+            lz.ctx().pa_of(page_floor(walk.out_addr)) + page_offset(va),
+            got.data(), UpperLayout::kGateStride);
+        sim::Asm gate = build_gate_code(g, max_gates);
+        std::vector<u32> want = gate.resolve();
+        want.resize(got.size());
+        ASSERT_EQ(got, want) << "thread " << k << " max_gates " << max_gates
+                             << " gate " << g;
+      }
+    }
+  }
 }
 
 }  // namespace
