@@ -229,7 +229,9 @@ build/bench/report_check "$smp_a"
 pinned_fuzz() {  # <want> <driver> <args>...
   local want=$1 out
   shift
-  out=$("$@")
+  # Print the output whatever the exit status: a failing run's reproducer
+  # and counter diff go to stdout.
+  out=$("$@") || { local rc=$?; echo "$out"; exit "$rc"; }
   echo "$out"
   if ! grep -q "$want\$" <<<"$out"; then
     echo "ci.sh: $* moved (want $want)" >&2

@@ -809,7 +809,7 @@ sim::RunResult LzModule::run(LzContext& ctx, u64 max_steps) {
 
 Result<Cycles> LzModule::exec_gate_switch(LzContext& ctx, int gate) {
   const unsigned core_id = machine().current_core_id();  // resolved once
-  LZ_CHECK(world_[core_id].active == &ctx);
+  LZ_CHECK(world(core_id).active == &ctx);
   auto& core = machine().core(core_id);
   if (gate < 0 || static_cast<u32>(gate) >= ctx.opts().max_gates) {
     return err(Errc::kBadGate, "gate switch: bad gate id");
@@ -841,7 +841,7 @@ Result<Cycles> LzModule::exec_gate_switch(LzContext& ctx, int gate) {
 
 Cycles LzModule::exec_set_pan(LzContext& ctx, bool pan) {
   const unsigned core_id = machine().current_core_id();  // resolved once
-  LZ_CHECK(world_[core_id].active == &ctx);
+  LZ_CHECK(world(core_id).active == &ctx);
   auto& core = machine().core(core_id);
   auto& account = core.account();
   auto probe = obs::switch_scope<obs::SwitchKind::kLzPan>(

@@ -282,7 +282,8 @@ class LzModule : public hv::TrapDelegate {
     u64 saved_hcr = 0;
     u64 saved_vttbr = 0;
   };
-  PerCoreWorld& world() { return world_[machine().current_core_id()]; }
+  PerCoreWorld& world(unsigned core_id) { return world_[core_id]; }
+  PerCoreWorld& world() { return world(machine().current_core_id()); }
   std::vector<PerCoreWorld> world_;
 };
 

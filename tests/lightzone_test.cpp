@@ -209,40 +209,6 @@ TEST_F(LightZoneTest, GateRejectsWrongReturnAddress) {
       << proc.kill_reason();
 }
 
-// Every process's stub and gate pages are copied from one image assembled
-// per max_gates; what lands in the VM's frames must be exactly what
-// build_stub_page() and build_gate_code(g, max_gates) assemble, for either
-// image, whichever was assembled first.
-TEST_F(LightZoneTest, GatePagesHoldTheAssembledGateCode) {
-  auto& pm = env.machine->mem();
-  const auto installed = [&pm](LzProc& lz, VirtAddr va, u64 bytes) {
-    const auto walk = lz.ctx().upper->lookup(page_floor(va));
-    EXPECT_TRUE(walk.ok);
-    std::vector<u32> words(bytes / 4);
-    pm.read_bytes(lz.ctx().pa_of(page_floor(walk.out_addr)) + page_offset(va),
-                  words.data(), bytes);
-    return words;
-  };
-  for (const u32 max_gates : {8u, 256u, 8u}) {
-    SCOPED_TRACE(max_gates);
-    LzOptions opts;
-    opts.max_gates = max_gates;
-    LzProc lz = LzProc::enter(*env.module, env.new_process(), true, 1, &opts);
-    Asm stub = build_stub_page();
-    std::vector<u32> want = stub.resolve();
-    want.resize(kPageSize / 4);
-    EXPECT_EQ(installed(lz, UpperLayout::kStubVa, kPageSize), want);
-    for (u32 g = 0; g < max_gates; ++g) {
-      Asm gate = build_gate_code(g, max_gates);
-      want = gate.resolve();
-      want.resize(UpperLayout::kGateStride / 4);  // zeros up to the next gate
-      const VirtAddr va = UpperLayout::gate_va(g);
-      ASSERT_EQ(installed(lz, va, UpperLayout::kGateStride), want)
-          << "gate " << g;
-    }
-  }
-}
-
 TEST_F(LightZoneTest, GateMidEntryWithForgedTtbrIsCaught) {
   auto& proc = env.new_process();
   LzProc lz = LzProc::enter(*env.module, proc, true, 1);

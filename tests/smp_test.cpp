@@ -365,11 +365,12 @@ TEST(SmpObsTest, CountersDeltaIsScopedPerEnv) {
   EXPECT_GE(tlb_lookups(e1.counters_delta()), 2 * n1);
 }
 
-// The gate-code image is assembled once per max_gates per host process and
-// shared by every VM: four threads, each driving its own Env, enter
-// processes at once over three gate counts, so the first use of an image
-// races other threads asking for it. Every VM's gate pages must hold
-// exactly what build_gate_code assembles.
+// The stub and gate-code images are assembled once per host process (the
+// gate code once per max_gates) and shared by every VM: four threads, each
+// driving its own Env, enter processes at once over three gate counts, so
+// the first use of an image races other threads asking for it. Every VM's
+// stub and gate pages must hold exactly what build_stub_page and
+// build_gate_code assemble, zero-padded to the page or gate stride.
 TEST(SmpLightZoneTest, ConcurrentEntersShareTheGateCodeImage) {
   constexpr unsigned kThreads = 4;
   constexpr std::array<u32, 3> kMaxGates = {24, 256, 8};
@@ -396,23 +397,32 @@ TEST(SmpLightZoneTest, ConcurrentEntersShareTheGateCodeImage) {
   }
   for (auto& t : threads) t.join();
 
+  const auto assembled = [](sim::Asm code, u64 bytes) {
+    std::vector<u32> words = code.resolve();
+    words.resize(bytes / 4);
+    return words;
+  };
+  const std::vector<u32> stub = assembled(build_stub_page(), kPageSize);
   for (unsigned k = 0; k < kThreads; ++k) {
     auto& pm = envs[k]->machine->mem();
     for (LzProc& lz : procs[k]) {
-      const u32 max_gates = lz.ctx().opts().max_gates;
-      for (u32 g = 0; g < max_gates; ++g) {
-        const VirtAddr va = UpperLayout::gate_va(g);
+      const auto installed = [&](VirtAddr va, u64 bytes) {
         const auto walk = lz.ctx().upper->lookup(page_floor(va));
-        ASSERT_TRUE(walk.ok);
-        std::vector<u32> got(UpperLayout::kGateStride / 4);
+        EXPECT_TRUE(walk.ok);
+        std::vector<u32> words(bytes / 4);
         pm.read_bytes(
             lz.ctx().pa_of(page_floor(walk.out_addr)) + page_offset(va),
-            got.data(), UpperLayout::kGateStride);
-        sim::Asm gate = build_gate_code(g, max_gates);
-        std::vector<u32> want = gate.resolve();
-        want.resize(got.size());
-        ASSERT_EQ(got, want) << "thread " << k << " max_gates " << max_gates
-                             << " gate " << g;
+            words.data(), bytes);
+        return words;
+      };
+      const u32 max_gates = lz.ctx().opts().max_gates;
+      ASSERT_EQ(installed(UpperLayout::kStubVa, kPageSize), stub)
+          << "thread " << k << " max_gates " << max_gates;
+      for (u32 g = 0; g < max_gates; ++g) {
+        ASSERT_EQ(installed(UpperLayout::gate_va(g), UpperLayout::kGateStride),
+                  assembled(build_gate_code(g, max_gates),
+                            UpperLayout::kGateStride))
+            << "thread " << k << " max_gates " << max_gates << " gate " << g;
       }
     }
   }
